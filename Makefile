@@ -5,8 +5,13 @@
 build:
 	go build ./...
 
+# test also vets and tests bench/, a nested module the root module's
+# ./... never reaches: it compiles against internal/{server,query,
+# spatialdb,region,wal,lang}, so a signature it calls cannot change
+# unnoticed.
 test:
 	go test ./...
+	cd bench && go vet ./... && go test ./...
 
 race:
 	go test -race ./...

@@ -2,9 +2,11 @@
 // every candidate loop must sample the shared execCtl so a cancelled
 // context halts the run within cancelCheckEvery candidates. Concretely,
 // a function-literal callback passed to a candidate source — a method
-// named All, Search, SearchStats, SearchStatsKind, or search — must
-// reach a call to poll() on some path (directly or through a
-// same-package helper). halted() alone does not satisfy the rule: it
+// named All, Search, SearchStats, SearchStatsKind, SearchInto, or search
+// — or stored for that use in a field or variable named visit (the
+// pooled execFrame builds its per-step callbacks once) must reach a call
+// to poll() on some path (directly or through a same-package helper).
+// halted() alone does not satisfy the rule: it
 // only reads the latched flag and never samples ctx.Done(), so a
 // goroutine that only checks halted() would spin forever if nothing
 // else polls.
@@ -46,6 +48,7 @@ var candidateSources = map[string]bool{
 	"Search":          true,
 	"SearchStats":     true,
 	"SearchStatsKind": true,
+	"SearchInto":      true,
 	"search":          true,
 }
 
@@ -102,6 +105,19 @@ func checkFunc(pass *analysis.Pass, helpers map[string]*ast.FuncDecl, fn *ast.Fu
 					pass.Reportf(lit.Pos(), "candidate callback passed to %s never calls execCtl poll on any path; cancellation would go unnoticed", sel.Sel.Name)
 				}
 			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, lhs := range n.Lhs {
+				lit, ok := n.Rhs[i].(*ast.FuncLit)
+				if !ok || !namedVisit(lhs) {
+					continue
+				}
+				if !reaches(pass, helpers, lit.Body, map[string]bool{}, false) {
+					pass.Reportf(lit.Pos(), "candidate callback stored as visit never calls execCtl poll on any path; cancellation would go unnoticed")
+				}
+			}
 		case *ast.ForStmt:
 			if n.Cond != nil {
 				return true
@@ -115,6 +131,18 @@ func checkFunc(pass *analysis.Pass, helpers map[string]*ast.FuncDecl, fn *ast.Fu
 		}
 		return true
 	})
+}
+
+// namedVisit reports whether an assignment target is a variable or field
+// called visit.
+func namedVisit(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name == "visit"
+	case *ast.SelectorExpr:
+		return e.Sel.Name == "visit"
+	}
+	return false
 }
 
 // reaches reports whether body contains a call to poll (or, when

@@ -19,9 +19,9 @@ func TestPkgsGate(t *testing.T) {
 	defer Analyzer.Flags.Set("pkgs", "repro/internal/query")
 	pkg := atest.Load(t, "b")
 	results := atest.Apply(t, Analyzer, pkg)
-	// The three annotated findings plus the unannotated function at the
+	// The four annotated findings plus the unannotated function at the
 	// fixture's tail, now in scope.
-	if len(results) != 4 {
-		t.Errorf("with -pkgs=b want 4 findings (unannotated loop included), got %d: %v", len(results), results)
+	if len(results) != 5 {
+		t.Errorf("with -pkgs=b want 5 findings (unannotated loop included), got %d: %v", len(results), results)
 	}
 }

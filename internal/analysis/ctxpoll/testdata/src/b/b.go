@@ -55,6 +55,28 @@ func badHaltedOnly(l *layer, c *ctl) {
 	})
 }
 
+type frame struct {
+	c     *ctl
+	visit func(int) bool
+}
+
+func (f *frame) consider(o int) bool { return !f.c.poll() }
+
+// A callback built once and stored for later Search calls is held to the
+// same rule at the point it is stored.
+//
+//boolq:cancelloop
+func goodStored(f *frame) {
+	f.visit = func(o int) bool { return f.consider(o) }
+}
+
+//boolq:cancelloop
+func badStored(f *frame) {
+	f.visit = func(o int) bool { // want `candidate callback stored as visit never calls execCtl poll`
+		return !f.c.halted()
+	}
+}
+
 //boolq:cancelloop
 func badSpin(c *ctl) {
 	n := 0

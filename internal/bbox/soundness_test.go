@@ -50,9 +50,9 @@ func TestApproximationSoundnessOverRegions(t *testing.T) {
 			}
 			boxes := make([]bbox.Box, 3)
 			for i, r := range regs {
-				boxes[i] = r.(*region.Region).BoundingBox()
+				boxes[i] = alg.Region(r).BoundingBox()
 			}
-			val := formula.Eval(f, alg, regs).(*region.Region)
+			val := alg.Region(formula.Eval(f, alg, regs))
 			exact := val.BoundingBox()
 			lower := a.L.Eval(2, boxes)
 			upper := a.U.Eval(2, boxes)

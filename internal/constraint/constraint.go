@@ -192,13 +192,32 @@ func (n Normal) Satisfied(alg boolalg.Algebra, env []boolalg.Element) bool {
 	return true
 }
 
+// Holds decides the constraint over an algebra with all variables bound,
+// lowered to the cheapest test its shape allows — none of which builds
+// f ∧ ¬g, so an algebra with fast predicates (boolalg.Leqer/Overlapper)
+// never complements anything:
+//
+//	f ∧ g ⊑ 0  (Disjoint, Overlap)   ⇝  f, g do not / do overlap
+//	f ⊑ 0      (NonEmpty, NotEqual)  ⇝  f is / is not empty (Leq against 0)
+//	f ⊑ g                            ⇝  containment of the two values
+func (c Constraint) Holds(alg boolalg.Algebra, env []boolalg.Element) bool {
+	var contained bool
+	if c.Rhs.IsConst(false) && c.Lhs.Kind() == formula.KindAnd {
+		contained = !boolalg.Overlaps(alg,
+			formula.Eval(c.Lhs.Left(), alg, env), formula.Eval(c.Lhs.Right(), alg, env))
+	} else {
+		contained = boolalg.Leq(alg, formula.Eval(c.Lhs, alg, env), formula.Eval(c.Rhs, alg, env))
+	}
+	return contained != c.Negative
+}
+
 // Satisfied evaluates every constraint of the system over an algebra with
 // all variables bound (the exact, unoptimized semantics — the oracle the
-// optimized pipeline is validated against).
+// optimized pipeline is validated against, and the executors' final check
+// on every tuple).
 func (s *System) Satisfied(alg boolalg.Algebra, env []boolalg.Element) bool {
 	for _, c := range s.Cons {
-		val := formula.Eval(formula.Diff(c.Lhs, c.Rhs), alg, env)
-		if c.Negative == alg.IsBottom(val) {
+		if !c.Holds(alg, env) {
 			return false
 		}
 	}

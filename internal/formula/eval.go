@@ -10,37 +10,30 @@ import (
 // value of each variable by index. It panics if a variable in f has no
 // binding (env too short or nil entry); the query compiler guarantees
 // bindings for every free variable before evaluation.
+//
+// Eval itself allocates nothing — the executors call it per prefix and
+// per solution — so whether an evaluation allocates is the algebra's
+// business alone. The price is that a node shared between two parents is
+// evaluated once per parent: Xor(f, g) evaluates f and g twice each.
 func Eval(f *Formula, alg boolalg.Algebra, env []boolalg.Element) boolalg.Element {
-	memo := map[*Formula]boolalg.Element{}
-	var walk func(n *Formula) boolalg.Element
-	walk = func(n *Formula) boolalg.Element {
-		if r, ok := memo[n]; ok {
-			return r
+	switch f.kind {
+	case KindConst:
+		if f.val {
+			return alg.Top()
 		}
-		var out boolalg.Element
-		switch n.kind {
-		case KindConst:
-			if n.val {
-				out = alg.Top()
-			} else {
-				out = alg.Bottom()
-			}
-		case KindVar:
-			if n.v >= len(env) || env[n.v] == nil {
-				panic(fmt.Sprintf("formula: unbound variable x%d in evaluation", n.v))
-			}
-			out = env[n.v]
-		case KindNot:
-			out = alg.Complement(walk(n.l))
-		case KindAnd:
-			out = alg.Meet(walk(n.l), walk(n.r))
-		case KindOr:
-			out = alg.Join(walk(n.l), walk(n.r))
+		return alg.Bottom()
+	case KindVar:
+		if f.v >= len(env) || env[f.v] == nil {
+			panic(fmt.Sprintf("formula: unbound variable x%d in evaluation", f.v))
 		}
-		memo[n] = out
-		return out
+		return env[f.v]
+	case KindNot:
+		return alg.Complement(Eval(f.l, alg, env))
+	case KindAnd:
+		return alg.Meet(Eval(f.l, alg, env), Eval(f.r, alg, env))
+	default: // KindOr
+		return alg.Join(Eval(f.l, alg, env), Eval(f.r, alg, env))
 	}
-	return walk(f)
 }
 
 // EvalBits evaluates f in the two-valued algebra where variable v is true

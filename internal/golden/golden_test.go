@@ -162,7 +162,7 @@ func executions(t *testing.T, q *query.Query, store *spatialdb.Store, params map
 	var streamed []query.Solution
 	if _, err := static.RunStream(ctx, store, params, query.DefaultOptions,
 		func(s query.Solution) bool {
-			streamed = append(streamed, s)
+			streamed = append(streamed, s.Clone()) // s is lent for the call only
 			return true
 		}); err != nil {
 		t.Fatalf("static/stream: %v", err)

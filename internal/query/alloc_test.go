@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/bbox"
+	"repro/internal/race"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
 )
@@ -144,5 +145,101 @@ func TestScanExactLoopAllocs(t *testing.T) {
 	const budget = 128
 	if allocs > budget {
 		t.Fatalf("scan+exact RunCtx allocates %v per run, want <= %d", allocs, budget)
+	}
+}
+
+// acceptFixture builds a store in which every candidate of every step is
+// a solution, at scale n: layer a holds n boxes inside the window W, b's
+// i-th box overlaps exactly a's i-th, and c's i-th overlaps exactly b's
+// i-th while sticking out of a's. The three plans (1, 2 and 3 steps; one
+// `!=`, one `!<=`) therefore visit n candidates per step, evaluate n
+// prefixes per inner step and emit n solutions — the accept path that
+// TestRunCtxCandidateLoopAllocs, with its 500 rejects and no solution,
+// never reaches.
+func acceptFixture(t *testing.T, n int) (*spatialdb.Store, []*Plan, map[string]*region.Region) {
+	t.Helper()
+	width := float64(10*n + 10)
+	store := spatialdb.NewStore(bbox.Rect(0, 0, width, 10), spatialdb.RTree)
+	for i := 0; i < n; i++ {
+		x := float64(10 * i)
+		store.MustInsert("a", fmt.Sprintf("a%d", i), region.FromBox(bbox.Rect(x, 0, x+4, 4)))
+		store.MustInsert("b", fmt.Sprintf("b%d", i), region.FromBox(bbox.Rect(x+1, 0, x+6, 4)))
+		store.MustInsert("c", fmt.Sprintf("c%d", i), region.FromBox(bbox.Rect(x+5, 0, x+8, 4)))
+	}
+	var plans []*Plan
+	for steps := 1; steps <= 3; steps++ {
+		q := New().From("X", "a")
+		x := q.Sys.Var("X")
+		q.Sys.Subset(x, q.Sys.Var("W")) // X <= W
+		if steps >= 2 {
+			y := q.Sys.Var("Y")
+			q.From("Y", "b").Sys.Overlap(x, y) // X & Y != 0
+			if steps == 2 {
+				q.Sys.NotEqual(x, y) // X != Y
+			} else {
+				z := q.Sys.Var("Z")
+				q.From("Z", "c").Sys.Overlap(y, z).NotSubset(z, x) // Y & Z != 0; Z !<= X
+			}
+		}
+		plan, err := Compile(q, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, plan)
+	}
+	return store, plans, map[string]*region.Region{"W": region.FromBox(bbox.Rect(0, 0, width, 10))}
+}
+
+// TestAcceptPathAllocs pins the accept path: a RunStream pays a fixed
+// allocation budget per run — the same at 40 and at 400 candidates,
+// prefixes and solutions — and RunCtx adds at most 2 allocations per
+// solution, the tuple that escapes into the Result (plus the amortised
+// growth of the Result's slice).
+func TestAcceptPathAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const small, large = 40, 400
+	measure := func(n int) (stream, buffered []float64) {
+		store, plans, params := acceptFixture(t, n)
+		for steps, plan := range plans {
+			found := 0
+			runStream := func() {
+				found = 0
+				st, err := plan.RunStream(context.Background(), store, params, DefaultOptions,
+					func(Solution) bool { found++; return true })
+				if err != nil || st.Candidates != (steps+1)*n || st.ExactRejects != 0 || st.FinalRejected != 0 {
+					t.Fatalf("%d-step plan at n=%d is not all-accept: %+v (err %v)", steps+1, n, st, err)
+				}
+			}
+			runStream()
+			if found != n {
+				t.Fatalf("%d-step plan at n=%d found %d solutions, want %d", steps+1, n, found, n)
+			}
+			stream = append(stream, testing.AllocsPerRun(20, runStream))
+			buffered = append(buffered, testing.AllocsPerRun(20, func() {
+				if _, err := plan.RunCtx(context.Background(), store, params, DefaultOptions); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return stream, buffered
+	}
+	streamSmall, _ := measure(small)
+	streamLarge, bufferedLarge := measure(large)
+	t.Logf("RunStream allocs/run at n=%d: %v, at n=%d: %v; RunCtx at n=%d: %v",
+		small, streamSmall, large, streamLarge, large, bufferedLarge)
+	// 13–14 fixed allocations per run measured at commit time (algebra,
+	// parameter binding, layer resolution, execCtl); the budget leaves
+	// headroom for a pool emptied by a GC cycle mid-measurement.
+	const budget = 32
+	for i := range streamLarge {
+		if streamLarge[i] > budget || streamLarge[i] > streamSmall[i]+4 {
+			t.Errorf("%d-step RunStream: %v allocs per run at n=%d, %v at n=%d: want a fixed budget <= %d",
+				i+1, streamLarge[i], large, streamSmall[i], small, budget)
+		}
+		if perSolution := (bufferedLarge[i] - streamLarge[i]) / large; perSolution > 2 {
+			t.Errorf("%d-step RunCtx: %.2f allocs per solution over RunStream, want <= 2", i+1, perSolution)
+		}
 	}
 }

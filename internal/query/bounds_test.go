@@ -261,7 +261,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 	}
 	var streamed []Solution
 	stats, err := plan.RunStream(context.Background(), store, params, DefaultOptions, func(s Solution) bool {
-		streamed = append(streamed, s)
+		streamed = append(streamed, s.Clone()) // s is lent for the call only
 		return true
 	})
 	if err != nil {

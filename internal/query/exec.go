@@ -3,6 +3,8 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/bbox"
 	"repro/internal/boolalg"
@@ -13,7 +15,7 @@ import (
 
 // resolveLayers looks the step layers up without creating them. The
 // caller must hold the store's read guard. Per-run DB statistics are
-// accumulated from each SearchStats return value, so a run reports
+// accumulated from each SearchInto return value, so a run reports
 // exactly the index work it caused even when concurrent runs share a
 // layer (a shared-counter delta would mix their costs).
 func resolveLayers(store *spatialdb.Store, names []string) ([]*spatialdb.Layer, error) {
@@ -41,35 +43,112 @@ func stepLayerNames(p *Plan) []string {
 // own, and all frames of a run share one execCtl (cancellation and the
 // solution limit are run-wide, statistics and buffers are frame-local).
 //
-// The frame owns all hot-path scratch — one specScratch per step for the
-// compiled box programs, the environment and tuple buffers — so the
-// per-candidate work allocates nothing in steady state. Workers never
-// share a frame; DESIGN.md §"Execution cost model" spells the ownership
-// out.
+// The frame owns all hot-path scratch — per step the compiled box
+// programs' specScratch, the exact filter's region.Scratch and values,
+// the probe's id buffer and the candidate callback; per frame the
+// environment, the tuple buffers and the final check's region.Scratch —
+// so a warm frame allocates nothing per candidate, per prefix or per
+// solution. Frames are pooled (acquireFrame/release) and never shared;
+// DESIGN.md §"Execution cost model" spells the ownership out.
 type execFrame struct {
 	p       *Plan
 	ctl     *execCtl
 	opts    Options
-	alg     *region.Algebra
 	layers  []*spatialdb.Layer
 	k       int
 	env     []boolalg.Element
 	envBox  []bbox.Box
-	tuple   []spatialdb.Object
-	spec    []specScratch // per-step scratch; step i's spec must outlive the recursion below it
-	stats   *Stats
+	tuple   []spatialdb.Object // in step order
+	out     []spatialdb.Object // in output order, when the plan reorders
+	steps   []stepFrame
+	check   region.Scratch // the final check's intermediate values
+	checkIn region.Algebra // the run's algebra bound to check
+	stats   Stats
 	emit    func(Solution) bool // false stops this frame's search
 	stopped bool                // the emit callback asked to stop
 }
 
-func newExecFrame(p *Plan, ctl *execCtl, opts Options, alg *region.Algebra, layers []*spatialdb.Layer, k int, env []boolalg.Element, envBox []bbox.Box, stats *Stats, emit func(Solution) bool) *execFrame {
-	return &execFrame{
-		p: p, ctl: ctl, opts: opts, alg: alg, layers: layers, k: k,
-		env: env, envBox: envBox,
-		tuple: make([]spatialdb.Object, len(p.Steps)),
-		spec:  make([]specScratch, len(p.Steps)),
-		stats: stats, emit: emit,
+// stepFrame is one step's share of the frame. Step i's state must
+// outlive the recursion below it — its search is still iterating ids, and
+// its candidates are still filtered against exact, while deeper steps
+// probe and evaluate — which is why every buffer here is per step.
+type stepFrame struct {
+	spec  specScratch
+	scr   region.Scratch              // owns exact's elements; reset once per prefix
+	alg   region.Algebra              // the run's algebra bound to scr
+	exact triangular.StepValues       // the solved constraint's values for the current prefix
+	ids   []int64                     // the index probe's id buffer
+	db    spatialdb.Stats             // the run's index cost on this step's layer
+	visit func(spatialdb.Object) bool // consider(i, ·), built once per frame
+}
+
+// Retention caps for pooled frames: a buffer that one unusually wide
+// request grew past these is dropped on release instead of being kept
+// alive by the pool.
+const (
+	maxPooledIDs     = 1 << 15 // ids per step (256 KiB)
+	maxPooledScratch = 1 << 14 // boxes + coordinates per region.Scratch
+)
+
+var framePool = sync.Pool{New: func() any { return new(execFrame) }}
+
+// acquireFrame takes a frame from the pool and readies it for one run (or
+// one parallel worker) of p. env and envBox are copied: the frame binds
+// and unbinds retrieval variables in its own copies.
+func acquireFrame(p *Plan, ctl *execCtl, opts Options, alg *region.Algebra, layers []*spatialdb.Layer, k int, env []boolalg.Element, envBox []bbox.Box, emit func(Solution) bool) *execFrame {
+	f := framePool.Get().(*execFrame)
+	f.p, f.ctl, f.opts, f.layers, f.k, f.emit = p, ctl, opts, layers, k, emit
+	f.env = append(f.env[:0], env...)
+	f.envBox = append(f.envBox[:0], envBox...)
+	n := len(p.Steps)
+	f.tuple = slices.Grow(f.tuple[:0], n)[:n]
+	f.out = slices.Grow(f.out[:0], n)[:n]
+	for len(f.steps) < n {
+		i := len(f.steps)
+		f.steps = append(f.steps, stepFrame{})
+		f.steps[i].visit = func(o spatialdb.Object) bool { return f.consider(i, o) }
 	}
+	for i := range f.steps[:n] {
+		f.steps[i].alg = alg.Bind(&f.steps[i].scr)
+	}
+	f.checkIn = alg.Bind(&f.check)
+	return f
+}
+
+// release returns the frame's statistics and puts the frame back in the
+// pool with everything that references the store, the plan or the caller
+// cleared. The run's index cost is folded into the layer counters here —
+// once per run, not once per probe.
+func (f *execFrame) release() Stats {
+	for i := range f.steps[:len(f.p.Steps)] {
+		sf := &f.steps[i]
+		if sf.db.Queries > 0 {
+			f.layers[i].AddStats(sf.db)
+			f.stats.DB.Add(sf.db)
+			sf.db = spatialdb.Stats{}
+		}
+		clear(sf.exact.P)
+		clear(sf.exact.Q)
+		sf.exact.Lower, sf.exact.Upper = nil, nil
+		if cap(sf.ids) > maxPooledIDs {
+			sf.ids = nil
+		}
+		if sf.scr.Cap() > maxPooledScratch {
+			sf.scr = region.Scratch{}
+		}
+	}
+	if f.check.Cap() > maxPooledScratch {
+		f.check = region.Scratch{}
+	}
+	clear(f.env)
+	clear(f.envBox)
+	clear(f.tuple)
+	clear(f.out)
+	stats := f.stats
+	f.p, f.ctl, f.layers, f.emit = nil, nil, nil, nil
+	f.stats, f.stopped = Stats{}, false
+	framePool.Put(f)
+	return stats
 }
 
 func (f *execFrame) halted() bool { return f.stopped || f.ctl.halted() }
@@ -87,49 +166,57 @@ func (f *execFrame) run(i int) {
 		return
 	}
 	sp := &f.p.Steps[i]
-	step := &f.p.Form.Steps[i]
-
-	// exact is assigned after the spec prune below — a statically
-	// unsatisfiable prefix must not pay the formula evaluation — but is
-	// declared here so the closure sees the assignment.
-	var exact triangular.StepValues
-	consider := func(o spatialdb.Object) bool {
-		f.stats.Candidates++
-		if f.stats.Candidates%cancelCheckEvery == 0 {
-			f.ctl.poll()
-		}
-		if f.halted() {
-			return false
-		}
-		if f.opts.UseExact && !step.SatisfiedWith(f.alg, exact, o.Reg) {
-			f.stats.ExactRejects++
-			return true
-		}
-		f.stats.Extended++
-		f.tuple[i] = o
-		f.env[sp.Var] = o.Reg
-		f.envBox[sp.Var] = o.Box
-		f.run(i + 1)
-		f.env[sp.Var] = nil
-		f.envBox[sp.Var] = bbox.Box{}
-		return !f.halted()
-	}
-
+	sf := &f.steps[i]
 	if f.opts.UseIndex {
-		spec, ok := sp.SpecInto(f.k, f.envBox, &f.spec[i])
+		// The spec prune comes first: a statically unsatisfiable prefix must
+		// not pay the formula evaluation.
+		spec, ok := sp.SpecInto(f.k, f.envBox, &sf.spec)
 		if !ok {
 			return // this prefix admits no extension
 		}
-		if f.opts.UseExact {
-			exact = step.Values(f.alg, f.env)
-		}
-		f.stats.DB.Add(sp.search(f.layers[i], spec, consider))
+		f.bindExact(i)
+		sf.db.Add(sp.search(f.layers[i], spec, &sf.ids, sf.visit))
 	} else {
-		if f.opts.UseExact {
-			exact = step.Values(f.alg, f.env)
-		}
-		f.layers[i].All(consider)
+		f.bindExact(i)
+		f.layers[i].All(sf.visit)
 	}
+}
+
+// bindExact evaluates step i's solved constraint against the bound prefix
+// into the step's scratch, replacing the previous prefix's values.
+func (f *execFrame) bindExact(i int) {
+	if !f.opts.UseExact {
+		return
+	}
+	sf := &f.steps[i]
+	sf.scr.Reset()
+	f.p.Form.Steps[i].ValuesInto(&sf.alg, f.env, &sf.exact)
+}
+
+// consider is step i's candidate callback: exact-filter o against the
+// step's values and, if it passes, extend the tuple and recurse.
+func (f *execFrame) consider(i int, o spatialdb.Object) bool {
+	f.stats.Candidates++
+	if f.stats.Candidates%cancelCheckEvery == 0 {
+		f.ctl.poll()
+	}
+	if f.halted() {
+		return false
+	}
+	sf := &f.steps[i]
+	if f.opts.UseExact && !f.p.Form.Steps[i].SatisfiedWith(&sf.alg, sf.exact, o.Reg) {
+		f.stats.ExactRejects++
+		return true
+	}
+	f.stats.Extended++
+	v := f.p.Steps[i].Var
+	f.tuple[i] = o
+	f.env[v] = o.Reg
+	f.envBox[v] = o.Box
+	f.run(i + 1)
+	f.env[v] = nil
+	f.envBox[v] = bbox.Box{}
+	return !f.halted()
 }
 
 // final verifies a complete tuple against the original system and emits
@@ -142,7 +229,8 @@ func (f *execFrame) final() {
 		return
 	}
 	f.stats.FinalChecked++
-	if !f.p.Query.Sys.Satisfied(f.alg, f.env) {
+	f.check.Reset()
+	if !f.p.Query.Sys.Satisfied(&f.checkIn, f.env) {
 		f.stats.FinalRejected++
 		return
 	}
@@ -150,11 +238,12 @@ func (f *execFrame) final() {
 		return
 	}
 	f.stats.Solutions++
-	objs := append([]spatialdb.Object(nil), f.tuple...)
+	objs := f.tuple
 	if f.p.outPos != nil {
 		for i, o := range f.tuple {
-			objs[f.p.outPos[i]] = o
+			f.out[f.p.outPos[i]] = o
 		}
+		objs = f.out
 	}
 	if !f.emit(Solution{Objects: objs}) {
 		f.stopped = true
@@ -185,7 +274,7 @@ func (p *Plan) Run(store *spatialdb.Store, params map[string]*region.Region, opt
 func (p *Plan) RunCtx(ctx context.Context, store *spatialdb.Store, params map[string]*region.Region, opts Options) (*Result, error) {
 	res := &Result{}
 	stats, err := p.RunStream(ctx, store, params, opts, func(s Solution) bool {
-		res.Solutions = append(res.Solutions, s)
+		res.Solutions = append(res.Solutions, s.Clone())
 		return true
 	})
 	if err != nil {
@@ -197,11 +286,13 @@ func (p *Plan) RunCtx(ctx context.Context, store *spatialdb.Store, params map[st
 
 // RunStream executes like RunCtx but hands each solution to yield as it
 // is found instead of buffering the result set — the executor needs
-// O(steps) memory regardless of how many tuples match. Returning false
-// from yield stops the search early (without flagging the run truncated
-// or cancelled). The callback is invoked while the store's read guard is
-// held, so a yield that blocks indefinitely pins the store against
-// writers; bound it with the context.
+// O(steps) memory regardless of how many tuples match, and allocates
+// nothing per solution: the Solution passed to yield borrows the
+// executor's tuple buffer and is valid only until yield returns (Clone it
+// to keep it). Returning false from yield stops the search early (without
+// flagging the run truncated or cancelled). The callback is invoked while
+// the store's read guard is held, so a yield that blocks indefinitely
+// pins the store against writers; bound it with the context.
 func (p *Plan) RunStream(ctx context.Context, store *spatialdb.Store, params map[string]*region.Region, opts Options, yield func(Solution) bool) (Stats, error) {
 	alg := region.NewAlgebra(store.Universe())
 	env, err := bindParams(p.Query, alg, params)
@@ -228,17 +319,22 @@ func (p *Plan) RunStream(ctx context.Context, store *spatialdb.Store, params map
 		return stats, nil
 	}
 
-	k := store.K()
-	envBox := make([]bbox.Box, p.Query.Sys.Vars.Len())
-	for v := range envBox {
-		if env[v] != nil {
-			envBox[v] = env[v].(*region.Region).BoundingBox()
-		}
-	}
-	f := newExecFrame(p, ctl, opts, alg, layers, k, env, envBox, &stats, yield)
+	f := acquireFrame(p, ctl, opts, alg, layers, store.K(), env, envBoxes(alg, env), yield)
 	f.run(0)
+	stats = f.release()
 	ctl.finish(&stats)
 	return stats, nil
+}
+
+// envBoxes returns the bounding box of every bound variable of env.
+func envBoxes(alg *region.Algebra, env []boolalg.Element) []bbox.Box {
+	out := make([]bbox.Box, len(env))
+	for v, e := range env {
+		if e != nil {
+			out[v] = alg.Region(e).BoundingBox()
+		}
+	}
+	return out
 }
 
 // CompileAndRun is the one-call convenience: compile with Compile, execute

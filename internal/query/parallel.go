@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/bbox"
-	"repro/internal/boolalg"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
 	"repro/internal/triangular"
@@ -70,12 +69,7 @@ func (p *Plan) RunParallelCtx(ctx context.Context, store *spatialdb.Store, param
 	}
 
 	k := store.K()
-	envBox := make([]bbox.Box, p.Query.Sys.Vars.Len())
-	for v := range envBox {
-		if env[v] != nil {
-			envBox[v] = env[v].(*region.Region).BoundingBox()
-		}
-	}
+	envBox := envBoxes(alg, env)
 
 	// Stage 1: gather the first step's candidates serially (one range
 	// query), applying the same filters the serial executor would — with
@@ -83,6 +77,8 @@ func (p *Plan) RunParallelCtx(ctx context.Context, store *spatialdb.Store, param
 	sp := p.Steps[0]
 	step := p.Form.Steps[0]
 	var exact triangular.StepValues // assigned after the spec prune below
+	var scr region.Scratch          // owns exact's elements, as a frame's step scratch does
+	first := alg.Bind(&scr)
 	var firsts []spatialdb.Object
 	firstStats := Stats{}
 	gather := func(o spatialdb.Object) bool {
@@ -93,7 +89,7 @@ func (p *Plan) RunParallelCtx(ctx context.Context, store *spatialdb.Store, param
 		if ctl.halted() {
 			return false
 		}
-		if opts.UseExact && !step.SatisfiedWith(alg, exact, o.Reg) {
+		if opts.UseExact && !step.SatisfiedWith(&first, exact, o.Reg) {
 			firstStats.ExactRejects++
 			return true
 		}
@@ -108,12 +104,15 @@ func (p *Plan) RunParallelCtx(ctx context.Context, store *spatialdb.Store, param
 			return res, nil
 		}
 		if opts.UseExact {
-			exact = step.Values(alg, env)
+			exact = step.Values(&first, env)
 		}
-		firstStats.DB.Add(sp.search(layers[0], spec, gather))
+		var ids []int64
+		db := sp.search(layers[0], spec, &ids, gather)
+		layers[0].AddStats(db)
+		firstStats.DB.Add(db)
 	} else {
 		if opts.UseExact {
-			exact = step.Values(alg, env)
+			exact = step.Values(&first, env)
 		}
 		layers[0].All(gather)
 	}
@@ -130,13 +129,9 @@ func (p *Plan) RunParallelCtx(ctx context.Context, store *spatialdb.Store, param
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var wstats Stats
 			var wsols []Solution
-			f := newExecFrame(p, ctl, opts, alg, layers, k,
-				append([]boolalg.Element(nil), env...),
-				append([]bbox.Box(nil), envBox...),
-				&wstats,
-				func(s Solution) bool { wsols = append(wsols, s); return true })
+			f := acquireFrame(p, ctl, opts, alg, layers, k, env, envBox,
+				func(s Solution) bool { wsols = append(wsols, s.Clone()); return true })
 			for {
 				if ctl.poll() || f.halted() {
 					break
@@ -157,6 +152,7 @@ func (p *Plan) RunParallelCtx(ctx context.Context, store *spatialdb.Store, param
 				f.env[sp.Var] = nil
 				f.envBox[sp.Var] = bbox.Box{}
 			}
+			wstats := f.release()
 			mu.Lock()
 			mergeStats(&res.Stats, wstats)
 			res.Solutions = append(res.Solutions, wsols...)

@@ -43,12 +43,15 @@ type StepBoxPlan struct {
 }
 
 // search issues the step's range query through the layer, honoring the
-// planner's backend override when present.
-func (sp *StepBoxPlan) search(l *spatialdb.Layer, spec bbox.RangeSpec, visit func(spatialdb.Object) bool) spatialdb.Stats {
+// planner's backend override when present. ids is the caller's probe
+// buffer; the returned cost is the caller's to fold into the layer
+// counters (spatialdb.Layer.SearchInto).
+func (sp *StepBoxPlan) search(l *spatialdb.Layer, spec bbox.RangeSpec, ids *[]int64, visit func(spatialdb.Object) bool) spatialdb.Stats {
+	kind := l.Kind()
 	if sp.HasBackend {
-		return l.SearchStatsKind(spec, sp.Backend, visit)
+		kind = sp.Backend
 	}
-	return l.SearchStats(spec, visit)
+	return l.SearchInto(spec, kind, ids, visit)
 }
 
 // compilePrograms lowers the step's function trees to programs; Compile

@@ -186,16 +186,7 @@ func estimateCost(q *Query, store *spatialdb.Store, alg *region.Algebra, baseEnv
 		env    []boolalg.Element
 		envBox []bbox.Box
 	}
-	mkBoxes := func(env []boolalg.Element) []bbox.Box {
-		out := make([]bbox.Box, len(env))
-		for v := range env {
-			if env[v] != nil {
-				out[v] = env[v].(*region.Region).BoundingBox()
-			}
-		}
-		return out
-	}
-	sample := []prefix{{env: baseEnv, envBox: mkBoxes(baseEnv)}}
+	sample := []prefix{{env: baseEnv, envBox: envBoxes(alg, baseEnv)}}
 	cost, width := 0.0, 1.0
 	for i, sp := range plan.Steps {
 		step := plan.Form.Steps[i]

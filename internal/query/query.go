@@ -35,6 +35,7 @@ package query
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/boolalg"
 	"repro/internal/constraint"
@@ -108,6 +109,12 @@ type Solution struct {
 	Objects []spatialdb.Object
 }
 
+// Clone returns a copy that owns its tuple — what a RunStream consumer
+// keeps of a solution it was lent.
+func (s Solution) Clone() Solution {
+	return Solution{Objects: slices.Clone(s.Objects)}
+}
+
 // Names returns the object names of the tuple.
 func (s Solution) Names() []string {
 	out := make([]string, len(s.Objects))
@@ -164,6 +171,8 @@ func RunNaiveCtx(ctx context.Context, q *Query, store *spatialdb.Store, params m
 		return nil, err
 	}
 	tuple := make([]spatialdb.Object, len(q.Retrieve))
+	var scr region.Scratch // the per-tuple check's intermediate values
+	check := alg.Bind(&scr)
 	var rec func(i int)
 	rec = func(i int) {
 		if i == len(q.Retrieve) {
@@ -171,7 +180,8 @@ func RunNaiveCtx(ctx context.Context, q *Query, store *spatialdb.Store, params m
 				return
 			}
 			res.Stats.FinalChecked++
-			if q.Sys.Satisfied(alg, env) {
+			scr.Reset()
+			if q.Sys.Satisfied(&check, env) {
 				if !ctl.reserve() {
 					return
 				}

@@ -18,9 +18,10 @@
 package region
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/bbox"
@@ -68,6 +69,8 @@ func (r *Region) Boxes() []bbox.Box {
 func (r *Region) NumBoxes() int { return len(r.boxes) }
 
 // IsEmpty reports whether the region has measure zero.
+//
+//boolq:noalloc
 func (r *Region) IsEmpty() bool { return len(r.boxes) == 0 }
 
 // Measure returns the k-dimensional volume.
@@ -103,30 +106,20 @@ func positiveVolume(b bbox.Box) bool {
 // subtractBox returns the interior-disjoint decomposition of a \ b as up
 // to 2k boxes (the classical slab split).
 func subtractBox(a, b bbox.Box) []bbox.Box {
-	return appendSubtractBox(nil, a, b)
+	return appendSubtractBox(nil, a, b, nil)
 }
 
 // appendSubtractBox appends the decomposition of a \ b to dst and returns
-// it — the executor-facing form of subtractBox, allocating only for the
-// emitted slabs (and, for a untouched by b, not even that: a itself is
-// appended). The per-call working bounds live on the stack for k ≤ 4.
+// it. The emitted slabs take their coordinates from ar (the heap when ar
+// is nil); a box untouched by b is appended as is, sharing its
+// coordinates. The per-call working bounds live on the stack for k ≤ 4.
 //
 //boolq:noalloc
-func appendSubtractBox(dst []bbox.Box, a, b bbox.Box) []bbox.Box {
+func appendSubtractBox(dst []bbox.Box, a, b bbox.Box, ar *arena) []bbox.Box {
 	if !positiveVolume(a) {
 		return dst
 	}
-	// Compute the interior overlap of a and b without materializing it.
-	overlap := positiveVolume(b)
-	if overlap {
-		for i := 0; i < a.K; i++ {
-			if math.Max(a.Lo[i], b.Lo[i]) >= math.Min(a.Hi[i], b.Hi[i]) {
-				overlap = false
-				break
-			}
-		}
-	}
-	if !overlap {
+	if !positiveVolume(b) || !interiorOverlaps(a, b) {
 		return append(dst, a) //boolq:allowalloc emitted result: dst is the caller's reusable buffer
 	}
 	// cur tracks the shrinking remainder of a; stack-allocated up to 4-D.
@@ -143,11 +136,11 @@ func appendSubtractBox(dst []bbox.Box, a, b bbox.Box) []bbox.Box {
 		ilo := math.Max(a.Lo[i], b.Lo[i])
 		ihi := math.Min(a.Hi[i], b.Hi[i])
 		if ilo > curLo[i] {
-			dst = appendSlab(dst, curLo, curHi, i, curLo[i], ilo)
+			dst = appendSlab(dst, curLo, curHi, i, curLo[i], ilo, ar)
 			curLo[i] = ilo
 		}
 		if ihi < curHi[i] {
-			dst = appendSlab(dst, curLo, curHi, i, ihi, curHi[i])
+			dst = appendSlab(dst, curLo, curHi, i, ihi, curHi[i], ar)
 			curHi[i] = ihi
 		}
 	}
@@ -158,7 +151,7 @@ func appendSubtractBox(dst []bbox.Box, a, b bbox.Box) []bbox.Box {
 // [lo, hi], skipping degenerate slabs.
 //
 //boolq:noalloc
-func appendSlab(dst []bbox.Box, curLo, curHi []float64, i int, lo, hi float64) []bbox.Box {
+func appendSlab(dst []bbox.Box, curLo, curHi []float64, i int, lo, hi float64, ar *arena) []bbox.Box {
 	if hi <= lo {
 		return dst
 	}
@@ -167,11 +160,9 @@ func appendSlab(dst []bbox.Box, curLo, curHi []float64, i int, lo, hi float64) [
 			return dst
 		}
 	}
-	slab := bbox.Box{ //boolq:allowalloc emitted slab: the decomposition output the caller keeps
-		K:  len(curLo),
-		Lo: append([]float64(nil), curLo...), //boolq:allowalloc emitted slab owns its bounds
-		Hi: append([]float64(nil), curHi...), //boolq:allowalloc emitted slab owns its bounds
-	}
+	slab := ar.box(len(curLo))
+	copy(slab.Lo, curLo)
+	copy(slab.Hi, curHi)
 	slab.Lo[i], slab.Hi[i] = lo, hi
 	return append(dst, slab) //boolq:allowalloc emitted result: dst is the caller's reusable buffer
 }
@@ -184,51 +175,24 @@ func cloneBox(b bbox.Box) bbox.Box {
 	}
 }
 
-// Difference returns r \ s. Subtrahend boxes that touch no box of the
-// running remainder are skipped outright, and the remainder ping-pongs
-// between two buffers instead of allocating a fresh slice per subtrahend
-// box — regions untouched by s come back as r itself, allocation-free.
+// Difference returns r \ s. A region untouched by s comes back as r
+// itself, allocation-free.
 func (r *Region) Difference(s *Region) *Region {
 	r.checkDim(s)
-	if r.IsEmpty() || s.IsEmpty() {
-		return r
-	}
-	cur := r.boxes
-	changed := false
-	var bufA, bufB []bbox.Box
-	useA := true
-	for _, sb := range s.boxes {
-		if !overlapsAny(sb, cur) {
-			continue
-		}
-		out := bufB[:0]
-		if useA {
-			out = bufA[:0]
-		}
-		for _, rb := range cur {
-			out = appendSubtractBox(out, rb, sb)
-		}
-		if useA {
-			bufA = out
-		} else {
-			bufB = out
-		}
-		useA = !useA
-		cur, changed = out, true
-		if len(cur) == 0 {
-			break
-		}
-	}
+	var t pingpong
+	boxes, changed := appendDifference(nil, r.boxes, s.boxes, &t, nil)
 	if !changed {
 		return r
 	}
-	out := &Region{k: r.k, boxes: cur}
+	out := &Region{k: r.k, boxes: boxes}
 	out.compact()
 	return out
 }
 
 // interiorOverlaps reports that a ⊓ b has positive volume, allocating
 // nothing.
+//
+//boolq:noalloc
 func interiorOverlaps(a, b bbox.Box) bool {
 	for i := 0; i < a.K; i++ {
 		if a.Lo[i] >= b.Hi[i] || b.Lo[i] >= a.Hi[i] {
@@ -239,6 +203,8 @@ func interiorOverlaps(a, b bbox.Box) bool {
 }
 
 // overlapsAny reports whether b's interior meets any box in boxes.
+//
+//boolq:noalloc
 func overlapsAny(b bbox.Box, boxes []bbox.Box) bool {
 	for _, rb := range boxes {
 		if interiorOverlaps(b, rb) {
@@ -257,8 +223,8 @@ func (r *Region) Union(s *Region) *Region {
 	if s.IsEmpty() {
 		return r
 	}
-	diff := s.Difference(r)
-	out := &Region{k: r.k, boxes: append(append([]bbox.Box(nil), r.boxes...), diff.boxes...)}
+	var t pingpong
+	out := &Region{k: r.k, boxes: appendUnion(nil, r.boxes, s.boxes, &t, nil)}
 	out.compact()
 	return out
 }
@@ -267,16 +233,7 @@ func (r *Region) Union(s *Region) *Region {
 // before any allocation happens.
 func (r *Region) Intersect(s *Region) *Region {
 	r.checkDim(s)
-	var out []bbox.Box
-	for _, rb := range r.boxes {
-		for _, sb := range s.boxes {
-			if !interiorOverlaps(rb, sb) {
-				continue
-			}
-			out = append(out, rb.Meet(sb))
-		}
-	}
-	res := &Region{k: r.k, boxes: out}
+	res := &Region{k: r.k, boxes: appendIntersect(nil, r.boxes, s.boxes, nil)}
 	res.compact()
 	return res
 }
@@ -310,24 +267,11 @@ func (r *Region) Leq(s *Region) bool {
 // LeqIn reports r ⊑ s relative to the universe box u: (r \ s) ∩ u has
 // measure zero. This is containment as the region *algebra* sees it —
 // elements live inside the universe, and any excess outside it is a null
-// set there (the generic boolalg.Leq computes a ∧ ¬b with ¬ relative to
-// the universe, which clips the same way). A box of r inside u that
-// misses every box of s refutes containment immediately.
+// set there.
 func (r *Region) LeqIn(u bbox.Box, s *Region) bool {
 	r.checkDim(s)
-	if r.IsEmpty() {
-		return true
-	}
-	for _, rb := range r.boxes {
-		if interiorOverlaps(rb, u) && !overlapsAny(rb, s.boxes) {
-			return false
-		}
-	}
-	diff := r.Difference(s)
-	if diff.IsEmpty() {
-		return true
-	}
-	return !overlapsAny(u, diff.boxes)
+	var t pingpong
+	return coveredIn(u, r.boxes, s.boxes, nil, &t, nil)
 }
 
 // Overlaps reports that r ∩ s has positive measure, without materializing
@@ -394,7 +338,7 @@ func (r *Region) compact() {
 			}
 		}
 	}
-	sort.Slice(r.boxes, func(i, j int) bool { return boxLess(r.boxes[i], r.boxes[j]) })
+	slices.SortFunc(r.boxes, boxCompare)
 }
 
 // mergeAxis fuses boxes adjacent along axis d in one sorted pass. Equal
@@ -403,7 +347,7 @@ func (r *Region) compact() {
 // with other regions — but a run of fusions clones only once.
 func (r *Region) mergeAxis(d int) bool {
 	boxes := r.boxes
-	sort.Slice(boxes, func(i, j int) bool { return profileLess(boxes[i], boxes[j], d) })
+	slices.SortFunc(boxes, func(a, b bbox.Box) int { return profileCompare(a, b, d) })
 	out := boxes[:0]
 	merged := false
 	lastOwned := false
@@ -433,22 +377,22 @@ func (r *Region) mergeAxis(d int) bool {
 	return merged
 }
 
-// profileLess orders boxes lexicographically by their intervals on every
-// axis except d, then by their Lo on d — putting merge candidates for axis
-// d next to each other.
-func profileLess(a, b bbox.Box, d int) bool {
+// profileCompare orders boxes lexicographically by their intervals on
+// every axis except d, then by their Lo on d — putting merge candidates
+// for axis d next to each other.
+func profileCompare(a, b bbox.Box, d int) int {
 	for i := 0; i < a.K; i++ {
 		if i == d {
 			continue
 		}
 		if a.Lo[i] != b.Lo[i] {
-			return a.Lo[i] < b.Lo[i]
+			return cmp.Compare(a.Lo[i], b.Lo[i])
 		}
 		if a.Hi[i] != b.Hi[i] {
-			return a.Hi[i] < b.Hi[i]
+			return cmp.Compare(a.Hi[i], b.Hi[i])
 		}
 	}
-	return a.Lo[d] < b.Lo[d]
+	return cmp.Compare(a.Lo[d], b.Lo[d])
 }
 
 // sameProfile reports that a and b agree on every axis except d.
@@ -464,18 +408,20 @@ func sameProfile(a, b bbox.Box, d int) bool {
 	return true
 }
 
-func boxLess(a, b bbox.Box) bool {
+// boxCompare is the canonical order of a compacted decomposition.
+func boxCompare(a, b bbox.Box) int {
 	for i := 0; i < a.K; i++ {
 		if a.Lo[i] != b.Lo[i] {
-			return a.Lo[i] < b.Lo[i]
+			return cmp.Compare(a.Lo[i], b.Lo[i])
 		}
 		if a.Hi[i] != b.Hi[i] {
-			return a.Hi[i] < b.Hi[i]
+			return cmp.Compare(a.Hi[i], b.Hi[i])
 		}
 	}
-	return false
+	return 0
 }
 
+//boolq:noalloc
 func (r *Region) checkDim(s *Region) {
 	if r.k != s.k {
 		panic(fmt.Sprintf("region: dimension mismatch %d vs %d", r.k, s.k))

@@ -289,12 +289,18 @@ func TestBatchNaivePinnedEpoch(t *testing.T) {
 
 	req := smugglerRequest(m)
 	req.Naive = true
-	resp, status, err := s.execQuery(context.Background(), store, gen, pinned, &req)
+	enc := acquireEncoder(true)
+	defer enc.release()
+	status, err := s.execQuery(context.Background(), store, gen, pinned, &req, enc, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if status != http.StatusOK {
 		t.Fatalf("status %d", status)
+	}
+	var resp queryResponse
+	if err := json.Unmarshal(enc.buf, &resp); err != nil {
+		t.Fatal(err)
 	}
 	if resp.Epoch != pinned {
 		t.Errorf("naive batch query reported epoch %d, want pinned %d (live %d)",

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"repro/internal/bbox"
-	"repro/internal/query"
 	"repro/internal/region"
 	"repro/internal/repl"
 	"repro/internal/spatialdb"
@@ -108,21 +107,6 @@ type queryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// solutionJSON is one result tuple, in retrieval order.
-type solutionJSON struct {
-	Names []string `json:"names"`
-	IDs   []int64  `json:"ids"`
-}
-
-func toSolutionJSON(s query.Solution) solutionJSON {
-	out := solutionJSON{}
-	for _, o := range s.Objects {
-		out.Names = append(out.Names, o.Name)
-		out.IDs = append(out.IDs, o.ID)
-	}
-	return out
-}
-
 // bulkObject is one object of a POST /layers/{layer}/objects:bulk body
 // (an element of the JSON array, or one NDJSON line).
 type bulkObject struct {
@@ -159,17 +143,17 @@ type batchQueryRequest struct {
 	Concurrency int `json:"concurrency,omitempty"`
 }
 
-// batchResultLine is one NDJSON line of the POST /query/batch reply: the
-// per-query result (or error) tagged with the query's position in the
-// batch. Lines are streamed in completion order, so clients must match
-// results by index, not by line number.
-type batchResultLine struct {
+// batchErrorLine is the NDJSON line of a /query/batch query that
+// produced no result, tagged with the query's position in the batch.
+// Result lines — the same index followed by the members of a /query reply
+// — come from respEncoder. Lines are streamed in completion order, so
+// clients must match results by index, not by line number.
+type batchErrorLine struct {
 	Index int    `json:"index"`
 	Error string `json:"error,omitempty"`
 	// Shed marks an error line produced by admission control (the query
 	// never executed); the client may retry just this sub-query.
-	Shed           bool `json:"shed,omitempty"`
-	*queryResponse      // nil on error lines
+	Shed bool `json:"shed,omitempty"`
 }
 
 // batchSummary is the final NDJSON line of a POST /query/batch reply.
@@ -180,42 +164,6 @@ type batchSummary struct {
 	Shed      int    `json:"shed,omitempty"` // errors that were admission sheds
 	Epoch     uint64 `json:"epoch"`
 	ElapsedUS int64  `json:"elapsed_us"`
-}
-
-// queryResponse is the POST /query reply.
-type queryResponse struct {
-	Solutions []solutionJSON `json:"solutions"`
-	Count     int            `json:"count"`
-	Cached    bool           `json:"cached"` // answered from the plan cache
-	Naive     bool           `json:"naive,omitempty"`
-	Truncated bool           `json:"truncated,omitempty"` // limit stopped the search; solutions are partial
-	Cancelled bool           `json:"cancelled,omitempty"` // timeout/disconnect stopped it; solutions are partial
-	Epoch     uint64         `json:"epoch"`
-	ElapsedUS int64          `json:"elapsed_us"`
-	Stats     query.Stats    `json:"stats"`
-	Plan      string         `json:"plan,omitempty"`
-	// Order is the retrieval order the plan executed with ("T→R→B") —
-	// under adaptive planning it may differ from the query text's order.
-	Order string `json:"order,omitempty"`
-}
-
-// streamSolutionLine is one NDJSON line of a POST /query?stream=1
-// response: a solution tagged so clients can tell it from the summary.
-type streamSolutionLine struct {
-	Solution solutionJSON `json:"solution"`
-}
-
-// streamSummary is the final NDJSON line of a POST /query?stream=1
-// response.
-type streamSummary struct {
-	Done      bool        `json:"done"`
-	Count     int         `json:"count"`
-	Cached    bool        `json:"cached"`
-	Truncated bool        `json:"truncated,omitempty"`
-	Cancelled bool        `json:"cancelled,omitempty"`
-	Epoch     uint64      `json:"epoch"`
-	ElapsedUS int64       `json:"elapsed_us"`
-	Stats     query.Stats `json:"stats"`
 }
 
 // statsResponse is the GET /stats reply.

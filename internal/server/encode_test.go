@@ -1,0 +1,416 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"regexp"
+	"slices"
+	"sync"
+	"testing"
+
+	"repro/internal/bbox"
+	"repro/internal/query"
+	"repro/internal/race"
+	"repro/internal/region"
+	"repro/internal/spatialdb"
+	"repro/internal/workload"
+)
+
+// The wire structs the hand encoder replaced. They stay here as the
+// oracle of TestEncoderMatchesEncodingJSON and as what the handler tests
+// decode replies into.
+
+// solutionJSON is one result tuple, in retrieval order.
+type solutionJSON struct {
+	Names []string `json:"names"`
+	IDs   []int64  `json:"ids"`
+}
+
+func toSolutionJSON(s query.Solution) solutionJSON {
+	out := solutionJSON{}
+	for _, o := range s.Objects {
+		out.Names = append(out.Names, o.Name)
+		out.IDs = append(out.IDs, o.ID)
+	}
+	return out
+}
+
+// queryResponse is the POST /query reply.
+type queryResponse struct {
+	Solutions []solutionJSON `json:"solutions"`
+	Count     int            `json:"count"`
+	Cached    bool           `json:"cached"`
+	Naive     bool           `json:"naive,omitempty"`
+	Truncated bool           `json:"truncated,omitempty"`
+	Cancelled bool           `json:"cancelled,omitempty"`
+	Epoch     uint64         `json:"epoch"`
+	ElapsedUS int64          `json:"elapsed_us"`
+	Stats     query.Stats    `json:"stats"`
+	Plan      string         `json:"plan,omitempty"`
+	Order     string         `json:"order,omitempty"`
+}
+
+// batchResultLine is one NDJSON line of the POST /query/batch reply.
+type batchResultLine struct {
+	Index          int    `json:"index"`
+	Error          string `json:"error,omitempty"`
+	Shed           bool   `json:"shed,omitempty"`
+	*queryResponse        // nil on error lines
+}
+
+// streamSolutionLine is one NDJSON line of a POST /query?stream=1 reply.
+type streamSolutionLine struct {
+	Solution solutionJSON `json:"solution"`
+}
+
+// streamSummary is the final NDJSON line of a POST /query?stream=1 reply.
+type streamSummary struct {
+	Done      bool        `json:"done"`
+	Count     int         `json:"count"`
+	Cached    bool        `json:"cached"`
+	Truncated bool        `json:"truncated,omitempty"`
+	Cancelled bool        `json:"cancelled,omitempty"`
+	Epoch     uint64      `json:"epoch"`
+	ElapsedUS int64       `json:"elapsed_us"`
+	Stats     query.Stats `json:"stats"`
+}
+
+// escapeNames exercise every branch of encoding/json's string escaping.
+var escapeNames = []string{
+	"plain", `quo"te`, `back\slash`, "<b>&amp;</b>", "tab\there", "nl\nr\r", "bell\a\b\f\x00\x1f",
+	"caf\u00e9 \u2192 \u65e5\u672c", "sep\u2028\u2029", "bad\xff\xc3(", "\U0001F600", "", "\x7f",
+}
+
+func testSolutions(n, width int) []query.Solution {
+	sols := make([]query.Solution, n)
+	for i := range sols {
+		for j := 0; j < width; j++ {
+			sols[i].Objects = append(sols[i].Objects, spatialdb.Object{
+				ID:   int64(i*7 + j*1000003),
+				Name: fmt.Sprintf("%s-%d", escapeNames[(i+j)%len(escapeNames)], i),
+			})
+		}
+	}
+	return sols
+}
+
+func marshal(t *testing.T, v any, indent bool) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	if indent {
+		enc.SetIndent("", "  ")
+	}
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEncoderMatchesEncodingJSON: for a corpus of replies — 0, 1 and 700
+// solutions, 1–3 variables, names that need every kind of JSON escape,
+// truncated / cancelled / explain / naive — the hand encoder produces
+// exactly the bytes encoding/json produced for the old wire structs: the
+// indented /query body, the compact /query/batch line and the ?stream=1
+// lines. Tuples handed over out of wire order come out sorted.
+func TestEncoderMatchesEncodingJSON(t *testing.T) {
+	stats := query.Stats{Candidates: 5439, ExactRejects: 4598, Extended: 841, FinalChecked: 700,
+		FinalRejected: 1, Solutions: 700, DB: spatialdb.Stats{Queries: 12, Touched: 345, Scanned: 6789, Returned: 5439}}
+	type variant struct {
+		name string
+		sum  runSummary
+	}
+	variants := []variant{
+		{"plain", runSummary{cached: true, epoch: 242001, elapsedUS: 1234, stats: stats, order: "P"}},
+		{"naive", runSummary{naive: true, epoch: 1, elapsedUS: 0, stats: stats}},
+		{"explain", runSummary{epoch: 1<<63 + 5, elapsedUS: 98765432, stats: stats, order: "T→R→B",
+			plan: "triangular solved form:\n  0 <= T <= C & ~A\nrange-query plan:\n  step 1: retrieve T from layer \"towns\"\n    [T] ^ <x> != ∅\n"}},
+	}
+	flagged := stats
+	flagged.Truncated, flagged.Cancelled, flagged.GroundFailed = true, true, true
+	variants = append(variants, variant{"truncated+cancelled", runSummary{epoch: 7, elapsedUS: 30000000, stats: flagged, order: "Z→P"}})
+
+	for _, v := range variants {
+		for _, n := range []int{0, 1, 700} {
+			for width := 1; width <= 3; width++ {
+				sols := testSolutions(n, width)
+				want := queryResponse{
+					Solutions: []solutionJSON{}, Count: n, Cached: v.sum.cached, Naive: v.sum.naive,
+					Truncated: v.sum.stats.Truncated, Cancelled: v.sum.stats.Cancelled,
+					Epoch: v.sum.epoch, ElapsedUS: v.sum.elapsedUS, Stats: v.sum.stats,
+					Plan: v.sum.plan, Order: v.sum.order,
+				}
+				for _, sol := range sols {
+					want.Solutions = append(want.Solutions, toSolutionJSON(sol))
+				}
+				name := fmt.Sprintf("%s/n=%d/width=%d", v.name, n, width)
+
+				// Handed over back to front, the tuples still leave in wire
+				// order (sorted by ids); keepOrder leaves them as handed over.
+				for _, mode := range []struct {
+					pretty, reversed bool
+					index            int
+				}{{true, false, -1}, {true, true, -1}, {false, false, 3}, {false, true, 0}} {
+					enc := acquireEncoder(mode.pretty)
+					enc.begin(mode.index)
+					for i := range sols {
+						if mode.reversed {
+							i = len(sols) - 1 - i
+						}
+						enc.add(sols[i])
+					}
+					sum := v.sum
+					enc.finish(&sum, false)
+					var ref []byte
+					if mode.index < 0 {
+						ref = marshal(t, want, true)
+					} else {
+						ref = marshal(t, batchResultLine{Index: mode.index, queryResponse: &want}, false)
+					}
+					if !bytes.Equal(enc.buf, ref) {
+						t.Fatalf("%s (pretty=%v reversed=%v): encoder and encoding/json differ:\n%s\n--- want ---\n%s",
+							name, mode.pretty, mode.reversed, enc.buf, ref)
+					}
+					enc.release()
+				}
+
+				enc := acquireEncoder(false)
+				for _, sol := range sols[:min(n, 20)] {
+					enc.streamSolution(sol)
+					if ref := marshal(t, streamSolutionLine{Solution: toSolutionJSON(sol)}, false); !bytes.Equal(enc.buf, ref) {
+						t.Fatalf("%s: stream line %s, want %s", name, enc.buf, ref)
+					}
+				}
+				sum := v.sum
+				sum.count, sum.naive = n, false // ?stream=1 rejects naive requests
+				enc.streamSummary(&sum)
+				ref := marshal(t, streamSummary{Done: true, Count: n, Cached: sum.cached,
+					Truncated: sum.stats.Truncated, Cancelled: sum.stats.Cancelled,
+					Epoch: sum.epoch, ElapsedUS: sum.elapsedUS, Stats: sum.stats}, false)
+				if !bytes.Equal(enc.buf, ref) {
+					t.Fatalf("%s: stream summary %s, want %s", name, enc.buf, ref)
+				}
+				enc.release()
+			}
+		}
+	}
+
+	// keepOrder: the naive baseline's enumeration order is the contract.
+	sols := testSolutions(5, 2)
+	slices.Reverse(sols)
+	enc := acquireEncoder(true)
+	enc.begin(-1)
+	for _, sol := range sols {
+		enc.add(sol)
+	}
+	enc.finish(&runSummary{}, true)
+	var got queryResponse
+	if err := json.Unmarshal(enc.buf, &got); err != nil {
+		t.Fatal(err)
+	}
+	for i, sol := range sols {
+		if got.Solutions[i].IDs[0] != sol.Objects[0].ID {
+			t.Fatalf("keepOrder reordered the tuples: %v", got.Solutions)
+		}
+	}
+	enc.release()
+}
+
+// TestJSONStringMatchesEncodingJSON fuzzes the string escaper alone
+// against json.Marshal with random byte strings (valid and invalid
+// UTF-8, controls, HTML-sensitive characters).
+func TestJSONStringMatchesEncodingJSON(t *testing.T) {
+	rng := workload.NewRNG(9)
+	alphabet := []string{"a", "Z", "\"", "\\", "<", ">", "&", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "→",
+		"\u2028", "\u2029", "\xff", "\xc3", "\xe2\x80", "\U0001F600", "/", " "}
+	var w jsonWriter
+	for trial := 0; trial < 5000; trial++ {
+		var s string
+		for n := rng.IntN(12); n > 0; n-- {
+			s += alphabet[rng.IntN(len(alphabet))]
+		}
+		w.buf = w.buf[:0]
+		w.string(s)
+		want, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.buf, want) {
+			t.Fatalf("string(%q) = %s, encoding/json %s", s, w.buf, want)
+		}
+	}
+}
+
+// hotStore is a small city in the shape of the benchmark's: one-box
+// parcels, two-box L-shaped roads, large zones.
+func hotStore(parcels int) *spatialdb.Store {
+	const side = 1000
+	store := spatialdb.NewStore(bbox.Rect(0, 0, side, side), spatialdb.RTree)
+	rng := workload.NewRNG(5)
+	for i := 0; i < parcels; i++ {
+		x, y := rng.Range(0, side-12), rng.Range(0, side-12)
+		store.MustInsert("parcels", fmt.Sprintf("p%d", i),
+			region.FromBox(bbox.Rect(x, y, x+rng.Range(1, 12), y+rng.Range(1, 12))))
+	}
+	for i := 0; i < parcels/5; i++ {
+		x, y := rng.Range(0, side-200), rng.Range(0, side-200)
+		l, w := rng.Range(50, 200), rng.Range(2, 6)
+		store.MustInsert("roads", fmt.Sprintf("r%d", i), region.FromBoxes(2,
+			bbox.Rect(x, y, x+l, y+w), bbox.Rect(x, y, x+w, y+l)))
+	}
+	for i := 0; i < 40; i++ {
+		x, y := rng.Range(0, side-300), rng.Range(0, side-300)
+		store.MustInsert("zones", fmt.Sprintf("z%d", i),
+			region.FromBox(bbox.Rect(x, y, x+rng.Range(100, 300), y+rng.Range(100, 300))))
+	}
+	return store
+}
+
+// hotTexts are the benchmark's query_hot texts (bench/gen.HotTemplates).
+var hotTexts = []string{
+	`find P in parcels given W where P <= W`,
+	`find R in roads given W where R & W != 0`,
+	`find P in parcels, Z in zones given W where Z & W != 0; P <= W; P <= Z`,
+	`find R in roads, P in parcels given W where R & W != 0; P <= W; P & R != 0`,
+	`find Z in zones, R in roads given W where Z & W != 0; R <= Z; R & W != 0`,
+	`find P in parcels, Q in parcels given W where P <= W; Q <= W; P & Q != 0; P != Q`,
+	`find Z in zones, R in roads, P in parcels given W where Z & W != 0; R <= W | Z | P; R & W != 0; R & P != 0; P !<= W`,
+	`find Z in zones, P in parcels, R in roads given W where Z & W != 0; P <= Z & W; R & P != 0`,
+}
+
+var elapsedField = regexp.MustCompile(`"elapsed_us": ?\d+`)
+
+func postQuery(t *testing.T, s *Server, path string, body []byte) []byte {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, req)
+	if w.Code != http.StatusOK {
+		t.Errorf("POST %s: status %d: %s", path, w.Code, w.Body.String())
+	}
+	return elapsedField.ReplaceAll(w.Body.Bytes(), []byte(`"elapsed_us":0`))
+}
+
+// TestPooledBuffersDoNotAlias (run under -race) sends the eight hot query
+// shapes from eight goroutines at once against one server and compares
+// every body — /query and /query/batch lines alike — with the answer the
+// same request got when it ran alone. A pooled frame, scratch or encode
+// buffer shared between two in-flight requests would corrupt one of them.
+func TestPooledBuffersDoNotAlias(t *testing.T) {
+	s := New(hotStore(1200), Options{})
+	var bodies [][]byte
+	for i, text := range hotTexts {
+		for _, side := range []float64{150, 400} {
+			x := float64(37*i) + side/3
+			body, err := json.Marshal(queryRequest{Query: text, Params: map[string]jsonRegion{
+				"W": toJSONRegion(region.FromBox(bbox.Rect(x, x, x+side, x+side)))}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies = append(bodies, body)
+		}
+	}
+	for _, b := range bodies { // first pass: compile and cache every plan
+		postQuery(t, s, "/query", b)
+	}
+	want := make([][]byte, len(bodies))
+	nonEmpty := 0
+	for i, b := range bodies {
+		want[i] = postQuery(t, s, "/query", b)
+		if !bytes.Contains(want[i], []byte(`"count": 0,`)) {
+			nonEmpty++
+		}
+	}
+	if nonEmpty < len(bodies)/2 {
+		t.Fatalf("only %d of %d reference answers have solutions", nonEmpty, len(bodies))
+	}
+
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range bodies {
+					i := (k + 5*g) % len(bodies)
+					if got := postQuery(t, s, "/query", bodies[i]); !bytes.Equal(got, want[i]) {
+						t.Errorf("goroutine %d: body of request %d differs from its sequential answer", g, i)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	// One batch of everything, eight workers: each line equals the
+	// /query answer, compacted.
+	batch := slices.Concat([]byte(`{"concurrency":8,"queries":[`), bytes.Join(bodies, []byte(",")), []byte(`]}`))
+	lines := bytes.Split(bytes.TrimSpace(postQuery(t, s, "/query/batch", batch)), []byte("\n"))
+	if len(lines) != len(bodies)+1 {
+		t.Fatalf("batch answered %d lines, want %d", len(lines), len(bodies)+1)
+	}
+	for _, line := range lines[:len(bodies)] {
+		var res struct{ Index int }
+		if err := json.Unmarshal(line, &res); err != nil {
+			t.Fatalf("batch line %s: %v", line, err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, want[res.Index]); err != nil {
+			t.Fatal(err)
+		}
+		wantLine := fmt.Sprintf(`{"index":%d,%s`, res.Index, compact.Bytes()[1:])
+		if string(line) != wantLine {
+			t.Errorf("batch line %d differs from the /query answer:\n%s\n%s", res.Index, line, wantLine)
+		}
+	}
+}
+
+// TestEmitPathAllocs pins the server's emit path: executing a cached
+// query and encoding its reply costs a fixed number of allocations per
+// request — the same for 30 solutions as for several hundred — because
+// tuples go from the executor's frame straight into a pooled buffer.
+func TestEmitPathAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	measure := func(parcels int) (allocs []float64, counts []int) {
+		s := New(hotStore(parcels), Options{})
+		store, gen := s.storeAndGen()
+		for _, text := range []string{hotTexts[0], hotTexts[2], hotTexts[7]} {
+			req := queryRequest{Query: text, Params: map[string]jsonRegion{
+				"W": toJSONRegion(region.FromBox(bbox.Rect(100, 100, 500, 500)))}}
+			count := 0
+			run := func() {
+				enc := acquireEncoder(true)
+				if _, err := s.execQuery(context.Background(), store, gen, store.Epoch(), &req, enc, -1); err != nil {
+					t.Fatal(err)
+				}
+				count = enc.count
+				enc.release()
+			}
+			run() // compile and cache the plan, warm the pools
+			allocs = append(allocs, testing.AllocsPerRun(20, run))
+			counts = append(counts, count)
+		}
+		return allocs, counts
+	}
+	small, smallCounts := measure(300)
+	large, largeCounts := measure(3000)
+	t.Logf("allocs per request: %v for %v solutions, %v for %v solutions", small, smallCounts, large, largeCounts)
+	// 37–42 fixed allocations per request measured at commit time
+	// (normalisation, parameter decoding, the run's context and algebra).
+	const budget = 96
+	for i := range large {
+		if largeCounts[i] < 5*smallCounts[i] || smallCounts[i] == 0 {
+			t.Fatalf("fixture does not scale: %v vs %v solutions", smallCounts, largeCounts)
+		}
+		if large[i] > budget || large[i] > small[i]+4 {
+			t.Errorf("query %d: %v allocs for %d solutions, %v for %d: want a fixed budget <= %d",
+				i, large[i], largeCounts[i], small[i], smallCounts[i], budget)
+		}
+	}
+}

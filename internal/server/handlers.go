@@ -255,13 +255,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.handleQueryStream(w, r, &req)
 		return
 	}
-	resp, status, err := s.runQuery(r.Context(), &req)
+	enc := acquireEncoder(true)
+	defer enc.release()
+	store, gen := s.storeAndGen()
+	status, err := s.execQuery(r.Context(), store, gen, store.Epoch(), &req, enc, -1)
 	if err != nil {
 		s.metrics.QueryErrors.Add(1)
 		writeError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, status, resp)
+	// The reply was encoded while the run held the store's read guard; the
+	// network write happens only now, with the guard released.
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	_, _ = w.Write(enc.buf) // headers are out; nothing useful to do on error
 }
 
 // streamRequested reports whether ?stream=1 (or =true) was given.
@@ -271,12 +278,6 @@ func streamRequested(r *http.Request) bool {
 		return true
 	}
 	return false
-}
-
-// runQuery executes one request against the current store.
-func (s *Server) runQuery(ctx context.Context, req *queryRequest) (*queryResponse, int, error) {
-	store, gen := s.storeAndGen()
-	return s.execQuery(ctx, store, gen, store.Epoch(), req)
 }
 
 // decodeParams converts the request's wire regions against the store's
@@ -356,78 +357,76 @@ func (s *Server) observeRun(normalized string, plan *query.Plan, epoch uint64, s
 }
 
 // execQuery executes one request against a pinned (store, generation,
-// epoch) snapshot. The batch handler captures the snapshot once so every
-// query of a batch compiles and caches plans against the same plan
-// generation; the single-query handler passes the current one. The run
-// is bounded by the derived query context; an expired or disconnected
-// run returns its partial result with status 408 and the cancelled flag
-// rather than an error.
-func (s *Server) execQuery(ctx context.Context, store *spatialdb.Store, gen, epoch uint64, req *queryRequest) (*queryResponse, int, error) {
+// epoch) snapshot and encodes the reply into enc — as a /query body, or,
+// with index ≥ 0, as that query's /query/batch line. The batch handler
+// captures the snapshot once so every query of a batch compiles and
+// caches plans against the same plan generation; the single-query handler
+// passes the current one. The serial executor hands each verified tuple
+// straight to the encoder; the parallel and naive executors' buffered
+// results go through the same encoder afterwards. The run is bounded by
+// the derived query context; an expired or disconnected run encodes its
+// partial result and reports status 408 with the cancelled flag rather
+// than an error. On error enc holds a partial reply the caller discards.
+func (s *Server) execQuery(ctx context.Context, store *spatialdb.Store, gen, epoch uint64, req *queryRequest, enc *respEncoder, index int) (int, error) {
 	normalized, err := lang.Normalize(req.Query)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return http.StatusBadRequest, err
 	}
 	params, err := decodeParams(store, req)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return http.StatusBadRequest, err
 	}
 	start := time.Now()
 	qctx, cancel := s.queryContext(ctx, req.TimeoutMS)
 	defer cancel()
 	opts := query.Options{UseIndex: !req.NoIndex, UseExact: !req.NoExact, Limit: req.Limit}
 
-	var res *query.Result
+	enc.begin(index)
+	sum := runSummary{naive: req.Naive, epoch: epoch}
+	var buffered *query.Result // set by the executors that cannot stream
 	var plan *query.Plan
-	hit := false
 	if req.Naive {
 		s.metrics.QueriesNaive.Add(1)
 		q, err := lang.Parse(normalized)
 		if err != nil {
-			return nil, http.StatusBadRequest, err
+			return http.StatusBadRequest, err
 		}
-		if res, err = query.RunNaiveCtx(qctx, q, store, params, opts); err != nil {
-			return nil, http.StatusBadRequest, err
+		if buffered, err = query.RunNaiveCtx(qctx, q, store, params, opts); err != nil {
+			return http.StatusBadRequest, err
 		}
 	} else {
-		if plan, hit, err = s.lookupPlan(store, gen, epoch, normalized, params); err != nil {
-			return nil, http.StatusBadRequest, err
+		if plan, sum.cached, err = s.lookupPlan(store, gen, epoch, normalized, params); err != nil {
+			return http.StatusBadRequest, err
 		}
-		if res, err = plan.RunParallelCtx(qctx, store, params, opts, s.clampWorkers(req.Workers)); err != nil {
-			return nil, http.StatusBadRequest, err
+		if workers := s.clampWorkers(req.Workers); workers > 1 {
+			buffered, err = plan.RunParallelCtx(qctx, store, params, opts, workers)
+		} else {
+			sum.stats, err = plan.RunStream(qctx, store, params, opts, enc.add)
 		}
-		s.observeRun(normalized, plan, epoch, res.Stats)
+		if err != nil {
+			return http.StatusBadRequest, err
+		}
+		sum.order = plan.OrderKey()
+		if req.Explain {
+			sum.plan = plan.Explain()
+		}
 	}
-	s.countOutcome(qctx, res.Stats)
-	status := http.StatusOK
-	if res.Stats.Cancelled {
-		status = http.StatusRequestTimeout
+	if buffered != nil {
+		for _, sol := range buffered.Solutions {
+			enc.add(sol)
+		}
+		sum.stats = buffered.Stats
 	}
-	return buildQueryResponse(res, plan, req, hit, epoch, start), status, nil
-}
-
-func buildQueryResponse(res *query.Result, plan *query.Plan, req *queryRequest,
-	cached bool, epoch uint64, start time.Time) *queryResponse {
-	resp := &queryResponse{
-		Solutions: []solutionJSON{},
-		Count:     len(res.Solutions),
-		Cached:    cached,
-		Naive:     req.Naive,
-		Truncated: res.Stats.Truncated,
-		Cancelled: res.Stats.Cancelled,
-		Epoch:     epoch,
-		ElapsedUS: time.Since(start).Microseconds(),
-		Stats:     res.Stats,
+	s.observeRun(normalized, plan, epoch, sum.stats)
+	s.countOutcome(qctx, sum.stats)
+	sum.elapsedUS = time.Since(start).Microseconds()
+	// The naive baseline reports tuples in its own enumeration order; every
+	// planned run reports them sorted by ids.
+	enc.finish(&sum, req.Naive)
+	if sum.stats.Cancelled {
+		return http.StatusRequestTimeout, nil
 	}
-	for _, sol := range res.Solutions {
-		resp.Solutions = append(resp.Solutions, toSolutionJSON(sol))
-	}
-	if plan != nil {
-		resp.Order = plan.OrderKey()
-	}
-	if req.Explain && plan != nil {
-		resp.Plan = plan.Explain()
-	}
-	return resp
+	return http.StatusOK, nil
 }
 
 // handleQueryStream is POST /query?stream=1: each solution leaves as
@@ -472,7 +471,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *
 	// Each response write carries the run's deadline as a connection
 	// write deadline: the executor holds the store's read guard while
 	// emitting, and without it a client that stops reading (TCP window
-	// full, not disconnected) would block enc.Encode forever — the
+	// full, not disconnected) would block the write forever — the
 	// executor's cancellation polls never run inside a stuck write, so
 	// the guard would be pinned indefinitely. With it the write errors
 	// out at the deadline, the yield returns false, and the run unwinds.
@@ -480,11 +479,13 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *
 	// httptest recorders — then the context bound alone applies.)
 	rc := http.NewResponseController(w)
 	deadline, hasDeadline := qctx.Deadline()
-	enc := json.NewEncoder(w) // no indent: one value per line
+	enc := acquireEncoder(false) // one value per line
+	defer enc.release()
 	headerOut := false
 	writeFailed := false
 	status := http.StatusOK
-	emit := func(v any) bool {
+	// emit sends the line enc holds.
+	emit := func() bool {
 		if writeFailed {
 			return false
 		}
@@ -496,7 +497,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *
 			w.WriteHeader(status)
 			headerOut = true
 		}
-		if err := enc.Encode(v); err != nil {
+		if _, err := w.Write(enc.buf); err != nil {
 			writeFailed = true
 			return false
 		}
@@ -506,10 +507,11 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *
 		}
 		return true
 	}
-	count := 0
-	stats, err := plan.RunStream(qctx, store, params, opts, func(sol query.Solution) bool {
-		count++
-		return emit(streamSolutionLine{Solution: toSolutionJSON(sol)})
+	sum := runSummary{cached: hit, epoch: epoch}
+	sum.stats, err = plan.RunStream(qctx, store, params, opts, func(sol query.Solution) bool {
+		sum.count++
+		enc.streamSolution(sol)
+		return emit()
 	})
 	if err != nil {
 		// Unbound parameter, or a layer dropped since compile. Before the
@@ -519,27 +521,22 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *
 			fail(http.StatusBadRequest, err)
 		} else {
 			s.metrics.QueryErrors.Add(1)
-			emit(errorResponse{Error: err.Error()})
+			line, _ := json.Marshal(errorResponse{Error: err.Error()})
+			enc.buf = append(append(enc.buf[:0], line...), '\n')
+			emit()
 		}
 		return
 	}
-	s.observeRun(normalized, plan, epoch, stats)
-	s.countOutcome(qctx, stats)
-	if stats.Cancelled {
+	s.observeRun(normalized, plan, epoch, sum.stats)
+	s.countOutcome(qctx, sum.stats)
+	if sum.stats.Cancelled {
 		// Only effective when no solution line has been written yet; an
 		// in-flight stream keeps its 200 and flags the summary instead.
 		status = http.StatusRequestTimeout
 	}
-	emit(streamSummary{
-		Done:      true,
-		Count:     count,
-		Cached:    hit,
-		Truncated: stats.Truncated,
-		Cancelled: stats.Cancelled,
-		Epoch:     epoch,
-		ElapsedUS: time.Since(start).Microseconds(),
-		Stats:     stats,
-	})
+	sum.elapsedUS = time.Since(start).Microseconds()
+	enc.streamSummary(&sum)
+	emit()
 }
 
 // ---- stats, snapshots, metrics ----

@@ -253,14 +253,21 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	var wmu sync.Mutex
-	enc := json.NewEncoder(w) // no indent: one result per line
-	writeLine := func(v any) {
+	// writeRaw sends one encoded line; the status line is out, so there is
+	// nothing to do on error.
+	writeRaw := func(line []byte) {
 		wmu.Lock()
 		defer wmu.Unlock()
-		_ = enc.Encode(v) // the status line is out; nothing to do on error
+		_, _ = w.Write(line)
 		if flusher != nil {
 			flusher.Flush()
 		}
+	}
+	// writeLine is writeRaw for the rare lines — errors and the summary —
+	// that still go through encoding/json.
+	writeLine := func(v any) {
+		line, _ := json.Marshal(v)
+		writeRaw(append(line, '\n'))
 	}
 
 	ctx := r.Context()
@@ -290,18 +297,21 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 					s.metrics.Shed.Add(1)
 					shedCount.Add(1)
 					errCount.Add(1)
-					writeLine(batchResultLine{Index: i, Error: aerr.Error(), Shed: true})
+					writeLine(batchErrorLine{Index: i, Error: aerr.Error(), Shed: true})
 					continue
 				}
-				resp, _, err := s.execQuery(ctx, store, gen, epoch, &req.Queries[i])
+				enc := acquireEncoder(false) // one result per line
+				_, err := s.execQuery(ctx, store, gen, epoch, &req.Queries[i], enc, i)
 				release()
 				if err != nil {
+					enc.release()
 					s.metrics.QueryErrors.Add(1)
 					errCount.Add(1)
-					writeLine(batchResultLine{Index: i, Error: err.Error()})
+					writeLine(batchErrorLine{Index: i, Error: err.Error()})
 					continue
 				}
-				writeLine(batchResultLine{Index: i, queryResponse: resp})
+				writeRaw(enc.buf)
+				enc.release()
 			}
 		}()
 	}

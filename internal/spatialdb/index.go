@@ -8,13 +8,13 @@ import (
 )
 
 // layerIndex is the index backend behind one layer. insert adds a single
-// object; search emits the ids of every object whose bounding box matches
-// the spec (the layer applies the exact defense-in-depth filter and
-// ordering) and returns the backend cost counters: index nodes/cells
-// touched and candidate objects examined.
+// object; search appends to ids the id of every object whose bounding box
+// matches the spec (the layer applies the exact defense-in-depth filter
+// and ordering) and returns the grown slice with the backend cost
+// counters: index nodes/cells touched and candidate objects examined.
 type layerIndex interface {
 	insert(o Object) error
-	search(spec bbox.RangeSpec, emit func(id int64)) (touched, scanned int)
+	search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int)
 }
 
 // BulkLoader is the optional batch-ingestion path of an index backend:
@@ -68,14 +68,13 @@ type scanIndex struct{ l *Layer }
 
 func (ix scanIndex) insert(Object) error { return nil }
 
-func (ix scanIndex) search(spec bbox.RangeSpec, emit func(id int64)) (touched, scanned int) {
+func (ix scanIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
 	for _, id := range ix.l.order {
-		scanned++
 		if spec.Matches(ix.l.objs[id].Box) {
-			emit(id)
+			ids = append(ids, id)
 		}
 	}
-	return len(ix.l.order), scanned
+	return ids, len(ix.l.order), len(ix.l.order)
 }
 
 // ---- R-tree over native boxes ----
@@ -89,13 +88,13 @@ type rtreeIndex struct {
 
 func (ix *rtreeIndex) insert(o Object) error { return ix.t.Insert(o.Box, o.ID) }
 
-func (ix *rtreeIndex) search(spec bbox.RangeSpec, emit func(id int64)) (touched, scanned int) {
+func (ix *rtreeIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
+	n := len(ids)
 	touched = ix.t.SearchSpec(spec, func(e rtree.Entry) bool {
-		scanned++
-		emit(e.ID)
+		ids = append(ids, e.ID)
 		return true
 	})
-	return touched, scanned
+	return ids, touched, len(ids) - n
 }
 
 // BulkLoad rebuilds the tree with STR packing (experiment E13: packed
@@ -127,17 +126,17 @@ func (ix *pointIndex) insert(o Object) error {
 	return ix.t.Insert(bbox.New(p, p), o.ID)
 }
 
-func (ix *pointIndex) search(spec bbox.RangeSpec, emit func(id int64)) (touched, scanned int) {
+func (ix *pointIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
 	q, ok := spec.PointQuery()
 	if !ok {
-		return 0, 0
+		return ids, 0, 0
 	}
+	n := len(ids)
 	touched = ix.t.SearchOverlap(q, func(e rtree.Entry) bool {
-		scanned++
-		emit(e.ID)
+		ids = append(ids, e.ID)
 		return true
 	})
-	return touched, scanned
+	return ids, touched, len(ids) - n
 }
 
 // BulkLoad rebuilds the point tree with STR packing over the transformed
@@ -169,17 +168,17 @@ func (ix *gridIndex) insert(o Object) error {
 	return ix.g.Insert(bbox.PointTransform(o.Box), o.ID)
 }
 
-func (ix *gridIndex) search(spec bbox.RangeSpec, emit func(id int64)) (touched, scanned int) {
+func (ix *gridIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
 	q, ok := spec.PointQuery()
 	if !ok {
-		return 0, 0
+		return ids, 0, 0
 	}
+	n := len(ids)
 	touched = ix.g.Search(q, func(_ []float64, id int64) bool {
-		scanned++
-		emit(id)
+		ids = append(ids, id)
 		return true
 	})
-	return touched, scanned
+	return ids, touched, len(ids) - n
 }
 
 // BulkLoad rebuilds the grid with scales pre-seeded from the full point
@@ -211,16 +210,16 @@ type zorderIndex struct {
 
 func (ix *zorderIndex) insert(o Object) error { return ix.zx.Insert(o.Box, o.ID) }
 
-func (ix *zorderIndex) search(spec bbox.RangeSpec, emit func(id int64)) (touched, scanned int) {
+func (ix *zorderIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
 	if spec.Unsatisfiable() {
-		return 0, 0
+		return ids, 0, 0
 	}
+	n := len(ids)
 	touched = ix.zx.SearchOverlap(zorderFilter(spec), func(id int64) bool {
-		scanned++
-		emit(id)
+		ids = append(ids, id)
 		return true
 	})
-	return touched, scanned
+	return ids, touched, len(ids) - n
 }
 
 // BulkLoad rebuilds the element list in one validated pass and sorts it

@@ -28,7 +28,7 @@ package spatialdb
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -344,12 +344,9 @@ func (l *Layer) Search(spec bbox.RangeSpec, visit func(Object) bool) {
 }
 
 // SearchStats is Search returning the cost of this one call (which is
-// also accumulated into the layer counters). The executors use it to
-// attribute index work to the requesting run exactly, even when many
-// runs share a layer concurrently — a shared-counter delta would mix
-// their costs.
+// also accumulated into the layer counters).
 func (l *Layer) SearchStats(spec bbox.RangeSpec, visit func(Object) bool) Stats {
-	return l.searchVia(l.idx, spec, visit)
+	return l.SearchStatsKind(spec, l.kind, visit)
 }
 
 // SearchStatsKind is SearchStats through a chosen backend: the primary,
@@ -357,6 +354,20 @@ func (l *Layer) SearchStats(spec bbox.RangeSpec, visit func(Object) bool) Stats 
 // An unavailable kind falls back to the primary — the choice can change
 // only cost, never the result set.
 func (l *Layer) SearchStatsKind(spec bbox.RangeSpec, kind IndexKind, visit func(Object) bool) Stats {
+	var ids []int64
+	s := l.SearchInto(spec, kind, &ids, visit)
+	l.AddStats(s)
+	return s
+}
+
+// SearchInto is the executors' form of SearchStatsKind: matching ids are
+// gathered in the caller-owned *ids (reused from probe to probe, so a
+// warm buffer makes the probe allocation-free), and the call's cost is
+// returned WITHOUT being added to the layer counters. A run attributes
+// index work to itself from the return values — exact even when many
+// runs share a layer — and folds its total in with AddStats once, instead
+// of taking the counter lock on every probe.
+func (l *Layer) SearchInto(spec bbox.RangeSpec, kind IndexKind, ids *[]int64, visit func(Object) bool) Stats {
 	ix := l.idx
 	switch {
 	case kind == l.kind:
@@ -367,33 +378,34 @@ func (l *Layer) SearchStatsKind(spec bbox.RangeSpec, kind IndexKind, visit func(
 			ix = alt
 		}
 	}
-	return l.searchVia(ix, spec, visit)
+	return l.searchVia(ix, spec, ids, visit)
 }
 
-func (l *Layer) searchVia(ix layerIndex, spec bbox.RangeSpec, visit func(Object) bool) Stats {
-	var ids []int64
-	touched, scanned := ix.search(spec, func(id int64) { ids = append(ids, id) })
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	// Defense in depth: every backend must return exact matches; the
-	// filter also protects against floating-point edge cases in the point
-	// transform.
-	matched := ids[:0]
-	for _, id := range ids {
-		if spec.Matches(l.objs[id].Box) {
-			matched = append(matched, id)
+func (l *Layer) searchVia(ix layerIndex, spec bbox.RangeSpec, ids *[]int64, visit func(Object) bool) Stats {
+	found, touched, scanned := ix.search(spec, (*ids)[:0])
+	*ids = found
+	slices.Sort(found)
+	s := Stats{Queries: 1, Touched: touched, Scanned: scanned}
+	visiting := true
+	for _, id := range found {
+		o := l.objs[id]
+		// Defense in depth: every backend must return exact matches; the
+		// filter also protects against floating-point edge cases in the point
+		// transform.
+		if !spec.Matches(o.Box) {
+			continue
 		}
-	}
-	s := Stats{Queries: 1, Touched: touched, Scanned: scanned, Returned: len(matched)}
-	l.addStats(s)
-	for _, id := range matched {
-		if !visit(l.objs[id]) {
-			break
+		s.Returned++ // every match counts, also after the visitor has stopped
+		if visiting && !visit(o) {
+			visiting = false
 		}
 	}
 	return s
 }
 
-func (l *Layer) addStats(s Stats) {
+// AddStats folds index cost measured by SearchInto into the layer
+// counters.
+func (l *Layer) AddStats(s Stats) {
 	l.mu.Lock()
 	l.stats.Add(s)
 	l.mu.Unlock()

@@ -177,8 +177,8 @@ func simplify(f *formula.Formula) (*formula.Formula, error) {
 // StepValues holds the step's formula values evaluated for a fixed prefix
 // (parameters and earlier variables). The step's formulas never mention
 // the step's own variable, so an executor evaluates them ONCE per prefix
-// with Values and then filters every candidate with SatisfiedWith — moving
-// the whole formula evaluation out of the per-candidate loop.
+// with ValuesInto and then filters every candidate with SatisfiedWith —
+// moving the whole formula evaluation out of the per-candidate loop.
 type StepValues struct {
 	Lower, Upper boolalg.Element
 	P, Q         []boolalg.Element // per-disequation values, same index
@@ -187,19 +187,21 @@ type StepValues struct {
 // Values evaluates the step's formulas against env: the prefix-constant
 // part of the exact filter.
 func (st Step) Values(alg boolalg.Algebra, env []boolalg.Element) StepValues {
-	v := StepValues{
-		Lower: formula.Eval(st.Lower, alg, env),
-		Upper: formula.Eval(st.Upper, alg, env),
-	}
-	if len(st.Diseqs) > 0 {
-		v.P = make([]boolalg.Element, len(st.Diseqs))
-		v.Q = make([]boolalg.Element, len(st.Diseqs))
-		for i, d := range st.Diseqs {
-			v.P[i] = formula.Eval(d.P, alg, env)
-			v.Q[i] = formula.Eval(d.Q, alg, env)
-		}
-	}
+	var v StepValues
+	st.ValuesInto(alg, env, &v)
 	return v
+}
+
+// ValuesInto is Values reusing v's disequation slices, so an executor
+// that keeps one StepValues per step allocates nothing per prefix.
+func (st Step) ValuesInto(alg boolalg.Algebra, env []boolalg.Element, v *StepValues) {
+	v.Lower = formula.Eval(st.Lower, alg, env)
+	v.Upper = formula.Eval(st.Upper, alg, env)
+	v.P, v.Q = v.P[:0], v.Q[:0]
+	for _, d := range st.Diseqs {
+		v.P = append(v.P, formula.Eval(d.P, alg, env))
+		v.Q = append(v.Q, formula.Eval(d.Q, alg, env))
+	}
 }
 
 // SatisfiedWith checks the solved constraint against precomputed prefix
