@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands.
 
-.PHONY: build test race bench vet lint lint-fix golden golden-update chaos
+.PHONY: build test race vet lint lint-fix golden golden-update chaos
 
 build:
 	go build ./...
@@ -33,12 +33,6 @@ lint:
 # need a human: fix the bug or add a reasoned suppression.
 lint-fix:
 	gofmt -w .
-
-# bench runs the tracked benchmark harness with -benchmem and refreshes
-# BENCH_PR7.json (see scripts/bench.sh for the BENCH/BENCHTIME/COUNT/OUT
-# knobs and docs/API.md + DESIGN.md §5 for what the numbers mean).
-bench:
-	./scripts/bench.sh
 
 # golden diffs every corpus query's result set against the recorded
 # expectations in internal/golden/testdata/golden (uncached, so CI and

@@ -377,9 +377,9 @@ func BenchmarkE12OrderPlanning(b *testing.B) {
 			query.SuggestOrder(q, store)
 		}
 	})
-	b.Run("sampled", func(b *testing.B) {
+	b.Run("adaptive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := query.SuggestOrderSampled(q, store, params); err != nil {
+			if _, err := query.CompileAdaptive(q, store, query.AdaptiveOptions{Params: params}); err != nil {
 				b.Fatal(err)
 			}
 		}

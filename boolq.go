@@ -130,15 +130,11 @@ func RunNaiveCtx(ctx context.Context, q *Query, store *Store, params map[string]
 // Smuggler returns the paper's §2 example query.
 func Smuggler() *Query { return query.Smuggler() }
 
-// SuggestOrder reorders a query's retrieval bindings with the static
-// structure-based heuristic (no data statistics needed).
-func SuggestOrder(q *Query, store *Store) *Query {
-	return query.SuggestOrder(q, store)
-}
-
-// SuggestOrderSampled reorders a query's retrieval bindings by enumerating
-// permutations and sampling per-level fanouts against the store with the
-// given parameter values — the informed planner.
-func SuggestOrderSampled(q *Query, store *Store, params map[string]*Region) (*Query, error) {
-	return query.SuggestOrderSampled(q, store, params)
+// CompileAdaptive is Compile with the retrieval order chosen by the
+// planner boolqd serves: every order of the retrieval variables is costed
+// against the store's per-layer statistics with the given parameter
+// values (which may be nil), and the cheapest is compiled. Solutions keep
+// the query's own binding order (Plan.Bindings) whatever order executes.
+func CompileAdaptive(q *Query, store *Store, params map[string]*Region) (*Plan, error) {
+	return query.CompileAdaptive(q, store, query.AdaptiveOptions{Params: params})
 }

@@ -86,9 +86,7 @@ func run() error {
 		scale = flag.Int("scale", 1, "demo map size multiplier")
 
 		planMode = flag.String("plan", "adaptive",
-			"planning mode: adaptive (statistics-driven order and backend choice with run-cost feedback) or static (the query's own order; for A/B comparison)")
-		altIndexes = flag.String("alt-indexes", "",
-			"comma-separated extra index backends to maintain per layer (e.g. rtree,gridfile), giving the adaptive planner per-step backend choices; empty: primary only")
+			"planning mode: adaptive (statistics-driven retrieval order with run-cost feedback) or static (the query's own order; for A/B comparison)")
 
 		dataDir = flag.String("data-dir", "",
 			"durable mode: directory for the write-ahead log and snapshots (empty: in-memory only)")
@@ -124,10 +122,6 @@ func run() error {
 		return err
 	}
 	staticPlan, err := parsePlanMode(*planMode)
-	if err != nil {
-		return err
-	}
-	altKinds, err := parseAltIndexes(*altIndexes)
 	if err != nil {
 		return err
 	}
@@ -203,10 +197,6 @@ func run() error {
 		if err != nil {
 			return err
 		}
-	}
-	if len(altKinds) > 0 {
-		store.EnableAltIndexes(altKinds...)
-		log.Printf("alternate indexes enabled: %v", altKinds)
 	}
 	for _, name := range store.LayerNames() {
 		l := store.Layer(name)
@@ -446,26 +436,6 @@ func parsePlanMode(mode string) (bool, error) {
 		return true, nil
 	}
 	return false, fmt.Errorf("unknown plan mode %q (want adaptive or static)", mode)
-}
-
-// parseAltIndexes resolves -alt-indexes into index kinds.
-func parseAltIndexes(s string) ([]spatialdb.IndexKind, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var kinds []spatialdb.IndexKind
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		k, err := parseIndex(part)
-		if err != nil {
-			return nil, fmt.Errorf("alt-indexes: %w", err)
-		}
-		kinds = append(kinds, k)
-	}
-	return kinds, nil
 }
 
 func parseIndex(name string) (spatialdb.IndexKind, error) {

@@ -2,10 +2,10 @@
 // every candidate loop must sample the shared execCtl so a cancelled
 // context halts the run within cancelCheckEvery candidates. Concretely,
 // a function-literal callback passed to a candidate source — a method
-// named All, Search, SearchStats, SearchStatsKind, SearchInto, or search
-// — or stored for that use in a field or variable named visit (the
-// pooled execFrame builds its per-step callbacks once) must reach a call
-// to poll() on some path (directly or through a same-package helper).
+// named All, Search, SearchStats or SearchInto — or stored for that use
+// in a field or variable named visit (the pooled execFrame builds its
+// per-step callbacks once) must reach a call to poll() on some path
+// (directly or through a same-package helper).
 // halted() alone does not satisfy the rule: it
 // only reads the latched flag and never samples ctx.Done(), so a
 // goroutine that only checks halted() would spin forever if nothing
@@ -44,12 +44,10 @@ var Analyzer = &analysis.Analyzer{
 // candidateSources are the method names whose callback argument
 // iterates candidates.
 var candidateSources = map[string]bool{
-	"All":             true,
-	"Search":          true,
-	"SearchStats":     true,
-	"SearchStatsKind": true,
-	"SearchInto":      true,
-	"search":          true,
+	"All":         true,
+	"Search":      true,
+	"SearchStats": true,
+	"SearchInto":  true,
 }
 
 func run(pass *analysis.Pass) error {

@@ -15,8 +15,9 @@ import (
 
 // E12Ordering ablates the retrieval order the paper picks "arbitrarily"
 // (§2): every permutation of the smuggler query's variables is executed,
-// alongside the two planner heuristics (static structure-based, and
-// sampling-based with parameter values).
+// alongside the two planners: static (SuggestOrder — structure and layer
+// sizes only) and adaptive (CompileAdaptive — the one boolqd serves, here
+// cold: histogram estimates with parameter values, no tuner feedback).
 func E12Ordering() Table {
 	m := workload.GenMap(workload.MapConfig{Seed: 42})
 	store := spatialdb.NewStore(m.Config.Universe, spatialdb.RTree)
@@ -41,20 +42,16 @@ func E12Ordering() Table {
 		if err != nil {
 			panic(err)
 		}
-		var names []string
-		for _, b := range q.Retrieve {
-			names = append(names, b.Var)
-		}
-		return strings.Join(names, "→"), res.Stats.Candidates, res.Stats.Solutions, time.Since(start)
+		return plan.OrderKey(), res.Stats.Candidates, res.Stats.Solutions, time.Since(start)
 	}
 
 	staticQ := query.SuggestOrder(base, store)
-	sampledQ, err := query.SuggestOrderSampled(base, store, params)
+	adaptive, err := query.CompileAdaptive(base, store, query.AdaptiveOptions{Params: params})
 	if err != nil {
 		panic(err)
 	}
 	staticName := orderName(staticQ)
-	sampledName := orderName(sampledQ)
+	adaptiveName := adaptive.OrderKey()
 
 	for _, p := range perms {
 		q := &query.Query{Sys: base.Sys}
@@ -66,14 +63,14 @@ func E12Ordering() Table {
 		if name == staticName {
 			chosen += "static "
 		}
-		if name == sampledName {
-			chosen += "sampled"
+		if name == adaptiveName {
+			chosen += "adaptive"
 		}
 		t.Rows = append(t.Rows, []string{name, itoa(cand), itoa(sols), msString(el),
 			strings.TrimSpace(chosen)})
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("static planner picked %s; sampling planner picked %s", staticName, sampledName))
+		fmt.Sprintf("static planner picked %s; adaptive planner picked %s", staticName, adaptiveName))
 	return t
 }
 

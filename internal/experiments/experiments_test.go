@@ -174,16 +174,19 @@ func TestE11Shape(t *testing.T) {
 	}
 }
 
-// E12: all orders agree on solutions; the sampled planner's order is not
-// the worst one.
+// E12: all orders agree on solutions; the adaptive planner's cold order is
+// not the worst one. Neither planner finds the best order here: static
+// (and cold adaptive with it) picks B→T→R at 338 candidates where R→T→B
+// needs 149 — the gap the tuner's run-cost feedback closes on a served
+// query. The log line keeps that on record.
 func TestE12Shape(t *testing.T) {
 	tab := E12Ordering()
 	if len(tab.Rows) != 6 {
 		t.Fatalf("expected 6 permutations, got %d", len(tab.Rows))
 	}
 	sols := tab.Rows[0][2]
-	worst, worstIdx := -1, -1
-	sampledIdx := -1
+	best, worst, worstIdx := -1, -1, -1
+	staticIdx, adaptiveIdx := -1, -1
 	for i, row := range tab.Rows {
 		if row[2] != sols {
 			t.Errorf("order %s changed the solution set", row[0])
@@ -192,16 +195,25 @@ func TestE12Shape(t *testing.T) {
 		if c > worst {
 			worst, worstIdx = c, i
 		}
-		if strings.Contains(row[4], "sampled") {
-			sampledIdx = i
+		if best < 0 || c < best {
+			best = c
+		}
+		if strings.Contains(row[4], "static") {
+			staticIdx = i
+		}
+		if strings.Contains(row[4], "adaptive") {
+			adaptiveIdx = i
 		}
 	}
-	if sampledIdx < 0 {
-		t.Fatalf("sampled planner's order not among the permutations")
+	if staticIdx < 0 || adaptiveIdx < 0 {
+		t.Fatalf("planner orders not among the permutations (static %d, adaptive %d)", staticIdx, adaptiveIdx)
 	}
-	if sampledIdx == worstIdx {
-		t.Errorf("sampling planner picked the worst order")
+	if adaptiveIdx == worstIdx {
+		t.Errorf("adaptive planner picked the worst order")
 	}
+	t.Logf("static picked %s (%d candidates), adaptive %s (%d); best %d, worst %d",
+		tab.Rows[staticIdx][0], cell(t, tab, staticIdx, 1),
+		tab.Rows[adaptiveIdx][0], cell(t, tab, adaptiveIdx, 1), best, worst)
 }
 
 // E13: all construction strategies answer queries identically; STR touches

@@ -6,8 +6,8 @@
 // sets in testdata/golden/.
 //
 // The corpus is the safety net under the adaptive planner: whatever
-// retrieval order or per-step backend the planner picks, the solution
-// set — and the order of variables within each tuple — must not move.
+// retrieval order the planner picks, the solution set — and the order of
+// variables within each tuple — must not move.
 // Results are canonicalized to "Var=object" lines sorted
 // lexicographically, so comparisons are insensitive to the order
 // solutions are found in but sensitive to tuple contents.

@@ -25,22 +25,18 @@ var kinds = []spatialdb.IndexKind{
 	spatialdb.Grid, spatialdb.ZOrderIdx,
 }
 
-// variant is one store the corpus runs against: a fixture on a primary
-// backend, plus one extra RTree store with alternate indexes enabled so
-// the adaptive planner's per-step backend overrides are exercised.
+// variant is one store the corpus runs against: a fixture on one index
+// backend.
 type variant struct {
 	name  string
 	store *spatialdb.Store
 }
 
 func buildVariants(f *Fixture) []variant {
-	vs := make([]variant, 0, len(kinds)+1)
+	vs := make([]variant, 0, len(kinds))
 	for _, k := range kinds {
 		vs = append(vs, variant{k.String(), BuildStore(f, k)})
 	}
-	alt := BuildStore(f, spatialdb.RTree)
-	alt.EnableAltIndexes(spatialdb.Grid, spatialdb.ZOrderIdx)
-	vs = append(vs, variant{"rtree+alts", alt})
 	return vs
 }
 

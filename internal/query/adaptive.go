@@ -11,28 +11,25 @@ import (
 )
 
 // Statistics-driven adaptive planning. Where SuggestOrder ranks retrieval
-// orders by layer size alone and SuggestOrderSampled probes the real
-// indexes, CompileAdaptive costs every order against the per-layer
-// statistics maintained at ingest (internal/stats): each candidate order
-// is compiled, its per-step range-query templates are evaluated over a
-// representative environment, and the histograms turn each template into
-// an expected fanout. The cost model is the one SuggestOrderSampled uses —
-// the expected number of candidates the executor visits,
+// orders by layer size alone, CompileAdaptive costs every order against
+// the per-layer statistics maintained at ingest (internal/stats): each
+// candidate order is compiled, its per-step range-query templates are
+// evaluated over a representative environment, and the histograms turn
+// each template into an expected fanout. The cost model is the expected
+// number of candidates the executor visits,
 //
 //	cost(order) = f1 + f1·f2 + f1·f2·f3 + …
 //
-// — but no index is touched: estimation is pure arithmetic over the
+// and no index is touched: estimation is pure arithmetic over the
 // histograms, so it is safe and cheap to run per query. Observed run
 // costs, when a Tuner holds a fresh observation for an order, override the
 // estimate, so repeated queries converge on measured rather than modeled
-// behavior. Finally, when the store exposes alternate index backends, the
-// planner routes individual steps to the backend the estimate favors
-// (scan for unselective steps, a structured index for selective ones on a
-// scan-primary store).
+// behavior. The planner decides order only: every step's range query is
+// answered by its layer's one index, so a plan cached by text stays right
+// for whatever parameters later requests bind (DESIGN.md §7).
 
 // maxAdaptivePermute bounds the permutation enumeration; above it the
-// planner falls back to the static greedy order (matching
-// SuggestOrderSampled's bound).
+// planner falls back to the static greedy order.
 const maxAdaptivePermute = 5
 
 // DefaultStaleEpochs is how many store epochs (mutations) a Tuner
@@ -40,17 +37,6 @@ const maxAdaptivePermute = 5
 // under the measured cost, and the planner reverts to the histogram
 // estimate until a fresh run is observed.
 const DefaultStaleEpochs = 512
-
-// Backend-override thresholds, as estimated match fractions of the
-// layer's population. A range query expected to match most of a layer
-// gains nothing from index traversal — a scan visits the same objects
-// without the structural overhead. A highly selective query on a
-// scan-primary layer is the mirror case: a structured alternate prunes
-// where the scan cannot.
-const (
-	scanFraction = 0.3
-	altFraction  = 0.02
-)
 
 // Observation is one measured execution cost for a (query, order) pair.
 type Observation struct {
@@ -127,8 +113,7 @@ func (t *Tuner) Len() int {
 }
 
 // AdaptiveOptions configures CompileAdaptive. The zero value is valid:
-// orders are ranked by histogram estimate alone, with backend overrides
-// enabled.
+// orders are ranked by histogram estimate alone.
 type AdaptiveOptions struct {
 	// Params are the query's bound parameter regions, when the caller has
 	// them at plan time. Estimation uses their bounding boxes; parameters
@@ -147,20 +132,15 @@ type AdaptiveOptions struct {
 	// DefaultStaleEpochs when positive.
 	Epoch       uint64
 	StaleEpochs uint64
-
-	// NoBackendPick disables the per-step backend overrides, leaving
-	// every step on its layer's primary index (for A/B comparisons).
-	NoBackendPick bool
 }
 
 // AdaptiveInfo records how CompileAdaptive chose the plan it returned.
 type AdaptiveInfo struct {
-	Order            string  // chosen retrieval order, "T→R→B"
-	Reordered        bool    // the chosen order differs from the query's
-	EstCost          float64 // cost of the chosen order under the model used
-	FeedbackUsed     int     // orders costed from a fresh Tuner observation
-	BackendOverrides int     // steps routed to a non-primary backend
-	Static           bool    // fell back to the static heuristic order
+	Order        string  // chosen retrieval order, "T→R→B"
+	Reordered    bool    // the chosen order differs from the query's
+	EstCost      float64 // cost of the chosen order under the model used
+	FeedbackUsed int     // orders costed from a fresh Tuner observation
+	Static       bool    // fell back to the static heuristic order
 }
 
 // outPositions maps the reordered query's step index back to the
@@ -187,11 +167,11 @@ func orderKey(q *Query) string {
 	return strings.Join(names, "→")
 }
 
-// CompileAdaptive compiles the query with the retrieval order (and, per
-// step, the index backend) the layer statistics favor. Results are
-// identical to Compile for any order — only cost changes. Queries with
-// more than maxAdaptivePermute retrieval variables fall back to the
-// static SuggestOrder ranking; everything else enumerates the n! ≤ 120
+// CompileAdaptive compiles the query with the retrieval order the layer
+// statistics favor. Results are identical to Compile for any order — only
+// cost changes. Queries with more than maxAdaptivePermute retrieval
+// variables fall back to the static SuggestOrder ranking; everything else
+// enumerates the n! ≤ 120
 // orders, compiles each (per-order compile failures are skipped) and
 // keeps the cheapest under the histogram estimate, with fresh Tuner
 // observations overriding estimates where available. Ties go to the
@@ -209,9 +189,6 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 			Order:     plan.OrderKey(),
 			Reordered: plan.OrderKey() != orderKey(q),
 			Static:    true,
-		}
-		if !opts.NoBackendPick {
-			plan.Adaptive.BackendOverrides = chooseBackends(plan, store, paramBoxes(q, store, opts.Params))
 		}
 		return plan, nil
 	}
@@ -254,7 +231,7 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 		// Step j retrieves the original query's binding perm[j]; emit
 		// solutions back in the caller's order.
 		plan.outPos = append([]int(nil), perm...)
-		cost, _ := estimatePlanCost(plan, store, paramBox)
+		cost := estimatePlanCost(plan, store, paramBox)
 		if o, ok := observed[plan.OrderKey()]; ok && epoch >= o.Epoch && epoch-o.Epoch <= stale {
 			cost = float64(o.Candidates)
 			feedbackUsed++
@@ -274,9 +251,6 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 		Reordered:    best.OrderKey() != orderKey(q),
 		EstCost:      bestCost,
 		FeedbackUsed: feedbackUsed,
-	}
-	if !opts.NoBackendPick {
-		best.Adaptive.BackendOverrides = chooseBackends(best, store, paramBox)
 	}
 	return best, nil
 }
@@ -301,47 +275,32 @@ func paramBoxes(q *Query, store *spatialdb.Store, params map[string]*region.Regi
 	return envBox
 }
 
-// estimatePlanCost walks the plan's steps once, instantiating each range
-// template over the representative environment and asking the layer's
-// histograms for the expected match count. Returns the cumulative-width
-// cost and the per-step estimated match fractions (used by
-// chooseBackends). A missing layer costs +inf — it can only fail at run
-// time, so no order that reaches it early should ever win.
-func estimatePlanCost(plan *Plan, store *spatialdb.Store, paramBox []bbox.Box) (float64, []float64) {
+// estimatePlanCost walks the plan's steps once under the store's read
+// guard, instantiating each range template over the representative
+// environment and asking the layer's histograms for the expected match
+// count, and returns the cumulative-width cost. A missing layer costs
+// +inf — it can only fail at run time, so no order that reaches it early
+// should ever win.
+func estimatePlanCost(plan *Plan, store *spatialdb.Store, paramBox []bbox.Box) float64 {
 	store.RLock()
 	defer store.RUnlock()
-	return estimateStepsLocked(plan, store, paramBox, nil)
-}
-
-// estimateStepsLocked is the shared walk under the store's read guard.
-// When pick is non-nil it is called per step with the estimated match
-// fraction and the layer, and may set a backend override on the step.
-func estimateStepsLocked(plan *Plan, store *spatialdb.Store, paramBox []bbox.Box, pick func(sp *StepBoxPlan, l *spatialdb.Layer, frac float64)) (float64, []float64) {
 	k := store.K()
 	envBox := append([]bbox.Box(nil), paramBox...)
-	fracs := make([]float64, len(plan.Steps))
 	cost, width := 0.0, 1.0
 	for i := range plan.Steps {
 		sp := &plan.Steps[i]
 		l, ok := store.LayerIfExists(sp.Layer)
 		if !ok {
-			return math.Inf(1), fracs
+			return math.Inf(1)
 		}
 		ds := l.DataStats()
-		count := float64(ds.Count())
 		spec, satisfiable := sp.Spec(k, envBox)
 		if !satisfiable {
-			return cost, fracs // statically dead prefix: deeper steps never run
+			return cost // statically dead prefix: deeper steps never run
 		}
 		est := ds.EstimateSpec(spec)
-		if count > 0 {
-			fracs[i] = est / count
-		}
-		if pick != nil {
-			pick(sp, l, fracs[i])
-		}
 		if est == 0 {
-			return cost, fracs // estimated dead end: deeper steps cost ~nothing
+			return cost // estimated dead end: deeper steps cost ~nothing
 		}
 		width *= est
 		cost += width
@@ -359,39 +318,5 @@ func estimateStepsLocked(plan *Plan, store *spatialdb.Store, paramBox []bbox.Box
 		}
 		envBox[sp.Var] = rep
 	}
-	return cost, fracs
-}
-
-// chooseBackends routes individual steps of the chosen plan to the index
-// backend the estimate favors, returning how many steps were overridden.
-// Overrides only ever select from the layer's live backends; an override
-// that turns out unavailable at run time falls back to the primary inside
-// the layer, so a stale choice degrades cost, never correctness.
-func chooseBackends(plan *Plan, store *spatialdb.Store, paramBox []bbox.Box) int {
-	overrides := 0
-	store.RLock()
-	defer store.RUnlock()
-	estimateStepsLocked(plan, store, paramBox, func(sp *StepBoxPlan, l *spatialdb.Layer, frac float64) {
-		if l.DataStats().Count() == 0 {
-			return
-		}
-		primary := l.Kind()
-		choice := primary
-		if primary != spatialdb.Scan && frac >= scanFraction {
-			choice = spatialdb.Scan
-		} else if primary == spatialdb.Scan && frac <= altFraction {
-			for _, kind := range l.AvailableKinds() {
-				if kind != spatialdb.Scan {
-					choice = kind
-					break
-				}
-			}
-		}
-		if choice != primary {
-			sp.Backend = choice
-			sp.HasBackend = true
-			overrides++
-		}
-	})
-	return overrides
+	return cost
 }

@@ -132,7 +132,7 @@ func TestCompileAdaptiveOrderNearBestAndConverges(t *testing.T) {
 	// (independence across axes, one representative box per bound
 	// variable), so the cold choice need not be optimal — but it must not
 	// be the worst order.
-	cold, err := CompileAdaptive(base, store, AdaptiveOptions{Params: params, NoBackendPick: true})
+	cold, err := CompileAdaptive(base, store, AdaptiveOptions{Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCompileAdaptiveOrderNearBestAndConverges(t *testing.T) {
 	// Warm: with every order observed once, the planner must pick the
 	// measured best.
 	warm, err := CompileAdaptive(base, store, AdaptiveOptions{
-		Params: params, Tuner: tuner, TunerKey: "smuggler", Epoch: epoch, NoBackendPick: true,
+		Params: params, Tuner: tuner, TunerKey: "smuggler", Epoch: epoch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,99 +233,50 @@ func TestTunerSkipsPartialRunsAndEvicts(t *testing.T) {
 	}
 }
 
-// Backend overrides: a highly selective step on a scan-primary layer is
-// routed to a structured alternate; an unselective step on an indexed
-// layer is routed to the scan.
-func TestCompileAdaptiveBackendOverrides(t *testing.T) {
+// A plan is cached by text and re-run with whatever parameters later
+// requests bind, so nothing about it may be sized by the first request's.
+// Compiled against a near-universe window and then run with a narrow one,
+// `find P in parcels given W where P <= W` must cost what the narrow
+// window's matches cost through the layer's index, not a walk over the
+// layer.
+func TestCompileAdaptivePlanCostFollowsRunParams(t *testing.T) {
 	uni := bbox.Rect(0, 0, 1000, 1000)
+	store := spatialdb.NewStore(uni, spatialdb.RTree)
+	const side = 50 // 2,500 parcels on a 20-unit grid
+	for i := 0; i < side*side; i++ {
+		x, y := float64(i%side)*20, float64(i/side)*20
+		store.MustInsert("parcels", fmt.Sprintf("p%d", i), region.FromBox(bbox.Rect(x+1, y+1, x+19, y+19)))
+	}
+	q := New()
+	q.Sys.Subset(q.Sys.Var("P"), q.Sys.Var("W"))
+	q.From("P", "parcels")
 
-	mkQuery := func() (*Query, map[string]*region.Region, *region.Region) {
-		q := New()
-		c := q.Sys.Var("C")
-		x := q.Sys.Var("x")
-		q.Sys.Subset(x, c)
-		q.From("x", "towns")
-		_ = c
-		tiny := region.FromBoxes(2, bbox.Rect(0, 0, 30, 30))
-		return q, map[string]*region.Region{"C": tiny}, tiny
+	wide := map[string]*region.Region{"W": region.FromBox(bbox.Rect(5, 5, 995, 995))}
+	plan, err := CompileAdaptive(q, store, AdaptiveOptions{Params: wide})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := plan.Run(store, wide, DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Solutions < side*side*3/10 {
+		t.Fatalf("wide window matched %d of %d parcels; the fixture needs ≥ 30%%", res.Stats.Solutions, side*side)
 	}
 
-	t.Run("scan primary gets structured alt", func(t *testing.T) {
-		store := spatialdb.NewStore(uni, spatialdb.Scan)
-		store.EnableAltIndexes(spatialdb.RTree)
-		for i := 0; i < 200; i++ {
-			x := float64(i * 5)
-			store.MustInsert("towns", "t", region.FromBoxes(2, bbox.Rect(x, x, x+3, x+3)))
-		}
-		q, params, _ := mkQuery()
-		plan, err := CompileAdaptive(q, store, AdaptiveOptions{Params: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := plan.Steps[0]
-		if !sp.HasBackend || sp.Backend != spatialdb.RTree {
-			t.Fatalf("selective scan-primary step: HasBackend=%v Backend=%v, want RTree override",
-				sp.HasBackend, sp.Backend)
-		}
-		if plan.Adaptive.BackendOverrides != 1 {
-			t.Errorf("BackendOverrides = %d, want 1", plan.Adaptive.BackendOverrides)
-		}
-		// The override changes cost only, never the result set.
-		res, err := plan.Run(store, params, DefaultOptions)
-		if err != nil {
-			t.Fatal(err)
-		}
-		naive, err := RunNaive(q, store, params)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Solutions != naive.Stats.Solutions {
-			t.Errorf("override changed solutions: %d vs naive %d",
-				res.Stats.Solutions, naive.Stats.Solutions)
-		}
-	})
-
-	t.Run("unselective indexed step gets scan", func(t *testing.T) {
-		store := spatialdb.NewStore(uni, spatialdb.RTree)
-		for i := 0; i < 50; i++ {
-			x := float64(i % 10)
-			store.MustInsert("towns", "t", region.FromBoxes(2, bbox.Rect(x, x, x+2, x+2)))
-		}
-		q := New()
-		c := q.Sys.Var("C")
-		x := q.Sys.Var("x")
-		q.Sys.Subset(x, c)
-		q.From("x", "towns")
-		params := map[string]*region.Region{"C": region.FromBoxes(2, uni)}
-		plan, err := CompileAdaptive(q, store, AdaptiveOptions{Params: params})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sp := plan.Steps[0]
-		if !sp.HasBackend || sp.Backend != spatialdb.Scan {
-			t.Fatalf("unselective indexed step: HasBackend=%v Backend=%v, want Scan override",
-				sp.HasBackend, sp.Backend)
-		}
-	})
-
-	t.Run("NoBackendPick leaves primaries", func(t *testing.T) {
-		store := spatialdb.NewStore(uni, spatialdb.Scan)
-		store.EnableAltIndexes(spatialdb.RTree)
-		for i := 0; i < 200; i++ {
-			x := float64(i * 5)
-			store.MustInsert("towns", "t", region.FromBoxes(2, bbox.Rect(x, x, x+3, x+3)))
-		}
-		q, params, _ := mkQuery()
-		plan, err := CompileAdaptive(q, store, AdaptiveOptions{Params: params, NoBackendPick: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, sp := range plan.Steps {
-			if sp.HasBackend {
-				t.Fatalf("step %d has a backend override with NoBackendPick set", i)
-			}
-		}
-	})
+	narrow := map[string]*region.Region{"W": region.FromBox(bbox.Rect(400, 400, 460, 460))}
+	res, err = plan.Run(store, narrow, DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = 9 // the 3×3 parcels inside the narrow window
+	if res.Stats.Solutions != want {
+		t.Fatalf("narrow window: %d solutions, want %d", res.Stats.Solutions, want)
+	}
+	if res.Stats.DB.Scanned > 8*want || res.Stats.Candidates > 8*want {
+		t.Errorf("narrow run on the plan compiled for the wide window scanned %d objects and examined %d candidates for %d matches (layer holds %d)",
+			res.Stats.DB.Scanned, res.Stats.Candidates, want, side*side)
+	}
 }
 
 // CompileAdaptive surfaces the same compile errors Compile does.

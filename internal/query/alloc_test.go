@@ -11,9 +11,8 @@ import (
 	"repro/internal/spatialdb"
 )
 
-// These tests pin the PR's tentpole — an allocation-free per-candidate
-// path — against backsliding. BENCH_PR4.json tracks the absolute numbers;
-// these are the hard floors.
+// These tests pin the allocation-free per-candidate path against
+// backsliding: they are the hard floors.
 
 // allocTestSetup builds a store whose layer holds n small objects inside
 // the bounding box of an L-shaped parameter region C but outside C itself:

@@ -175,7 +175,7 @@ func (f *execFrame) run(i int) {
 			return // this prefix admits no extension
 		}
 		f.bindExact(i)
-		sf.db.Add(sp.search(f.layers[i], spec, &sf.ids, sf.visit))
+		sf.db.Add(f.layers[i].SearchInto(spec, &sf.ids, sf.visit))
 	} else {
 		f.bindExact(i)
 		f.layers[i].All(sf.visit)

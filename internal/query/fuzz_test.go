@@ -114,8 +114,8 @@ func TestFuzzOptimizedAgainstNaive(t *testing.T) {
 }
 
 // TestFuzzAdaptiveAgainstNaive extends the differential fuzz to the
-// adaptive pipeline: whatever order and backends CompileAdaptive picks,
-// the solutions must equal the naive cross product's, and the selectivity
+// adaptive pipeline: whatever order CompileAdaptive picks, the solutions
+// must equal the naive cross product's, and the selectivity
 // estimates it is built on must be finite, non-negative and bounded by
 // the layer population — including on empty layers, empty and degenerate
 // boxes, and randomly shaped specs.
@@ -132,9 +132,6 @@ func TestFuzzAdaptiveAgainstNaive(t *testing.T) {
 			spatialdb.Scan, spatialdb.RTree, spatialdb.PointRTree, spatialdb.Grid,
 		}[trial%4]
 		store := spatialdb.NewStore(universe, kind)
-		if trial%4 == 0 {
-			store.EnableAltIndexes(spatialdb.RTree, spatialdb.Grid)
-		}
 		// xs is sometimes left empty: estimation and execution must both
 		// handle a zero-population layer.
 		nx := 6
@@ -181,14 +178,9 @@ func TestFuzzAdaptiveAgainstNaive(t *testing.T) {
 		}
 
 		// Estimator invariants over the plan's own specs plus random ones.
-		cost, fracs := estimatePlanCost(plan, store, paramBoxes(plan.Query, store, params))
+		cost := estimatePlanCost(plan, store, paramBoxes(plan.Query, store, params))
 		if math.IsNaN(cost) || cost < 0 {
 			t.Fatalf("trial %d: plan cost = %v", trial, cost)
-		}
-		for i, f := range fracs {
-			if math.IsNaN(f) || f < 0 || f > 1 {
-				t.Fatalf("trial %d: step %d match fraction = %v", trial, i, f)
-			}
 		}
 		for _, layer := range []string{"xs", "ys"} {
 			l, ok := store.LayerIfExists(layer)

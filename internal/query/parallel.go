@@ -107,7 +107,7 @@ func (p *Plan) RunParallelCtx(ctx context.Context, store *spatialdb.Store, param
 			exact = step.Values(&first, env)
 		}
 		var ids []int64
-		db := sp.search(layers[0], spec, &ids, gather)
+		db := layers[0].SearchInto(spec, &ids, gather)
 		layers[0].AddStats(db)
 		firstStats.DB.Add(db)
 	} else {

@@ -31,27 +31,7 @@ type StepBoxPlan struct {
 	Upper  *bbox.Func // approximates the solved upper bound t from above
 	Diseqs []DiseqBoxPlan
 
-	// Backend, when HasBackend is set, routes this step's range queries
-	// through a specific index backend instead of the layer's primary —
-	// the adaptive planner's per-step choice (CompileAdaptive). The
-	// backend changes only cost: an unavailable choice falls back to the
-	// primary inside the layer.
-	Backend    spatialdb.IndexKind
-	HasBackend bool
-
 	lower, upper *bbox.Program // compiled forms of Lower and Upper
-}
-
-// search issues the step's range query through the layer, honoring the
-// planner's backend override when present. ids is the caller's probe
-// buffer; the returned cost is the caller's to fold into the layer
-// counters (spatialdb.Layer.SearchInto).
-func (sp *StepBoxPlan) search(l *spatialdb.Layer, spec bbox.RangeSpec, ids *[]int64, visit func(spatialdb.Object) bool) spatialdb.Stats {
-	kind := l.Kind()
-	if sp.HasBackend {
-		kind = sp.Backend
-	}
-	return l.SearchInto(spec, kind, ids, visit)
 }
 
 // compilePrograms lowers the step's function trees to programs; Compile
@@ -166,6 +146,8 @@ type Plan struct {
 	// sets it so solutions keep the caller's original binding order even
 	// when execution runs the steps in another order; nil means identity.
 	outPos []int
+
+	orderKey string // retrieval order as "T→R→B", rendered once by Compile
 }
 
 // Bindings returns the retrieval bindings in output-tuple order: position
@@ -185,7 +167,7 @@ func (p *Plan) Bindings() []Binding {
 
 // OrderKey renders the plan's retrieval order as "T→R→B" — the key the
 // feedback tuner files observed run costs under.
-func (p *Plan) OrderKey() string { return orderKey(p.Query) }
+func (p *Plan) OrderKey() string { return p.orderKey }
 
 // Compile runs the full §3+§4 pipeline on the query against the given
 // store's schema.
@@ -201,7 +183,7 @@ func Compile(q *Query, store *spatialdb.Store) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: triangularization failed: %w", err)
 	}
-	plan := &Plan{Query: q, Form: form}
+	plan := &Plan{Query: q, Form: form, orderKey: orderKey(q)}
 	for i, st := range form.Steps {
 		sp := StepBoxPlan{Var: st.Var, Layer: q.Retrieve[i].Layer}
 		if sp.Lower, err = bbox.Lower(st.Lower); err != nil {

@@ -412,8 +412,10 @@ func TestChaosStalenessGatesReadyz(t *testing.T) {
 	}
 	var lagging *httptest.ResponseRecorder
 	waitFor(t, 10*time.Second, "readyz to report lagging", func() bool {
+		// "bootstrapping" answers 503 too, and clears on its own before
+		// the stale-read check below; only a lag-bound 503 holds for it.
 		w, code := readyz()
-		if code == http.StatusServiceUnavailable {
+		if code == http.StatusServiceUnavailable && strings.Contains(w.Body.String(), "lagging") {
 			lagging = w
 			return true
 		}

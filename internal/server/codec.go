@@ -229,7 +229,6 @@ type plannerStats struct {
 	AdaptiveCompiles int64  `json:"adaptive_compiles"` // compiles through CompileAdaptive
 	Reordered        int64  `json:"reordered"`         // compiles that changed the retrieval order
 	FeedbackUsed     int64  `json:"feedback_used"`     // compiles ranked by observed run costs
-	BackendOverrides int64  `json:"backend_overrides"` // per-step index overrides issued
 	Observations     int64  `json:"observations"`      // completed runs recorded into the tuner
 	TunerKeys        int    `json:"tuner_keys"`        // distinct queries with feedback
 }

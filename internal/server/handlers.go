@@ -296,14 +296,14 @@ func decodeParams(store *spatialdb.Store, req *queryRequest) (map[string]*region
 
 // lookupPlan resolves the compiled plan for a normalized query through
 // the plan cache: hit ⇒ skip Parse/Compile entirely. On a miss the plan
-// compiles adaptively by default — the retrieval order (and per-step
-// index backend) are picked from the layer statistics plus any run costs
-// the tuner has observed for this query — so the cached plan embeds
-// data-dependent choices; the cache already invalidates on every store
-// epoch, which bounds how stale those choices can get. The epoch was read
-// before the lookup; a mutation racing with this request at worst
-// recompiles on the next request, never serves wrong plans (compiled
-// plans are immutable and execution takes the store's read guard).
+// compiles adaptively by default — the retrieval order is picked from the
+// layer statistics plus any run costs the tuner has observed for this
+// query — so the cached plan embeds a data-dependent choice; the cache
+// already invalidates on every store epoch, which bounds how stale that
+// choice can get. The epoch was read before the lookup; a mutation racing
+// with this request at worst recompiles on the next request, never serves
+// wrong plans (compiled plans are immutable and execution takes the
+// store's read guard).
 func (s *Server) lookupPlan(store *spatialdb.Store, gen, epoch uint64, normalized string, params map[string]*region.Region) (*query.Plan, bool, error) {
 	plan, hit := s.cache.Get(normalized, gen, epoch)
 	if hit {
@@ -335,7 +335,6 @@ func (s *Server) lookupPlan(store *spatialdb.Store, gen, epoch uint64, normalize
 			if info.FeedbackUsed > 0 {
 				s.metrics.PlanFeedback.Add(1)
 			}
-			s.metrics.PlanOverrides.Add(int64(info.BackendOverrides))
 		}
 	}
 	s.metrics.PlanCompiles.Add(1)
@@ -590,7 +589,6 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			AdaptiveCompiles: mt.PlanAdaptive.Value(),
 			Reordered:        mt.PlanReordered.Value(),
 			FeedbackUsed:     mt.PlanFeedback.Value(),
-			BackendOverrides: mt.PlanOverrides.Value(),
 			Observations:     mt.TunerObservations.Value(),
 			TunerKeys:        s.tuner.Len(),
 		},

@@ -21,12 +21,10 @@ type Metrics struct {
 	// Adaptive-planner counters: compiles that went through
 	// query.CompileAdaptive, how many changed the retrieval order, how
 	// many were ranked by tuner feedback rather than the histogram
-	// estimate alone, per-step backend overrides issued, and completed
-	// runs recorded into the tuner.
+	// estimate alone, and completed runs recorded into the tuner.
 	PlanAdaptive      expvar.Int
 	PlanReordered     expvar.Int
 	PlanFeedback      expvar.Int
-	PlanOverrides     expvar.Int
 	TunerObservations expvar.Int
 	Inserts           expvar.Int
 	Deletes           expvar.Int
@@ -66,7 +64,6 @@ func (s *Server) expvarMap() *expvar.Map {
 	m.Set("plan_adaptive_compiles", &mt.PlanAdaptive)
 	m.Set("plan_reordered", &mt.PlanReordered)
 	m.Set("plan_feedback_used", &mt.PlanFeedback)
-	m.Set("plan_backend_overrides", &mt.PlanOverrides)
 	m.Set("tuner_observations", &mt.TunerObservations)
 	m.Set("tuner_keys", expvar.Func(func() any { return s.tuner.Len() }))
 	m.Set("plan_cache_hits", expvar.Func(func() any { return s.cache.Hits() }))

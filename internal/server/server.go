@@ -93,9 +93,8 @@ type Options struct {
 	// passed to New must be Durable.Store().
 	Durable *wal.DB
 	// StaticPlan disables statistics-driven adaptive planning: plans
-	// compile in the query's own retrieval order with no backend
-	// overrides and no feedback, as before PR 7. Exposed as boolqd's
-	// -plan flag for A/B comparisons.
+	// compile in the query's own retrieval order with no feedback, as
+	// before PR 7. Exposed as boolqd's -plan flag for A/B comparisons.
 	StaticPlan bool
 	// TunerSize caps how many distinct queries the feedback tuner tracks
 	// (≤ 0 means the query package default).

@@ -40,12 +40,8 @@ const (
 
 // newLayerIndex returns the backend for a layer's kind. The scan backend
 // reads the layer's object table directly; the others own a structure.
-func newLayerIndex(l *Layer) layerIndex { return newLayerIndexKind(l, l.kind) }
-
-// newLayerIndexKind builds an index of an explicit kind over the layer —
-// the primary (kind == l.kind) or an alternate (EnableAltIndexes).
-func newLayerIndexKind(l *Layer, kind IndexKind) layerIndex {
-	switch kind {
+func newLayerIndex(l *Layer) layerIndex {
+	switch l.kind {
 	case RTree:
 		return &rtreeIndex{t: rtree.New(l.k), k: l.k}
 	case PointRTree:

@@ -108,32 +108,15 @@ type Layer struct {
 	idx      layerIndex       // the backend behind kind; see index.go
 	data     *stats.Layer     // planner statistics, maintained by commit/remove
 
-	// alts holds optional alternate index backends (EnableAltIndexes) kept
-	// live alongside the primary so the adaptive planner can route a range
-	// query per step. Alternates are best-effort: one that rejects an
-	// object the primary accepted is dropped, never failing the mutation.
-	// Scan never appears here — it reads the object table directly and is
-	// always available.
-	alts map[IndexKind]layerIndex
-
 	mu    sync.Mutex // guards stats: Search may run concurrently
 	stats Stats
 }
 
-func newLayer(name string, k int, kind IndexKind, universe bbox.Box, altKinds []IndexKind) *Layer {
+func newLayer(name string, k int, kind IndexKind, universe bbox.Box) *Layer {
 	l := &Layer{name: name, kind: kind, k: k, universe: universe,
 		objs: map[int64]Object{}, byName: map[string]int64{},
 		data: stats.NewLayer(universe)}
 	l.resetIndex()
-	for _, ak := range altKinds {
-		if ak == l.kind || ak == Scan {
-			continue
-		}
-		if l.alts == nil {
-			l.alts = map[IndexKind]layerIndex{}
-		}
-		l.alts[ak] = newLayerIndexKind(l, ak)
-	}
 	return l
 }
 
@@ -143,16 +126,13 @@ func (l *Layer) resetIndex() {
 }
 
 // rebuildIndex recreates the index from the surviving objects in
-// insertion order, through the backend's packed bulk path when it has
-// one. Alternate indexes are rebuilt alongside (best-effort: a failing
-// alternate is dropped).
+// insertion order, through the backend's packed bulk path when it has one.
 func (l *Layer) rebuildIndex() error {
 	l.resetIndex()
 	objs := make([]Object, 0, len(l.order))
 	for _, id := range l.order {
 		objs = append(objs, l.objs[id])
 	}
-	l.rebuildAlts(objs)
 	if bl, ok := l.idx.(BulkLoader); ok {
 		if err := bl.BulkLoad(objs); err == nil {
 			return nil
@@ -165,31 +145,6 @@ func (l *Layer) rebuildIndex() error {
 		}
 	}
 	return nil
-}
-
-// rebuildAlts recreates every alternate index from objs, dropping any
-// alternate that rejects an object. The caller must hold the store's
-// write lock.
-func (l *Layer) rebuildAlts(objs []Object) {
-	for kind := range l.alts {
-		ix := newLayerIndexKind(l, kind)
-		ok := true
-		if bl, isBulk := ix.(BulkLoader); isBulk {
-			ok = bl.BulkLoad(objs) == nil
-		} else {
-			for _, o := range objs {
-				if ix.insert(o) != nil {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			l.alts[kind] = ix
-		} else {
-			delete(l.alts, kind)
-		}
-	}
 }
 
 // Name returns the layer name.
@@ -206,22 +161,6 @@ func (l *Layer) Len() int { return len(l.objs) }
 // mutated under the store's write lock; readers must hold the store's
 // read guard, exactly as for Search.
 func (l *Layer) DataStats() *stats.Layer { return l.data }
-
-// AvailableKinds returns the index backends this layer can serve a range
-// query from: the primary, the always-available scan path, and any live
-// alternates, in that order.
-func (l *Layer) AvailableKinds() []IndexKind {
-	kinds := []IndexKind{l.kind}
-	if l.kind != Scan {
-		kinds = append(kinds, Scan)
-	}
-	for k := Scan; k <= ZOrderIdx; k++ {
-		if _, ok := l.alts[k]; ok {
-			kinds = append(kinds, k)
-		}
-	}
-	return kinds
-}
 
 // Stats returns the accumulated cost counters.
 func (l *Layer) Stats() Stats {
@@ -255,20 +194,13 @@ func (l *Layer) insert(o Object) error {
 // commit records an object in the lookup maps after the index accepted
 // it. Every path that adds an object — Insert, Upsert, BulkInsert (both
 // the packed and looped variants), snapshot restore and WAL replay —
-// funnels through here, so the planner statistics and the alternate
-// indexes stay consistent with the primary without per-path hooks. An
-// alternate that rejects the object is dropped (the primary already
-// accepted it; the mutation must not fail).
+// funnels through here, so the planner statistics stay consistent with
+// the index without per-path hooks.
 func (l *Layer) commit(o Object) {
 	l.objs[o.ID] = o
 	l.byName[o.Name] = o.ID
 	l.order = append(l.order, o.ID)
 	l.data.Add(o.Box)
-	for kind, ix := range l.alts {
-		if ix.insert(o) != nil {
-			delete(l.alts, kind)
-		}
-	}
 }
 
 // remove deletes an object by id and rebuilds the index from the
@@ -346,43 +278,21 @@ func (l *Layer) Search(spec bbox.RangeSpec, visit func(Object) bool) {
 // SearchStats is Search returning the cost of this one call (which is
 // also accumulated into the layer counters).
 func (l *Layer) SearchStats(spec bbox.RangeSpec, visit func(Object) bool) Stats {
-	return l.SearchStatsKind(spec, l.kind, visit)
-}
-
-// SearchStatsKind is SearchStats through a chosen backend: the primary,
-// the always-available scan path, or a live alternate (EnableAltIndexes).
-// An unavailable kind falls back to the primary — the choice can change
-// only cost, never the result set.
-func (l *Layer) SearchStatsKind(spec bbox.RangeSpec, kind IndexKind, visit func(Object) bool) Stats {
 	var ids []int64
-	s := l.SearchInto(spec, kind, &ids, visit)
+	s := l.SearchInto(spec, &ids, visit)
 	l.AddStats(s)
 	return s
 }
 
-// SearchInto is the executors' form of SearchStatsKind: matching ids are
+// SearchInto is the executors' form of SearchStats: matching ids are
 // gathered in the caller-owned *ids (reused from probe to probe, so a
 // warm buffer makes the probe allocation-free), and the call's cost is
 // returned WITHOUT being added to the layer counters. A run attributes
 // index work to itself from the return values — exact even when many
 // runs share a layer — and folds its total in with AddStats once, instead
 // of taking the counter lock on every probe.
-func (l *Layer) SearchInto(spec bbox.RangeSpec, kind IndexKind, ids *[]int64, visit func(Object) bool) Stats {
-	ix := l.idx
-	switch {
-	case kind == l.kind:
-	case kind == Scan:
-		ix = scanIndex{l: l}
-	default:
-		if alt, ok := l.alts[kind]; ok {
-			ix = alt
-		}
-	}
-	return l.searchVia(ix, spec, ids, visit)
-}
-
-func (l *Layer) searchVia(ix layerIndex, spec bbox.RangeSpec, ids *[]int64, visit func(Object) bool) Stats {
-	found, touched, scanned := ix.search(spec, (*ids)[:0])
+func (l *Layer) SearchInto(spec bbox.RangeSpec, ids *[]int64, visit func(Object) bool) Stats {
+	found, touched, scanned := l.idx.search(spec, (*ids)[:0])
 	*ids = found
 	slices.Sort(found)
 	s := Stats{Queries: 1, Touched: touched, Scanned: scanned}
@@ -425,16 +335,13 @@ type Store struct {
 	universe bbox.Box
 	kind     IndexKind
 
-	mu       sync.RWMutex // guards layers, names, nextID, sink, altKinds
+	mu       sync.RWMutex // guards layers, names, nextID, sink
 	epoch    atomic.Uint64
 	degraded atomic.Bool       // read-only gate; see SetDegraded (mutlog.go)
 	replica  atomic.Bool       // replica gate; see SetReplica (mutlog.go)
 	layers   map[string]*Layer //boolq:guardedby mu
 	names    []string          //boolq:guardedby mu
 	nextID   int64             //boolq:guardedby mu
-
-	// altKinds holds the alternate backends new layers are created with.
-	altKinds []IndexKind //boolq:guardedby mu
 
 	// sink, when set, receives every mutation inside the critical section
 	// that applied it — the durable write path's hook point (mutlog.go).
@@ -540,55 +447,11 @@ func (s *Store) LayerNames() []string {
 func (s *Store) ensureLayerLocked(name string) *Layer {
 	l, ok := s.layers[name]
 	if !ok {
-		l = newLayer(name, s.universe.K, s.kind, s.universe, s.altKinds)
+		l = newLayer(name, s.universe.K, s.kind, s.universe)
 		s.layers[name] = l
 		s.names = append(s.names, name)
 	}
 	return l
-}
-
-// EnableAltIndexes keeps the given backends live alongside every layer's
-// primary index, so the adaptive planner can pick the cheapest backend
-// per retrieval step. Existing layers build their alternates now; layers
-// created later get them at creation. Alternates are best-effort — one
-// that cannot hold a layer's objects is silently dropped for that layer
-// (the scan path needs no structure and is always available without
-// being enabled here). The epoch is bumped so cached plans re-plan
-// against the new backend set.
-func (s *Store) EnableAltIndexes(kinds ...IndexKind) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, k := range kinds {
-		if k == Scan || containsKind(s.altKinds, k) {
-			continue
-		}
-		s.altKinds = append(s.altKinds, k)
-	}
-	for _, name := range s.names {
-		l := s.layers[name]
-		for _, k := range s.altKinds {
-			if k == l.kind {
-				continue
-			}
-			if l.alts == nil {
-				l.alts = map[IndexKind]layerIndex{}
-			}
-			if _, ok := l.alts[k]; !ok {
-				l.alts[k] = newLayerIndexKind(l, k)
-			}
-		}
-		l.rebuildAlts(l.Objects())
-	}
-	s.epoch.Add(1)
-}
-
-func containsKind(ks []IndexKind, k IndexKind) bool {
-	for _, x := range ks {
-		if x == k {
-			return true
-		}
-	}
-	return false
 }
 
 // Insert adds a named region to a layer and returns its object. It is

@@ -91,87 +91,3 @@ func TestSnapshotsCarryStats(t *testing.T) {
 		t.Error("binary snapshot did not restore identical statistics")
 	}
 }
-
-func TestAltIndexesServeIdenticalResults(t *testing.T) {
-	uni := bbox.Rect(0, 0, 1000, 1000)
-	s := NewStore(uni, Scan)
-	for i := 0; i < 40; i++ {
-		x := float64(i * 20)
-		s.MustInsert("towns", "t", statsRect(x, x, x+15, x+15))
-	}
-	s.EnableAltIndexes(PointRTree, Grid, ZOrderIdx)
-	// More objects after enabling: alternates must track commits.
-	for i := 0; i < 10; i++ {
-		x := float64(i * 50)
-		s.MustInsert("towns", "u", statsRect(x, 500, x+30, 540))
-	}
-	l, _ := s.LayerIfExists("towns")
-	kinds := l.AvailableKinds()
-	if len(kinds) != 4 { // scan primary + 3 alternates (Scan not duplicated)
-		t.Fatalf("AvailableKinds = %v, want 4 entries", kinds)
-	}
-	spec := bbox.RangeSpec{
-		K:     2,
-		Lower: bbox.Empty(2),
-		Upper: bbox.Rect(0, 0, 600, 600),
-	}
-	collect := func(kind IndexKind) []int64 {
-		var ids []int64
-		l.SearchStatsKind(spec, kind, func(o Object) bool {
-			ids = append(ids, o.ID)
-			return true
-		})
-		return ids
-	}
-	want := collect(Scan)
-	if len(want) == 0 {
-		t.Fatal("test spec matched nothing")
-	}
-	for _, kind := range []IndexKind{PointRTree, Grid, ZOrderIdx, RTree /* unavailable → primary */} {
-		got := collect(kind)
-		if len(got) != len(want) {
-			t.Fatalf("kind %v returned %d ids, scan returned %d", kind, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("kind %v result %d = id %d, scan has %d", kind, i, got[i], want[i])
-			}
-		}
-	}
-	// Removal rebuilds alternates; results must stay aligned.
-	if ok, err := s.Remove("towns", "u"); err != nil || !ok {
-		t.Fatalf("remove: ok=%v err=%v", ok, err)
-	}
-	want = collect(Scan)
-	for _, kind := range []IndexKind{PointRTree, Grid, ZOrderIdx} {
-		got := collect(kind)
-		if len(got) != len(want) {
-			t.Fatalf("after remove, kind %v returned %d ids, scan returned %d", kind, len(got), len(want))
-		}
-	}
-}
-
-// An alternate that cannot hold an object (z-order requires boxes inside
-// the universe) is dropped without failing the primary insert.
-func TestAltIndexDroppedOnRejection(t *testing.T) {
-	s := NewStore(bbox.Rect(0, 0, 100, 100), RTree)
-	s.EnableAltIndexes(ZOrderIdx)
-	s.MustInsert("a", "in", statsRect(10, 10, 20, 20))
-	l, _ := s.LayerIfExists("a")
-	if len(l.AvailableKinds()) != 3 {
-		t.Fatalf("AvailableKinds = %v, want rtree+scan+zorder", l.AvailableKinds())
-	}
-	// Outside the universe: the R-tree primary accepts it, z-order cannot.
-	if _, err := s.Insert("a", "out", statsRect(150, 150, 200, 200)); err != nil {
-		t.Fatalf("primary insert must not fail when an alternate rejects: %v", err)
-	}
-	if got := l.AvailableKinds(); len(got) != 2 {
-		t.Fatalf("AvailableKinds after rejection = %v, want zorder dropped", got)
-	}
-	// Queries through the dropped kind fall back to the primary.
-	var n int
-	l.SearchStatsKind(bbox.AllSpec(2), ZOrderIdx, func(Object) bool { n++; return true })
-	if n != 2 {
-		t.Fatalf("fallback search saw %d objects, want 2", n)
-	}
-}

@@ -146,7 +146,7 @@ type Axis struct {
 
 // Grid is a coarse occupancy grid over the first one or two axes: each
 // cell counts the stored boxes overlapping it. It summarizes clustering
-// for the planner's backend choice and the /stats endpoint.
+// alongside the per-axis histograms.
 type Grid struct {
 	Axes      int // 0 (disabled), 1 or 2
 	Side      int
