@@ -121,8 +121,9 @@ func RunNaive(q *Query, store *Store, params map[string]*Region) (*Result, error
 // RunNaiveCtx is RunNaive bounded by a context and Options.Limit: the
 // search stops on cancellation or at the limit and returns the partial
 // result flagged Stats.Cancelled/Stats.Truncated. The optimized
-// executors' bounded variants are methods on Plan (RunCtx,
-// RunParallelCtx, and the per-solution streaming RunStream).
+// executor is the Plan method RunStream, which lends each solution to a
+// callback, serially or fanned out over workers; Plan.RunCtx and
+// Plan.RunParallelCtx collect its solutions into a Result.
 func RunNaiveCtx(ctx context.Context, q *Query, store *Store, params map[string]*Region, opts Options) (*Result, error) {
 	return query.RunNaiveCtx(ctx, q, store, params, opts)
 }

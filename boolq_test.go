@@ -116,7 +116,7 @@ func TestPublicAPIBoundedExecution(t *testing.T) {
 	}
 
 	streamed := 0
-	stats, err := plan.RunStream(context.Background(), store, params, DefaultOptions,
+	stats, err := plan.RunStream(context.Background(), store, params, DefaultOptions, 1,
 		func(Solution) bool { streamed++; return true })
 	if err != nil {
 		t.Fatal(err)

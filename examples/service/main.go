@@ -219,7 +219,8 @@ func run() error {
 		limited.Count, first.Count, limited.Truncated)
 
 	// Streaming mode: each solution leaves as its own NDJSON line the
-	// moment the executor finds it; the final line summarizes the run.
+	// moment one of the server's four workers finds it; the final line
+	// summarizes the run. It must carry exactly the first /query's solutions.
 	resp, err = http.Post(base+"/query?stream=1", "application/json", bytes.NewReader(req))
 	if err != nil {
 		return err
@@ -231,6 +232,7 @@ func run() error {
 	}
 	fmt.Println("POST /query?stream=1 (NDJSON stream):")
 	dec := json.NewDecoder(resp.Body)
+	streamed := 0
 	for {
 		var line struct {
 			Solution *struct {
@@ -253,9 +255,15 @@ func run() error {
 		}
 		if line.Done {
 			fmt.Printf("  summary: %d solutions, truncated=%v\n\n", line.Count, line.Truncated)
+			if line.Count != first.Count || streamed != first.Count {
+				resp.Body.Close()
+				return fmt.Errorf("stream query: %d solution lines, summary count %d, /query count %d",
+					streamed, line.Count, first.Count)
+			}
 			break
 		}
 		if line.Solution != nil {
+			streamed++
 			fmt.Printf("  solution: %v\n", line.Solution.Names)
 		}
 	}

@@ -156,7 +156,7 @@ func executions(t *testing.T, q *query.Query, store *spatialdb.Store, params map
 	})
 	// Streaming executor, solutions collected by the yield callback.
 	var streamed []query.Solution
-	if _, err := static.RunStream(ctx, store, params, query.DefaultOptions,
+	if _, err := static.RunStream(ctx, store, params, query.DefaultOptions, 1,
 		func(s query.Solution) bool {
 			streamed = append(streamed, s.Clone()) // s is lent for the call only
 			return true

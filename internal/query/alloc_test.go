@@ -191,31 +191,40 @@ func acceptFixture(t *testing.T, n int) (*spatialdb.Store, []*Plan, map[string]*
 
 // TestAcceptPathAllocs pins the accept path: a RunStream pays a fixed
 // allocation budget per run — the same at 40 and at 400 candidates,
-// prefixes and solutions — and RunCtx adds at most 2 allocations per
-// solution, the tuple that escapes into the Result (plus the amortised
-// growth of the Result's slice).
+// prefixes and solutions, serially and fanned out over two workers — and
+// RunCtx adds at most 2 allocations per solution, the tuple that escapes
+// into the Result (plus the amortised growth of the Result's slice).
 func TestAcceptPathAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	const small, large = 40, 400
-	measure := func(n int) (stream, buffered []float64) {
+	workerCounts := []int{1, 2}
+	// stream[w][steps-1] is the allocations of one RunStream with
+	// workerCounts[w]; buffered[steps-1] those of one RunCtx.
+	measure := func(n int) (stream [][]float64, buffered []float64) {
 		store, plans, params := acceptFixture(t, n)
+		stream = make([][]float64, len(workerCounts))
 		for steps, plan := range plans {
-			found := 0
-			runStream := func() {
-				found = 0
-				st, err := plan.RunStream(context.Background(), store, params, DefaultOptions,
-					func(Solution) bool { found++; return true })
-				if err != nil || st.Candidates != (steps+1)*n || st.ExactRejects != 0 || st.FinalRejected != 0 {
-					t.Fatalf("%d-step plan at n=%d is not all-accept: %+v (err %v)", steps+1, n, st, err)
+			for w, workers := range workerCounts {
+				found := 0 // the run lends one solution at a time
+				runStream := func() {
+					found = 0
+					st, err := plan.RunStream(context.Background(), store, params, DefaultOptions, workers,
+						func(Solution) bool { found++; return true })
+					if err != nil || st.Candidates != (steps+1)*n || st.ExactRejects != 0 || st.FinalRejected != 0 {
+						t.Fatalf("%d-step plan at n=%d, %d workers is not all-accept: %+v (err %v)", steps+1, n, workers, st, err)
+					}
 				}
+				runStream()
+				if found != n {
+					t.Fatalf("%d-step plan at n=%d, %d workers found %d solutions, want %d", steps+1, n, workers, found, n)
+				}
+				// 100 runs: AllocsPerRun's switch to GOMAXPROCS(1) empties the
+				// frame pool, and a parallel run's frames trade the gathering
+				// role on the next run, so their one-off growth is amortised.
+				stream[w] = append(stream[w], testing.AllocsPerRun(100, runStream))
 			}
-			runStream()
-			if found != n {
-				t.Fatalf("%d-step plan at n=%d found %d solutions, want %d", steps+1, n, found, n)
-			}
-			stream = append(stream, testing.AllocsPerRun(20, runStream))
 			buffered = append(buffered, testing.AllocsPerRun(20, func() {
 				if _, err := plan.RunCtx(context.Background(), store, params, DefaultOptions); err != nil {
 					t.Fatal(err)
@@ -226,18 +235,24 @@ func TestAcceptPathAllocs(t *testing.T) {
 	}
 	streamSmall, _ := measure(small)
 	streamLarge, bufferedLarge := measure(large)
-	t.Logf("RunStream allocs/run at n=%d: %v, at n=%d: %v; RunCtx at n=%d: %v",
-		small, streamSmall, large, streamLarge, large, bufferedLarge)
-	// 13–14 fixed allocations per run measured at commit time (algebra,
-	// parameter binding, layer resolution, execCtl); the budget leaves
-	// headroom for a pool emptied by a GC cycle mid-measurement.
+	t.Logf("RunStream allocs/run by workers %v at n=%d: %v, at n=%d: %v; RunCtx at n=%d: %v",
+		workerCounts, small, streamSmall, large, streamLarge, large, bufferedLarge)
+	// 13–14 fixed allocations per serial run measured at commit time
+	// (algebra, parameter binding, layer resolution, execCtl), 3–4 more
+	// with two workers (the shared fan state, its lend callback, the second
+	// worker's goroutine); the budget leaves headroom for a pool emptied by
+	// a GC cycle mid-measurement.
 	const budget = 32
-	for i := range streamLarge {
-		if streamLarge[i] > budget || streamLarge[i] > streamSmall[i]+4 {
-			t.Errorf("%d-step RunStream: %v allocs per run at n=%d, %v at n=%d: want a fixed budget <= %d",
-				i+1, streamLarge[i], large, streamSmall[i], small, budget)
+	for w, workers := range workerCounts {
+		for i := range streamLarge[w] {
+			if streamLarge[w][i] > budget || streamLarge[w][i] > streamSmall[w][i]+4 {
+				t.Errorf("%d-step RunStream, %d workers: %v allocs per run at n=%d, %v at n=%d: want a fixed budget <= %d",
+					i+1, workers, streamLarge[w][i], large, streamSmall[w][i], small, budget)
+			}
 		}
-		if perSolution := (bufferedLarge[i] - streamLarge[i]) / large; perSolution > 2 {
+	}
+	for i := range bufferedLarge {
+		if perSolution := (bufferedLarge[i] - streamLarge[0][i]) / large; perSolution > 2 {
 			t.Errorf("%d-step RunCtx: %.2f allocs per solution over RunStream, want <= 2", i+1, perSolution)
 		}
 	}

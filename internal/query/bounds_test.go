@@ -128,7 +128,7 @@ func TestCancelFromStreamYield(t *testing.T) {
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		seen := 0
-		stats, err := plan.RunStream(ctx, store, params, DefaultOptions, func(Solution) bool {
+		stats, err := plan.RunStream(ctx, store, params, DefaultOptions, 1, func(Solution) bool {
 			seen++
 			cancel()
 			return true
@@ -144,6 +144,35 @@ func TestCancelFromStreamYield(t *testing.T) {
 		}
 		if stats.Candidates >= full.Stats.Candidates {
 			t.Errorf("%s: cancellation examined all %d candidates", kind, stats.Candidates)
+		}
+	}
+}
+
+// TestStreamYieldFalseStopsAllWorkers: a consumer stop is run-wide.
+// With four workers, a yield that returns false on the first solution is
+// called exactly once — no other worker lends it another tuple — and the
+// run comes back without the Truncated/Cancelled flags.
+func TestStreamYieldFalseStopsAllWorkers(t *testing.T) {
+	for _, kind := range allKinds {
+		store, params := smugglerFixture(t, kind, workload.MapConfig{Seed: 42})
+		plan, err := Compile(Smuggler(), store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls := 0 // the run lends one solution at a time, so no lock is needed
+		stats, err := plan.RunStream(context.Background(), store, params, DefaultOptions, 4, func(Solution) bool {
+			calls++
+			time.Sleep(2 * time.Millisecond) // let the other workers queue up behind the stop
+			return false
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 1 {
+			t.Errorf("%s: yield called %d times after returning false", kind, calls)
+		}
+		if stats.Truncated || stats.Cancelled {
+			t.Errorf("%s: consumer stop must not set Truncated/Cancelled: %+v", kind, stats)
 		}
 	}
 }
@@ -260,7 +289,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	var streamed []Solution
-	stats, err := plan.RunStream(context.Background(), store, params, DefaultOptions, func(s Solution) bool {
+	stats, err := plan.RunStream(context.Background(), store, params, DefaultOptions, 1, func(s Solution) bool {
 		streamed = append(streamed, s.Clone()) // s is lent for the call only
 		return true
 	})
@@ -283,7 +312,7 @@ func TestRunStreamMatchesRun(t *testing.T) {
 
 	// Consumer stop: yield false after the first solution.
 	seen := 0
-	stats, err = plan.RunStream(context.Background(), store, params, DefaultOptions, func(Solution) bool {
+	stats, err = plan.RunStream(context.Background(), store, params, DefaultOptions, 1, func(Solution) bool {
 		seen++
 		return false
 	})

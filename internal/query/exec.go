@@ -40,8 +40,9 @@ func stepLayerNames(p *Plan) []string {
 
 // execFrame is the per-goroutine state of one bounded execution: the
 // serial executor owns a single frame, each parallel worker owns its
-// own, and all frames of a run share one execCtl (cancellation and the
-// solution limit are run-wide, statistics and buffers are frame-local).
+// own, and all frames of a run share one execCtl (cancellation, the
+// consumer's stop and the solution limit are run-wide, statistics and
+// buffers are frame-local).
 //
 // The frame owns all hot-path scratch — per step the compiled box
 // programs' specScratch, the exact filter's region.Scratch and values,
@@ -64,8 +65,9 @@ type execFrame struct {
 	check   region.Scratch // the final check's intermediate values
 	checkIn region.Algebra // the run's algebra bound to check
 	stats   Stats
-	emit    func(Solution) bool // false stops this frame's search
-	stopped bool                // the emit callback asked to stop
+	emit    func(Solution) bool // false stops the whole run
+	gather  bool                // keep step 0's survivors in firsts instead of extending them
+	firsts  []spatialdb.Object  // what a parallel run's workers drain
 }
 
 // stepFrame is one step's share of the frame. Step i's state must
@@ -88,6 +90,7 @@ type stepFrame struct {
 const (
 	maxPooledIDs     = 1 << 15 // ids per step (256 KiB)
 	maxPooledScratch = 1 << 14 // boxes + coordinates per region.Scratch
+	maxPooledFirsts  = 1 << 12 // first-step survivors (320 KiB)
 )
 
 var framePool = sync.Pool{New: func() any { return new(execFrame) }}
@@ -144,14 +147,16 @@ func (f *execFrame) release() Stats {
 	clear(f.envBox)
 	clear(f.tuple)
 	clear(f.out)
+	clear(f.firsts)
+	if f.firsts = f.firsts[:0]; cap(f.firsts) > maxPooledFirsts {
+		f.firsts = nil
+	}
 	stats := f.stats
 	f.p, f.ctl, f.layers, f.emit = nil, nil, nil, nil
-	f.stats, f.stopped = Stats{}, false
+	f.stats, f.gather = Stats{}, false
 	framePool.Put(f)
 	return stats
 }
-
-func (f *execFrame) halted() bool { return f.stopped || f.ctl.halted() }
 
 // run is the incremental recursion from step i: evaluate the step's box
 // functions against the bound prefix, issue ONE range query, filter and
@@ -194,13 +199,14 @@ func (f *execFrame) bindExact(i int) {
 }
 
 // consider is step i's candidate callback: exact-filter o against the
-// step's values and, if it passes, extend the tuple and recurse.
+// step's values and, if it passes, extend the tuple and recurse (or
+// gather it).
 func (f *execFrame) consider(i int, o spatialdb.Object) bool {
 	f.stats.Candidates++
 	if f.stats.Candidates%cancelCheckEvery == 0 {
 		f.ctl.poll()
 	}
-	if f.halted() {
+	if f.ctl.halted() {
 		return false
 	}
 	sf := &f.steps[i]
@@ -209,6 +215,16 @@ func (f *execFrame) consider(i int, o spatialdb.Object) bool {
 		return true
 	}
 	f.stats.Extended++
+	if f.gather {
+		f.firsts = append(f.firsts, o)
+		return true
+	}
+	f.extend(i, o)
+	return !f.ctl.halted()
+}
+
+// extend binds o to step i, runs the steps below it and unbinds it.
+func (f *execFrame) extend(i int, o spatialdb.Object) {
 	v := f.p.Steps[i].Var
 	f.tuple[i] = o
 	f.env[v] = o.Reg
@@ -216,7 +232,6 @@ func (f *execFrame) consider(i int, o spatialdb.Object) bool {
 	f.run(i + 1)
 	f.env[v] = nil
 	f.envBox[v] = bbox.Box{}
-	return !f.halted()
 }
 
 // final verifies a complete tuple against the original system and emits
@@ -246,7 +261,7 @@ func (f *execFrame) final() {
 		objs = f.out
 	}
 	if !f.emit(Solution{Objects: objs}) {
-		f.stopped = true
+		f.ctl.stopped.Store(true)
 	}
 }
 
@@ -265,15 +280,17 @@ func (p *Plan) Run(store *spatialdb.Store, params map[string]*region.Region, opt
 	return p.RunCtx(context.Background(), store, params, opts)
 }
 
-// RunCtx is Run bounded by a context: cancellation (or deadline expiry)
-// stops the recursion within cancelCheckEvery candidates, releases the
-// store's read guard, and returns the solutions found so far with
-// Stats.Cancelled set — a partial result, not an error. Options.Limit
-// likewise stops the search at the given number of solutions, flagging
-// Stats.Truncated.
+// RunCtx is Run bounded by a context and Options.Limit: RunStream's
+// solutions collected in depth-first order, a cancelled or capped run's
+// partial result flagged Stats.Cancelled/Stats.Truncated, not an error.
 func (p *Plan) RunCtx(ctx context.Context, store *spatialdb.Store, params map[string]*region.Region, opts Options) (*Result, error) {
+	return p.collect(ctx, store, params, opts, 1)
+}
+
+// collect runs RunStream and keeps a clone of every solution it lends.
+func (p *Plan) collect(ctx context.Context, store *spatialdb.Store, params map[string]*region.Region, opts Options, workers int) (*Result, error) {
 	res := &Result{}
-	stats, err := p.RunStream(ctx, store, params, opts, func(s Solution) bool {
+	stats, err := p.RunStream(ctx, store, params, opts, workers, func(s Solution) bool {
 		res.Solutions = append(res.Solutions, s.Clone())
 		return true
 	})
@@ -284,16 +301,18 @@ func (p *Plan) RunCtx(ctx context.Context, store *spatialdb.Store, params map[st
 	return res, nil
 }
 
-// RunStream executes like RunCtx but hands each solution to yield as it
-// is found instead of buffering the result set — the executor needs
-// O(steps) memory regardless of how many tuples match, and allocates
-// nothing per solution: the Solution passed to yield borrows the
-// executor's tuple buffer and is valid only until yield returns (Clone it
-// to keep it). Returning false from yield stops the search early (without
-// flagging the run truncated or cancelled). The callback is invoked while
-// the store's read guard is held, so a yield that blocks indefinitely
-// pins the store against writers; bound it with the context.
-func (p *Plan) RunStream(ctx context.Context, store *spatialdb.Store, params map[string]*region.Region, opts Options, yield func(Solution) bool) (Stats, error) {
+// RunStream is the plan executor RunCtx and RunParallelCtx collect from.
+// It hands each solution to yield as it is found instead of buffering the
+// result set — the executor needs O(steps) memory regardless of how many
+// tuples match, and allocates nothing per solution: the Solution passed to
+// yield borrows the executor's tuple buffer and is valid only until yield
+// returns (Clone it to keep it). Returning false from yield stops the
+// search early (without flagging the run truncated or cancelled). The
+// callback is invoked while the store's read guard is held, so a yield
+// that blocks indefinitely pins the store against writers; bound it with
+// the context. workers > 1 splits the first step's survivors across that
+// many goroutines (fanOut); yield still sees one solution at a time.
+func (p *Plan) RunStream(ctx context.Context, store *spatialdb.Store, params map[string]*region.Region, opts Options, workers int, yield func(Solution) bool) (Stats, error) {
 	alg := region.NewAlgebra(store.Universe())
 	env, err := bindParams(p.Query, alg, params)
 	if err != nil {
@@ -320,8 +339,12 @@ func (p *Plan) RunStream(ctx context.Context, store *spatialdb.Store, params map
 	}
 
 	f := acquireFrame(p, ctl, opts, alg, layers, store.K(), env, envBoxes(alg, env), yield)
-	f.run(0)
-	stats = f.release()
+	if workers > 1 && len(p.Steps) > 0 {
+		stats = f.fanOut(workers, alg)
+	} else {
+		f.run(0)
+		stats = f.release()
+	}
 	ctl.finish(&stats)
 	return stats, nil
 }

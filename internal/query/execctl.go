@@ -16,11 +16,13 @@ const cancelCheckEvery = 256
 // polling the context's done channel and latched into an atomic flag so
 // all workers see it on their next check; the solution limit is
 // enforced with an atomic reservation counter so parallel workers never
-// over-emit, whatever the interleaving.
+// over-emit, whatever the interleaving. A yield returning false latches
+// stopped, which halts every worker without flagging the run.
 type execCtl struct {
 	done      <-chan struct{} // nil when the context cannot be cancelled
 	limit     int64           // max solutions to emit; ≤ 0 means unlimited
 	emitted   atomic.Int64
+	stopped   atomic.Bool
 	cancelled atomic.Bool
 	truncated atomic.Bool
 }
@@ -65,13 +67,13 @@ func (c *execCtl) reserve() bool {
 	return true
 }
 
-// halted reports whether execution should unwind: the context was
-// cancelled or the solution limit has been reached. Reaching the limit
-// marks the run truncated — the search stops before exhausting the
-// space (a run whose solution count happens to equal the limit exactly
-// may therefore also be flagged).
+// halted reports whether execution should unwind: the run was stopped
+// or cancelled, or the solution limit has been reached. Reaching the limit
+// marks the run truncated — the search stops before exhausting the space
+// (a run whose solution count happens to equal the limit exactly may
+// therefore also be flagged).
 func (c *execCtl) halted() bool {
-	if c.cancelled.Load() {
+	if c.stopped.Load() || c.cancelled.Load() {
 		return true
 	}
 	if c.limit > 0 && c.emitted.Load() >= c.limit {

@@ -21,13 +21,14 @@
 // original system in the exact region algebra, so every execution mode
 // returns the same, sound solution set.
 //
-// Execution is cancellable and boundable: every executor has a
-// context-aware variant (RunCtx, RunParallelCtx, RunNaiveCtx, RunStream)
-// that polls cancellation every few hundred candidates, stops at
-// Options.Limit solutions, and returns the partial result flagged
-// Stats.Cancelled/Stats.Truncated instead of an error — so one
-// pathological query can neither pin the store's read guard forever nor
-// buffer an unbounded result set.
+// Plan.RunStream is the one plan executor, serial or fanned out over
+// workers; RunCtx and RunParallelCtx collect from it, and RunNaiveCtx is
+// the separate reference. Execution is cancellable and boundable: every
+// context-aware entry point polls cancellation every few hundred
+// candidates, stops at Options.Limit solutions, and returns the partial
+// result flagged Stats.Cancelled/Stats.Truncated instead of an error — so
+// one pathological query can neither pin the store's read guard forever
+// nor buffer an unbounded result set.
 //
 // DESIGN.md §2 ("Compilation") places this package in the module map; §3 describes the concurrency contract the executors uphold.
 package query
@@ -104,6 +105,17 @@ type Stats struct {
 	DB            spatialdb.Stats
 }
 
+// add sums another frame's work counters into s (the flags are the run's).
+func (s *Stats) add(o Stats) {
+	s.Candidates += o.Candidates
+	s.ExactRejects += o.ExactRejects
+	s.Extended += o.Extended
+	s.FinalChecked += o.FinalChecked
+	s.FinalRejected += o.FinalRejected
+	s.Solutions += o.Solutions
+	s.DB.Add(o.DB)
+}
+
 // Solution is one tuple of objects, in retrieval order.
 type Solution struct {
 	Objects []spatialdb.Object
@@ -141,6 +153,7 @@ func RunNaive(q *Query, store *spatialdb.Store, params map[string]*region.Region
 
 // RunNaiveCtx is RunNaive bounded by a context and Options.Limit (the
 // filter options are meaningless for the naive baseline and ignored).
+// It shares only the execCtl with Plan.RunStream, which it checks.
 // Cancellation and the limit behave exactly as in Plan.RunCtx: the
 // search stops early, the read guard is released, and the partial
 // result comes back with Stats.Cancelled/Stats.Truncated set rather

@@ -291,13 +291,15 @@ func TestBatchNaivePinnedEpoch(t *testing.T) {
 	req.Naive = true
 	enc := acquireEncoder(true)
 	defer enc.release()
-	status, err := s.execQuery(context.Background(), store, gen, pinned, &req, enc, -1)
+	enc.begin(-1)
+	sum, err := s.execQuery(context.Background(), store, gen, pinned, &req, enc.add)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
+	if sum.stats.Cancelled {
+		t.Fatalf("cancelled: %+v", sum.stats)
 	}
+	enc.finish(&sum, sum.naive)
 	var resp queryResponse
 	if err := json.Unmarshal(enc.buf, &resp); err != nil {
 		t.Fatal(err)

@@ -220,7 +220,6 @@ func (w *jsonWriter) stats(st query.Stats) {
 
 // runSummary is everything a query reply says after its solutions.
 type runSummary struct {
-	count     int
 	cached    bool
 	naive     bool
 	epoch     uint64
@@ -236,7 +235,7 @@ type runSummary struct {
 //
 //boolq:noalloc
 func (w *jsonWriter) summary(sum *runSummary) {
-	w.intField("count", sum.count)
+	w.intField("count", sum.stats.Solutions)
 	w.boolField("cached", sum.cached)
 	w.flagField("naive", sum.naive)
 	w.flagField("truncated", sum.stats.Truncated)
@@ -255,7 +254,6 @@ func (w *jsonWriter) summary(sum *runSummary) {
 // reordered plan found them in another one.
 type respEncoder struct {
 	jsonWriter
-	count    int
 	arrayAt  int     // offset just past the solutions array's '['
 	spans    []span  // each tuple's bytes, separator excluded
 	ids      []int64 // each tuple's ids, width per tuple
@@ -294,7 +292,7 @@ func (e *respEncoder) release() {
 //boolq:noalloc
 func (e *respEncoder) reset() {
 	e.buf, e.depth, e.empty = e.buf[:0], 0, false
-	e.count, e.unsorted = 0, false
+	e.unsorted = false
 	e.spans, e.ids = e.spans[:0], e.ids[:0]
 }
 
@@ -329,7 +327,6 @@ func (e *respEncoder) add(sol query.Solution) bool {
 	if at > 0 && slices.Compare(e.ids[at-e.width:at], e.ids[at:]) > 0 { //boolq:allowalloc slices.Compare over two int64 windows allocates nothing
 		e.unsorted = true
 	}
-	e.count++
 	return true
 }
 
@@ -342,7 +339,6 @@ func (e *respEncoder) finish(sum *runSummary, keepOrder bool) {
 		e.sortTuples()
 	}
 	e.close(']')
-	sum.count = e.count
 	e.summary(sum)
 	if sum.plan != "" {
 		e.key("plan")

@@ -136,6 +136,7 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 
 	for _, v := range variants {
 		for _, n := range []int{0, 1, 700} {
+			v.sum.stats.Solutions = n // the reply's count
 			for width := 1; width <= 3; width++ {
 				sols := testSolutions(n, width)
 				want := queryResponse{
@@ -186,7 +187,7 @@ func TestEncoderMatchesEncodingJSON(t *testing.T) {
 					}
 				}
 				sum := v.sum
-				sum.count, sum.naive = n, false // ?stream=1 rejects naive requests
+				sum.naive = false // ?stream=1 rejects naive requests
 				enc.streamSummary(&sum)
 				ref := marshal(t, streamSummary{Done: true, Count: n, Cached: sum.cached,
 					Truncated: sum.stats.Truncated, Cancelled: sum.stats.Cancelled,
@@ -295,22 +296,27 @@ func postQuery(t *testing.T, s *Server, path string, body []byte) []byte {
 }
 
 // TestPooledBuffersDoNotAlias (run under -race) sends the eight hot query
-// shapes from eight goroutines at once against one server and compares
-// every body — /query and /query/batch lines alike — with the answer the
-// same request got when it ran alone. A pooled frame, scratch or encode
-// buffer shared between two in-flight requests would corrupt one of them.
+// shapes from eight goroutines at once against one server, each at
+// "workers": 1 and at "workers": 2, and compares every body — /query and
+// /query/batch lines alike — with the answer the serial request got when
+// it ran alone. A pooled frame, scratch or encode buffer shared between
+// two in-flight requests (or two workers of one) would corrupt one of
+// them. The ?stream=1 replies of both worker counts carry the same
+// multiset of solution lines and the same summary line.
 func TestPooledBuffersDoNotAlias(t *testing.T) {
 	s := New(hotStore(1200), Options{})
-	var bodies [][]byte
+	var bodies [][]byte // bodies[2i] is serial, bodies[2i+1] the same query at two workers
 	for i, text := range hotTexts {
 		for _, side := range []float64{150, 400} {
 			x := float64(37*i) + side/3
-			body, err := json.Marshal(queryRequest{Query: text, Params: map[string]jsonRegion{
-				"W": toJSONRegion(region.FromBox(bbox.Rect(x, x, x+side, x+side)))}})
-			if err != nil {
-				t.Fatal(err)
+			for _, workers := range []int{1, 2} {
+				body, err := json.Marshal(queryRequest{Query: text, Workers: workers, Params: map[string]jsonRegion{
+					"W": toJSONRegion(region.FromBox(bbox.Rect(x, x, x+side, x+side)))}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				bodies = append(bodies, body)
 			}
-			bodies = append(bodies, body)
 		}
 	}
 	for _, b := range bodies { // first pass: compile and cache every plan
@@ -318,14 +324,15 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 	}
 	want := make([][]byte, len(bodies))
 	nonEmpty := 0
-	for i, b := range bodies {
-		want[i] = postQuery(t, s, "/query", b)
+	for i := 0; i < len(bodies); i += 2 {
+		want[i] = postQuery(t, s, "/query", bodies[i])
+		want[i+1] = want[i]
 		if !bytes.Contains(want[i], []byte(`"count": 0,`)) {
 			nonEmpty++
 		}
 	}
-	if nonEmpty < len(bodies)/2 {
-		t.Fatalf("only %d of %d reference answers have solutions", nonEmpty, len(bodies))
+	if nonEmpty < len(bodies)/4 {
+		t.Fatalf("only %d of %d reference answers have solutions", nonEmpty, len(bodies)/2)
 	}
 
 	var wg sync.WaitGroup
@@ -337,7 +344,7 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 				for k := range bodies {
 					i := (k + 5*g) % len(bodies)
 					if got := postQuery(t, s, "/query", bodies[i]); !bytes.Equal(got, want[i]) {
-						t.Errorf("goroutine %d: body of request %d differs from its sequential answer", g, i)
+						t.Errorf("goroutine %d: body of request %d differs from its sequential serial answer", g, i)
 						return
 					}
 				}
@@ -367,33 +374,64 @@ func TestPooledBuffersDoNotAlias(t *testing.T) {
 			t.Errorf("batch line %d differs from the /query answer:\n%s\n%s", res.Index, line, wantLine)
 		}
 	}
+
+	// ?stream=1: lines leave in discovery order, so compare sorted lines;
+	// the summary stays last.
+	for i := 0; i < len(bodies); i += 2 {
+		var replies [2][][]byte
+		for w := range replies {
+			replies[w] = bytes.Split(bytes.TrimSpace(postQuery(t, s, "/query?stream=1", bodies[i+w])), []byte("\n"))
+			n := len(replies[w]) - 1
+			slices.SortFunc(replies[w][:n], bytes.Compare)
+		}
+		if !slices.EqualFunc(replies[0], replies[1], bytes.Equal) {
+			t.Errorf("stream of request %d differs between 1 and 2 workers:\n%s\n%s",
+				i, bytes.Join(replies[0], []byte("\n")), bytes.Join(replies[1], []byte("\n")))
+		}
+	}
 }
 
 // TestEmitPathAllocs pins the server's emit path: executing a cached
 // query and encoding its reply costs a fixed number of allocations per
-// request — the same for 30 solutions as for several hundred — because
-// tuples go from the executor's frame straight into a pooled buffer.
+// request — the same for 30 solutions as for several hundred, serially
+// and fanned out over two workers — because tuples go from the executor's
+// frames straight into a pooled buffer.
 func TestEmitPathAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
+	type input struct {
+		text    string
+		workers int
+	}
+	var inputs []input
+	for _, workers := range []int{1, 2} {
+		for _, text := range []string{hotTexts[0], hotTexts[2], hotTexts[7]} {
+			inputs = append(inputs, input{text, workers})
+		}
+	}
 	measure := func(parcels int) (allocs []float64, counts []int) {
 		s := New(hotStore(parcels), Options{})
 		store, gen := s.storeAndGen()
-		for _, text := range []string{hotTexts[0], hotTexts[2], hotTexts[7]} {
-			req := queryRequest{Query: text, Params: map[string]jsonRegion{
+		for _, in := range inputs {
+			req := queryRequest{Query: in.text, Workers: in.workers, Params: map[string]jsonRegion{
 				"W": toJSONRegion(region.FromBox(bbox.Rect(100, 100, 500, 500)))}}
 			count := 0
 			run := func() {
 				enc := acquireEncoder(true)
-				if _, err := s.execQuery(context.Background(), store, gen, store.Epoch(), &req, enc, -1); err != nil {
+				enc.begin(-1)
+				sum, err := s.execQuery(context.Background(), store, gen, store.Epoch(), &req, enc.add)
+				if err != nil {
 					t.Fatal(err)
 				}
-				count = enc.count
+				enc.finish(&sum, sum.naive)
+				count = sum.stats.Solutions
 				enc.release()
 			}
 			run() // compile and cache the plan, warm the pools
-			allocs = append(allocs, testing.AllocsPerRun(20, run))
+			// 100 runs amortise the one-off buffer growth of a parallel run's
+			// frames, which trade roles after AllocsPerRun empties the pools.
+			allocs = append(allocs, testing.AllocsPerRun(100, run))
 			counts = append(counts, count)
 		}
 		return allocs, counts
@@ -401,16 +439,17 @@ func TestEmitPathAllocs(t *testing.T) {
 	small, smallCounts := measure(300)
 	large, largeCounts := measure(3000)
 	t.Logf("allocs per request: %v for %v solutions, %v for %v solutions", small, smallCounts, large, largeCounts)
-	// 37–42 fixed allocations per request measured at commit time
-	// (normalisation, parameter decoding, the run's context and algebra).
+	// 37–42 fixed allocations per serial request measured at commit time
+	// (normalisation, parameter decoding, the run's context and algebra),
+	// a few more with two workers.
 	const budget = 96
-	for i := range large {
+	for i, in := range inputs {
 		if largeCounts[i] < 5*smallCounts[i] || smallCounts[i] == 0 {
 			t.Fatalf("fixture does not scale: %v vs %v solutions", smallCounts, largeCounts)
 		}
 		if large[i] > budget || large[i] > small[i]+4 {
-			t.Errorf("query %d: %v allocs for %d solutions, %v for %d: want a fixed budget <= %d",
-				i, large[i], largeCounts[i], small[i], smallCounts[i], budget)
+			t.Errorf("%q at %d workers: %v allocs for %d solutions, %v for %d: want a fixed budget <= %d",
+				in.text, in.workers, large[i], largeCounts[i], small[i], smallCounts[i], budget)
 		}
 	}
 }

@@ -204,33 +204,16 @@ func (s *Server) clampWorkers(requested int) int {
 	return w
 }
 
-// queryContext derives one run's execution context: the request context
-// (a client disconnect cancels it) bounded by the server-side default
+// runTimeout is one run's execution bound: the server-side default
 // timeout, tightened further by the request's own timeout_ms.
-func (s *Server) queryContext(parent context.Context, timeoutMS int64) (context.Context, context.CancelFunc) {
+func (s *Server) runTimeout(timeoutMS int64) time.Duration {
 	d := s.queryTimeout
 	if timeoutMS > 0 {
 		if rd := time.Duration(timeoutMS) * time.Millisecond; rd < d {
 			d = rd
 		}
 	}
-	return context.WithTimeout(parent, d)
-}
-
-// countOutcome bumps the bounded-execution counters for one finished
-// run: expiry of the derived deadline counts as a timeout, any other
-// cancellation (client disconnect, parent cancel) as cancelled.
-func (s *Server) countOutcome(ctx context.Context, st query.Stats) {
-	if st.Truncated {
-		s.metrics.QueryTruncated.Add(1)
-	}
-	if st.Cancelled {
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.metrics.QueryTimeouts.Add(1)
-		} else {
-			s.metrics.QueryCancelled.Add(1)
-		}
-	}
+	return d
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -258,11 +241,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	enc := acquireEncoder(true)
 	defer enc.release()
 	store, gen := s.storeAndGen()
-	status, err := s.execQuery(r.Context(), store, gen, store.Epoch(), &req, enc, -1)
+	enc.begin(-1)
+	sum, err := s.execQuery(r.Context(), store, gen, store.Epoch(), &req, enc.add)
 	if err != nil {
 		s.metrics.QueryErrors.Add(1)
-		writeError(w, status, "%v", err)
+		writeError(w, http.StatusBadRequest, "%v", err)
 		return
+	}
+	enc.finish(&sum, sum.naive)
+	status := http.StatusOK
+	if sum.stats.Cancelled {
+		status = http.StatusRequestTimeout // the body is the partial result
 	}
 	// The reply was encoded while the run held the store's read guard; the
 	// network write happens only now, with the guard released.
@@ -342,94 +331,82 @@ func (s *Server) lookupPlan(store *spatialdb.Store, gen, epoch uint64, normalize
 	return plan, false, nil
 }
 
-// observeRun feeds one finished optimized run's cost back to the tuner,
-// closing the adaptive loop: the next compile of this query at a new
-// epoch ranks its executed order by this measured cost instead of the
-// histogram estimate.
-func (s *Server) observeRun(normalized string, plan *query.Plan, epoch uint64, st query.Stats) {
-	if s.staticPlan || plan == nil {
-		return
-	}
-	if s.tuner.Observe(normalized, plan.OrderKey(), epoch, st) {
-		s.metrics.TunerObservations.Add(1)
-	}
-}
-
-// execQuery executes one request against a pinned (store, generation,
-// epoch) snapshot and encodes the reply into enc — as a /query body, or,
-// with index ≥ 0, as that query's /query/batch line. The batch handler
-// captures the snapshot once so every query of a batch compiles and
-// caches plans against the same plan generation; the single-query handler
-// passes the current one. The serial executor hands each verified tuple
-// straight to the encoder; the parallel and naive executors' buffered
-// results go through the same encoder afterwards. The run is bounded by
-// the derived query context; an expired or disconnected run encodes its
-// partial result and reports status 408 with the cancelled flag rather
-// than an error. On error enc holds a partial reply the caller discards.
-func (s *Server) execQuery(ctx context.Context, store *spatialdb.Store, gen, epoch uint64, req *queryRequest, enc *respEncoder, index int) (int, error) {
+// execQuery resolves and runs one request against a pinned (store,
+// generation, epoch) snapshot, lending each solution to yield as
+// query.Plan.RunStream does; the handlers' yields encode. The batch
+// handler pins the snapshot once so every query of a batch compiles and
+// caches plans against the same plan generation; the single-query
+// handlers pass the current one. Planned runs use the request's clamped
+// workers; only the naive baseline buffers, then replays into yield. An
+// expired or disconnected run returns its partial summary flagged
+// cancelled rather than an error; every error is the client's (400).
+func (s *Server) execQuery(ctx context.Context, store *spatialdb.Store, gen, epoch uint64, req *queryRequest, yield func(query.Solution) bool) (runSummary, error) {
+	sum := runSummary{naive: req.Naive, epoch: epoch}
 	normalized, err := lang.Normalize(req.Query)
 	if err != nil {
-		return http.StatusBadRequest, err
+		return sum, err
 	}
 	params, err := decodeParams(store, req)
 	if err != nil {
-		return http.StatusBadRequest, err
+		return sum, err
 	}
 	start := time.Now()
-	qctx, cancel := s.queryContext(ctx, req.TimeoutMS)
+	qctx, cancel := context.WithTimeout(ctx, s.runTimeout(req.TimeoutMS))
 	defer cancel()
 	opts := query.Options{UseIndex: !req.NoIndex, UseExact: !req.NoExact, Limit: req.Limit}
 
-	enc.begin(index)
-	sum := runSummary{naive: req.Naive, epoch: epoch}
-	var buffered *query.Result // set by the executors that cannot stream
-	var plan *query.Plan
 	if req.Naive {
 		s.metrics.QueriesNaive.Add(1)
 		q, err := lang.Parse(normalized)
 		if err != nil {
-			return http.StatusBadRequest, err
+			return sum, err
 		}
-		if buffered, err = query.RunNaiveCtx(qctx, q, store, params, opts); err != nil {
-			return http.StatusBadRequest, err
-		}
-	} else {
-		if plan, sum.cached, err = s.lookupPlan(store, gen, epoch, normalized, params); err != nil {
-			return http.StatusBadRequest, err
-		}
-		if workers := s.clampWorkers(req.Workers); workers > 1 {
-			buffered, err = plan.RunParallelCtx(qctx, store, params, opts, workers)
-		} else {
-			sum.stats, err = plan.RunStream(qctx, store, params, opts, enc.add)
-		}
+		res, err := query.RunNaiveCtx(qctx, q, store, params, opts)
 		if err != nil {
-			return http.StatusBadRequest, err
+			return sum, err
+		}
+		for _, sol := range res.Solutions {
+			if !yield(sol) {
+				break
+			}
+		}
+		sum.stats = res.Stats
+	} else {
+		var plan *query.Plan
+		if plan, sum.cached, err = s.lookupPlan(store, gen, epoch, normalized, params); err != nil {
+			return sum, err
+		}
+		if sum.stats, err = plan.RunStream(qctx, store, params, opts, s.clampWorkers(req.Workers), yield); err != nil {
+			return sum, err
 		}
 		sum.order = plan.OrderKey()
 		if req.Explain {
 			sum.plan = plan.Explain()
 		}
-	}
-	if buffered != nil {
-		for _, sol := range buffered.Solutions {
-			enc.add(sol)
+		// Feed the run's cost back to the tuner, closing the adaptive loop:
+		// the next compile of this query at a new epoch ranks its executed
+		// order by this measured cost instead of the histogram estimate.
+		if !s.staticPlan && s.tuner.Observe(normalized, sum.order, epoch, sum.stats) {
+			s.metrics.TunerObservations.Add(1)
 		}
-		sum.stats = buffered.Stats
 	}
-	s.observeRun(normalized, plan, epoch, sum.stats)
-	s.countOutcome(qctx, sum.stats)
+	// Expiry of the derived deadline counts as a timeout, any other
+	// cancellation (client disconnect, parent cancel) as cancelled.
+	switch {
+	case sum.stats.Cancelled && errors.Is(qctx.Err(), context.DeadlineExceeded):
+		s.metrics.QueryTimeouts.Add(1)
+	case sum.stats.Cancelled:
+		s.metrics.QueryCancelled.Add(1)
+	}
+	if sum.stats.Truncated {
+		s.metrics.QueryTruncated.Add(1)
+	}
 	sum.elapsedUS = time.Since(start).Microseconds()
-	// The naive baseline reports tuples in its own enumeration order; every
-	// planned run reports them sorted by ids.
-	enc.finish(&sum, req.Naive)
-	if sum.stats.Cancelled {
-		return http.StatusRequestTimeout, nil
-	}
-	return http.StatusOK, nil
+	return sum, nil
 }
 
 // handleQueryStream is POST /query?stream=1: each solution leaves as
-// its own NDJSON line the moment the executor finds it, followed by one
+// its own NDJSON line the moment a worker finds it, followed by one
 // summary line — wide result sets never buffer server-side. The store's
 // read guard is held while lines are written, so a slow client pins it;
 // the run context (server timeout ∧ timeout_ms ∧ client disconnect)
@@ -437,36 +414,11 @@ func (s *Server) execQuery(ctx context.Context, store *spatialdb.Store, gen, epo
 // errors detectable before execution (parse, compile, bad params) still
 // get a clean 400.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *queryRequest) {
-	fail := func(status int, err error) {
-		s.metrics.QueryErrors.Add(1)
-		writeError(w, status, "%v", err)
-	}
 	if req.Naive {
-		fail(http.StatusBadRequest, errors.New("stream=1 does not support naive execution"))
+		s.metrics.QueryErrors.Add(1)
+		writeError(w, http.StatusBadRequest, "stream=1 does not support naive execution")
 		return
 	}
-	store, gen := s.storeAndGen()
-	epoch := store.Epoch()
-	normalized, err := lang.Normalize(req.Query)
-	if err != nil {
-		fail(http.StatusBadRequest, err)
-		return
-	}
-	params, err := decodeParams(store, req)
-	if err != nil {
-		fail(http.StatusBadRequest, err)
-		return
-	}
-	plan, hit, err := s.lookupPlan(store, gen, epoch, normalized, params)
-	if err != nil {
-		fail(http.StatusBadRequest, err)
-		return
-	}
-	start := time.Now()
-	qctx, cancel := s.queryContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	opts := query.Options{UseIndex: !req.NoIndex, UseExact: !req.NoExact, Limit: req.Limit}
-
 	// Each response write carries the run's deadline as a connection
 	// write deadline: the executor holds the store's read guard while
 	// emitting, and without it a client that stops reading (TCP window
@@ -475,9 +427,10 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *
 	// the guard would be pinned indefinitely. With it the write errors
 	// out at the deadline, the yield returns false, and the run unwinds.
 	// (SetWriteDeadline is unsupported on some ResponseWriters, e.g.
-	// httptest recorders — then the context bound alone applies.)
+	// httptest recorders — then the context bound alone applies.) Taken
+	// before execQuery derives the run's context, it is never the later.
 	rc := http.NewResponseController(w)
-	deadline, hasDeadline := qctx.Deadline()
+	deadline := time.Now().Add(s.runTimeout(req.TimeoutMS))
 	enc := acquireEncoder(false) // one value per line
 	defer enc.release()
 	headerOut := false
@@ -488,9 +441,7 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *
 		if writeFailed {
 			return false
 		}
-		if hasDeadline {
-			_ = rc.SetWriteDeadline(deadline)
-		}
+		_ = rc.SetWriteDeadline(deadline)
 		if !headerOut {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(status)
@@ -506,34 +457,29 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request, req *
 		}
 		return true
 	}
-	sum := runSummary{cached: hit, epoch: epoch}
-	sum.stats, err = plan.RunStream(qctx, store, params, opts, func(sol query.Solution) bool {
-		sum.count++
+	store, gen := s.storeAndGen()
+	sum, err := s.execQuery(r.Context(), store, gen, store.Epoch(), req, func(sol query.Solution) bool {
 		enc.streamSolution(sol)
 		return emit()
 	})
 	if err != nil {
-		// Unbound parameter, or a layer dropped since compile. Before the
-		// first solution this is still a clean 400; afterwards the stream
-		// has started and the error becomes its closing line.
+		// Before the first solution this is still a clean 400; afterwards
+		// the stream has started and the error becomes its closing line.
+		s.metrics.QueryErrors.Add(1)
 		if !headerOut {
-			fail(http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, "%v", err)
 		} else {
-			s.metrics.QueryErrors.Add(1)
 			line, _ := json.Marshal(errorResponse{Error: err.Error()})
 			enc.buf = append(append(enc.buf[:0], line...), '\n')
 			emit()
 		}
 		return
 	}
-	s.observeRun(normalized, plan, epoch, sum.stats)
-	s.countOutcome(qctx, sum.stats)
 	if sum.stats.Cancelled {
 		// Only effective when no solution line has been written yet; an
 		// in-flight stream keeps its 200 and flags the summary instead.
 		status = http.StatusRequestTimeout
 	}
-	sum.elapsedUS = time.Since(start).Microseconds()
 	enc.streamSummary(&sum)
 	emit()
 }

@@ -301,7 +301,8 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 					continue
 				}
 				enc := acquireEncoder(false) // one result per line
-				_, err := s.execQuery(ctx, store, gen, epoch, &req.Queries[i], enc, i)
+				enc.begin(i)
+				sum, err := s.execQuery(ctx, store, gen, epoch, &req.Queries[i], enc.add)
 				release()
 				if err != nil {
 					enc.release()
@@ -310,6 +311,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 					writeLine(batchErrorLine{Index: i, Error: err.Error()})
 					continue
 				}
+				enc.finish(&sum, sum.naive)
 				writeRaw(enc.buf)
 				enc.release()
 			}

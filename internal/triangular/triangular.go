@@ -184,16 +184,10 @@ type StepValues struct {
 	P, Q         []boolalg.Element // per-disequation values, same index
 }
 
-// Values evaluates the step's formulas against env: the prefix-constant
-// part of the exact filter.
-func (st Step) Values(alg boolalg.Algebra, env []boolalg.Element) StepValues {
-	var v StepValues
-	st.ValuesInto(alg, env, &v)
-	return v
-}
-
-// ValuesInto is Values reusing v's disequation slices, so an executor
-// that keeps one StepValues per step allocates nothing per prefix.
+// ValuesInto evaluates the step's formulas against env — the
+// prefix-constant part of the exact filter — reusing v's disequation
+// slices, so an executor that keeps one StepValues per step allocates
+// nothing per prefix.
 func (st Step) ValuesInto(alg boolalg.Algebra, env []boolalg.Element, v *StepValues) {
 	v.Lower = formula.Eval(st.Lower, alg, env)
 	v.Upper = formula.Eval(st.Upper, alg, env)
@@ -227,9 +221,11 @@ func (st Step) SatisfiedWith(alg boolalg.Algebra, v StepValues, cand boolalg.Ele
 // bind all parameters and earlier variables, cand is the value proposed
 // for the step's variable. This is the executor's precise filter (as
 // opposed to the bounding-box filter compiled by internal/bbox); hot loops
-// should hoist Values out of the candidate scan and call SatisfiedWith.
+// should hoist ValuesInto out of the candidate scan and call SatisfiedWith.
 func (st Step) Satisfied(alg boolalg.Algebra, env []boolalg.Element, cand boolalg.Element) bool {
-	return st.SatisfiedWith(alg, st.Values(alg, env), cand)
+	var v StepValues
+	st.ValuesInto(alg, env, &v)
+	return st.SatisfiedWith(alg, v, cand)
 }
 
 // Vars returns every variable mentioned by the step's formulas (parameters

@@ -3,6 +3,7 @@ package zorder
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/bbox"
 )
@@ -21,8 +22,11 @@ type Index struct {
 	space  *Space
 	budget int
 	elems  []indexElem
-	sorted bool
 	boxes  map[int64]bbox.Box
+	// Concurrent searches (under the store's read guard) may race to sort
+	// elems lazily after an Insert; sortMu lets one of them do it.
+	sortMu sync.Mutex
+	sorted bool
 }
 
 type indexElem struct {
@@ -86,6 +90,8 @@ func (ix *Index) Insert(b bbox.Box, id int64) error {
 }
 
 func (ix *Index) ensureSorted() {
+	ix.sortMu.Lock()
+	defer ix.sortMu.Unlock()
 	if ix.sorted {
 		return
 	}
