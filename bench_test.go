@@ -523,8 +523,8 @@ func BenchmarkZOrderIndexSearch(b *testing.B) {
 //
 // The service benchmark pair isolates what the plan cache buys a serving
 // workload: "cold" is the full per-request pipeline a cache miss pays
-// (normalize → parse → compile → run), "cached" is the hit path
-// (normalize → cache lookup → run). The difference is the entire §3/§4
+// (normalize → parse → adaptive compile, boolqd's default -plan → run),
+// "cached" is the hit path (normalize → cache lookup → run). The difference is the entire §3/§4
 // compilation cost, amortized away for repeated queries.
 
 const smugglerSrc = `
@@ -536,6 +536,7 @@ where A <= C; B <= C; R <= A | B | T;
 
 func BenchmarkServiceQueryCold(b *testing.B) {
 	store, params := smugglerSetup(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		norm, err := lang.Normalize(smugglerSrc)
@@ -546,7 +547,7 @@ func BenchmarkServiceQueryCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		plan, err := query.Compile(q, store)
+		plan, err := query.CompileAdaptive(q, store, query.AdaptiveOptions{Params: params})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -587,14 +588,34 @@ func BenchmarkServiceQueryCached(b *testing.B) {
 
 // BenchmarkServiceCompileOnly is the cost the cache removes per hit.
 func BenchmarkServiceCompileOnly(b *testing.B) {
-	store, _ := smugglerSetup(1)
+	store, params := smugglerSetup(1)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q, err := lang.Parse(smugglerSrc)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := query.Compile(q, store); err != nil {
+		if _, err := query.CompileAdaptive(q, store, query.AdaptiveOptions{Params: params}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompileAdaptive4 is the compile a query_cold request pays: a
+// 4-variable text in the E10 shape (containment/overlap chain, overlaps
+// with the parameter, one disequation), 24 retrieval orders.
+func BenchmarkCompileAdaptive4(b *testing.B) {
+	store, params := smugglerSetup(1)
+	q, err := lang.Parse(`find T in towns, B in states, R in roads, S in states given C
+		where T <= B; B & R != 0; R <= S; T & C != 0; R & C != 0; B != S`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := query.CompileAdaptive(q, store, query.AdaptiveOptions{Params: params}); err != nil {
 			b.Fatal(err)
 		}
 	}

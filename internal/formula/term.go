@@ -1,9 +1,10 @@
 package formula
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -208,12 +209,14 @@ func (s SOP) Absorb() SOP {
 	return out
 }
 
+// sortTerms orders terms by (Pos, Neg). Equal keys are identical terms,
+// so the unstable sort still yields one deterministic order.
 func sortTerms(ts []Term) {
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Pos != ts[j].Pos {
-			return ts[i].Pos < ts[j].Pos
+	slices.SortFunc(ts, func(a, b Term) int {
+		if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
+			return c
 		}
-		return ts[i].Neg < ts[j].Neg
+		return cmp.Compare(a.Neg, b.Neg)
 	})
 }
 

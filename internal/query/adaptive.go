@@ -2,12 +2,14 @@ package query
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/bbox"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
+	"repro/internal/triangular"
 )
 
 // Statistics-driven adaptive planning. Where SuggestOrder ranks retrieval
@@ -136,11 +138,9 @@ type AdaptiveOptions struct {
 
 // AdaptiveInfo records how CompileAdaptive chose the plan it returned.
 type AdaptiveInfo struct {
-	Order        string  // chosen retrieval order, "T→R→B"
-	Reordered    bool    // the chosen order differs from the query's
-	EstCost      float64 // cost of the chosen order under the model used
-	FeedbackUsed int     // orders costed from a fresh Tuner observation
-	Static       bool    // fell back to the static heuristic order
+	Order        string // chosen retrieval order, "T→R→B"
+	Reordered    bool   // the chosen order differs from the query's
+	FeedbackUsed int    // orders costed from a fresh Tuner observation
 }
 
 // outPositions maps the reordered query's step index back to the
@@ -171,12 +171,12 @@ func orderKey(q *Query) string {
 // statistics favor. Results are identical to Compile for any order — only
 // cost changes. Queries with more than maxAdaptivePermute retrieval
 // variables fall back to the static SuggestOrder ranking; everything else
-// enumerates the n! ≤ 120
-// orders, compiles each (per-order compile failures are skipped) and
+// costs all n! ≤ 120 orders (orders that fail to compile are skipped) and
 // keeps the cheapest under the histogram estimate, with fresh Tuner
 // observations overriding estimates where available. Ties go to the
-// earliest-enumerated order, so the query's own order wins when nothing
-// separates the candidates.
+// order enumerated earliest (permRank), so the query's own order wins
+// when nothing separates the candidates. When every order fails, the
+// error is the one Compile reports for the query's own order.
 func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*Plan, error) {
 	n := len(q.Retrieve)
 	if n > maxAdaptivePermute {
@@ -188,9 +188,11 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 		plan.Adaptive = &AdaptiveInfo{
 			Order:     plan.OrderKey(),
 			Reordered: plan.OrderKey() != orderKey(q),
-			Static:    true,
 		}
 		return plan, nil
+	}
+	if err := validate(q, store); err != nil {
+		return nil, err
 	}
 
 	epoch := opts.Epoch
@@ -205,54 +207,104 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 	if opts.Tuner != nil && opts.TunerKey != "" {
 		observed = opts.Tuner.Lookup(opts.TunerKey)
 	}
-
 	paramBox := paramBoxes(q, store, opts.Params)
+	ids := make([]int, n)
+	for i, b := range q.Retrieve {
+		ids[i], _ = q.Sys.Vars.Lookup(b.Var)
+	}
+
+	// One depth-first pass over order suffixes. Algorithm 1 eliminates
+	// from the back of the order, so step i depends only on the order's
+	// suffix from position i: place fills positions from the last to the
+	// first, and every order below a node shares that node's elimination
+	// and range-query template. Shared steps are never modified; the
+	// winner keeps copies. Nothing here runs under the store's read guard:
+	// estimation takes it per order, and a recursive RLock deadlocks
+	// against a pending writer.
 	var (
-		best         *Plan
-		bestCost     = math.Inf(1)
-		feedbackUsed int
-		firstErr     error
+		perm, bestPerm   = make([]int, n), []int(nil)
+		tri, bestTri     = make([]triangular.Step, n), []triangular.Step(nil)
+		steps, bestSteps = make([]StepBoxPlan, n), []StepBoxPlan(nil)
+		bestRest         triangular.Elim // the winner's residual: its ground constraint
+		bestCost         = math.Inf(1)
+		bestRank         int
+		feedbackUsed     int
+		used             uint // bit j: binding j is placed
 	)
-	// Compile never runs under the store's read guard here: it re-enters
-	// RLock through validate, and a recursive RLock deadlocks against a
-	// pending writer. Estimation takes the guard internally per candidate.
-	for _, perm := range permutations(n) {
-		cand := &Query{Sys: q.Sys}
-		for _, i := range perm {
-			cand.Retrieve = append(cand.Retrieve, q.Retrieve[i])
-		}
-		plan, err := Compile(cand, store)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
+	var place func(i int, e triangular.Elim)
+	place = func(i int, e triangular.Elim) {
+		if i < 0 { // a complete order
+			cost := estimatePlanCost(steps, store, paramBox)
+			if len(observed) > 0 {
+				if o, ok := observed[orderKey(permuted(q, perm))]; ok && epoch >= o.Epoch && epoch-o.Epoch <= stale {
+					cost = float64(o.Candidates)
+					feedbackUsed++
+				}
 			}
-			continue
+			rank := permRank(perm)
+			if cost < bestCost || (bestPerm != nil && cost == bestCost && rank < bestRank) {
+				bestCost, bestRank, bestRest = cost, rank, e
+				bestPerm, bestTri, bestSteps = slices.Clone(perm), slices.Clone(tri), slices.Clone(steps)
+			}
+			return
 		}
-		// Step j retrieves the original query's binding perm[j]; emit
+		for j, b := range q.Retrieve {
+			if used&(1<<j) != 0 {
+				continue
+			}
+			// A failure fails every order with this suffix, as compiling
+			// each of them would.
+			st, rest, err := e.Eliminate(ids[j])
+			if err != nil {
+				continue
+			}
+			sp, err := stepBoxPlan(st, b)
+			if err != nil {
+				continue
+			}
+			perm[i], tri[i], steps[i] = j, st, sp
+			used |= 1 << j
+			place(i-1, rest)
+			used &^= 1 << j
+		}
+	}
+	place(n-1, triangular.Start(q.Sys.Normalize()))
+	if bestPerm == nil {
+		return Compile(q, store) // every order failed: the query's own order's error
+	}
+
+	order := make([]int, n)
+	for i, j := range bestPerm {
+		order[i] = ids[j]
+		bestSteps[i].Diseqs = slices.Clone(bestSteps[i].Diseqs) // compilePrograms writes into it
+		bestSteps[i].compilePrograms()
+	}
+	cand := permuted(q, bestPerm)
+	plan := &Plan{
+		Query: cand,
+		Form:  bestRest.Form(order, bestTri),
+		Steps: bestSteps,
+		// Step i retrieves the original query's binding bestPerm[i]; emit
 		// solutions back in the caller's order.
-		plan.outPos = append([]int(nil), perm...)
-		cost := estimatePlanCost(plan, store, paramBox)
-		if o, ok := observed[plan.OrderKey()]; ok && epoch >= o.Epoch && epoch-o.Epoch <= stale {
-			cost = float64(o.Candidates)
-			feedbackUsed++
-		}
-		if cost < bestCost {
-			best, bestCost = plan, cost
-		}
+		outPos:   bestPerm,
+		orderKey: orderKey(cand),
 	}
-	if best == nil {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return Compile(q, store) // n == 0: surface Compile's own diagnostics
-	}
-	best.Adaptive = &AdaptiveInfo{
-		Order:        best.OrderKey(),
-		Reordered:    best.OrderKey() != orderKey(q),
-		EstCost:      bestCost,
+	plan.Adaptive = &AdaptiveInfo{
+		Order:        plan.orderKey,
+		Reordered:    plan.orderKey != orderKey(q),
 		FeedbackUsed: feedbackUsed,
 	}
-	return best, nil
+	return plan, nil
+}
+
+// permuted returns q with its bindings reordered: binding perm[i] at
+// position i.
+func permuted(q *Query, perm []int) *Query {
+	out := &Query{Sys: q.Sys, Retrieve: make([]Binding, len(perm))}
+	for i, j := range perm {
+		out.Retrieve[i] = q.Retrieve[j]
+	}
+	return out
 }
 
 // paramBoxes builds the representative environment estimation evaluates
@@ -275,20 +327,20 @@ func paramBoxes(q *Query, store *spatialdb.Store, params map[string]*region.Regi
 	return envBox
 }
 
-// estimatePlanCost walks the plan's steps once under the store's read
+// estimatePlanCost walks a plan's steps once under the store's read
 // guard, instantiating each range template over the representative
 // environment and asking the layer's histograms for the expected match
 // count, and returns the cumulative-width cost. A missing layer costs
 // +inf — it can only fail at run time, so no order that reaches it early
 // should ever win.
-func estimatePlanCost(plan *Plan, store *spatialdb.Store, paramBox []bbox.Box) float64 {
+func estimatePlanCost(steps []StepBoxPlan, store *spatialdb.Store, paramBox []bbox.Box) float64 {
 	store.RLock()
 	defer store.RUnlock()
 	k := store.K()
 	envBox := append([]bbox.Box(nil), paramBox...)
 	cost, width := 0.0, 1.0
-	for i := range plan.Steps {
-		sp := &plan.Steps[i]
+	for i := range steps {
+		sp := &steps[i]
 		l, ok := store.LayerIfExists(sp.Layer)
 		if !ok {
 			return math.Inf(1)

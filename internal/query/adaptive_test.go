@@ -2,9 +2,11 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/bbox"
+	"repro/internal/race"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
 	"repro/internal/workload"
@@ -279,19 +281,282 @@ func TestCompileAdaptivePlanCostFollowsRunParams(t *testing.T) {
 	}
 }
 
-// CompileAdaptive surfaces the same compile errors Compile does.
+// permutations returns all permutations of 0..n-1 in the order a
+// swap-based generator meets them — the order permRank ranks.
+func permutations(n int) [][]int {
+	cur := make([]int, n)
+	for i := range cur {
+		cur[i] = i
+	}
+	var out [][]int
+	var rec func(k int)
+	rec = func(k int) {
+		if k == n {
+			out = append(out, append([]int(nil), cur...))
+			return
+		}
+		for i := k; i < n; i++ {
+			cur[k], cur[i] = cur[i], cur[k]
+			rec(k + 1)
+			cur[k], cur[i] = cur[i], cur[k]
+		}
+	}
+	rec(0)
+	return out
+}
+
+func TestPermRankMatchesEnumeration(t *testing.T) {
+	for n := 0; n <= maxAdaptivePermute; n++ {
+		for r, perm := range permutations(n) {
+			if got := permRank(perm); got != r {
+				t.Fatalf("permRank(%v) = %d, want %d", perm, got, r)
+			}
+		}
+	}
+}
+
+// referenceAdaptive is CompileAdaptive the brute-force way: Compile each
+// order of permutations(n) from scratch, cost it with estimatePlanCost or
+// a fresh Tuner observation, and keep the earliest minimum. It also
+// returns every compiled order's cost.
+func referenceAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (best *Plan, costs []float64, feedbackUsed int, err error) {
+	epoch, stale := opts.Epoch, opts.StaleEpochs
+	if epoch == 0 {
+		epoch = store.Epoch()
+	}
+	if stale == 0 {
+		stale = DefaultStaleEpochs
+	}
+	var observed map[string]Observation
+	if opts.Tuner != nil {
+		observed = opts.Tuner.Lookup(opts.TunerKey)
+	}
+	paramBox := paramBoxes(q, store, opts.Params)
+	bestCost := math.Inf(1)
+	var firstErr error
+	for _, perm := range permutations(len(q.Retrieve)) {
+		cand := &Query{Sys: q.Sys}
+		for _, i := range perm {
+			cand.Retrieve = append(cand.Retrieve, q.Retrieve[i])
+		}
+		plan, err := Compile(cand, store)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		plan.outPos = perm
+		cost := estimatePlanCost(plan.Steps, store, paramBox)
+		if o, ok := observed[plan.OrderKey()]; ok && epoch >= o.Epoch && epoch-o.Epoch <= stale {
+			cost = float64(o.Candidates)
+			feedbackUsed++
+		}
+		costs = append(costs, cost)
+		if cost < bestCost {
+			best, bestCost = plan, cost
+		}
+	}
+	if best == nil {
+		return nil, costs, 0, firstErr
+	}
+	return best, costs, feedbackUsed, nil
+}
+
+// checkMatchesReference compiles q both ways and fails the test on any
+// observable difference. It returns the reference's per-order costs.
+func checkMatchesReference(t *testing.T, name string, q *Query, store *spatialdb.Store, opts AdaptiveOptions) []float64 {
+	t.Helper()
+	want, costs, feedbackUsed, wantErr := referenceAdaptive(q, store, opts)
+	got, err := CompileAdaptive(q, store, opts)
+	if err != nil || wantErr != nil {
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Errorf("%s: error %v, reference %v", name, err, wantErr)
+		}
+		return costs
+	}
+	if got.OrderKey() != want.OrderKey() {
+		t.Errorf("%s: order %s, reference %s (costs %v)", name, got.OrderKey(), want.OrderKey(), costs)
+	}
+	if g, w := fmt.Sprint(got.Bindings()), fmt.Sprint(want.Bindings()); g != w {
+		t.Errorf("%s: Bindings() %s, reference %s", name, g, w)
+	}
+	if g, w := got.Explain(), want.Explain(); g != w {
+		t.Errorf("%s: Explain()\n%s\nreference\n%s", name, g, w)
+	}
+	if g, w := got.Adaptive.Reordered, want.OrderKey() != orderKey(q); g != w {
+		t.Errorf("%s: Reordered %v, reference %v", name, g, w)
+	}
+	if got.Adaptive.FeedbackUsed != feedbackUsed {
+		t.Errorf("%s: FeedbackUsed %d, reference %d", name, got.Adaptive.FeedbackUsed, feedbackUsed)
+	}
+	for i, sp := range got.Steps {
+		if sp.lower == nil || sp.upper == nil {
+			t.Errorf("%s: step %d returned without its box programs", name, i)
+		}
+	}
+	return costs
+}
+
+// CorpusCase is one golden-corpus query, parsed, with its fixture's store
+// and parameters.
+type CorpusCase struct {
+	Name   string
+	Query  *Query
+	Store  *spatialdb.Store
+	Params map[string]*region.Region
+}
+
+// GoldenCorpus loads the golden corpus. The corpus and the query parser
+// import this package, so only the external test package can load them;
+// corpus_test.go sets this hook.
+var GoldenCorpus func() ([]CorpusCase, error)
+
+// The one-pass planner must return exactly the plan the per-order
+// brute force returns — same order, tuple order, solved form, range
+// templates and feedback count — on the golden corpus, on random 1–5
+// variable systems, with a fresh Tuner observation in play and when two
+// orders tie on cost.
+func TestCompileAdaptiveMatchesPerOrderCompile(t *testing.T) {
+	corpus, err := GoldenCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range corpus {
+		checkMatchesReference(t, c.Name, c.Query, c.Store, AdaptiveOptions{Params: c.Params})
+	}
+
+	universe := bbox.Rect(0, 0, 64, 64)
+	for n := 1; n <= maxAdaptivePermute; n++ {
+		for trial := 0; trial < 24-4*n; trial++ {
+			rng := workload.NewRNG(uint64(100*n + trial))
+			q := randSystemN(rng, n)
+			store := spatialdb.NewStore(universe, spatialdb.RTree)
+			for _, b := range q.Retrieve {
+				store.Layer(b.Layer)
+				for i := 0; i < rng.IntN(6); i++ { // sometimes empty
+					store.MustInsert(b.Layer, fmt.Sprintf("%s%d", b.Var, i), workload.RandRegion(rng, universe, 2))
+				}
+			}
+			params := map[string]*region.Region{"C": workload.RandRegion(rng, universe, 2)}
+			checkMatchesReference(t, fmt.Sprintf("random n=%d trial %d\n%s", n, trial, q.Sys), q, store, AdaptiveOptions{Params: params})
+		}
+	}
+
+	store, params := smugglerFixture(t, spatialdb.RTree, workload.MapConfig{Seed: 7})
+	q := Smuggler()
+	epoch := store.Epoch()
+
+	// A fresh observation steers the choice; the same one judged stale
+	// does not.
+	tuner := NewTuner(8)
+	tuner.Observe("fresh", "R→B→T", epoch, Stats{Candidates: 1, Solutions: 1})
+	opts := AdaptiveOptions{Params: params, Tuner: tuner, TunerKey: "fresh", Epoch: epoch}
+	checkMatchesReference(t, "fresh observation", q, store, opts)
+	opts.Epoch = epoch + DefaultStaleEpochs + 1
+	checkMatchesReference(t, "stale observation", q, store, opts)
+
+	// B→R→T and B→T→R tie at zero observed candidates. The earliest in
+	// permutations(3) wins: B→R→T, which a lexicographic enumeration
+	// would place after B→T→R.
+	tuner.Observe("tie", "B→T→R", epoch, Stats{})
+	tuner.Observe("tie", "B→R→T", epoch, Stats{})
+	opts = AdaptiveOptions{Params: params, Tuner: tuner, TunerKey: "tie", Epoch: epoch}
+	costs := checkMatchesReference(t, "tie", q, store, opts)
+	if ties := countMin(costs); ties < 2 {
+		t.Fatalf("tie fixture has %d orders at the minimum cost: %v", ties, costs)
+	}
+	plan, err := CompileAdaptive(q, store, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.OrderKey() != "B→R→T" {
+		t.Fatalf("tie: chose %s, want B→R→T", plan.OrderKey())
+	}
+}
+
+func countMin(costs []float64) int {
+	n, lo := 0, math.Inf(1)
+	for _, c := range costs {
+		switch {
+		case c < lo:
+			n, lo = 1, c
+		case c == lo:
+			n++
+		}
+	}
+	return n
+}
+
+// CompileAdaptive surfaces the same compile errors Compile does: when
+// every order fails, the error Compile gives for the query's own order —
+// the first order in permutations(n) — with Compile's wrapping.
 func TestCompileAdaptiveErrors(t *testing.T) {
 	store := spatialdb.NewStore(bbox.Rect(0, 0, 100, 100), spatialdb.RTree)
+	store.MustInsert("towns", "t", region.FromBox(bbox.Rect(1, 1, 2, 2)))
+	build := func(bind func(q *Query)) *Query {
+		q := New()
+		q.Sys.Subset(q.Sys.Var("x"), q.Sys.Var("C"))
+		q.Sys.Overlap(q.Sys.Var("y"), q.Sys.Var("x"))
+		bind(q)
+		return q
+	}
+	cases := []struct {
+		name string
+		q    *Query
+		want string
+	}{
+		{"unknown layer", build(func(q *Query) { q.From("x", "nowhere") }), `query: layer "nowhere" does not exist`},
+		// z is in no constraint either; the query's own order meets y first.
+		{"unknown layer of three", build(func(q *Query) { q.From("x", "towns").From("y", "nowhere").From("z", "towns") }),
+			`query: layer "nowhere" does not exist`},
+		{"variable in no constraint", build(func(q *Query) { q.From("z", "towns").From("y", "nowhere") }),
+			`query: retrieval variable "z" not used in any constraint`},
+		{"variable retrieved twice", build(func(q *Query) { q.From("y", "towns").From("x", "towns").From("y", "towns") }),
+			`query: variable "y" retrieved twice`},
+		{"no retrieval variables", New(), "query: no retrieval variables"},
+	}
+	for _, c := range cases {
+		_, err := CompileAdaptive(c.q, store, AdaptiveOptions{})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+		checkMatchesReference(t, c.name, c.q, store, AdaptiveOptions{})
+	}
+}
+
+// coldShapeQuery is a 4-variable query in the E10 shape the query_cold
+// benchmark compiles: a containment/overlap chain over the smuggler
+// layers, overlaps with the parameter C and one disequation.
+func coldShapeQuery() *Query {
 	q := New()
-	c := q.Sys.Var("C")
-	x := q.Sys.Var("x")
-	q.Sys.Subset(x, c)
-	q.From("x", "nowhere")
-	if _, err := CompileAdaptive(q, store, AdaptiveOptions{}); err == nil {
-		t.Fatal("missing layer compiled without error")
+	t0, b1, r2, b3, c := q.Sys.Var("T0"), q.Sys.Var("B1"), q.Sys.Var("R2"), q.Sys.Var("B3"), q.Sys.Var("C")
+	q.Sys.Subset(t0, b1).Overlap(b1, r2).Subset(r2, b3).Overlap(t0, c).Overlap(r2, c).NotEqual(b1, b3)
+	return q.From("T0", "towns").From("B1", "states").From("R2", "roads").From("B3", "states")
+}
+
+// TestCompileAdaptiveAllocs pins the planner's allocation floor. Compiling
+// each of the 24 orders from scratch took 16,720 allocations on this
+// fixture; sharing suffix eliminations and lowering only the winner's
+// programs must keep it under half of that.
+func TestCompileAdaptiveAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation floors are pinned on the normal build")
 	}
-	empty := New()
-	if _, err := CompileAdaptive(empty, store, AdaptiveOptions{}); err == nil {
-		t.Fatal("query without retrieval variables compiled without error")
+	store, params := smugglerFixture(t, spatialdb.RTree, workload.MapConfig{Seed: 3, Towns: 4, Interior: 4, Roads: 6})
+	q := coldShapeQuery()
+	opts := AdaptiveOptions{Params: params}
+	if _, err := CompileAdaptive(q, store, opts); err != nil {
+		t.Fatal(err)
 	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := CompileAdaptive(q, store, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const budget = 16720 / 2
+	if allocs > budget {
+		t.Fatalf("CompileAdaptive allocates %v per 4-variable compile, want <= %d", allocs, budget)
+	}
+	t.Logf("CompileAdaptive: %v allocations per 4-variable compile", allocs)
 }

@@ -17,12 +17,18 @@ import (
 // randSystem builds a random constraint system over two retrieval
 // variables (x, y) and one parameter (C) from a seeded RNG. It returns the
 // query with retrieval bindings attached.
-func randSystem(rng *workload.RNG) *Query {
+func randSystem(rng *workload.RNG) *Query { return randSystemN(rng, 2) }
+
+// randSystemN is randSystem over n ≤ 5 retrieval variables x, y, z, w, v,
+// drawn from layers xs, ys, zs, ws, vs.
+func randSystemN(rng *workload.RNG, n int) *Query {
 	q := New()
-	x := q.Sys.Var("x")
-	y := q.Sys.Var("y")
-	c := q.Sys.Var("C")
-	atoms := []*formula.Formula{x, y, c, formula.One()}
+	names := []string{"x", "y", "z", "w", "v"}[:n]
+	var atoms []*formula.Formula
+	for _, name := range names {
+		atoms = append(atoms, q.Sys.Var(name))
+	}
+	atoms = append(atoms, q.Sys.Var("C"), formula.One())
 
 	randFormula := func() *formula.Formula {
 		f := atoms[rng.IntN(len(atoms))]
@@ -56,10 +62,12 @@ func randSystem(rng *workload.RNG) *Query {
 			q.Sys.NonEmpty(f)
 		}
 	}
-	// Make sure both retrieval variables appear somewhere.
-	q.Sys.Overlap(x, formula.One())
-	q.Sys.Overlap(y, formula.One())
-	return q.From("x", "xs").From("y", "ys")
+	// Make sure every retrieval variable appears somewhere.
+	for i, name := range names {
+		q.Sys.Overlap(atoms[i], formula.One())
+		q.From(name, name+"s")
+	}
+	return q
 }
 
 // TestFuzzOptimizedAgainstNaive is the end-to-end differential test: for
@@ -178,7 +186,7 @@ func TestFuzzAdaptiveAgainstNaive(t *testing.T) {
 		}
 
 		// Estimator invariants over the plan's own specs plus random ones.
-		cost := estimatePlanCost(plan, store, paramBoxes(plan.Query, store, params))
+		cost := estimatePlanCost(plan.Steps, store, paramBoxes(plan.Query, store, params))
 		if math.IsNaN(cost) || cost < 0 {
 			t.Fatalf("trial %d: plan cost = %v", trial, cost)
 		}

@@ -35,7 +35,8 @@ type StepBoxPlan struct {
 }
 
 // compilePrograms lowers the step's function trees to programs; Compile
-// calls it once per step, so executors never compile in the hot path.
+// and CompileAdaptive call it once per step of the plan they return, so
+// executors never compile in the hot path.
 func (sp *StepBoxPlan) compilePrograms() {
 	sp.lower = sp.Lower.Compile()
 	sp.upper = sp.Upper.Compile()
@@ -183,29 +184,39 @@ func Compile(q *Query, store *spatialdb.Store) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("query: triangularization failed: %w", err)
 	}
-	plan := &Plan{Query: q, Form: form, orderKey: orderKey(q)}
+	plan := &Plan{Query: q, Form: form, Steps: make([]StepBoxPlan, len(form.Steps)), orderKey: orderKey(q)}
 	for i, st := range form.Steps {
-		sp := StepBoxPlan{Var: st.Var, Layer: q.Retrieve[i].Layer}
-		if sp.Lower, err = bbox.Lower(st.Lower); err != nil {
-			return nil, fmt.Errorf("query: lower approximation for %s: %w", q.Retrieve[i].Var, err)
+		if plan.Steps[i], err = stepBoxPlan(st, q.Retrieve[i]); err != nil {
+			return nil, err
 		}
-		if sp.Upper, err = bbox.Upper(st.Upper); err != nil {
-			return nil, fmt.Errorf("query: upper approximation for %s: %w", q.Retrieve[i].Var, err)
-		}
-		for _, d := range st.Diseqs {
-			var dp DiseqBoxPlan
-			if dp.P, err = bbox.Upper(d.P); err != nil {
-				return nil, fmt.Errorf("query: disequation approximation: %w", err)
-			}
-			if dp.Q, err = bbox.Upper(d.Q); err != nil {
-				return nil, fmt.Errorf("query: disequation approximation: %w", err)
-			}
-			sp.Diseqs = append(sp.Diseqs, dp)
-		}
-		sp.compilePrograms()
-		plan.Steps = append(plan.Steps, sp)
+		plan.Steps[i].compilePrograms()
 	}
 	return plan, nil
+}
+
+// stepBoxPlan approximates one solved step by its range-query template
+// (Algorithm 2). The function trees are left unlowered: the caller runs
+// compilePrograms on the steps of the plan it keeps.
+func stepBoxPlan(st triangular.Step, b Binding) (StepBoxPlan, error) {
+	sp := StepBoxPlan{Var: st.Var, Layer: b.Layer}
+	var err error
+	if sp.Lower, err = bbox.Lower(st.Lower); err != nil {
+		return sp, fmt.Errorf("query: lower approximation for %s: %w", b.Var, err)
+	}
+	if sp.Upper, err = bbox.Upper(st.Upper); err != nil {
+		return sp, fmt.Errorf("query: upper approximation for %s: %w", b.Var, err)
+	}
+	for _, d := range st.Diseqs {
+		var dp DiseqBoxPlan
+		if dp.P, err = bbox.Upper(d.P); err != nil {
+			return sp, fmt.Errorf("query: disequation approximation: %w", err)
+		}
+		if dp.Q, err = bbox.Upper(d.Q); err != nil {
+			return sp, fmt.Errorf("query: disequation approximation: %w", err)
+		}
+		sp.Diseqs = append(sp.Diseqs, dp)
+	}
+	return sp, nil
 }
 
 // Explain renders the plan: the triangular solved form followed by the

@@ -107,25 +107,25 @@ func connectivity(q *Query, v int, bound map[int]bool) int {
 	return n
 }
 
-// permutations returns all permutations of 0..n-1 (n ≤ maxAdaptivePermute).
-func permutations(n int) [][]int {
-	cur := make([]int, n)
-	for i := range cur {
+// permRank is perm's position in the enumeration CompileAdaptive's tie
+// rule follows: position 0 chooses first, and each position k chooses
+// among the bindings not yet placed in the order a swap-based generator
+// meets them — swap cur[k] with cur[k], cur[k+1], …, recurse, swap back.
+// perm is a permutation of 0..len(perm)-1, len(perm) ≤ maxAdaptivePermute.
+func permRank(perm []int) int {
+	var cur [maxAdaptivePermute]int
+	n := len(perm)
+	for i := range n {
 		cur[i] = i
 	}
-	var out [][]int
-	var rec func(k int)
-	rec = func(k int) {
-		if k == n {
-			out = append(out, append([]int(nil), cur...))
-			return
+	rank := 0
+	for k := range n {
+		i := k
+		for cur[i] != perm[k] {
+			i++
 		}
-		for i := k; i < n; i++ {
-			cur[k], cur[i] = cur[i], cur[k]
-			rec(k + 1)
-			cur[k], cur[i] = cur[i], cur[k]
-		}
+		rank = rank*(n-k) + i - k
+		cur[k], cur[i] = cur[i], cur[k]
 	}
-	rec(0)
-	return out
+	return rank
 }

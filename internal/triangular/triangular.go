@@ -25,11 +25,17 @@
 // of disequations in atomless algebras — in particular the measurable
 // regions of R^k (Theorems 5–6).
 //
+// One elimination is one Elim.Eliminate, yielding a variable's solved step
+// and the residual over the rest; Compile chains Start, Eliminate per
+// variable and Form, and the adaptive planner shares the eliminations of a
+// common order suffix among orders (DESIGN.md §7).
+//
 // DESIGN.md §2 ("Compilation") places this package in the module map; §1 sketches the pipeline stage it implements.
 package triangular
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/bcf"
@@ -62,77 +68,96 @@ type Form struct {
 }
 
 // Compile runs Algorithm 1 on the normal form n with the given retrieval
-// order (variable indices; all other variables are treated as parameters).
-// Formulas are re-normalized through their Blake canonical form at each
-// level to keep growth in check; this preserves the denoted function
+// order (variable indices; all other variables are treated as parameters):
+// Start, then one Eliminate per retrieval variable from the back of the
+// order. Formulas are re-normalized through their Blake canonical form at
+// each level to keep growth in check; this preserves the denoted function
 // exactly. The error is non-nil only if an intermediate normal form
 // explodes past formula.MaxDNFTerms.
 func Compile(n constraint.Normal, order []int) (*Form, error) {
-	form := &Form{Order: append([]int(nil), order...), Steps: make([]Step, len(order))}
-	f := n.F
-	gs := append([]*formula.Formula(nil), n.G...)
-
+	steps := make([]Step, len(order))
+	e := Start(n)
 	for i := len(order) - 1; i >= 0; i-- {
-		v := order[i]
-		f1, f0 := formula.Expansion(f, v)
-		f1, err := simplify(f1)
-		if err != nil {
+		var err error
+		if steps[i], e, err = e.Eliminate(order[i]); err != nil {
 			return nil, err
 		}
-		f0, err = simplify(f0)
-		if err != nil {
-			return nil, err
-		}
-		step := Step{Var: v, Lower: f0, Upper: formula.Not(f1)}
-
-		var rest []*formula.Formula
-		for _, g := range gs {
-			if !g.Uses(v) {
-				rest = append(rest, g)
-				continue
-			}
-			g1, g0 := formula.Expansion(g, v)
-			step.Diseqs = append(step.Diseqs, Diseq{P: g1, Q: g0})
-			// Projection of this disequation: ¬f₁∧g₁ ∨ ¬f₀∧g₀ ≠ 0.
-			proj := formula.Or(
-				formula.And(formula.Not(f1), g1),
-				formula.And(formula.Not(f0), g0),
-			)
-			proj, err := simplify(proj)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case proj.IsConst(false):
-				form.Unsat = true
-			case formula.TautologyOne(proj):
-				// Trivially nonzero in a nontrivial algebra: drop.
-			default:
-				dup := false
-				for _, r := range rest {
-					if r.Same(proj) {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					rest = append(rest, proj)
-				}
-			}
-		}
-		form.Steps[i] = step
-
-		f, err = simplify(formula.And(f1, f0))
-		if err != nil {
-			return nil, err
-		}
-		gs = rest
 	}
-	form.Ground = constraint.Normal{F: f, G: gs}
+	return e.Form(append([]int(nil), order...), steps), nil
+}
+
+// Elim is Algorithm 1 between two eliminations: the residual system
+// F = 0 ∧ ⋀ G ≠ 0 over the variables not yet eliminated, and whether a
+// projection has already proved it unsatisfiable. Eliminate never
+// modifies it, so one residual can be extended by several variables.
+type Elim struct {
+	F     *formula.Formula
+	G     []*formula.Formula
+	Unsat bool
+}
+
+// Start begins Algorithm 1 on the normal form n.
+func Start(n constraint.Normal) Elim {
+	return Elim{F: n.F, G: n.G}
+}
+
+// Eliminate is one step of Algorithm 1: it solves the residual for v —
+// Schröder's range s ⊑ v ⊑ t and Boole's expansion of every disequation
+// mentioning v — and projects v out, returning the solved step and the
+// residual over the remaining variables.
+func (e Elim) Eliminate(v int) (Step, Elim, error) {
+	f1, f0 := formula.Expansion(e.F, v)
+	f1, err := simplify(f1)
+	if err != nil {
+		return Step{}, Elim{}, err
+	}
+	f0, err = simplify(f0)
+	if err != nil {
+		return Step{}, Elim{}, err
+	}
+	step := Step{Var: v, Lower: f0, Upper: formula.Not(f1)}
+
+	next := Elim{Unsat: e.Unsat}
+	for _, g := range e.G {
+		if !g.Uses(v) {
+			next.G = append(next.G, g)
+			continue
+		}
+		g1, g0 := formula.Expansion(g, v)
+		step.Diseqs = append(step.Diseqs, Diseq{P: g1, Q: g0})
+		// Projection of this disequation: ¬f₁∧g₁ ∨ ¬f₀∧g₀ ≠ 0.
+		proj := formula.Or(
+			formula.And(formula.Not(f1), g1),
+			formula.And(formula.Not(f0), g0),
+		)
+		proj, err := simplify(proj)
+		if err != nil {
+			return Step{}, Elim{}, err
+		}
+		switch {
+		case proj.IsConst(false):
+			next.Unsat = true
+		case formula.TautologyOne(proj):
+			// Trivially nonzero in a nontrivial algebra: drop.
+		case !slices.ContainsFunc(next.G, proj.Same):
+			next.G = append(next.G, proj)
+		}
+	}
+	if next.F, err = simplify(formula.And(f1, f0)); err != nil {
+		return Step{}, Elim{}, err
+	}
+	return step, next, nil
+}
+
+// Form closes an elimination: once every retrieval variable is eliminated
+// (steps[i] solving order[i]), the residual is the ground constraint over
+// the parameters. The form takes ownership of order and steps.
+func (e Elim) Form(order []int, steps []Step) *Form {
+	form := &Form{Order: order, Steps: steps, Ground: constraint.Normal{F: e.F, G: e.G}, Unsat: e.Unsat}
 	if form.Ground.TriviallyUnsat() {
 		form.Unsat = true
 	}
-	return form, nil
+	return form
 }
 
 // Proj computes the projection of a normal form on variable v: the best
