@@ -1,6 +1,6 @@
 # Developer entry points; CI runs the same commands.
 
-.PHONY: build test race vet lint lint-fix golden golden-update chaos
+.PHONY: build test race vet lint lint-fix golden golden-update chaos fuzz
 
 build:
 	go build ./...
@@ -54,3 +54,12 @@ chaos:
 	go test -race -count=1 \
 		-run 'Chaos|ServerTransient|ServerDegraded|ServerSheds|ServerBatchSheds|AdmissionPool|Fault|WriteBudget' \
 		./internal/wal/ ./internal/server/ ./internal/vfs/ ./internal/repl/
+
+# fuzz runs the native fuzz target of the binary snapshot loader, seeded
+# from internal/spatialdb/testdata; a failing input lands in
+# testdata/fuzz/FuzzLoadBinary and replays in every plain `go test`.
+# Minimising a newly interesting input may otherwise take the whole
+# budget, so it is capped at one second.
+fuzz:
+	go test ./internal/spatialdb -run '^$$' -fuzz '^FuzzLoadBinary$$' \
+		-fuzztime 10s -fuzzminimizetime 1s

@@ -138,9 +138,8 @@ type AdaptiveOptions struct {
 
 // AdaptiveInfo records how CompileAdaptive chose the plan it returned.
 type AdaptiveInfo struct {
-	Order        string // chosen retrieval order, "T→R→B"
-	Reordered    bool   // the chosen order differs from the query's
-	FeedbackUsed int    // orders costed from a fresh Tuner observation
+	Reordered    bool // the chosen order differs from the query's
+	FeedbackUsed int  // orders costed from a fresh Tuner observation
 }
 
 // outPositions maps the reordered query's step index back to the
@@ -185,10 +184,7 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 			return nil, err
 		}
 		plan.outPos = outPositions(q, plan.Query)
-		plan.Adaptive = &AdaptiveInfo{
-			Order:     plan.OrderKey(),
-			Reordered: plan.OrderKey() != orderKey(q),
-		}
+		plan.Adaptive = &AdaptiveInfo{Reordered: plan.OrderKey() != orderKey(q)}
 		return plan, nil
 	}
 	if err := validate(q, store); err != nil {
@@ -290,7 +286,6 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 		orderKey: orderKey(cand),
 	}
 	plan.Adaptive = &AdaptiveInfo{
-		Order:        plan.orderKey,
 		Reordered:    plan.orderKey != orderKey(q),
 		FeedbackUsed: feedbackUsed,
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bbox"
 	"repro/internal/region"
-	"repro/internal/stats"
 )
 
 // The compact binary snapshot format — the production counterpart of the
@@ -22,7 +21,7 @@ import (
 // little-endian or uvarint, floats as IEEE-754 bit patterns):
 //
 //	magic    "BQSN"                      4 bytes
-//	version  uint16                      currently 2
+//	version  uint16                      1 (written); 2 also read
 //	k        uint16                      dimensionality
 //	nextID   uint64                      highest object id handed out
 //	universe 2·k float64                 lo then hi
@@ -32,20 +31,23 @@ import (
 //	    id     uvarint
 //	    name   string
 //	    boxes  uvarint count, 2·k float64 each (lo then hi)
-//	  stats   uvarint len + stats.Snapshot binary blob   (v2 only)
+//	  stats   uvarint len + planner statistics blob   (v2 only; skipped)
 //	crc32    uint32 (IEEE) of every preceding byte
 //
-// Indexes are derived state and are rebuilt on load through the packed
-// bulk path, so binary snapshots are portable across index backends.
-// Version 2 adds the per-layer planner statistics; version 1 snapshots
-// (no stats blob) still load, with statistics recomputed from the
-// objects. As in the JSON codec, a recorded block whose geometry no
-// longer matches the current parameters is ignored in favor of the
-// recomputed one.
+// Indexes and planner statistics are derived state: both are rebuilt on
+// load through the packed bulk path, so binary snapshots are portable
+// across index backends and a loaded store plans exactly like the one
+// that wrote it. Version 2 snapshots, written while statistics were
+// still serialized, load with their per-layer statistics blob skipped.
 
 var binSnapMagic = [4]byte{'B', 'Q', 'S', 'N'}
 
-const binSnapVersion = 2
+// binSnapVersion is the version SaveBinary writes; LoadBinary reads it
+// and every version up to binSnapMaxVersion.
+const (
+	binSnapVersion    = 1
+	binSnapMaxVersion = 2
+)
 
 // SaveBinary writes the store as a binary snapshot under the store's
 // read guard, so it captures a consistent state even while writers are
@@ -68,7 +70,7 @@ func (s *Store) SaveBinaryMark(w io.Writer, mark func()) error {
 	crc := crc32.NewIEEE()
 	bw := bufio.NewWriter(io.MultiWriter(w, crc))
 
-	var scratch [8]byte
+	var scratch [binary.MaxVarintLen64]byte // a uvarint id ≥ 2^56 takes 9–10 bytes
 	writeU16 := func(v uint16) {
 		binary.LittleEndian.PutUint16(scratch[:2], v)
 		bw.Write(scratch[:2])
@@ -113,12 +115,6 @@ func (s *Store) SaveBinaryMark(w io.Writer, mark func()) error {
 				writeFloats(b.Hi)
 			}
 		}
-		blob, err := l.data.Snapshot().MarshalBinary()
-		if err != nil {
-			return fmt.Errorf("spatialdb: encoding layer %q statistics: %w", name, err)
-		}
-		writeUvarint(uint64(len(blob)))
-		bw.Write(blob)
 	}
 	if err := bw.Flush(); err != nil {
 		return fmt.Errorf("spatialdb: writing binary snapshot: %w", err)
@@ -160,7 +156,7 @@ func LoadBinary(r io.Reader, kind IndexKind) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version < 1 || version > binSnapVersion {
+	if version < 1 || version > binSnapMaxVersion {
 		return nil, fmt.Errorf("spatialdb: binary snapshot: unsupported version %d", version)
 	}
 	k16, err := d.u16()
@@ -258,12 +254,7 @@ func LoadBinary(r io.Reader, kind IndexKind) (*Store, error) {
 			if blobLen > uint64(len(d.buf)) {
 				return nil, fmt.Errorf("spatialdb: binary snapshot: impossible stats length %d", blobLen)
 			}
-			var snap stats.Snapshot
-			if err := snap.UnmarshalBinary(d.buf[:blobLen]); err != nil {
-				return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q statistics: %w", name, err)
-			}
 			d.buf = d.buf[blobLen:]
-			store.restoreLayerStats(name, snap)
 		}
 	}
 	if len(d.buf) != 0 {
@@ -347,6 +338,9 @@ func (d *mutDecoder) floats(k int) ([]float64, error) {
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(d.buf))
 		d.buf = d.buf[8:]
+		if math.IsNaN(out[i]) {
+			return nil, errors.New("spatialdb: binary snapshot: NaN coordinate")
+		}
 	}
 	return out, nil
 }

@@ -103,7 +103,8 @@ func mutateScript(t *testing.T, s *Store) {
 
 // equalStores fails the test unless a and b hold identical content:
 // universe, layer order, and per layer the objects' ids, names and
-// regions in insertion order, plus the id counter.
+// regions in insertion order and the planner statistics, plus the id
+// counter.
 func equalStores(t *testing.T, a, b *Store, label string) {
 	t.Helper()
 	if !a.Universe().Equal(b.Universe()) {
@@ -126,6 +127,9 @@ func equalStores(t *testing.T, a, b *Store, label string) {
 			if !ao[i].Reg.Equal(bo[i].Reg) {
 				t.Fatalf("%s: layer %q object %q: region differs", label, name, ao[i].Name)
 			}
+		}
+		if !a.Layer(name).DataStats().Equal(b.Layer(name).DataStats()) {
+			t.Fatalf("%s: layer %q: planner statistics differ", label, name)
 		}
 	}
 	if a.NextID() != b.NextID() {

@@ -6,23 +6,21 @@ import (
 	"io"
 
 	"repro/internal/bbox"
-	"repro/internal/stats"
 )
 
 // The JSON snapshot format: a versioned document with the universe and
 // every layer's objects as disjoint box lists. It is the debug and
 // interchange codec — human-readable and diff-able; the production write
-// path persists the binary codec in binsnap.go instead. Indexes are
-// rebuilt on load (they are derived state), so snapshots are portable
-// across index backends.
+// path persists the binary codec in binsnap.go instead. Indexes and
+// planner statistics are derived state, rebuilt on load, so snapshots are
+// portable across index backends and a reloaded store plans exactly like
+// the saver.
 //
-// Version 2 carries object ids and the store's id counter, so a reloaded
-// store resolves WAL records (Remove/Upsert by id) exactly as the saver
-// did. Version 1 documents (no ids) still load, with ids assigned afresh.
-// Version 3 adds the per-layer planner statistics (internal/stats); a
-// loader installs them when their geometry matches what it would compute
-// itself, and otherwise keeps the statistics it recomputed during the
-// restore, so older documents and parameter changes degrade gracefully.
+// Version 2 (written) carries object ids and the store's id counter, so a
+// reloaded store resolves WAL records (Remove/Upsert by id) exactly as the
+// saver did. Version 1 documents (no ids) still load, with ids assigned
+// afresh. Version 3 documents, written while statistics were still
+// serialized, load too: their per-layer "stats" member is ignored.
 
 type snapshot struct {
 	Version  int         `json:"version"`
@@ -32,9 +30,8 @@ type snapshot struct {
 }
 
 type snapLayer struct {
-	Name    string          `json:"name"`
-	Objects []snapObject    `json:"objects"`
-	Stats   *stats.Snapshot `json:"stats,omitempty"` // v3: planner statistics
+	Name    string       `json:"name"`
+	Objects []snapObject `json:"objects"`
 }
 
 type snapObject struct {
@@ -48,12 +45,17 @@ type snapBox struct {
 	Hi []float64 `json:"hi"`
 }
 
-const snapshotVersion = 3
+// snapshotVersion is the version Save writes; Load reads it and every
+// version up to snapshotMaxVersion.
+const (
+	snapshotVersion    = 2
+	snapshotMaxVersion = 3
+)
 
-// Save writes the store's contents as JSON (format version 3: object ids,
-// the id counter and the per-layer planner statistics are preserved
-// across a reload). Save holds the store's read guard, so it snapshots a
-// consistent state even while writers are active.
+// Save writes the store's contents as JSON (format version 2: object ids
+// and the id counter are preserved across a reload). Save holds the
+// store's read guard, so it snapshots a consistent state even while
+// writers are active.
 func (s *Store) Save(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -72,8 +74,6 @@ func (s *Store) Save(w io.Writer) error {
 			}
 			sl.Objects = append(sl.Objects, so)
 		}
-		st := layer.data.Snapshot()
-		sl.Stats = &st
 		snap.Layers = append(snap.Layers, sl)
 	}
 	enc := json.NewEncoder(w)
@@ -90,7 +90,7 @@ func Load(r io.Reader, kind IndexKind) (*Store, error) {
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("spatialdb: decoding snapshot: %w", err)
 	}
-	if snap.Version < 1 || snap.Version > snapshotVersion {
+	if snap.Version < 1 || snap.Version > snapshotMaxVersion {
 		return nil, fmt.Errorf("spatialdb: unsupported snapshot version %d", snap.Version)
 	}
 	universe, err := fromSnapBox(snap.Universe)
@@ -127,26 +127,9 @@ func Load(r io.Reader, kind IndexKind) (*Store, error) {
 		if err := store.restoreLayer(sl.Name, objs); err != nil {
 			return nil, fmt.Errorf("spatialdb: layer %q: %w", sl.Name, err)
 		}
-		if sl.Stats != nil {
-			store.restoreLayerStats(sl.Name, *sl.Stats)
-		}
 	}
 	store.restoreNextID(snap.NextID)
 	return store, nil
-}
-
-// restoreLayerStats installs recorded planner statistics into a restored
-// layer. The restore re-ingested every object through the normal commit
-// path, so the layer already holds freshly recomputed statistics; the
-// recorded block replaces them only when its geometry matches (same
-// spans, bucket counts and grid shape), keeping snapshots portable
-// across statistics-parameter changes.
-func (s *Store) restoreLayerStats(name string, snap stats.Snapshot) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if l, ok := s.layers[name]; ok {
-		l.data.Restore(snap)
-	}
 }
 
 func toSnapBox(b bbox.Box) snapBox {

@@ -156,8 +156,8 @@ func (l *Layer) Kind() IndexKind { return l.kind }
 // Len returns the number of stored objects.
 func (l *Layer) Len() int { return len(l.objs) }
 
-// DataStats returns the layer's planner statistics (counts, per-axis
-// edge histograms, grid occupancy). The returned object is the live one,
+// DataStats returns the layer's planner statistics (count, per-axis edge
+// histograms and edge sums). The returned object is the live one,
 // mutated under the store's write lock; readers must hold the store's
 // read guard, exactly as for Search.
 func (l *Layer) DataStats() *stats.Layer { return l.data }

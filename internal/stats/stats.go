@@ -1,9 +1,15 @@
 // Package stats maintains per-layer data statistics for the adaptive
-// planner: an object count, per-axis histograms of box edge coordinates,
-// and a coarse grid-occupancy summary. The statistics are cheap to update
-// incrementally (O(1) per mutation), are serialized into both snapshot
-// codecs, and support estimating the number of stored boxes matching a
-// bbox.RangeSpec — the planner's per-step selectivity oracle.
+// planner: an object count, per-axis histograms of box edge coordinates
+// and exact fixed-point sums of those edges. The statistics are cheap to
+// update incrementally (O(1) per mutation) and support estimating the
+// number of stored boxes matching a bbox.RangeSpec — the planner's
+// per-step selectivity oracle.
+//
+// Every part is exact, so Add and Remove are inverses and a Layer depends
+// only on the multiset of boxes recorded, never on the order of the
+// mutations that produced it. Statistics are therefore derived state, like
+// an index: snapshots do not carry them, and every restore, replay or
+// replica apply recomputes exactly what the live store holds.
 //
 // The estimate decomposes the spec per axis using only the marginal
 // distributions of box lower and upper edges:
@@ -141,126 +147,23 @@ func (h *Histogram) CCDF(x float64) float64 {
 // Axis carries the marginal distributions of box edges along one axis.
 type Axis struct {
 	Lo, Hi       Histogram // distributions of box lower/upper edges
-	SumLo, SumHi float64   // running sums for the mean box
+	SumLo, SumHi int64     // exact edge sums for the mean box, in fixed point
 }
 
-// Grid is a coarse occupancy grid over the first one or two axes: each
-// cell counts the stored boxes overlapping it. It summarizes clustering
-// alongside the per-axis histograms.
-type Grid struct {
-	Axes      int // 0 (disabled), 1 or 2
-	Side      int
-	Lo, Width []float64 // per grid axis; Width > 0
-	Counts    []uint32  // Side^Axes cells, row-major
-}
+// fixedOne is the fixed-point scale of the edge sums: an edge v is summed
+// as round(clampCoord(v)·2^20). Scaling by a power of two is exact, so the
+// one rounding is per edge and the sums are exact integers whatever the
+// mutation history. |v| ≤ 1e6 < 2^20 keeps each term below 2^40, so a
+// layer of fewer than 2^23 boxes cannot overflow.
+const fixedOne = 1 << 20
 
-// GridSide is the per-axis cell count of the occupancy grid.
-const GridSide = 16
-
-func newGrid(universe bbox.Box) Grid {
-	axes := universe.K
-	if axes > 2 {
-		axes = 2
-	}
-	if axes == 0 || universe.IsEmpty() {
-		return Grid{}
-	}
-	g := Grid{Axes: axes, Side: GridSide}
-	g.Lo = make([]float64, axes)
-	g.Width = make([]float64, axes)
-	cells := 1
-	for a := 0; a < axes; a++ {
-		lo, hi := clampCoord(universe.Lo[a]), clampCoord(universe.Hi[a])
-		if hi <= lo {
-			hi = lo + 1
-		}
-		g.Lo[a] = lo
-		g.Width[a] = (hi - lo) / float64(g.Side)
-		cells *= g.Side
-	}
-	g.Counts = make([]uint32, cells)
-	return g
-}
-
-// cellRange returns the clamped cell interval covered by [lo, hi] on
-// grid axis a.
-func (g *Grid) cellRange(a int, lo, hi float64) (int, int) {
-	c0 := int(math.Floor((lo - g.Lo[a]) / g.Width[a]))
-	c1 := int(math.Floor((hi - g.Lo[a]) / g.Width[a]))
-	if c0 < 0 {
-		c0 = 0
-	}
-	if c1 >= g.Side {
-		c1 = g.Side - 1
-	}
-	if c1 < c0 {
-		c0, c1 = c1, c0
-		if c0 < 0 {
-			c0 = 0
-		}
-		if c1 >= g.Side {
-			c1 = g.Side - 1
-		}
-	}
-	return c0, c1
-}
-
-func (g *Grid) apply(b bbox.Box, delta int) {
-	if g.Axes == 0 || b.IsEmpty() {
-		return
-	}
-	x0, x1 := g.cellRange(0, b.Lo[0], b.Hi[0])
-	if g.Axes == 1 {
-		for x := x0; x <= x1; x++ {
-			g.bump(x, delta)
-		}
-		return
-	}
-	y0, y1 := g.cellRange(1, b.Lo[1], b.Hi[1])
-	for y := y0; y <= y1; y++ {
-		row := y * g.Side
-		for x := x0; x <= x1; x++ {
-			g.bump(row+x, delta)
-		}
-	}
-}
-
-func (g *Grid) bump(cell, delta int) {
-	if delta > 0 {
-		g.Counts[cell]++
-	} else if g.Counts[cell] > 0 {
-		g.Counts[cell]--
-	}
-}
-
-// Occupied returns the number of non-empty grid cells.
-func (g *Grid) Occupied() int {
-	n := 0
-	for _, c := range g.Counts {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// MaxLoad returns the largest per-cell count.
-func (g *Grid) MaxLoad() uint32 {
-	var m uint32
-	for _, c := range g.Counts {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
+func fixed(v float64) int64 { return int64(math.Round(clampCoord(v) * fixedOne)) }
 
 // Layer is the full statistics block for one spatial layer.
 type Layer struct {
 	k     int
 	count uint64
 	axes  []Axis
-	grid  Grid
 }
 
 func clampCoord(v float64) float64 {
@@ -275,7 +178,7 @@ func clampCoord(v float64) float64 {
 // axes are clamped to ±1e6).
 func NewLayer(universe bbox.Box) *Layer {
 	k := universe.K
-	s := &Layer{k: k, axes: make([]Axis, k), grid: newGrid(universe)}
+	s := &Layer{k: k, axes: make([]Axis, k)}
 	for a := 0; a < k; a++ {
 		lo, hi := -clampSpan, clampSpan
 		if !universe.IsEmpty() {
@@ -293,9 +196,6 @@ func (s *Layer) K() int { return s.k }
 // Count returns the number of boxes recorded.
 func (s *Layer) Count() uint64 { return s.count }
 
-// Grid returns the occupancy grid (read-only view).
-func (s *Layer) Grid() *Grid { return &s.grid }
-
 // Add records one stored box. Empty boxes are counted but contribute no
 // edge mass (a layer object always has a nonempty bounding box in
 // practice).
@@ -309,10 +209,9 @@ func (s *Layer) Add(b bbox.Box) {
 	for a := 0; a < s.k; a++ {
 		s.axes[a].Lo.Add(b.Lo[a])
 		s.axes[a].Hi.Add(b.Hi[a])
-		s.axes[a].SumLo += clampCoord(b.Lo[a])
-		s.axes[a].SumHi += clampCoord(b.Hi[a])
+		s.axes[a].SumLo += fixed(b.Lo[a])
+		s.axes[a].SumHi += fixed(b.Hi[a])
 	}
-	s.grid.apply(b, +1)
 }
 
 // Remove un-records a box previously passed to Add.
@@ -329,29 +228,26 @@ func (s *Layer) Remove(b bbox.Box) {
 	for a := 0; a < s.k; a++ {
 		s.axes[a].Lo.Remove(b.Lo[a])
 		s.axes[a].Hi.Remove(b.Hi[a])
-		s.axes[a].SumLo -= clampCoord(b.Lo[a])
-		s.axes[a].SumHi -= clampCoord(b.Hi[a])
+		s.axes[a].SumLo -= fixed(b.Lo[a])
+		s.axes[a].SumHi -= fixed(b.Hi[a])
 	}
-	s.grid.apply(b, -1)
 }
 
 // MeanBox returns the average stored box (mean lower and upper corners),
 // the planner's stand-in for "a typical object of this layer". Empty
-// when no boxes are recorded.
+// when no boxes are recorded. Every recorded box has lo ≤ hi and the
+// fixed-point rounding is monotone, so SumLo ≤ SumHi and the mean box is
+// never inverted.
 func (s *Layer) MeanBox() bbox.Box {
 	if s.count == 0 || s.k == 0 {
 		return bbox.Empty(s.k)
 	}
 	lo := make([]float64, s.k)
 	hi := make([]float64, s.k)
-	n := float64(s.count)
+	scale := fixedOne * float64(s.count)
 	for a := 0; a < s.k; a++ {
-		lo[a] = s.axes[a].SumLo / n
-		hi[a] = s.axes[a].SumHi / n
-		if lo[a] > hi[a] { // float drift on heavy add/remove churn
-			mid := (lo[a] + hi[a]) / 2
-			lo[a], hi[a] = mid, mid
-		}
+		lo[a] = float64(s.axes[a].SumLo) / scale
+		hi[a] = float64(s.axes[a].SumHi) / scale
 	}
 	return bbox.Box{K: s.k, Lo: lo, Hi: hi}
 }
@@ -425,8 +321,8 @@ func clamp01(p float64) float64 {
 }
 
 // Equal reports whether two statistics blocks are identical (same
-// geometry and same recorded mass). Used by tests to pin that recovery
-// paths rebuild statistics exactly.
+// geometry and same recorded mass). Used by tests to pin that every
+// recovery path rebuilds the live store's statistics exactly.
 func (s *Layer) Equal(t *Layer) bool {
 	if s == nil || t == nil {
 		return s == t
@@ -442,29 +338,12 @@ func (s *Layer) Equal(t *Layer) bool {
 			return false
 		}
 	}
-	return gridEqual(&s.grid, &t.grid)
+	return true
 }
 
 func histEqual(a, b *Histogram) bool {
 	if a.Lo != b.Lo || a.Hi != b.Hi || a.N != b.N || len(a.Counts) != len(b.Counts) {
 		return false
-	}
-	for i := range a.Counts {
-		if a.Counts[i] != b.Counts[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func gridEqual(a, b *Grid) bool {
-	if a.Axes != b.Axes || a.Side != b.Side || len(a.Counts) != len(b.Counts) {
-		return false
-	}
-	for i := range a.Lo {
-		if a.Lo[i] != b.Lo[i] || a.Width[i] != b.Width[i] {
-			return false
-		}
 	}
 	for i := range a.Counts {
 		if a.Counts[i] != b.Counts[i] {

@@ -93,8 +93,8 @@ func scriptState(t *testing.T, kind spatialdb.IndexKind, n int) *spatialdb.Store
 }
 
 // assertStoresEqual compares two stores through the public API: layer
-// order, per-layer objects in insertion order (id, name, region), and
-// the id counter.
+// order, per-layer objects in insertion order (id, name, region) and
+// planner statistics, and the id counter.
 func assertStoresEqual(t *testing.T, got, want *spatialdb.Store, label string) {
 	t.Helper()
 	if !got.Universe().Equal(want.Universe()) {
@@ -121,10 +121,24 @@ func assertStoresEqual(t *testing.T, got, want *spatialdb.Store, label string) {
 					label, name, i, g.ID, g.Name, w.ID, w.Name)
 			}
 		}
+		if !statsEqual(got, want, name) {
+			t.Fatalf("%s: layer %q: planner statistics differ", label, name)
+		}
 	}
 	if got.NextID() != want.NextID() {
 		t.Fatalf("%s: NextID %d, want %d", label, got.NextID(), want.NextID())
 	}
+}
+
+// statsEqual compares one layer's planner statistics in two stores, each
+// read under its store's read guard.
+func statsEqual(a, b *spatialdb.Store, layer string) bool {
+	as, bs := a.Layer(layer).DataStats(), b.Layer(layer).DataStats()
+	a.RLock()
+	defer a.RUnlock()
+	b.RLock()
+	defer b.RUnlock()
+	return as.Equal(bs)
 }
 
 func TestDBRecoversAfterCleanClose(t *testing.T) {
