@@ -621,6 +621,24 @@ func BenchmarkCompileAdaptive4(b *testing.B) {
 	}
 }
 
+// BenchmarkCompileAdaptive5 is BenchmarkCompileAdaptive4 with a fifth
+// binding: 120 retrieval orders, 80 eliminations.
+func BenchmarkCompileAdaptive5(b *testing.B) {
+	store, params := smugglerSetup(1)
+	q, err := lang.Parse(`find T in towns, B in states, R in roads, S in states, U in towns given C
+		where T <= B; B & R != 0; R <= S; T & C != 0; R & C != 0; B != S; U <= S; U & R != 0`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := query.CompileAdaptive(q, store, query.AdaptiveOptions{Params: params}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // ---- bulk ingestion: Store.BulkInsert vs per-object Insert ----
 
 // bulkBenchItems generates n disjoint-ish regions inside the default

@@ -23,6 +23,7 @@
 package formula
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -184,6 +185,38 @@ func (f *Formula) Same(g *Formula) bool {
 		return f.l.Same(g.l)
 	default:
 		return f.l.Same(g.l) && f.r.Same(g.r)
+	}
+}
+
+// Compare is a total structural order on formulas: it returns 0 iff
+// f.Same(g), and otherwise orders by node kind, then constant value or
+// variable index, then children left to right. It allocates nothing, so
+// it can sort formula lists into a canonical order.
+func Compare(f, g *Formula) int {
+	if f == g {
+		return 0
+	}
+	if c := cmp.Compare(f.kind, g.kind); c != 0 {
+		return c
+	}
+	switch f.kind {
+	case KindConst:
+		switch {
+		case f.val == g.val:
+			return 0
+		case g.val:
+			return -1
+		}
+		return 1
+	case KindVar:
+		return cmp.Compare(f.v, g.v)
+	case KindNot:
+		return Compare(f.l, g.l)
+	default:
+		if c := Compare(f.l, g.l); c != 0 {
+			return c
+		}
+		return Compare(f.r, g.r)
 	}
 }
 

@@ -208,3 +208,36 @@ func TestRenderParenthesization(t *testing.T) {
 		t.Errorf("nested conjunction needs no parens: %q", got)
 	}
 }
+
+// Compare is a total order that agrees with Same: antisymmetric,
+// transitive, and 0 exactly on structurally equal formulas — including
+// equal formulas built from distinct nodes.
+func TestCompareTotalOrderAgreesWithSame(t *testing.T) {
+	x, y, z := Var(0), Var(1), Var(2)
+	fs := []*Formula{
+		Zero(), One(), x, y, z, Var(1), Not(x), Not(y),
+		And(x, y), And(y, x), And(x, Var(1)), Or(x, y), Or(x, Not(y)),
+		And(Or(x, y), z), And(Or(x, Var(1)), Var(2)), Or(And(x, y), Not(z)),
+		Not(And(x, y)), Not(Or(x, y)),
+	}
+	for _, f := range fs {
+		for _, g := range fs {
+			c, d := Compare(f, g), Compare(g, f)
+			if (c == 0) != f.Same(g) {
+				t.Errorf("Compare(%v, %v) = %d, Same = %v", f, g, c, f.Same(g))
+			}
+			if c != -d && !(c == 0 && d == 0) {
+				t.Errorf("Compare not antisymmetric on %v, %v: %d vs %d", f, g, c, d)
+			}
+			for _, h := range fs {
+				if c <= 0 && Compare(g, h) <= 0 && Compare(f, h) > 0 {
+					t.Errorf("Compare not transitive: %v <= %v <= %v but %v > %v", f, g, h, f, h)
+				}
+			}
+		}
+	}
+	a, b := Or(And(x, y), Not(z)), Or(And(x, Var(1)), Not(Var(2)))
+	if n := testing.AllocsPerRun(100, func() { Compare(a, b) }); n != 0 {
+		t.Errorf("Compare allocates %v times", n)
+	}
+}

@@ -16,14 +16,19 @@ func NewVars() *Vars {
 	return &Vars{index: map[string]int{}}
 }
 
-// ID returns the index of name, allocating a fresh one on first use.
-// At most 64 variables are supported (term bitmask width).
+// MaxVars is the most variables one system can declare: a Term holds its
+// literals in 64-bit masks.
+const MaxVars = 64
+
+// ID returns the index of name, allocating a fresh one on first use. It
+// panics past MaxVars variables; callers taking names from untrusted
+// input check Len first.
 func (vs *Vars) ID(name string) int {
 	if i, ok := vs.index[name]; ok {
 		return i
 	}
 	i := len(vs.names)
-	if i >= 64 {
+	if i >= MaxVars {
 		panic("formula: more than 64 variables in one system")
 	}
 	vs.names = append(vs.names, name)

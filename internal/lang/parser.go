@@ -83,7 +83,7 @@ func (p *parser) program() error {
 		if p.cur().Kind != TokIdent {
 			return fmt.Errorf("lang: offset %d: expected variable name, got %s", p.cur().Pos, p.cur())
 		}
-		v := p.next().Text
+		v := p.next()
 		if err := p.expect(TokIn); err != nil {
 			return err
 		}
@@ -91,8 +91,10 @@ func (p *parser) program() error {
 			return fmt.Errorf("lang: offset %d: expected layer name, got %s", p.cur().Pos, p.cur())
 		}
 		layer := p.next().Text
-		p.q.Sys.Var(v) // declare in retrieval order
-		p.q.From(v, layer)
+		if _, err := p.variable(v); err != nil { // declare in retrieval order
+			return err
+		}
+		p.q.From(v.Text, layer)
 		if p.cur().Kind != TokComma {
 			break
 		}
@@ -104,7 +106,9 @@ func (p *parser) program() error {
 			if p.cur().Kind != TokIdent {
 				return fmt.Errorf("lang: offset %d: expected parameter name, got %s", p.cur().Pos, p.cur())
 			}
-			p.q.Sys.Var(p.next().Text)
+			if _, err := p.variable(p.next()); err != nil {
+				return err
+			}
 			if p.cur().Kind != TokComma {
 				break
 			}
@@ -118,6 +122,18 @@ func (p *parser) program() error {
 		return err
 	}
 	return p.expect(TokEOF)
+}
+
+// variable declares (or looks up) the variable an identifier names. A
+// program naming more than formula.MaxVars variables is an error, not a
+// panic in the symbol table.
+func (p *parser) variable(t Token) (*formula.Formula, error) {
+	vars := p.q.Sys.Vars
+	if _, ok := vars.Lookup(t.Text); !ok && vars.Len() >= formula.MaxVars {
+		return nil, fmt.Errorf("lang: offset %d: %q is variable %d; at most %d are supported",
+			t.Pos, t.Text, vars.Len()+1, formula.MaxVars)
+	}
+	return p.q.Sys.Var(t.Text), nil
 }
 
 // constraints parses `constraint {; constraint} [;]`.
@@ -240,7 +256,7 @@ func (p *parser) factor() (*formula.Formula, error) {
 		}
 		return f, nil
 	case TokIdent:
-		return p.q.Sys.Var(t.Text), nil
+		return p.variable(t)
 	case TokZero:
 		return formula.Zero(), nil
 	case TokOne:

@@ -2,13 +2,14 @@ package query
 
 import (
 	"math"
-	"slices"
 	"strings"
 	"sync"
 
 	"repro/internal/bbox"
+	"repro/internal/constraint"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
+	"repro/internal/stats"
 	"repro/internal/triangular"
 )
 
@@ -170,12 +171,23 @@ func orderKey(q *Query) string {
 // statistics favor. Results are identical to Compile for any order — only
 // cost changes. Queries with more than maxAdaptivePermute retrieval
 // variables fall back to the static SuggestOrder ranking; everything else
-// costs all n! ≤ 120 orders (orders that fail to compile are skipped) and
-// keeps the cheapest under the histogram estimate, with fresh Tuner
-// observations overriding estimates where available. Ties go to the
-// order enumerated earliest (permRank), so the query's own order wins
-// when nothing separates the candidates. When every order fails, the
-// error is the one Compile reports for the query's own order.
+// ranks every order that compiles and keeps the cheapest under the
+// histogram estimate, with fresh Tuner observations overriding estimates
+// where available. Ties go to the order enumerated earliest (permRank),
+// so the query's own order wins when nothing separates the candidates.
+// When every order fails, the error is the one Compile reports for the
+// query's own order.
+//
+// The n! orders are searched as a dynamic program over subsets of the
+// bindings (DESIGN.md §7). Algorithm 1 eliminates from the back of an
+// order, and its residual after a set of eliminations does not depend on
+// the order they went in (package triangular), so the step at position i
+// depends only on the binding placed there and the set placed after it.
+// Phase 1 runs each such elimination once: n·2ⁿ⁻¹ of them (32 at n = 4,
+// 80 at n = 5) instead of one per order suffix (64 and 325). Phase 2
+// costs the orders front to back, so orders sharing a prefix share its
+// estimate, and drops a prefix that already costs more than the best
+// complete order. Only the winner's box programs are lowered.
 func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*Plan, error) {
 	n := len(q.Retrieve)
 	if n > maxAdaptivePermute {
@@ -191,66 +203,122 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 		return nil, err
 	}
 
-	epoch := opts.Epoch
-	if epoch == 0 {
-		epoch = store.Epoch()
+	s := &orderSearch{
+		q:        q,
+		n:        n,
+		full:     1<<n - 1,
+		ids:      make([]int, n),
+		epoch:    opts.Epoch,
+		stale:    opts.StaleEpochs,
+		perm:     make([]int, n),
+		bestCost: math.Inf(1),
 	}
-	stale := opts.StaleEpochs
-	if stale == 0 {
-		stale = DefaultStaleEpochs
+	if s.epoch == 0 {
+		s.epoch = store.Epoch()
 	}
-	var observed map[string]Observation
+	if s.stale == 0 {
+		s.stale = DefaultStaleEpochs
+	}
 	if opts.Tuner != nil && opts.TunerKey != "" {
-		observed = opts.Tuner.Lookup(opts.TunerKey)
+		s.observed = opts.Tuner.Lookup(opts.TunerKey)
 	}
-	paramBox := paramBoxes(q, store, opts.Params)
-	ids := make([]int, n)
 	for i, b := range q.Retrieve {
-		ids[i], _ = q.Sys.Vars.Lookup(b.Var)
+		s.ids[i], _ = q.Sys.Vars.Lookup(b.Var)
+	}
+	ground := s.eliminate(q.Sys.Normalize())
+	if ground.F != nil {
+		s.envBox = paramBoxes(q, store, opts.Params)
+		s.rank(store)
+	}
+	if s.best == nil {
+		return Compile(q, store) // every order failed: the query's own order's error
 	}
 
-	// One depth-first pass over order suffixes. Algorithm 1 eliminates
-	// from the back of the order, so step i depends only on the order's
-	// suffix from position i: place fills positions from the last to the
-	// first, and every order below a node shares that node's elimination
-	// and range-query template. Shared steps are never modified; the
-	// winner keeps copies. Nothing here runs under the store's read guard:
-	// estimation takes it per order, and a recursive RLock deadlocks
-	// against a pending writer.
-	var (
-		perm, bestPerm   = make([]int, n), []int(nil)
-		tri, bestTri     = make([]triangular.Step, n), []triangular.Step(nil)
-		steps, bestSteps = make([]StepBoxPlan, n), []StepBoxPlan(nil)
-		bestRest         triangular.Elim // the winner's residual: its ground constraint
-		bestCost         = math.Inf(1)
-		bestRank         int
-		feedbackUsed     int
-		used             uint // bit j: binding j is placed
-	)
-	var place func(i int, e triangular.Elim)
-	place = func(i int, e triangular.Elim) {
-		if i < 0 { // a complete order
-			cost := estimatePlanCost(steps, store, paramBox)
-			if len(observed) > 0 {
-				if o, ok := observed[orderKey(permuted(q, perm))]; ok && epoch >= o.Epoch && epoch-o.Epoch <= stale {
-					cost = float64(o.Candidates)
-					feedbackUsed++
-				}
-			}
-			rank := permRank(perm)
-			if cost < bestCost || (bestPerm != nil && cost == bestCost && rank < bestRank) {
-				bestCost, bestRank, bestRest = cost, rank, e
-				bestPerm, bestTri, bestSteps = slices.Clone(perm), slices.Clone(tri), slices.Clone(steps)
-			}
-			return
+	order := make([]int, n)
+	tri := make([]triangular.Step, n)
+	steps := make([]StepBoxPlan, n)
+	placed := 0
+	for i, j := range s.best {
+		placed |= 1 << j
+		es := s.step(placed, j)
+		order[i], tri[i], steps[i] = s.ids[j], es.tri, es.box
+		steps[i].compilePrograms()
+	}
+	cand := permuted(q, s.best)
+	plan := &Plan{
+		Query: cand,
+		Form:  ground.Form(order, tri),
+		Steps: steps,
+		// Step i retrieves the original query's binding s.best[i]; emit
+		// solutions back in the caller's order.
+		outPos:   s.best,
+		orderKey: orderKey(cand),
+	}
+	plan.Adaptive = &AdaptiveInfo{
+		Reordered:    plan.orderKey != orderKey(q),
+		FeedbackUsed: s.feedbackUsed,
+	}
+	return plan, nil
+}
+
+// elimStep is one elimination of phase 1: a binding's solved step and
+// range-query template, given the set of bindings eliminated before it.
+type elimStep struct {
+	tri triangular.Step
+	box StepBoxPlan
+	ok  bool // false: Algorithm 1 or Algorithm 2 failed here
+}
+
+// orderSearch is CompileAdaptive's subset dynamic program. Sets of
+// bindings are bitmasks over q.Retrieve.
+type orderSearch struct {
+	q     *Query
+	n     int
+	full  int   // the set of all bindings
+	ids   []int // binding j's variable id
+	steps []elimStep
+
+	// Phase 2 state.
+	k            int
+	stats        []*stats.Layer // binding j's layer statistics; nil when the layer is missing
+	envBox       []bbox.Box     // representative environment of the current prefix
+	observed     map[string]Observation
+	epoch, stale uint64
+	prune        bool
+	perm         []int // the current prefix: binding perm[i] at position i
+	best         []int
+	bestCost     float64
+	bestRank     int
+	feedbackUsed int
+}
+
+// step returns binding j's elimination when it is placed in front of
+// every binding outside placed (placed includes j).
+func (s *orderSearch) step(placed, j int) *elimStep {
+	return &s.steps[(s.full&^placed)*s.n+j]
+}
+
+// eliminate is phase 1. It visits the eliminated sets in ascending order —
+// every subset of a set before the set — and eliminates each remaining
+// binding from the set's residual once. The first successful residual of
+// a set is the set's residual: any other order into it yields the same
+// one. It returns the residual of the full set (F nil when no order
+// compiles): the ground constraint every plan shares.
+func (s *orderSearch) eliminate(norm constraint.Normal) triangular.Elim {
+	res := make([]triangular.Elim, s.full+1) // F nil: no order reaches the set
+	res[0] = triangular.Start(norm)
+	s.steps = make([]elimStep, (s.full+1)*s.n)
+	for used := 0; used < s.full; used++ {
+		if res[used].F == nil {
+			continue
 		}
-		for j, b := range q.Retrieve {
+		for j, b := range s.q.Retrieve {
 			if used&(1<<j) != 0 {
 				continue
 			}
-			// A failure fails every order with this suffix, as compiling
-			// each of them would.
-			st, rest, err := e.Eliminate(ids[j])
+			// A failure fails every order that eliminates j right after
+			// this set, as compiling each of them would.
+			st, rest, err := res[used].Eliminate(s.ids[j])
 			if err != nil {
 				continue
 			}
@@ -258,38 +326,121 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 			if err != nil {
 				continue
 			}
-			perm[i], tri[i], steps[i] = j, st, sp
-			used |= 1 << j
-			place(i-1, rest)
-			used &^= 1 << j
+			s.steps[used*s.n+j] = elimStep{tri: st, box: sp, ok: true}
+			if next := used | 1<<j; res[next].F == nil {
+				res[next] = rest
+			}
 		}
 	}
-	place(n-1, triangular.Start(q.Sys.Normalize()))
-	if bestPerm == nil {
-		return Compile(q, store) // every order failed: the query's own order's error
-	}
+	return res[s.full]
+}
 
-	order := make([]int, n)
-	for i, j := range bestPerm {
-		order[i] = ids[j]
-		bestSteps[i].Diseqs = slices.Clone(bestSteps[i].Diseqs) // compilePrograms writes into it
-		bestSteps[i].compilePrograms()
+// rank is phase 2: one front-to-back walk over the orders phase 1
+// compiled, under a single hold of the store's read guard (estimation
+// only reads the layer statistics; nothing inside takes the guard again,
+// which would deadlock against a pending writer). A subtree is pruned
+// when its prefix alone costs more than the best complete order — never
+// on a tie, which permRank must still break, and never when the Tuner
+// holds observations, which replace a whole order's cost.
+func (s *orderSearch) rank(store *spatialdb.Store) {
+	store.RLock()
+	defer store.RUnlock()
+	s.k = store.K()
+	s.stats = make([]*stats.Layer, s.n)
+	for j, b := range s.q.Retrieve {
+		if l, ok := store.LayerIfExists(b.Layer); ok {
+			s.stats[j] = l.DataStats()
+		}
 	}
-	cand := permuted(q, bestPerm)
-	plan := &Plan{
-		Query: cand,
-		Form:  bestRest.Form(order, bestTri),
-		Steps: bestSteps,
-		// Step i retrieves the original query's binding bestPerm[i]; emit
-		// solutions back in the caller's order.
-		outPos:   bestPerm,
-		orderKey: orderKey(cand),
+	s.prune = len(s.observed) == 0
+	s.place(0, 0, 0, 1, true)
+}
+
+// place fills position i of the order, the bindings in placed holding
+// positions 0..i-1. cost and width are the prefix's estimate,
+//
+//	cost = f1 + f1·f2 + … + f1·…·fi,   width = f1·…·fi,
+//
+// summed in the order a per-order walk sums them. live turns false at the
+// first step the estimate stops at: a statically dead step or a zero
+// estimate (the prefix costs what it has so far: deeper steps never run)
+// or a missing layer (+inf: it can only fail at run time).
+func (s *orderSearch) place(i, placed int, cost, width float64, live bool) {
+	if i == s.n {
+		s.leaf(cost)
+		return
 	}
-	plan.Adaptive = &AdaptiveInfo{
-		Reordered:    plan.orderKey != orderKey(q),
-		FeedbackUsed: feedbackUsed,
+	for j := range s.n {
+		if placed&(1<<j) != 0 {
+			continue
+		}
+		es := s.step(placed|1<<j, j)
+		if !es.ok {
+			continue
+		}
+		c, w, l := cost, width, live
+		v := es.box.Var
+		saved := s.envBox[v]
+		if l {
+			c, w, l = s.estimate(&es.box, s.stats[j], c, w)
+		}
+		if s.prune && c > s.bestCost {
+			s.envBox[v] = saved
+			continue
+		}
+		s.perm[i] = j
+		s.place(i+1, placed|1<<j, c, w, l)
+		s.envBox[v] = saved
 	}
-	return plan, nil
+}
+
+// estimate extends a live prefix's estimate by one step: it instantiates
+// the step's range template over the representative environment, asks
+// the layer's histograms for the expected match count and, when the
+// prefix stays live, binds the step's variable to a representative box for
+// deeper steps: the mean stored box, narrowed to the step's upper bound
+// when they meet (survivors of the range query are contained in Upper).
+func (s *orderSearch) estimate(sp *StepBoxPlan, ds *stats.Layer, cost, width float64) (float64, float64, bool) {
+	if ds == nil {
+		return math.Inf(1), width, false
+	}
+	spec, satisfiable := sp.Spec(s.k, s.envBox)
+	if !satisfiable {
+		return cost, width, false
+	}
+	est := ds.EstimateSpec(spec)
+	if est == 0 {
+		return cost, width, false
+	}
+	width *= est
+	cost += width
+	rep := ds.MeanBox()
+	if !spec.Upper.IsEmpty() && !spec.Upper.IsUniv() {
+		if m := rep.Meet(spec.Upper); !m.IsEmpty() {
+			rep = m
+		} else {
+			rep = spec.Upper
+		}
+	}
+	s.envBox[sp.Var] = rep
+	return cost, width, true
+}
+
+// leaf ranks one complete order: a fresh Tuner observation replaces its
+// estimate, and the cheapest order wins, the earliest by permRank on a
+// tie.
+func (s *orderSearch) leaf(cost float64) {
+	if len(s.observed) > 0 {
+		if o, ok := s.observed[orderKey(permuted(s.q, s.perm))]; ok && s.epoch >= o.Epoch && s.epoch-o.Epoch <= s.stale {
+			cost = float64(o.Candidates)
+			s.feedbackUsed++
+		}
+	}
+	rank := permRank(s.perm)
+	if cost < s.bestCost || (s.best != nil && cost == s.bestCost && rank < s.bestRank) {
+		s.bestCost, s.bestRank = cost, rank
+		s.best = append(s.best[:0], s.perm...)
+	}
 }
 
 // permuted returns q with its bindings reordered: binding perm[i] at
@@ -305,8 +456,8 @@ func permuted(q *Query, perm []int) *Query {
 // paramBoxes builds the representative environment estimation evaluates
 // box programs over: every parameter is bound to its region's bounding
 // box (clipped to the universe), or to the universe box when the caller
-// did not supply it. Retrieval variables start unbound; estimatePlanCost
-// fills them in step order with representative boxes.
+// did not supply it. Retrieval variables start unbound; CompileAdaptive's
+// cost walk binds them in order with representative boxes.
 func paramBoxes(q *Query, store *spatialdb.Store, params map[string]*region.Region) []bbox.Box {
 	envBox := make([]bbox.Box, q.Sys.Vars.Len())
 	uni := store.Universe()
@@ -320,50 +471,4 @@ func paramBoxes(q *Query, store *spatialdb.Store, params map[string]*region.Regi
 		}
 	}
 	return envBox
-}
-
-// estimatePlanCost walks a plan's steps once under the store's read
-// guard, instantiating each range template over the representative
-// environment and asking the layer's histograms for the expected match
-// count, and returns the cumulative-width cost. A missing layer costs
-// +inf — it can only fail at run time, so no order that reaches it early
-// should ever win.
-func estimatePlanCost(steps []StepBoxPlan, store *spatialdb.Store, paramBox []bbox.Box) float64 {
-	store.RLock()
-	defer store.RUnlock()
-	k := store.K()
-	envBox := append([]bbox.Box(nil), paramBox...)
-	cost, width := 0.0, 1.0
-	for i := range steps {
-		sp := &steps[i]
-		l, ok := store.LayerIfExists(sp.Layer)
-		if !ok {
-			return math.Inf(1)
-		}
-		ds := l.DataStats()
-		spec, satisfiable := sp.Spec(k, envBox)
-		if !satisfiable {
-			return cost // statically dead prefix: deeper steps never run
-		}
-		est := ds.EstimateSpec(spec)
-		if est == 0 {
-			return cost // estimated dead end: deeper steps cost ~nothing
-		}
-		width *= est
-		cost += width
-
-		// Representative box for this variable at deeper steps: the mean
-		// stored box, narrowed to the step's upper bound when they meet
-		// (survivors of the range query are contained in Upper).
-		rep := ds.MeanBox()
-		if !spec.Upper.IsEmpty() && !spec.Upper.IsUniv() {
-			if m := rep.Meet(spec.Upper); !m.IsEmpty() {
-				rep = m
-			} else {
-				rep = spec.Upper
-			}
-		}
-		envBox[sp.Var] = rep
-	}
-	return cost
 }

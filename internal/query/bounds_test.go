@@ -17,10 +17,13 @@ var allKinds = []spatialdb.IndexKind{
 
 // heavyFixture builds a map big enough that the unfiltered cross product
 // (no index, no exact filter) takes far longer than the cancellation
-// deadlines the tests use.
+// deadlines the tests use: 250 towns × 600 roads × 36 states, about
+// 5.5 million candidates, which the serial executor needs well over a
+// second for (1.6 s on a 2-core x86-64 VM) and the parallel one about
+// half that. Building it takes a few milliseconds.
 func heavyFixture(t *testing.T, kind spatialdb.IndexKind) (*spatialdb.Store, map[string]*region.Region) {
 	t.Helper()
-	return smugglerFixture(t, kind, workload.MapConfig{Seed: 7, Towns: 60, Interior: 40, Roads: 150})
+	return smugglerFixture(t, kind, workload.MapConfig{Seed: 7, Towns: 150, Interior: 100, Roads: 600, StatesX: 6, StatesY: 6})
 }
 
 // slowOptions disables both filters: every step scans its whole layer

@@ -27,8 +27,20 @@
 //
 // One elimination is one Elim.Eliminate, yielding a variable's solved step
 // and the residual over the rest; Compile chains Start, Eliminate per
-// variable and Form, and the adaptive planner shares the eliminations of a
-// common order suffix among orders (DESIGN.md §7).
+// variable and Form.
+//
+// Residuals are canonical: the residual after eliminating a set of
+// variables is the same value whatever order the set went in, so the
+// adaptive planner eliminates each variable once per set rather than once
+// per order (DESIGN.md §7). Projection commutes: ∃x∃y F = ⋀_ab F_ab over
+// the four cofactors F_ab = F[x↦a, y↦b], and a disequation g projected
+// through x and then y is ⋁_ab ¬F_ab ∧ g_ab, symmetric in x and y — also
+// when g does not mention one of them and is carried past it unchanged,
+// since then g_ab = g_b. Every projected formula is re-normalised to its
+// Blake canonical form, which is unique for the function it denotes; and
+// Eliminate sorts the residual's disequations by formula.Compare and
+// drops duplicates, so neither the order of the list nor a repeated entry
+// records the path taken.
 //
 // DESIGN.md §2 ("Compilation") places this package in the module map; §1 sketches the pipeline stage it implements.
 package triangular
@@ -124,6 +136,9 @@ func (e Elim) Eliminate(v int) (Step, Elim, error) {
 			continue
 		}
 		g1, g0 := formula.Expansion(g, v)
+		if slices.ContainsFunc(step.Diseqs, func(d Diseq) bool { return d.P.Same(g1) && d.Q.Same(g0) }) {
+			continue // same cofactors: the same solved disequation and projection
+		}
 		step.Diseqs = append(step.Diseqs, Diseq{P: g1, Q: g0})
 		// Projection of this disequation: ¬f₁∧g₁ ∨ ¬f₀∧g₀ ≠ 0.
 		proj := formula.Or(
@@ -139,10 +154,11 @@ func (e Elim) Eliminate(v int) (Step, Elim, error) {
 			next.Unsat = true
 		case formula.TautologyOne(proj):
 			// Trivially nonzero in a nontrivial algebra: drop.
-		case !slices.ContainsFunc(next.G, proj.Same):
+		default:
 			next.G = append(next.G, proj)
 		}
 	}
+	next.G = canonical(next.G)
 	if next.F, err = simplify(formula.And(f1, f0)); err != nil {
 		return Step{}, Elim{}, err
 	}
@@ -185,7 +201,17 @@ func Proj(n constraint.Normal, v int) (constraint.Normal, error) {
 		}
 		out.G = append(out.G, proj)
 	}
+	out.G = canonical(out.G)
 	return out, nil
+}
+
+// canonical sorts a residual's disequations into formula.Compare order and
+// drops structural duplicates, in place. With every projected disequation
+// in Blake canonical form, this makes the residual a function of the set
+// of variables eliminated, not of the order they went in.
+func canonical(gs []*formula.Formula) []*formula.Formula {
+	slices.SortFunc(gs, formula.Compare)
+	return slices.CompactFunc(gs, (*formula.Formula).Same)
 }
 
 // simplify re-normalizes a formula through its Blake canonical form,

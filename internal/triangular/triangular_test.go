@@ -1,6 +1,10 @@
 package triangular
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/boolalg"
@@ -340,4 +344,119 @@ func TestProjEliminatesVariable(t *testing.T) {
 			t.Errorf("projected disequation still uses x: %v", g)
 		}
 	}
+}
+
+// randSystem builds a random constraint system over n retrieval
+// variables (indices 0..n-1) and one parameter C (index n), mixing every
+// constraint kind the query language has.
+func randSystem(rng *rand.Rand, n int) *constraint.System {
+	s := constraint.NewSystem()
+	var atoms []*formula.Formula
+	for _, name := range []string{"x", "y", "z", "w", "v"}[:n] {
+		atoms = append(atoms, s.Var(name))
+	}
+	atoms = append(atoms, s.Var("C"), formula.One())
+	randFormula := func() *formula.Formula {
+		f := atoms[rng.IntN(len(atoms))]
+		for range rng.IntN(3) {
+			g := atoms[rng.IntN(len(atoms))]
+			switch rng.IntN(3) {
+			case 0:
+				f = formula.And(f, g)
+			case 1:
+				f = formula.Or(f, g)
+			default:
+				f = formula.Diff(f, g)
+			}
+		}
+		return f
+	}
+	for range 1 + rng.IntN(5) {
+		f, g := randFormula(), randFormula()
+		switch rng.IntN(5) {
+		case 0:
+			s.Subset(f, g)
+		case 1:
+			s.NotSubset(f, g)
+		case 2:
+			s.Overlap(f, g)
+		case 3:
+			s.Disjoint(f, g)
+		default:
+			s.NonEmpty(f)
+		}
+	}
+	return s
+}
+
+// hasDuplicate reports whether two entries of xs are equal under same.
+func hasDuplicate[T any](xs []T, same func(a, b T) bool) bool {
+	for i := range xs {
+		for j := i + 1; j < len(xs); j++ {
+			if same(xs[i], xs[j]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// Canonical residuals: projection commutes and the Blake canonical form
+// is unique, so eliminating a set of variables must leave the same
+// residual — equation, disequation list element by element, and Unsat —
+// whatever order the set went in. The adaptive planner's subset DP keeps
+// one residual per set and relies on exactly this. No step and no
+// residual may carry a disequation twice.
+func TestEliminateResidualIsOrderIndependent(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		for trial := range 40 {
+			rng := rand.New(rand.NewPCG(uint64(n), uint64(trial)))
+			s := randSystem(rng, n)
+			bySet := map[uint]Elim{}
+			orderOf := map[uint][]int{}
+			var walk func(e Elim, used uint, order []int)
+			walk = func(e Elim, used uint, order []int) {
+				if prev, ok := bySet[used]; !ok {
+					bySet[used], orderOf[used] = e, slices.Clone(order)
+				} else if !sameElim(prev, e) {
+					t.Fatalf("n=%d trial %d: eliminating %v and %v leave different residuals\n%s\nvs\n%s\nsystem:\n%s",
+						n, trial, orderOf[used], order, elimString(prev), elimString(e), s)
+				}
+				if hasDuplicate(e.G, (*formula.Formula).Same) {
+					t.Fatalf("n=%d trial %d: residual after %v repeats a disequation:\n%s", n, trial, order, elimString(e))
+				}
+				for v := range n {
+					if used&(1<<v) != 0 {
+						continue
+					}
+					st, rest, err := e.Eliminate(v)
+					if err != nil {
+						continue
+					}
+					if hasDuplicate(st.Diseqs, func(a, b Diseq) bool { return a.P.Same(b.P) && a.Q.Same(b.Q) }) {
+						t.Fatalf("n=%d trial %d: step for x%d after %v repeats a disequation", n, trial, v, order)
+					}
+					walk(rest, used|1<<v, append(order, v))
+				}
+			}
+			walk(Start(s.Normalize()), 0, nil)
+		}
+	}
+}
+
+func sameElim(a, b Elim) bool {
+	return a.Unsat == b.Unsat && a.F.Same(b.F) &&
+		slices.EqualFunc(a.G, b.G, (*formula.Formula).Same)
+}
+
+func elimString(e Elim) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%v = 0", e.F)
+	for _, g := range e.G {
+		fmt.Fprintf(&b, " ; %v != 0", g)
+	}
+	if e.Unsat {
+		b.WriteString(" ; UNSAT")
+	}
+	return b.String()
 }
