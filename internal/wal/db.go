@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -27,8 +25,9 @@ import (
 // acknowledged mutation is appended (and, under fsync=always, fsynced)
 // before the mutating call returns. A background checkpointer
 // periodically writes a fresh snapshot and deletes the sealed segments
-// it covers, bounding both recovery time and disk usage. Close seals the
-// log; a clean shutdown therefore loses nothing regardless of policy.
+// every retained snapshot covers, bounding both recovery time and disk
+// usage. Close seals the log; a clean shutdown therefore loses nothing
+// regardless of policy.
 //
 // Checkpoint protocol (crash-safe at every step):
 //
@@ -37,11 +36,12 @@ import (
 //     append under the write lock, so the boundary is exact.
 //  2. Write the snapshot atomically: temp file, fsync, rename to
 //     snap-<lsn>.bqs, directory fsync.
-//  3. Rotate the log if the active segment holds covered records, then
-//     delete sealed segments entirely ≤ lsn and snapshots older than the
-//     retained set. A crash between any two steps leaves a directory
-//     that still recovers: the snapshot only becomes visible complete,
-//     and segments are only deleted after it is.
+//  3. Rotate the log if the active segment holds covered records, delete
+//     snapshots older than the retained set, then delete sealed segments
+//     entirely ≤ the oldest snapshot still on disk, so recovery can fall
+//     back to any retained snapshot. A crash between any two steps leaves
+//     a directory that still recovers: the snapshot only becomes visible
+//     complete, and segments are only deleted after it is.
 type DB struct {
 	dir   string
 	fs    vfs.FS
@@ -224,8 +224,13 @@ func OpenDB(dir string, opts DBOptions) (*DB, error) {
 		}
 	}
 
-	// Recovery step 3: replay the tail.
-	if err := log.Replay(snapLSN, func(lsn uint64, payload []byte) error {
+	// Recovery step 3: replay the tail through the log's one read path.
+	// A gap between the snapshot and the oldest retained segment is
+	// ErrTruncated. ReadFrom stops quietly at a bad frame in the active
+	// segment, which Open has just repaired, so a short replay means a
+	// read went wrong and must fail recovery, not boot short.
+	applied := snapLSN
+	if _, err := log.ReadFrom(snapLSN, 0, func(lsn uint64, payload []byte) error {
 		m, err := spatialdb.DecodeMutation(payload)
 		if err != nil {
 			return fmt.Errorf("wal: record %d: %w", lsn, err)
@@ -233,10 +238,14 @@ func OpenDB(dir string, opts DBOptions) (*DB, error) {
 		if err := store.ApplyMutation(m); err != nil {
 			return fmt.Errorf("wal: record %d: %w", lsn, err)
 		}
+		applied = lsn
 		db.replayed++
 		return nil
 	}); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("wal: recovering from snapshot LSN %d: %w", snapLSN, err)
+	}
+	if last := log.LastLSN(); applied != last {
+		return nil, fmt.Errorf("wal: recovery replayed up to LSN %d of %d", applied, last)
 	}
 
 	db.appliedLSN.Store(log.LastLSN())
@@ -482,11 +491,11 @@ func (db *DB) tryRecover() bool {
 	return true
 }
 
-// Checkpoint writes a snapshot of the current state, seals and deletes
-// the WAL segments it covers, and prunes old snapshots. It returns the
-// snapshot's boundary LSN. Concurrent calls serialize; mutations proceed
-// concurrently except during the state serialization itself (which holds
-// the store's read guard).
+// Checkpoint writes a snapshot of the current state, prunes old
+// snapshots, and seals and deletes the WAL segments every retained
+// snapshot covers. It returns the snapshot's boundary LSN. Concurrent
+// calls serialize; mutations proceed concurrently except during the
+// state serialization itself (which holds the store's read guard).
 func (db *DB) Checkpoint() (uint64, error) { return db.checkpoint(false) }
 
 // checkpoint implements Checkpoint. force writes a snapshot even when no
@@ -495,10 +504,9 @@ func (db *DB) Checkpoint() (uint64, error) { return db.checkpoint(false) }
 func (db *DB) checkpoint(force bool) (uint64, error) {
 	db.checkpointMu.Lock()
 	defer db.checkpointMu.Unlock()
-	// Serialize through a temp file in the same directory; the boundary
-	// LSN — and with it the final name — is only known once the store's
-	// read guard is held, so the atomic write is spelled out here rather
-	// than through writeFileAtomic.
+	// Serialize through a temp file in the same directory, then rename it
+	// into place: the boundary LSN — and with it the final name — is only
+	// known once the store's read guard is held.
 	var lsn uint64
 	tmp, err := db.fs.CreateTemp(db.dir, snapPrefix+"*"+tmpSuffix)
 	if err != nil {
@@ -526,7 +534,7 @@ func (db *DB) checkpoint(force bool) (uint64, error) {
 	if err := tmp.Close(); err != nil {
 		return cleanup(fmt.Errorf("wal: %w", err))
 	}
-	final := filepath.Join(db.dir, fmt.Sprintf("%s%020d%s", snapPrefix, lsn, snapSuffix))
+	final := snapPath(db.dir, lsn)
 	if err := db.fs.Rename(tmp.Name(), final); err != nil {
 		db.fs.Remove(tmp.Name())
 		db.ckptErrs.Add(1)
@@ -540,19 +548,22 @@ func (db *DB) checkpoint(force bool) (uint64, error) {
 	db.ckptBytes.Store(db.log.Stats().AppendedBytes)
 	db.checkpoints.Add(1)
 
-	// Seal the covered boundary, then drop what the snapshot made
-	// redundant. Failures here cost disk, not correctness.
+	// Seal the covered boundary, prune old snapshots, then drop the
+	// segments every snapshot still on disk has made redundant: recovery
+	// falls back to an older snapshot when the newest is corrupt, and
+	// needs the log from there. Failures here cost disk, not correctness.
 	if db.log.SegmentStart() <= lsn {
 		if err := db.log.Rotate(); err != nil {
 			db.ckptErrs.Add(1)
 			return lsn, err
 		}
 	}
-	if _, err := db.log.TruncateBelow(lsn); err != nil {
+	oldest, err := db.pruneSnapshots()
+	if err != nil {
 		db.ckptErrs.Add(1)
 		return lsn, err
 	}
-	if err := db.pruneSnapshots(); err != nil {
+	if _, err := db.log.TruncateBelow(oldest); err != nil {
 		db.ckptErrs.Add(1)
 		return lsn, err
 	}
@@ -561,34 +572,37 @@ func (db *DB) checkpoint(force bool) (uint64, error) {
 
 // pruneSnapshots deletes all but the newest keep snapshots, skipping any
 // that a replica fetch currently pins (they go on a later pass, once the
-// stream finishes). Holding pinMu across the scan-and-delete serializes
+// stream finishes), and returns the boundary LSN of the oldest snapshot
+// left on disk. Holding pinMu across the scan-and-delete serializes
 // against AcquireSnapshot's scan-and-pin, so a snapshot can never be
 // deleted between a replica choosing it and pinning it.
-func (db *DB) pruneSnapshots() error {
+func (db *DB) pruneSnapshots() (uint64, error) {
 	db.pinMu.Lock()
 	defer db.pinMu.Unlock()
-	lsns, err := scanSnapshots(db.fs, db.dir)
+	lsns, err := listLSNs(db.fs, db.dir, snapPrefix, snapSuffix)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if len(lsns) <= db.keep {
-		return nil
+	if len(lsns) == 0 {
+		return 0, nil
 	}
+	stale := max(len(lsns)-db.keep, 0)
+	oldest := lsns[stale]
 	removed := false
-	for _, lsn := range lsns[:len(lsns)-db.keep] {
+	for _, lsn := range lsns[:stale] {
 		if db.pins[lsn] > 0 {
+			oldest = min(oldest, lsn)
 			continue
 		}
-		name := filepath.Join(db.dir, fmt.Sprintf("%s%020d%s", snapPrefix, lsn, snapSuffix))
-		if err := db.fs.Remove(name); err != nil {
-			return fmt.Errorf("wal: %w", err)
+		if err := db.fs.Remove(snapPath(db.dir, lsn)); err != nil {
+			return 0, fmt.Errorf("wal: %w", err)
 		}
 		removed = true
 	}
 	if !removed {
-		return nil
+		return oldest, nil
 	}
-	return syncDir(db.fs, db.dir)
+	return oldest, syncDir(db.fs, db.dir)
 }
 
 // ErrNoSnapshot is returned by AcquireSnapshot when the directory holds
@@ -602,7 +616,7 @@ var ErrNoSnapshot = errors.New("wal: no snapshot available")
 // on top of it. release is safe to call exactly once.
 func (db *DB) AcquireSnapshot() (lsn uint64, r io.ReadCloser, release func(), err error) {
 	db.pinMu.Lock()
-	lsns, err := scanSnapshots(db.fs, db.dir)
+	lsns, err := listLSNs(db.fs, db.dir, snapPrefix, snapSuffix)
 	if err != nil {
 		db.pinMu.Unlock()
 		return 0, nil, nil, err
@@ -627,8 +641,7 @@ func (db *DB) AcquireSnapshot() (lsn uint64, r io.ReadCloser, release func(), er
 		}
 		db.pinMu.Unlock()
 	}
-	name := filepath.Join(db.dir, fmt.Sprintf("%s%020d%s", snapPrefix, lsn, snapSuffix))
-	f, err := db.fs.Open(name)
+	f, err := db.fs.Open(snapPath(db.dir, lsn))
 	if err != nil {
 		release()
 		return 0, nil, nil, fmt.Errorf("wal: %w", err)
@@ -697,40 +710,17 @@ func (db *DB) Close() error {
 
 // ---- snapshot discovery ----
 
-// scanSnapshots lists snapshot boundary LSNs in dir, ascending.
-func scanSnapshots(fs vfs.FS, dir string) ([]uint64, error) {
-	entries, err := fs.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	var lsns []uint64
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, snapPrefix) || !strings.HasSuffix(name, snapSuffix) {
-			continue
-		}
-		numeric := strings.TrimSuffix(strings.TrimPrefix(name, snapPrefix), snapSuffix)
-		lsn, err := strconv.ParseUint(numeric, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("wal: unrecognized snapshot file %q", name)
-		}
-		lsns = append(lsns, lsn)
-	}
-	sort.Slice(lsns, func(i, j int) bool { return lsns[i] < lsns[j] })
-	return lsns, nil
-}
-
 // loadBestSnapshot loads the newest snapshot that passes its checksum,
 // falling back to older ones (a torn checkpoint cannot happen — renames
 // are atomic — but a corrupted disk block can). Returns (nil, 0, nil)
 // when no loadable snapshot exists.
 func loadBestSnapshot(fs vfs.FS, dir string, kind spatialdb.IndexKind) (*spatialdb.Store, uint64, error) {
-	lsns, err := scanSnapshots(fs, dir)
+	lsns, err := listLSNs(fs, dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return nil, 0, err
 	}
 	for i := len(lsns) - 1; i >= 0; i-- {
-		name := filepath.Join(dir, fmt.Sprintf("%s%020d%s", snapPrefix, lsns[i], snapSuffix))
+		name := snapPath(dir, lsns[i])
 		f, err := fs.Open(name)
 		if err != nil {
 			return nil, 0, fmt.Errorf("wal: %w", err)

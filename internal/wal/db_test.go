@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -239,7 +240,7 @@ func TestDBCheckpointTruncatesLogAndBoundsRecovery(t *testing.T) {
 	if _, err := db2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	snaps, err := scanSnapshots(vfs.OS, dir)
+	snaps, err := listLSNs(vfs.OS, dir, snapPrefix, snapSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,6 +290,136 @@ func TestDBFallsBackPastCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := os.Stat(newest); !os.IsNotExist(err) {
 		t.Fatalf("corrupt snapshot still in place: %v", err)
+	}
+	// The fallback is only a fallback if the log still reaches back to it.
+	if got := db2.Replayed(); got != 6 {
+		t.Fatalf("Replayed = %d, want 6", got)
+	}
+	assertStoresEqual(t, db2.Store(), scriptState(t, spatialdb.Scan, 12), "fallback recovery")
+}
+
+// TestDBRecoveryFailsOnLogGap corrupts every snapshot after two
+// checkpoints. Recovery then starts from an empty store while the log
+// begins past LSN 1; OpenDB must refuse to boot rather than serve the
+// records past the gap on top of nothing.
+func TestDBRecoveryFailsOnLogGap(t *testing.T) {
+	dir := t.TempDir()
+	opts := DBOptions{Kind: spatialdb.Scan, Universe: testUniverse,
+		Log: Options{Policy: SyncNever}}
+	noCheckpoints(&opts)
+	db := mustOpenDB(t, dir, opts)
+	for i := 0; i < 12; i++ {
+		if err := scriptOp(i, db.Store()); err != nil {
+			t.Fatal(err)
+		}
+		if i%6 == 5 {
+			if _, err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := listLSNs(vfs.OS, dir, snapPrefix, snapSuffix)
+	if err != nil || len(snaps) != 2 {
+		t.Fatalf("snapshots %v, %v; want two", snaps, err)
+	}
+	for _, lsn := range snaps {
+		path := snapPath(dir, lsn)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/2] ^= 0xff
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db2, err := OpenDB(dir, opts); !errors.Is(err, ErrTruncated) {
+		if err == nil {
+			t.Fatalf("recovery booted across a log gap with %d records replayed", db2.Replayed())
+		}
+		t.Fatalf("OpenDB = %v, want ErrTruncated", err)
+	}
+}
+
+// TestDBReadFaultFailsRecovery injects one read fault — an I/O error, or
+// a flipped bit — at every read of the segment in turn. A fault that
+// fires in Open's tail scan must fail Open when it is an I/O error (a
+// failing disk is not a torn tail to truncate). A fault that fires
+// later, while recovery replays the repaired segment, must fail OpenDB
+// rather than boot with the records before it.
+func TestDBReadFaultFailsRecovery(t *testing.T) {
+	const nOps = 12
+	master := t.TempDir()
+	opts := DBOptions{Kind: spatialdb.Scan, Universe: testUniverse,
+		Log: Options{Policy: SyncNever}}
+	noCheckpoints(&opts)
+	db := mustOpenDB(t, master, opts)
+	runScript(t, db.Store(), nOps)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segName := lsnName(segPrefix, 1, segSuffix)
+	raw, err := os.ReadFile(filepath.Join(master, segName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copyLog := func() string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, segName), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	inReplay := map[bool]int{} // by CorruptBit
+	for k := 0; k < 4; k++ {
+		for _, corrupt := range []bool{false, true} {
+			fault := vfs.Fault{Op: vfs.OpRead, Path: segPrefix, After: k, Count: 1, CorruptBit: corrupt}
+			label := fmt.Sprintf("read fault after %d reads (corrupt=%v)", k, corrupt)
+
+			// Does the fault fire in Open's tail scan?
+			dir := copyLog()
+			probe := vfs.NewInjector(nil).Add(fault)
+			l, err := Open(dir, Options{Policy: SyncNever, FS: probe})
+			if err == nil {
+				l.Close()
+			}
+			if probe.FaultStats().Injected > 0 {
+				if !corrupt {
+					if err == nil {
+						t.Fatalf("%s: Open succeeded through a read error", label)
+					}
+					if fi, err := os.Stat(filepath.Join(dir, segName)); err != nil || fi.Size() != int64(len(raw)) {
+						t.Fatalf("%s: a read error truncated the segment (%v)", label, err)
+					}
+				}
+				continue // a flipped bit in the tail scan reads as a torn tail
+			}
+
+			inj := vfs.NewInjector(nil).Add(fault)
+			fopts := opts
+			fopts.Log.FS = inj
+			rdb, err := OpenDB(copyLog(), fopts)
+			switch {
+			case inj.FaultStats().Injected == 0:
+				if err != nil {
+					t.Fatalf("%s: fault never fired, yet OpenDB failed: %v", label, err)
+				}
+				assertStoresEqual(t, rdb.Store(), scriptState(t, spatialdb.Scan, nOps), label)
+				rdb.Close()
+			case err == nil:
+				rdb.Close()
+				t.Fatalf("%s: recovery booted with %d of %d records", label, rdb.Replayed(), nOps)
+			default:
+				inReplay[corrupt]++
+			}
+		}
+	}
+	if inReplay[false] == 0 || inReplay[true] == 0 {
+		t.Fatalf("faults landed in replay: %v; want an I/O error and a flipped bit", inReplay)
 	}
 }
 

@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -98,7 +100,7 @@ func TestReadFromAfterTornFinalRecord(t *testing.T) {
 	}
 
 	// Tear the last record: remove 3 bytes from the newest segment.
-	segs, err := scanSegments(vfs.OS, dir)
+	segs, err := listLSNs(vfs.OS, dir, segPrefix, segSuffix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,5 +331,51 @@ func TestSnapshotPinDefersPrune(t *testing.T) {
 	}
 	if _, err := os.Stat(snapA); !os.IsNotExist(err) {
 		t.Fatalf("released snapshot still present after checkpoint (stat err %v)", err)
+	}
+}
+
+// TestReadFromCorruptLengthAllocatesBounded sets the first length prefix
+// of a sealed segment to 200 MiB. ReadFrom must reject the frame without
+// allocating more than the file holds.
+func TestReadFromCorruptLengthAllocatesBounded(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendReaderScript(t, l, 3)
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(readerPayload(4)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed := filepath.Join(dir, lsnName(segPrefix, 1, segSuffix))
+	raw, err := os.ReadFile(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(raw[0:4], 200<<20)
+	if err := os.WriteFile(sealed, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	l, err = Open(dir, Options{Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = l.ReadFrom(0, 0, func(uint64, []byte) error { return nil })
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("ReadFrom accepted a 200 MiB length prefix in a sealed segment")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("ReadFrom allocated %d bytes on a %d-byte segment", got, len(raw))
 	}
 }

@@ -34,10 +34,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -146,8 +144,7 @@ type Stats struct {
 }
 
 // Log is a segmented append-only record log. Append/Sync/Rotate/
-// TruncateBelow are safe for concurrent use; Replay must run before
-// appending starts (recovery-time only).
+// TruncateBelow/ReadFrom are safe for concurrent use.
 type Log struct {
 	dir  string
 	fs   vfs.FS
@@ -179,7 +176,7 @@ type Log struct {
 // Open opens (creating if needed) the log in dir. It scans the newest
 // segment to find the next LSN, truncating a torn final record — the
 // expected remnant of a crash mid-append — so the log is immediately
-// appendable. Corruption anywhere else is reported by Replay, not here.
+// appendable. Corruption anywhere else is reported by ReadFrom, not here.
 func Open(dir string, opts Options) (*Log, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
@@ -194,9 +191,12 @@ func Open(dir string, opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{dir: dir, fs: opts.FS, opts: opts}
-	starts, err := scanSegments(l.fs, dir)
+	starts, err := listLSNs(l.fs, dir, segPrefix, segSuffix)
 	if err != nil {
 		return nil, err
+	}
+	if len(starts) > 0 && starts[0] == 0 {
+		return nil, fmt.Errorf("wal: segment %q starts at LSN 0", lsnName(segPrefix, 0, segSuffix))
 	}
 	if len(starts) == 0 {
 		l.starts = []uint64{1}
@@ -208,16 +208,11 @@ func Open(dir string, opts Options) (*Log, error) {
 		l.starts = starts
 		l.curStart = starts[len(starts)-1]
 		path := l.segPath(l.curStart)
-		count, goodBytes, torn, err := scanTail(l.fs, path)
+		count, goodBytes, torn, err := repairTail(l.fs, path)
 		if err != nil {
 			return nil, err
 		}
-		if torn {
-			if err := l.fs.Truncate(path, goodBytes); err != nil {
-				return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-			}
-			l.tornTail = true
-		}
+		l.tornTail = torn
 		l.next = l.curStart + uint64(count)
 		f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -493,16 +488,11 @@ func (l *Log) Rearm() error {
 	var count int
 	var goodBytes int64
 	if _, statErr := l.fs.Stat(path); statErr == nil {
-		c, gb, torn, err := scanTail(l.fs, path)
+		c, gb, _, err := repairTail(l.fs, path)
 		if err != nil {
 			return fmt.Errorf("wal: rearm: %w", err)
 		}
 		count, goodBytes = c, gb
-		if torn {
-			if err := l.fs.Truncate(path, goodBytes); err != nil {
-				return fmt.Errorf("wal: rearm: truncating torn tail of %s: %w", path, err)
-			}
-		}
 		f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: rearm: %w", err)
@@ -620,90 +610,6 @@ func (l *Log) syncLoop() {
 	}
 }
 
-// Replay streams every record with LSN > after, in order, to fn. A
-// decoding failure in a sealed segment is a hard error (mid-log
-// corruption cannot be skipped without losing everything after it); the
-// active segment's tail was already sanitized by Open. Replay must not
-// run concurrently with Append — it is for recovery, before the log goes
-// live.
-func (l *Log) Replay(after uint64, fn func(lsn uint64, payload []byte) error) error {
-	l.mu.Lock()
-	if l.w != nil && !l.closed {
-		// Records may still sit in the write buffer; replay reads the
-		// files, so push them out (no fsync — durability is unchanged).
-		if err := l.w.Flush(); err != nil {
-			perr := l.poisonLocked(err)
-			l.mu.Unlock()
-			return perr
-		}
-	}
-	starts := append([]uint64(nil), l.starts...)
-	next := l.next
-	l.mu.Unlock()
-	for i, start := range starts {
-		var end uint64 // first LSN beyond this segment
-		if i+1 < len(starts) {
-			end = starts[i+1]
-		} else {
-			end = next
-		}
-		if end <= after+1 { // segment entirely ≤ after (or empty)
-			continue
-		}
-		sealed := i+1 < len(starts)
-		if err := replaySegment(l.fs, l.segPath(start), start, end, sealed, after, fn); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replaySegment reads one segment file, invoking fn for records with
-// lsn > after and lsn < end.
-func replaySegment(fs vfs.FS, path string, start, end uint64, sealed bool, after uint64, fn func(uint64, []byte) error) error {
-	f, err := fs.Open(path)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	lsn := start
-	var hdr [recordHeaderBytes]byte
-	var buf []byte
-	for lsn < end {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return fmt.Errorf("wal: %s: record %d: truncated header: %w", filepath.Base(path), lsn, err)
-		}
-		n := getU32(hdr[0:4])
-		if n > maxRecordBytes {
-			return fmt.Errorf("wal: %s: record %d: impossible length %d", filepath.Base(path), lsn, n)
-		}
-		if uint32(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return fmt.Errorf("wal: %s: record %d: truncated payload: %w", filepath.Base(path), lsn, err)
-		}
-		if crc32.ChecksumIEEE(buf) != getU32(hdr[4:8]) {
-			return fmt.Errorf("wal: %s: record %d: checksum mismatch", filepath.Base(path), lsn)
-		}
-		if lsn > after {
-			if err := fn(lsn, buf); err != nil {
-				return err
-			}
-		}
-		lsn++
-	}
-	if sealed {
-		// A sealed segment must end exactly at its successor's start.
-		if _, err := br.ReadByte(); err != io.EOF {
-			return fmt.Errorf("wal: %s: trailing bytes after record %d", filepath.Base(path), lsn-1)
-		}
-	}
-	return nil
-}
-
 // TruncateBelow deletes sealed segments whose every record is ≤ lsn —
 // i.e. segments a snapshot at lsn has made redundant — and returns how
 // many were removed. The active segment is never removed.
@@ -728,82 +634,44 @@ func (l *Log) TruncateBelow(lsn uint64) (int, error) {
 	return removed, nil
 }
 
-// ---- segment scanning ----
+// ---- segment and snapshot files ----
 
 func (l *Log) segPath(start uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%020d%s", segPrefix, start, segSuffix))
+	return filepath.Join(l.dir, lsnName(segPrefix, start, segSuffix))
 }
 
-// scanSegments lists segment start LSNs in dir, ascending.
-func scanSegments(fs vfs.FS, dir string) ([]uint64, error) {
+// snapPath is the snapshot file in dir whose boundary is lsn.
+func snapPath(dir string, lsn uint64) string {
+	return filepath.Join(dir, lsnName(snapPrefix, lsn, snapSuffix))
+}
+
+// lsnName is the file name of the segment or snapshot numbered lsn.
+func lsnName(prefix string, lsn uint64, suffix string) string {
+	return fmt.Sprintf("%s%020d%s", prefix, lsn, suffix)
+}
+
+// listLSNs lists, ascending, the LSNs of the files in dir named prefix +
+// LSN + suffix. A matching name not in lsnName's exact form is an error:
+// two spellings of one number would alias one segment or snapshot. The
+// form's fixed width also makes ReadDir's name order the LSN order.
+func listLSNs(fs vfs.FS, dir, prefix, suffix string) ([]uint64, error) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var starts []uint64
+	var lsns []uint64
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, segPrefix) || !strings.HasSuffix(name, segSuffix) {
+		if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
 			continue
 		}
-		numeric := strings.TrimSuffix(strings.TrimPrefix(name, segPrefix), segSuffix)
-		start, err := strconv.ParseUint(numeric, 10, 64)
-		if err != nil || start == 0 {
-			return nil, fmt.Errorf("wal: unrecognized segment file %q", name)
+		lsn, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
+		if err != nil || name != lsnName(prefix, lsn, suffix) {
+			return nil, fmt.Errorf("wal: unrecognized file %q", name)
 		}
-		starts = append(starts, start)
+		lsns = append(lsns, lsn)
 	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for i := 1; i < len(starts); i++ {
-		if starts[i] == starts[i-1] {
-			return nil, fmt.Errorf("wal: duplicate segment start %d", starts[i])
-		}
-	}
-	return starts, nil
-}
-
-// scanTail reads the newest segment, counting whole records and finding
-// the byte offset where the last intact record ends. Anything after it —
-// a short header, a short payload, a checksum mismatch, an absurd length
-// — is a torn final append, the expected shape of a crash.
-func scanTail(fs vfs.FS, path string) (count int, goodBytes int64, torn bool, err error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, false, fmt.Errorf("wal: %w", err)
-	}
-	size := fi.Size()
-	br := bufio.NewReaderSize(f, 1<<20)
-	var hdr [recordHeaderBytes]byte
-	var buf []byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			if err == io.EOF {
-				return count, goodBytes, false, nil
-			}
-			return count, goodBytes, true, nil // short header
-		}
-		n := getU32(hdr[0:4])
-		if n > maxRecordBytes || int64(n) > size-goodBytes-recordHeaderBytes {
-			return count, goodBytes, true, nil // absurd or overlong length
-		}
-		if uint32(cap(buf)) < n {
-			buf = make([]byte, n)
-		}
-		buf = buf[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return count, goodBytes, true, nil // short payload
-		}
-		if crc32.ChecksumIEEE(buf) != getU32(hdr[4:8]) {
-			return count, goodBytes, true, nil // torn or corrupt payload
-		}
-		count++
-		goodBytes += recordHeaderBytes + int64(n)
-	}
+	return lsns, nil
 }
 
 // ---- small helpers ----
@@ -820,40 +688,4 @@ func syncDir(fs vfs.FS, dir string) error {
 		return fmt.Errorf("wal: fsync %s: %w", dir, err)
 	}
 	return nil
-}
-
-// WriteFileAtomic writes a file so a crash can never leave a partial or
-// corrupt result visible under the final name: the content goes to a
-// temp file in the same directory, is fsynced, and is renamed into
-// place, followed by a directory fsync. Any existing file at path is
-// replaced atomically.
-func WriteFileAtomic(path string, write func(io.Writer) error) (err error) {
-	return writeFileAtomic(vfs.OS, path, write)
-}
-
-func writeFileAtomic(fs vfs.FS, path string, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := fs.CreateTemp(dir, filepath.Base(path)+tmpSuffix)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			fs.Remove(tmp.Name())
-		}
-	}()
-	if err = write(tmp); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err = fs.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return syncDir(fs, dir)
 }

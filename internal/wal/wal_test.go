@@ -4,22 +4,21 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// collect replays the whole log into a slice of (lsn, payload) pairs.
+// collect reads the whole log into a slice of (lsn, payload) pairs.
 func collect(t *testing.T, l *Log, after uint64) (lsns []uint64, payloads [][]byte) {
 	t.Helper()
-	if err := l.Replay(after, func(lsn uint64, payload []byte) error {
+	if _, err := l.ReadFrom(after, 0, func(lsn uint64, payload []byte) error {
 		lsns = append(lsns, lsn)
 		payloads = append(payloads, bytes.Clone(payload))
 		return nil
 	}); err != nil {
-		t.Fatalf("Replay(%d): %v", after, err)
+		t.Fatalf("ReadFrom(%d): %v", after, err)
 	}
 	return lsns, payloads
 }
@@ -214,7 +213,7 @@ func TestLogCorruptSealedSegmentFailsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if err := l2.Replay(0, func(uint64, []byte) error { return nil }); err == nil {
+	if _, err := l2.ReadFrom(0, 0, func(uint64, []byte) error { return nil }); err == nil {
 		t.Fatal("replay accepted a corrupt sealed segment")
 	}
 }
@@ -262,37 +261,6 @@ func TestParsePolicy(t *testing.T) {
 	}
 	if _, err := ParsePolicy("sometimes"); err == nil {
 		t.Error("ParsePolicy accepted garbage")
-	}
-}
-
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "out.bin")
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("atomic contents"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "atomic contents" {
-		t.Fatalf("ReadFile = %q, %v", got, err)
-	}
-	// A failing writer must leave neither the target nor temp litter.
-	bad := filepath.Join(dir, "bad.bin")
-	if err := WriteFileAtomic(bad, func(io.Writer) error {
-		return fmt.Errorf("serialization exploded")
-	}); err == nil {
-		t.Fatal("WriteFileAtomic swallowed the writer error")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if e.Name() != "out.bin" {
-			t.Errorf("leftover file %q", e.Name())
-		}
 	}
 }
 
