@@ -58,8 +58,10 @@ chaos:
 # fuzz runs the native fuzz targets for ten seconds each: the binary
 # snapshot loader (FuzzLoadBinary, seeded from internal/spatialdb/testdata),
 # the query parser and normaliser (FuzzParse, seeded from the golden
-# corpus texts) and the WAL segment reader (FuzzSegment: Open's tail
-# repair and ReadFrom over an arbitrary active segment). A failing input
+# corpus texts), the WAL segment reader (FuzzSegment: Open's tail
+# repair and ReadFrom over an arbitrary active segment) and the mutation
+# record (FuzzMutation: DecodeMutation, then ApplyReplicated on an R-tree
+# and a z-order store). A failing input
 # lands in the package's testdata/fuzz/<target> and replays in every plain
 # `go test`. Minimising a newly interesting input may otherwise take the
 # whole budget, so it is capped at one second.
@@ -69,4 +71,6 @@ fuzz:
 	go test ./internal/lang -run '^$$' -fuzz '^FuzzParse$$' \
 		-fuzztime 10s -fuzzminimizetime 1s
 	go test ./internal/wal -run '^$$' -fuzz '^FuzzSegment$$' \
+		-fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/spatialdb -run '^$$' -fuzz '^FuzzMutation$$' \
 		-fuzztime 10s -fuzzminimizetime 1s

@@ -21,8 +21,11 @@
 //     to logMutation, whose wrapper is what routes failures through
 //     the retry/degrade machinery instead of raw ErrDurability.
 //
-// Replay paths (ApplyMutation) are deliberately not annotated: relogging
-// during recovery would duplicate the tail.
+// WAL recovery replays through the replica-apply entry point described
+// below, whose contract forbids relogging: a relogged record would
+// duplicate the tail. The apply core itself (applyMutationLocked) is not
+// annotated; its callers admit, bump the epoch and log in their own
+// bodies, where these rules check them.
 //
 // Replica-apply entry points — functions applying a primary's shipped
 // records on a read replica (PR 10) — are annotated `//boolq:mutation

@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"repro/internal/bbox"
-	"repro/internal/region"
 )
 
 // The compact binary snapshot format — the production counterpart of the
@@ -187,6 +186,8 @@ func LoadBinary(r io.Reader, kind IndexKind) (*Store, error) {
 		return nil, errors.New("spatialdb: binary snapshot: empty universe")
 	}
 	store := NewStore(universe, kind)
+	store.mu.Lock() // the fresh store is private until LoadBinary returns
+	defer store.mu.Unlock()
 	numLayers, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -221,7 +222,7 @@ func LoadBinary(r io.Reader, kind IndexKind) (*Store, error) {
 			if numBoxes > uint64(len(d.buf)) {
 				return nil, fmt.Errorf("spatialdb: binary snapshot: impossible box count %d", numBoxes)
 			}
-			boxes := make([]bbox.Box, 0, numBoxes)
+			mo := MutObject{ID: int64(id), Name: oname, Boxes: make([]bbox.Box, 0, numBoxes)}
 			for bi := uint64(0); bi < numBoxes; bi++ {
 				blo, err := d.floats(k)
 				if err != nil {
@@ -235,17 +236,22 @@ func LoadBinary(r io.Reader, kind IndexKind) (*Store, error) {
 				if err != nil {
 					return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q object %q: %w", name, oname, err)
 				}
-				boxes = append(boxes, b)
+				mo.Boxes = append(mo.Boxes, b)
 			}
-			o, err := restoredSnapObject(store, int64(id), oname, boxes, seen)
+			if seen[mo.ID] {
+				return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q object %q: duplicate id %d", name, oname, mo.ID)
+			}
+			seen[mo.ID] = true
+			o, err := store.newObject(0, mo)
 			if err != nil {
 				return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q object %q: %w", name, oname, err)
 			}
 			objs = append(objs, o)
 		}
-		if err := store.restoreLayer(name, objs); err != nil {
+		if _, err := store.applyMutationLocked(OpBulkInsert, name, objs, 0, BulkAtomic); err != nil {
 			return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q: %w", name, err)
 		}
+		store.epoch.Add(1)
 		if version >= 2 {
 			blobLen, err := d.uvarint()
 			if err != nil {
@@ -260,54 +266,8 @@ func LoadBinary(r io.Reader, kind IndexKind) (*Store, error) {
 	if len(d.buf) != 0 {
 		return nil, fmt.Errorf("spatialdb: binary snapshot: %d trailing bytes", len(d.buf))
 	}
-	store.restoreNextID(int64(nextID))
+	store.nextID = max(store.nextID, int64(nextID))
 	return store, nil
-}
-
-// restoredSnapObject validates one snapshot object (either codec) and
-// rebuilds it, enforcing id uniqueness across the whole snapshot.
-func restoredSnapObject(store *Store, id int64, name string, boxes []bbox.Box, seen map[int64]bool) (Object, error) {
-	if id <= 0 {
-		return Object{}, fmt.Errorf("invalid object id %d", id)
-	}
-	if seen[id] {
-		return Object{}, fmt.Errorf("duplicate object id %d", id)
-	}
-	seen[id] = true
-	reg := region.FromBoxes(store.K(), boxes...)
-	if reg.IsEmpty() {
-		return Object{}, errors.New("empty region")
-	}
-	return Object{ID: id, Name: name, Reg: reg, Box: reg.BoundingBox()}, nil
-}
-
-// restoreLayer installs a layer and its objects (recorded ids intact)
-// through the packed bulk path, advancing the id counter past them. Used
-// by the snapshot loaders, which own their fresh store exclusively.
-func (s *Store) restoreLayer(name string, objs []Object) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	l := s.ensureLayerLocked(name)
-	if _, err := l.bulkInsert(objs, true); err != nil {
-		return err
-	}
-	for _, o := range objs {
-		if o.ID > s.nextID {
-			s.nextID = o.ID
-		}
-	}
-	s.epoch.Add(1)
-	return nil
-}
-
-// restoreNextID raises the id counter to at least id (snapshots persist
-// the counter so ids of deleted objects are never reissued).
-func (s *Store) restoreNextID(id int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if id > s.nextID {
-		s.nextID = id
-	}
 }
 
 // ---- little decoder extensions for the fixed-width snapshot fields ----

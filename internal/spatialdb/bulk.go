@@ -3,6 +3,7 @@ package spatialdb
 import (
 	"fmt"
 
+	"repro/internal/bbox"
 	"repro/internal/region"
 )
 
@@ -61,9 +62,10 @@ type BulkReport struct {
 //
 // Validation (empty regions) happens before anything touches the index.
 // In BulkAtomic mode any invalid object or index rejection aborts the
-// batch with a non-nil error and rolls the index back to its pre-batch
-// contents. In BulkBestEffort mode every insertable object is inserted,
-// failures are reported per object in the report, and the error is nil.
+// batch with a non-nil error and leaves the layer's objects and the id
+// counter as they were. In BulkBestEffort mode every insertable object
+// is inserted, failures are reported per object in the report, and the
+// error is nil.
 //
 //boolq:mutation
 func (s *Store) BulkInsert(layer string, items []BulkItem, mode BulkMode) (BulkReport, error) {
@@ -76,80 +78,70 @@ func (s *Store) BulkInsert(layer string, items []BulkItem, mode BulkMode) (BulkR
 	}
 	_, existed := s.layers[layer]
 
-	// Validate first: empty regions never reach the index.
-	invalid := 0
+	// Validate first: invalid objects never reach the index. The valid
+	// ones take ids nextID+1, nextID+2, …; vidx maps their position back
+	// to the item index.
+	objs := make([]Object, 0, len(items))
+	vidx := make([]int, 0, len(items))
 	for i, it := range items {
-		if it.Reg == nil || it.Reg.IsEmpty() {
-			rep.Results[i].Err = fmt.Errorf("spatialdb: object %q has an empty region", it.Name)
-			invalid++
+		var boxes []bbox.Box
+		if it.Reg != nil {
+			boxes = it.Reg.Boxes()
 		}
+		id := s.nextID + int64(len(objs)) + 1
+		o, err := s.newObject(id-1, MutObject{ID: id, Name: it.Name, Boxes: boxes})
+		if err != nil {
+			rep.Results[i].Err = fmt.Errorf("spatialdb: object %q: %w", it.Name, err)
+			continue
+		}
+		objs = append(objs, o)
+		vidx = append(vidx, i)
 	}
-	if mode == BulkAtomic && invalid > 0 {
+	if invalid := len(items) - len(objs); mode == BulkAtomic && invalid > 0 {
 		rep.Epoch = s.epoch.Load()
 		return rep, fmt.Errorf("spatialdb: bulk insert into %q: %d of %d objects invalid",
 			layer, invalid, len(items))
 	}
 
-	l := s.ensureLayerLocked(layer)
-
-	// Assign ids to the valid items and hand them to the layer as one
-	// batch. vidx maps batch-of-valid position back to the item index.
-	objs := make([]Object, 0, len(items)-invalid)
-	vidx := make([]int, 0, len(items)-invalid)
-	for i, it := range items {
-		if rep.Results[i].Err != nil {
-			continue
-		}
-		s.nextID++
-		o := Object{ID: s.nextID, Name: it.Name, Reg: it.Reg, Box: it.Reg.BoundingBox()}
-		rep.Results[i].Object = o
-		objs = append(objs, o)
-		vidx = append(vidx, i)
-	}
-	errs, err := l.bulkInsert(objs, mode == BulkAtomic)
+	errs, err := s.applyMutationLocked(OpBulkInsert, layer, objs, 0, mode)
 	for vi, e := range errs {
 		if e != nil {
-			rep.Results[vidx[vi]] = BulkResult{Err: e}
+			rep.Results[vidx[vi]].Err = e
 		}
 	}
 	if err != nil {
-		// Atomic abort: nothing was inserted; clear the objects of items
-		// that were individually fine but rode in the aborted batch.
-		for i := range rep.Results {
-			if rep.Results[i].Err == nil {
-				rep.Results[i].Object = Object{}
-			}
-		}
+		// Atomic abort: nothing was inserted, but a layer created for the
+		// batch persists, so its creation is applied and logged.
 		if !existed {
-			s.epoch.Add(1) // the layer creation is a visible mutation
-			// The layer survives the abort, so its creation must too.
-			if lerr := s.logMutation(&Mutation{Op: OpCreateLayer, Layer: layer}); lerr != nil {
-				err = fmt.Errorf("%v (%v)", err, lerr)
+			_, cerr := s.applyMutationLocked(OpCreateLayer, layer, nil, 0, BulkAtomic)
+			if cerr == nil {
+				s.epoch.Add(1)
+				cerr = s.logMutation(&Mutation{Op: OpCreateLayer, Layer: layer})
+			}
+			if cerr != nil {
+				err = fmt.Errorf("%v (%v)", err, cerr)
 			}
 		}
 		rep.Epoch = s.epoch.Load()
 		return rep, fmt.Errorf("spatialdb: bulk insert into %q: %w", layer, err)
 	}
-	for _, e := range errs {
+	// One record for the whole batch, carrying only the objects that made
+	// it in (replay re-creates the layer implicitly). A batch that changed
+	// nothing but the layer's existence logs the creation alone.
+	m := &Mutation{Op: OpBulkInsert, Layer: layer}
+	for vi, e := range errs {
 		if e == nil {
-			rep.Inserted++
+			rep.Results[vidx[vi]].Object = objs[vi]
+			m.Objects = append(m.Objects, mutObject(objs[vi]))
 		}
 	}
+	rep.Inserted = len(m.Objects)
 	if rep.Inserted > 0 || !existed {
 		s.epoch.Add(1)
 	}
 	rep.Epoch = s.epoch.Load()
-	// One record for the whole batch, carrying only the objects that made
-	// it in (replay re-creates the layer implicitly). A batch that changed
-	// nothing but the layer's existence logs the creation alone.
 	var lerr error
 	if rep.Inserted > 0 {
-		m := &Mutation{Op: OpBulkInsert, Layer: layer, Objects: make([]MutObject, 0, rep.Inserted)}
-		for i := range rep.Results {
-			if rep.Results[i].Err == nil {
-				m.Objects = append(m.Objects, mutObject(rep.Results[i].Object))
-			}
-		}
 		lerr = s.logMutation(m)
 	} else if !existed {
 		lerr = s.logMutation(&Mutation{Op: OpCreateLayer, Layer: layer})

@@ -16,9 +16,11 @@ import (
 // and here each of them also emits a Mutation — a self-contained,
 // replayable description of what changed, carrying the assigned object
 // ids — to an optional sink. internal/wal appends the encoded records to
-// an append-only log and feeds them back through ApplyMutation on
-// recovery; the same record stream is the epoch-shipping feed a read
-// replica would consume.
+// an append-only log and feeds them back through ApplyReplicated on
+// recovery; the same record stream is what a read replica applies. Local
+// writes and applied records change layers through one function,
+// applyMutationLocked, and build objects through one validator,
+// newObject.
 
 // MutOp identifies a mutation record type.
 type MutOp uint8
@@ -167,112 +169,69 @@ func mutObject(o Object) MutObject {
 	return MutObject{ID: o.ID, Name: o.Name, Boxes: o.Reg.Boxes()}
 }
 
-// ---- replay ----
+// ---- apply ----
 
-// ApplyMutation applies a previously logged mutation to the store without
-// re-logging it: the recovery path (internal/wal) replays the WAL tail
-// through it, and a replica would apply its leader's record stream the
-// same way. Object ids are restored exactly as recorded and the id
-// counter advances past them, so ids stay stable across restarts and
-// later records (OpRemove, OpUpsert) resolve against the same objects
-// they were logged against.
+// ApplyReplicated applies one logged record to the store without
+// re-logging it: WAL recovery replays the log tail through it, and a
+// replica applies its primary's record stream the same way. Object ids
+// are restored exactly as recorded, so ids stay stable across restarts
+// and later records (OpRemove, OpUpsert) resolve against the same
+// objects they were logged against.
 //
-// Replay is deterministic: applied to the same store state the mutation
-// was logged against, it reproduces the original effect. A mutation that
-// does not fit the store (wrong dimensionality, duplicate id, missing
-// remove target) reports an error and leaves the store unchanged.
-func (s *Store) ApplyMutation(m *Mutation) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.applyMutationLocked(m)
-}
-
-// ApplyReplicated applies one record of the primary's WAL stream to a
-// replica store. It is the same replay as ApplyMutation under the same
-// write lock, as a separate entry point because its admission rules are
-// inverted: it bypasses admitMutationLocked — the gate exists to turn
-// LOCAL writes away, while shipped records must keep applying in replica
-// mode — and it must never re-log, because the record is already durable
-// on the primary and the replica owns no WAL.
+// Replay is deterministic: applied to the state the record was logged
+// against, it reproduces the original effect down to ids and NextID. A
+// record that does not fit the store — wrong dimensionality, a NaN
+// coordinate, an empty region, ids not ascending above NextID, a
+// missing remove target, an index rejection — reports an error and
+// leaves the store unchanged.
+//
+// It bypasses admitMutationLocked — the gate exists to turn LOCAL writes
+// away, while shipped records must keep applying in replica mode — and
+// it never re-logs, because the record is already durable.
 //
 //boolq:mutation replica
 func (s *Store) ApplyReplicated(m *Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applyMutationLocked(m)
-}
-
-// applyMutationLocked is the shared replay body. The caller must hold
-// the write lock.
-//
-//boolq:locked mu
-func (s *Store) applyMutationLocked(m *Mutation) error {
-	switch m.Op {
-	case OpCreateLayer:
-		if _, ok := s.layers[m.Layer]; !ok {
-			s.ensureLayerLocked(m.Layer)
-			s.epoch.Add(1)
-		}
-		return nil
-	case OpInsert, OpUpsert, OpBulkInsert:
-		objs := make([]Object, 0, len(m.Objects))
-		for _, mo := range m.Objects {
-			o, err := s.restoredObject(mo)
-			if err != nil {
-				return fmt.Errorf("spatialdb: replay %s %q/%q: %w", m.Op, m.Layer, mo.Name, err)
-			}
-			objs = append(objs, o)
-		}
-		l := s.ensureLayerLocked(m.Layer)
-		if m.Op == OpUpsert {
-			// The logged upsert replaced whatever object held the name at
-			// that point; replaying against the same prefix state finds the
-			// same object (or none, when the upsert was a plain insert).
-			for _, o := range objs {
-				if prev, ok := l.GetByName(o.Name); ok {
-					if err := l.remove(prev.ID); err != nil {
-						return fmt.Errorf("spatialdb: replay upsert %q/%q: %w", m.Layer, o.Name, err)
-					}
-				}
-			}
-		}
-		if _, err := l.bulkInsert(objs, true); err != nil {
-			return fmt.Errorf("spatialdb: replay %s into %q: %w", m.Op, m.Layer, err)
-		}
-		for _, o := range objs {
-			if o.ID > s.nextID {
-				s.nextID = o.ID
-			}
-		}
-		s.epoch.Add(1)
-		return nil
-	case OpRemove:
-		l, ok := s.layers[m.Layer]
-		if !ok {
-			return fmt.Errorf("spatialdb: replay remove: no layer %q", m.Layer)
-		}
-		if err := l.remove(m.RemoveID); err != nil {
-			return fmt.Errorf("spatialdb: replay remove: %w", err)
-		}
-		if m.RemoveID > s.nextID {
-			s.nextID = m.RemoveID
-		}
-		s.epoch.Add(1)
-		return nil
-	default:
-		return fmt.Errorf("spatialdb: replay: unknown mutation op %d", m.Op)
+	if (m.Op == OpInsert || m.Op == OpUpsert) && len(m.Objects) != 1 {
+		return fmt.Errorf("spatialdb: apply %s %q: %d objects, want 1", m.Op, m.Layer, len(m.Objects))
 	}
+	objs := make([]Object, 0, len(m.Objects))
+	after := s.nextID
+	for _, mo := range m.Objects {
+		o, err := s.newObject(after, mo)
+		if err != nil {
+			return fmt.Errorf("spatialdb: apply %s %q/%q: %w", m.Op, m.Layer, mo.Name, err)
+		}
+		objs = append(objs, o)
+		after = o.ID
+	}
+	if _, err := s.applyMutationLocked(m.Op, m.Layer, objs, m.RemoveID, BulkAtomic); err != nil {
+		return fmt.Errorf("spatialdb: apply %s %q: %w", m.Op, m.Layer, err)
+	}
+	s.epoch.Add(1)
+	return nil
 }
 
-// restoredObject validates a record object against the store and rebuilds
-// it. The caller must hold the write lock.
-func (s *Store) restoredObject(mo MutObject) (Object, error) {
-	if mo.ID <= 0 {
-		return Object{}, fmt.Errorf("invalid object id %d", mo.ID)
+// newObject validates one object against the store and builds it; it is
+// the only place an Object is made. The id must exceed after: local
+// writes and records pass the store's id counter (and, within a batch,
+// the previous object's id), so ids ascend above every id in the store;
+// the snapshot loaders pass 0 and check uniqueness themselves. Every box
+// must have the store's dimensionality and no NaN coordinate, and the
+// region they cover must be non-empty.
+func (s *Store) newObject(after int64, mo MutObject) (Object, error) {
+	if mo.ID <= after {
+		return Object{}, fmt.Errorf("object id %d not above %d", mo.ID, after)
 	}
 	for _, b := range mo.Boxes {
 		if b.K != s.universe.K {
 			return Object{}, fmt.Errorf("box dimensionality %d in a %d-dimensional store", b.K, s.universe.K)
+		}
+		for i := range b.Lo {
+			if math.IsNaN(b.Lo[i]) || math.IsNaN(b.Hi[i]) {
+				return Object{}, errors.New("NaN coordinate")
+			}
 		}
 	}
 	reg := region.FromBoxes(s.universe.K, mo.Boxes...)
@@ -282,9 +241,68 @@ func (s *Store) restoredObject(mo MutObject) (Object, error) {
 	return Object{ID: mo.ID, Name: mo.Name, Reg: reg, Box: reg.BoundingBox()}, nil
 }
 
-// NextID returns the id the store would assign to the next inserted
-// object plus nothing — i.e. the highest id handed out so far. Snapshots
-// persist it so ids never repeat across restarts.
+// applyMutationLocked is the one function that changes a layer's
+// contents: the local entry points, ApplyReplicated and both snapshot
+// loaders all apply through it. op acts on the named layer with objs,
+// built by newObject, or, for OpRemove, on the object removeID. A layer
+// it creates is installed only when it succeeds; an upsert inserts the
+// new object before it removes the one it replaces, so a rejected insert
+// changes nothing. nextID rises to the largest id applied.
+//
+// mode is BulkAtomic except for a best-effort OpBulkInsert, which skips
+// the objects the index rejects; errs parallels objs and names them. On
+// error the store is exactly as it was. The caller admits, bumps the
+// epoch and logs.
+//
+//boolq:locked mu
+func (s *Store) applyMutationLocked(op MutOp, name string, objs []Object, removeID int64, mode BulkMode) (errs []error, err error) {
+	l, existed := s.layers[name]
+	if !existed {
+		if op == OpRemove {
+			return nil, fmt.Errorf("no layer %q", name)
+		}
+		l = newLayer(name, s.universe.K, s.kind, s.universe)
+	}
+	switch op {
+	case OpCreateLayer:
+	case OpRemove:
+		if err := l.remove(removeID); err != nil {
+			return nil, err
+		}
+	case OpInsert, OpUpsert, OpBulkInsert:
+		var prev Object
+		replacing := false
+		if op == OpUpsert {
+			prev, replacing = l.GetByName(objs[0].Name)
+		}
+		if errs, err = l.bulkInsert(objs, mode == BulkAtomic); err != nil {
+			return errs, err
+		}
+		if replacing {
+			// The index held prev a moment ago, so the rebuild that
+			// drops it cannot reject anything.
+			if err := l.remove(prev.ID); err != nil {
+				return errs, err
+			}
+		}
+		for i, o := range objs {
+			if errs[i] == nil && o.ID > s.nextID {
+				s.nextID = o.ID
+			}
+		}
+	default:
+		return nil, fmt.Errorf("unknown mutation op %d", op)
+	}
+	if !existed {
+		s.layers[name] = l
+		s.names = append(s.names, name)
+	}
+	return errs, nil
+}
+
+// NextID returns the highest object id the store has applied; the next
+// local write takes NextID()+1. Snapshots persist it so ids of removed
+// objects never repeat across restarts.
 func (s *Store) NextID() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -469,7 +487,7 @@ func (d *mutDecoder) object() (MutObject, error) {
 		if err != nil {
 			return mo, err
 		}
-		if need := 16 * k; need > uint64(len(d.buf)) {
+		if k > uint64(len(d.buf))/16 { // 16·k could wrap
 			return mo, errShortRecord
 		}
 		lo := make([]float64, k)

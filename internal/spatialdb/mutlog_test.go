@@ -2,7 +2,9 @@ package spatialdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -59,6 +61,16 @@ func TestMutationCodecRejectsDamage(t *testing.T) {
 	if _, err := DecodeMutation([]byte{99, 0}); err == nil {
 		t.Error("decode accepted an unknown op")
 	}
+	if _, err := DecodeMutation(hugeDimRecord()); err == nil {
+		t.Error("decode accepted a box of dimension 2^60")
+	}
+}
+
+// hugeDimRecord is a 16-byte insert whose one box claims dimension 2^60:
+// 16·k wraps to 0, so a length guard on the product lets it through to
+// an allocation of 2^60 floats.
+func hugeDimRecord() []byte {
+	return binary.AppendUvarint([]byte{byte(OpInsert), 1, 't', 1, 1, 'a', 1}, 1<<60)
 }
 
 // recordingSink captures the encoded mutation stream the way the WAL
@@ -70,9 +82,12 @@ func (rs *recordingSink) log(m *Mutation) error {
 	return nil
 }
 
-// mutateScript drives every mutating entry point against s. All
-// operations succeed, so each call emits exactly one record.
-func mutateScript(t *testing.T, s *Store) {
+// mutateScript drives every mutating entry point against s. Each call
+// that succeeds emits exactly one record. On a z-order store it ends
+// with two writes the index rejects — an atomic BulkInsert and an Upsert,
+// each with a box outside the universe — which must change nothing, as
+// they log nothing.
+func mutateScript(t testing.TB, s *Store) {
 	t.Helper()
 	if _, _, err := s.CreateLayer("empty"); err != nil {
 		t.Fatal(err)
@@ -99,13 +114,23 @@ func mutateScript(t *testing.T, s *Store) {
 	if ok, err := s.Remove("towns", "b"); err != nil || !ok {
 		t.Fatalf("Remove = %v, %v", ok, err)
 	}
+	if s.Kind() == ZOrderIdx {
+		outside := region.FromBox(rect(90, 90, 150, 150))
+		items := []BulkItem{{Name: "r3", Reg: region.FromBox(rect(0, 70, 80, 72))}, {Name: "r4", Reg: outside}}
+		if _, err := s.BulkInsert("roads", items, BulkAtomic); err == nil {
+			t.Fatal("atomic BulkInsert of an out-of-universe box succeeded")
+		}
+		if _, _, err := s.Upsert("towns", "", outside); err == nil {
+			t.Fatal("Upsert of an out-of-universe box succeeded")
+		}
+	}
 }
 
 // equalStores fails the test unless a and b hold identical content:
 // universe, layer order, and per layer the objects' ids, names and
 // regions in insertion order and the planner statistics, plus the id
 // counter.
-func equalStores(t *testing.T, a, b *Store, label string) {
+func equalStores(t testing.TB, a, b *Store, label string) {
 	t.Helper()
 	if !a.Universe().Equal(b.Universe()) {
 		t.Fatalf("%s: universe %v vs %v", label, a.Universe(), b.Universe())
@@ -150,7 +175,7 @@ func TestMutationReplayReproducesStore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: record %d: %v", kind, i, err)
 			}
-			if err := dst.ApplyMutation(m); err != nil {
+			if err := dst.ApplyReplicated(m); err != nil {
 				t.Fatalf("%v: record %d (%s): %v", kind, i, m.Op, err)
 			}
 		}
@@ -242,4 +267,168 @@ func TestJSONSnapshotV2PreservesIDs(t *testing.T) {
 	if o.ID <= src.NextID() {
 		t.Fatalf("post-reload insert got id %d, want > %d", o.ID, src.NextID())
 	}
+}
+
+// The apply-path tests below pin records the store must refuse without
+// changing anything. Which of them reach boolqd: its handlers reject empty and out-of-universe regions
+// before the store sees them, so the rejected local writes at the end of
+// mutateScript are library-level. A duplicate id, a replayed upsert the
+// index rejects and a NaN coordinate need a record that passes its CRC
+// but that boolqd's own primary would not write: a crafted or faulty
+// /repl/wal stream, or a log written by a buggy build.
+
+// storeConsistent fails the test unless every layer's Len, Objects and a
+// match-all Search agree, ids are unique across the store, and NextID is
+// at or above every id.
+func storeConsistent(t testing.TB, s *Store, label string) {
+	t.Helper()
+	all := bbox.RangeSpec{K: s.K(), Lower: bbox.Empty(s.K()), Upper: bbox.Univ(s.K())}
+	layerOf := map[int64]string{}
+	for _, name := range s.LayerNames() {
+		l := s.Layer(name)
+		objs := l.Objects()
+		found := 0
+		l.Search(all, func(Object) bool { found++; return true })
+		if l.Len() != len(objs) || found != len(objs) {
+			t.Fatalf("%s: layer %q: Len %d, Objects %d, Search %d", label, name, l.Len(), len(objs), found)
+		}
+		for _, o := range objs {
+			if prev, dup := layerOf[o.ID]; dup {
+				t.Fatalf("%s: id %d in layers %q and %q", label, o.ID, prev, name)
+			}
+			layerOf[o.ID] = name
+			if o.ID > s.NextID() {
+				t.Fatalf("%s: id %d above NextID %d", label, o.ID, s.NextID())
+			}
+		}
+	}
+}
+
+// storeWithA returns a store of the given kind holding object "a" (id 1)
+// in layer "towns".
+func storeWithA(kind IndexKind) *Store {
+	s := NewStore(rect(0, 0, 100, 100), kind)
+	s.MustInsert("towns", "a", region.FromBox(rect(1, 1, 3, 3)))
+	return s
+}
+
+// dupIDRecord inserts "b" under id 1, which storeWithA's "a" holds.
+func dupIDRecord(layer string) *Mutation {
+	return &Mutation{Op: OpInsert, Layer: layer, Objects: []MutObject{
+		{ID: 1, Name: "b", Boxes: []bbox.Box{rect(5, 5, 7, 7)}},
+	}}
+}
+
+// nanRecord inserts "b" with a NaN corner.
+func nanRecord() *Mutation {
+	nan := bbox.Box{K: 2, Lo: []float64{math.NaN(), 5}, Hi: []float64{7, 7}}
+	return &Mutation{Op: OpInsert, Layer: "towns", Objects: []MutObject{{ID: 2, Name: "b", Boxes: []bbox.Box{nan}}}}
+}
+
+func TestApplyReplicatedRejectsDuplicateID(t *testing.T) {
+	for _, layer := range []string{"towns", "roads"} {
+		s := storeWithA(RTree)
+		epoch := s.Epoch()
+		if err := s.ApplyReplicated(dupIDRecord(layer)); err == nil {
+			t.Errorf("%s: a second object with id 1 was accepted", layer)
+		}
+		equalStores(t, storeWithA(RTree), s, layer)
+		storeConsistent(t, s, layer)
+		if o, ok := s.Layer("towns").Get(1); !ok || o.Name != "a" {
+			t.Errorf("%s: id 1 resolves to %+v, %v; want a", layer, o, ok)
+		}
+		if s.Epoch() != epoch {
+			t.Errorf("%s: rejected record moved the epoch %d -> %d", layer, epoch, s.Epoch())
+		}
+	}
+}
+
+func TestApplyReplicatedUpsertKeepsOldOnRejection(t *testing.T) {
+	outside := rect(90, 90, 150, 150)
+	replayed := storeWithA(ZOrderIdx)
+	m := &Mutation{Op: OpUpsert, Layer: "towns", Objects: []MutObject{{ID: 2, Name: "a", Boxes: []bbox.Box{outside}}}}
+	if err := replayed.ApplyReplicated(m); err == nil {
+		t.Fatal("replayed upsert of an out-of-universe box succeeded on zorder")
+	}
+	equalStores(t, storeWithA(ZOrderIdx), replayed, "replayed upsert")
+	storeConsistent(t, replayed, "replayed upsert")
+
+	local := storeWithA(ZOrderIdx)
+	if _, _, err := local.Upsert("towns", "a", region.FromBox(outside)); err == nil {
+		t.Fatal("local upsert of an out-of-universe box succeeded on zorder")
+	}
+	equalStores(t, storeWithA(ZOrderIdx), local, "local upsert")
+}
+
+func TestApplyReplicatedRejectsNaN(t *testing.T) {
+	s := storeWithA(RTree)
+	m, err := DecodeMutation(AppendMutation(nil, nanRecord()))
+	if err == nil {
+		err = s.ApplyReplicated(m)
+	}
+	if err == nil {
+		t.Fatal("a record with a NaN coordinate was applied")
+	}
+	equalStores(t, storeWithA(RTree), s, "nan")
+}
+
+// FuzzMutation decodes arbitrary bytes as a mutation record and applies
+// whatever decodes to a store rebuilt from mutateScript's records, once on
+// an R-tree and once on a z-order index. Nothing may panic; a rejected
+// record must leave the store and its epoch as they were; an accepted
+// one must leave the store consistent (see storeConsistent); and every
+// decoded record must survive an encode/decode round trip.
+func FuzzMutation(f *testing.F) {
+	src := NewStore(rect(0, 0, 100, 100), ZOrderIdx)
+	sink := &recordingSink{}
+	src.SetMutationSink(sink.log)
+	mutateScript(f, src)
+	for _, rec := range sink.recs {
+		f.Add(rec)
+	}
+	f.Add(AppendMutation(nil, dupIDRecord("towns")))
+	f.Add(AppendMutation(nil, nanRecord()))
+	f.Add(hugeDimRecord())
+
+	replay := func(t *testing.T, kind IndexKind) *Store {
+		s := NewStore(rect(0, 0, 100, 100), kind)
+		for i, rec := range sink.recs {
+			m, err := DecodeMutation(rec)
+			if err == nil {
+				err = s.ApplyReplicated(m)
+			}
+			if err != nil {
+				t.Fatalf("%v: replaying record %d: %v", kind, i, err)
+			}
+		}
+		return s
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := DecodeMutation(data)
+		if err != nil {
+			return
+		}
+		// Compared by encoding, which writes every field of a decoded
+		// record bit for bit: NaN ≠ NaN under reflect.DeepEqual.
+		enc := AppendMutation(nil, m)
+		back, err := DecodeMutation(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded record: %v", err)
+		}
+		if !bytes.Equal(AppendMutation(nil, back), enc) {
+			t.Fatalf("round trip changed the record:\n got %+v\nwant %+v", back, m)
+		}
+		for _, kind := range []IndexKind{RTree, ZOrderIdx} {
+			s := replay(t, kind)
+			epoch := s.Epoch()
+			if err := s.ApplyReplicated(m); err != nil {
+				equalStores(t, replay(t, kind), s, kind.String())
+				if s.Epoch() != epoch {
+					t.Fatalf("%v: rejected record moved the epoch %d -> %d", kind, epoch, s.Epoch())
+				}
+				continue
+			}
+			storeConsistent(t, s, kind.String())
+		}
+	})
 }

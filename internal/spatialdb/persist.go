@@ -101,34 +101,40 @@ func Load(r io.Reader, kind IndexKind) (*Store, error) {
 		return nil, fmt.Errorf("spatialdb: snapshot has an empty universe")
 	}
 	store := NewStore(universe, kind)
+	store.mu.Lock() // the fresh store is private until Load returns
+	defer store.mu.Unlock()
 	seen := make(map[int64]bool)
 	for _, sl := range snap.Layers {
 		objs := make([]Object, 0, len(sl.Objects))
 		for _, so := range sl.Objects {
-			boxes := make([]bbox.Box, 0, len(so.Boxes))
+			mo := MutObject{ID: so.ID, Name: so.Name, Boxes: make([]bbox.Box, 0, len(so.Boxes))}
 			for _, sb := range so.Boxes {
 				b, err := fromSnapBox(sb)
 				if err != nil {
 					return nil, fmt.Errorf("spatialdb: layer %q object %q: %w", sl.Name, so.Name, err)
 				}
-				boxes = append(boxes, b)
+				mo.Boxes = append(mo.Boxes, b)
 			}
-			id := so.ID
 			if snap.Version == 1 {
 				// v1 carries no ids; assign the next free one.
-				id = store.NextID() + int64(len(objs)) + 1
+				mo.ID = store.nextID + int64(len(objs)) + 1
 			}
-			o, err := restoredSnapObject(store, id, so.Name, boxes, seen)
+			if seen[mo.ID] {
+				return nil, fmt.Errorf("spatialdb: layer %q object %q: duplicate id %d", sl.Name, so.Name, mo.ID)
+			}
+			seen[mo.ID] = true
+			o, err := store.newObject(0, mo)
 			if err != nil {
 				return nil, fmt.Errorf("spatialdb: layer %q object %q: %w", sl.Name, so.Name, err)
 			}
 			objs = append(objs, o)
 		}
-		if err := store.restoreLayer(sl.Name, objs); err != nil {
+		if _, err := store.applyMutationLocked(OpBulkInsert, sl.Name, objs, 0, BulkAtomic); err != nil {
 			return nil, fmt.Errorf("spatialdb: layer %q: %w", sl.Name, err)
 		}
+		store.epoch.Add(1)
 	}
-	store.restoreNextID(snap.NextID)
+	store.nextID = max(store.nextID, snap.NextID)
 	return store, nil
 }
 

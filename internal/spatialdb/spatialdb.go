@@ -176,26 +176,10 @@ func (l *Layer) ResetStats() {
 	l.stats = Stats{}
 }
 
-// insert adds an object (id already assigned by the store). The lookup
-// maps are committed only after the index accepts the object, so a
-// failed insert (e.g. a box outside a z-order index's universe) leaves
-// the layer unchanged.
-func (l *Layer) insert(o Object) error {
-	if o.Reg.IsEmpty() {
-		return fmt.Errorf("spatialdb: object %q has an empty region", o.Name)
-	}
-	if err := l.idx.insert(o); err != nil {
-		return err
-	}
-	l.commit(o)
-	return nil
-}
-
 // commit records an object in the lookup maps after the index accepted
-// it. Every path that adds an object — Insert, Upsert, BulkInsert (both
-// the packed and looped variants), snapshot restore and WAL replay —
-// funnels through here, so the planner statistics stay consistent with
-// the index without per-path hooks.
+// it. Every path that adds an object reaches it through bulkInsert (the
+// packed or the looped variant), so the planner statistics stay
+// consistent with the index without per-path hooks.
 func (l *Layer) commit(o Object) {
 	l.objs[o.ID] = o
 	l.byName[o.Name] = o.ID
@@ -410,10 +394,12 @@ func (s *Store) CreateLayer(name string) (*Layer, bool, error) {
 	if err := s.admitMutationLocked(); err != nil {
 		return nil, false, err
 	}
-	l := s.ensureLayerLocked(name)
+	if _, err := s.applyMutationLocked(OpCreateLayer, name, nil, 0, BulkAtomic); err != nil {
+		return nil, false, err
+	}
 	s.epoch.Add(1)
 	err := s.logMutation(&Mutation{Op: OpCreateLayer, Layer: name})
-	return l, true, err
+	return s.layers[name], true, err
 }
 
 // LayerIfExists returns the named layer without creating it. Unlike the
@@ -442,18 +428,6 @@ func (s *Store) LayerNames() []string {
 	return append([]string(nil), s.names...)
 }
 
-// ensureLayerLocked returns the named layer, creating it if needed. The
-// caller must hold the write lock.
-func (s *Store) ensureLayerLocked(name string) *Layer {
-	l, ok := s.layers[name]
-	if !ok {
-		l = newLayer(name, s.universe.K, s.kind, s.universe)
-		s.layers[name] = l
-		s.names = append(s.names, name)
-	}
-	return l
-}
-
 // Insert adds a named region to a layer and returns its object. It is
 // safe for concurrent use; the epoch is bumped after the object is in
 // place. An ErrDurability means the object was inserted (and is
@@ -466,55 +440,44 @@ func (s *Store) Insert(layer, name string, r *region.Region) (Object, error) {
 	if err := s.admitMutationLocked(); err != nil {
 		return Object{}, err
 	}
-	l := s.ensureLayerLocked(layer)
-	s.nextID++
-	o := Object{ID: s.nextID, Name: name, Reg: r, Box: r.BoundingBox()}
-	if err := l.insert(o); err != nil {
-		return Object{}, err
+	o, err := s.newObject(s.nextID, MutObject{ID: s.nextID + 1, Name: name, Boxes: r.Boxes()})
+	if err == nil {
+		_, err = s.applyMutationLocked(OpInsert, layer, []Object{o}, 0, BulkAtomic)
+	}
+	if err != nil {
+		return Object{}, fmt.Errorf("spatialdb: insert %q/%q: %w", layer, name, err)
 	}
 	s.epoch.Add(1)
-	err := s.logMutation(&Mutation{Op: OpInsert, Layer: layer, Objects: []MutObject{mutObject(o)}})
+	err = s.logMutation(&Mutation{Op: OpInsert, Layer: layer, Objects: []MutObject{mutObject(o)}})
 	return o, err
 }
 
-// Upsert atomically replaces the named object in a layer: any existing
-// object with that name is removed and the new region inserted under one
+// Upsert atomically replaces the named object in a layer: the new region
+// is inserted and any existing object with that name removed under one
 // write-lock acquisition, so concurrent upserts of the same name can
 // never leave duplicates and concurrent readers never observe the name
-// missing. The region is validated first — a failed upsert leaves the
-// old object untouched.
+// missing. A failed upsert leaves the old object untouched.
 //
 //boolq:mutation
 func (s *Store) Upsert(layer, name string, r *region.Region) (Object, bool, error) {
-	if r.IsEmpty() {
-		return Object{}, false, fmt.Errorf("spatialdb: object %q has an empty region", name)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.admitMutationLocked(); err != nil {
 		return Object{}, false, err
 	}
-	l := s.ensureLayerLocked(layer)
 	replaced := false
-	var old Object
-	if prev, ok := l.GetByName(name); ok {
-		if err := l.remove(prev.ID); err != nil {
-			return Object{}, false, err
-		}
-		old, replaced = prev, true
+	if l, ok := s.layers[layer]; ok {
+		_, replaced = l.GetByName(name)
 	}
-	s.nextID++
-	o := Object{ID: s.nextID, Name: name, Reg: r, Box: r.BoundingBox()}
-	if err := l.insert(o); err != nil {
-		if replaced {
-			// Roll the removal back; reinserting an object the index held
-			// a moment ago cannot fail.
-			_ = l.insert(old)
-		}
-		return Object{}, false, err
+	o, err := s.newObject(s.nextID, MutObject{ID: s.nextID + 1, Name: name, Boxes: r.Boxes()})
+	if err == nil {
+		_, err = s.applyMutationLocked(OpUpsert, layer, []Object{o}, 0, BulkAtomic)
+	}
+	if err != nil {
+		return Object{}, false, fmt.Errorf("spatialdb: upsert %q/%q: %w", layer, name, err)
 	}
 	s.epoch.Add(1)
-	err := s.logMutation(&Mutation{Op: OpUpsert, Layer: layer, Objects: []MutObject{mutObject(o)}})
+	err = s.logMutation(&Mutation{Op: OpUpsert, Layer: layer, Objects: []MutObject{mutObject(o)}})
 	return o, replaced, err
 }
 
@@ -536,7 +499,7 @@ func (s *Store) Remove(layer, name string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	if err := l.remove(o.ID); err != nil {
+	if _, err := s.applyMutationLocked(OpRemove, layer, nil, o.ID, BulkAtomic); err != nil {
 		return false, err
 	}
 	s.epoch.Add(1)

@@ -235,7 +235,7 @@ func OpenDB(dir string, opts DBOptions) (*DB, error) {
 		if err != nil {
 			return fmt.Errorf("wal: record %d: %w", lsn, err)
 		}
-		if err := store.ApplyMutation(m); err != nil {
+		if err := store.ApplyReplicated(m); err != nil {
 			return fmt.Errorf("wal: record %d: %w", lsn, err)
 		}
 		applied = lsn
