@@ -351,7 +351,7 @@ func BenchmarkRTree(b *testing.B) {
 	q := bbox.Rect(300, 300, 350, 350)
 	b.Run("search", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			tr.SearchOverlap(q, func(rtree.Entry) bool { return true })
+			tr.SearchOverlap(q, func(int64) bool { return true })
 		}
 	})
 }

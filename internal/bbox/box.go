@@ -324,6 +324,27 @@ func (b Box) MeetInto(c Box, dst *Box) {
 	}
 }
 
+// MeetTo returns b ⊓ c built in the backing arrays of lo and hi, which
+// are reused when they hold k floats: Meet without the allocation.
+// Unlike MeetInto it stores through no pointer, so lo and hi may be
+// arrays on the caller's stack without escaping to the heap.
+//
+//boolq:noalloc
+func (b Box) MeetTo(c Box, lo, hi []float64) Box {
+	b.checkDim(c)
+	if b.IsEmpty() || c.IsEmpty() {
+		return Box{K: b.K} //boolq:allowalloc value literal of the empty box
+	}
+	lo, hi = ensureLen(lo, b.K), ensureLen(hi, b.K)
+	for i := 0; i < b.K; i++ {
+		lo[i], hi[i] = math.Max(b.Lo[i], c.Lo[i]), math.Min(b.Hi[i], c.Hi[i])
+		if lo[i] > hi[i] {
+			return Box{K: b.K} //boolq:allowalloc value literal of the empty box
+		}
+	}
+	return Box{K: b.K, Lo: lo, Hi: hi} //boolq:allowalloc value literal over the caller's arrays
+}
+
 // JoinInto stores b ⊔ c into dst without allocating (after dst's arrays
 // have grown to dimension K once). dst may alias b or c.
 //

@@ -2,6 +2,7 @@ package bbox
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -146,5 +147,47 @@ func TestPointQueryEmptyUpper(t *testing.T) {
 	s := RangeSpec{K: 2, Lower: Empty(2), Upper: Empty(2)}
 	if _, ok := s.PointQuery(); ok {
 		t.Errorf("empty upper bound should have no point query")
+	}
+}
+
+// The flat form of a spec decides exactly what the spec decides, and its
+// pruning test is sound: a box that admits nothing contains no match.
+// Flatten reports !ok exactly for an empty upper bound or an
+// unsatisfiable spec; PointQueryTo and MeetTo agree with their allocating
+// forms.
+func TestFlatSpecMatchesRangeSpec(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var buf [FlatRunsHint]float64
+	for trial := 0; trial < 3000; trial++ {
+		k := 1 + r.Intn(3)
+		s := RangeSpec{K: k, Lower: randProgBox(r, k), Upper: randProgBox(r, k)}
+		if r.Intn(3) == 0 {
+			s.Lower = Empty(k)
+		}
+		for i := r.Intn(4); i > 0; i-- {
+			s.Overlaps = append(s.Overlaps, randProgBox(r, k))
+		}
+		f, ok := s.Flatten(buf[:0])
+		if want := !s.Upper.IsEmpty() && !s.Unsatisfiable(); ok != want {
+			t.Fatalf("Flatten(%+v) ok = %v, want %v", s, ok, want)
+		}
+		x, outer := randProgBox(r, k), randProgBox(r, k)
+		if x.IsEmpty() || outer.IsEmpty() {
+			continue
+		}
+		if ok && f.Matches(x.Lo, x.Hi) != s.Matches(x) {
+			t.Fatalf("spec %+v, box %v: flat %v, RangeSpec %v", s, x, f.Matches(x.Lo, x.Hi), s.Matches(x))
+		}
+		if ok && outer.Contains(x) && s.Matches(x) && !f.Admits(outer.Lo, outer.Hi) {
+			t.Fatalf("spec %+v: %v prunes its match %v", s, outer, x)
+		}
+		q, qok := s.PointQuery()
+		q2, qok2 := s.PointQueryTo(make([]float64, 0, 1), nil)
+		if qok != qok2 || !q.Equal(q2) {
+			t.Fatalf("PointQueryTo(%+v) = %v, %v; PointQuery %v, %v", s, q2, qok2, q, qok)
+		}
+		if m := x.MeetTo(outer, nil, nil); !m.Equal(x.Meet(outer)) {
+			t.Fatalf("MeetTo(%v, %v) = %v, Meet %v", x, outer, m, x.Meet(outer))
+		}
 	}
 }

@@ -143,7 +143,7 @@ func E13RTreeConstruction() Table {
 		buildT := time.Since(start)
 		touched, results := 0, 0
 		for _, q := range queries {
-			touched += tr.SearchOverlap(q, func(rtree.Entry) bool {
+			touched += tr.SearchOverlap(q, func(int64) bool {
 				results++
 				return true
 			})

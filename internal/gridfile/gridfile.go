@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/bbox"
 )
@@ -75,14 +74,23 @@ func (g *Grid) cellIndex(d int, v float64) int {
 }
 
 func (g *Grid) keyOf(p []float64) string {
-	var b strings.Builder
-	for d := 0; d < g.k; d++ {
-		if d > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(g.cellIndex(d, p[d])))
+	idx := make([]int, g.k)
+	for d := range idx {
+		idx[d] = g.cellIndex(d, p[d])
 	}
-	return b.String()
+	return string(appendKey(nil, idx))
+}
+
+// appendKey appends the directory key of the cell with per-dimension
+// interval indices idx: the indices in decimal, comma-separated.
+func appendKey(dst []byte, idx []int) []byte {
+	for d, i := range idx {
+		if d > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(dst, int64(i), 10)
+	}
+	return dst
 }
 
 // Insert adds a point.
@@ -260,8 +268,13 @@ func (g *Grid) Delete(p []float64, id int64) bool {
 	return false
 }
 
+// searchStack bounds the dimensionality whose cell odometer and key fit
+// Search's stack arrays; a larger grid allocates them.
+const searchStack = 16
+
 // Search visits every stored point inside the query box. The visitor
 // returns false to stop. It reports the number of directory cells touched.
+// Up to searchStack dimensions it allocates nothing.
 func (g *Grid) Search(q bbox.Box, visit func(p []float64, id int64) bool) int {
 	if q.IsEmpty() {
 		return 0
@@ -270,24 +283,22 @@ func (g *Grid) Search(q bbox.Box, visit func(p []float64, id int64) bool) int {
 		panic(fmt.Sprintf("gridfile: query dimension %d, grid dimension %d", q.K, g.k))
 	}
 	// Determine the index range per dimension.
-	lo := make([]int, g.k)
-	hi := make([]int, g.k)
+	var loA, hiA, idxA [searchStack]int
+	var keyA [8 * searchStack]byte
+	lo, hi, idx := loA[:], hiA[:], idxA[:]
+	if g.k > searchStack {
+		lo, hi, idx = make([]int, g.k), make([]int, g.k), make([]int, g.k)
+	}
+	lo, hi, idx = lo[:g.k], hi[:g.k], idx[:g.k]
 	for d := 0; d < g.k; d++ {
 		lo[d] = g.cellIndex(d, q.Lo[d])
 		hi[d] = g.cellIndex(d, q.Hi[d])
 	}
 	touched := 0
-	idx := make([]int, g.k)
 	copy(idx, lo)
 	for {
-		var sb strings.Builder
-		for d := 0; d < g.k; d++ {
-			if d > 0 {
-				sb.WriteByte(',')
-			}
-			sb.WriteString(strconv.Itoa(idx[d]))
-		}
-		if b := g.dir[sb.String()]; b != nil {
+		// A map index by string(bytes) does not allocate the string.
+		if b := g.dir[string(appendKey(keyA[:0], idx))]; b != nil {
 			touched++
 			for _, e := range b.entries {
 				if q.ContainsPoint(e.p) {

@@ -79,7 +79,7 @@ type stepFrame struct {
 	scr   region.Scratch              // owns exact's elements; reset once per prefix
 	alg   region.Algebra              // the run's algebra bound to scr
 	exact triangular.StepValues       // the solved constraint's values for the current prefix
-	ids   []int64                     // the index probe's id buffer
+	slots []int64                     // the index probe's slot buffer
 	db    spatialdb.Stats             // the run's index cost on this step's layer
 	visit func(spatialdb.Object) bool // consider(i, ·), built once per frame
 }
@@ -88,7 +88,7 @@ type stepFrame struct {
 // request grew past these is dropped on release instead of being kept
 // alive by the pool.
 const (
-	maxPooledIDs     = 1 << 15 // ids per step (256 KiB)
+	maxPooledSlots   = 1 << 15 // slots per step (256 KiB)
 	maxPooledScratch = 1 << 14 // boxes + coordinates per region.Scratch
 	maxPooledFirsts  = 1 << 12 // first-step survivors (320 KiB)
 )
@@ -133,8 +133,8 @@ func (f *execFrame) release() Stats {
 		clear(sf.exact.P)
 		clear(sf.exact.Q)
 		sf.exact.Lower, sf.exact.Upper = nil, nil
-		if cap(sf.ids) > maxPooledIDs {
-			sf.ids = nil
+		if cap(sf.slots) > maxPooledSlots {
+			sf.slots = nil
 		}
 		if sf.scr.Cap() > maxPooledScratch {
 			sf.scr = region.Scratch{}
@@ -180,7 +180,7 @@ func (f *execFrame) run(i int) {
 			return // this prefix admits no extension
 		}
 		f.bindExact(i)
-		sf.db.Add(f.layers[i].SearchInto(spec, &sf.ids, sf.visit))
+		sf.db.Add(f.layers[i].SearchInto(spec, &sf.slots, sf.visit))
 	} else {
 		f.bindExact(i)
 		f.layers[i].All(sf.visit)

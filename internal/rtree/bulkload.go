@@ -1,11 +1,10 @@
 package rtree
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
-
-	"repro/internal/bbox"
+	"slices"
 )
 
 // BulkLoad builds an R-tree from a static entry set with Sort-Tile-
@@ -17,93 +16,87 @@ import (
 // queries than one-at-a-time insertion (experiment E13); the tree remains
 // fully dynamic afterwards.
 func BulkLoad(k int, entries []Entry, opts ...Option) (*Tree, error) {
-	t := New(k, opts...)
-	for _, e := range entries {
+	runs := make([]float64, 0, 2*k*len(entries))
+	ids := make([]int64, len(entries))
+	for i, e := range entries {
 		if e.Box.IsEmpty() {
 			return nil, fmt.Errorf("rtree: cannot bulk-load an empty box")
 		}
 		if e.Box.K != k {
 			return nil, fmt.Errorf("rtree: box dimension %d, tree dimension %d", e.Box.K, k)
 		}
+		runs = e.Box.AppendRun(runs)
+		ids[i] = e.ID
 	}
-	if len(entries) == 0 {
+	return BulkLoadRuns(k, runs, ids, opts...)
+}
+
+// BulkLoadRuns is BulkLoad over entries given flat: runs holds one run of
+// 2k floats (lo₁…lo_k, hi₁…hi_k) per entry and ids parallels it. Every
+// run must be a valid non-empty box (lo ≤ hi, no NaN); the tree keeps its
+// own copy.
+func BulkLoadRuns(k int, runs []float64, ids []int64, opts ...Option) (*Tree, error) {
+	t := New(k, opts...)
+	w := 2 * k
+	if len(runs) != w*len(ids) {
+		return nil, fmt.Errorf("rtree: %d floats for %d entries of dimension %d", len(runs), len(ids), k)
+	}
+	if len(ids) == 0 {
 		return t, nil
 	}
-	// Build leaves.
-	leafEntries := append([]Entry(nil), entries...)
-	leaves := packLeaves(t, leafEntries)
-	// Pack upward until a single root remains.
-	level := leaves
+	// Build leaves, then pack upward until a single root remains.
+	level := make([]*node, 0, len(ids)/t.max+1)
+	for _, g := range strTile(runs, len(ids), t.max, k) {
+		n := &node{leaf: true, runs: make([]float64, 0, w*len(g)), ids: make([]int64, 0, len(g))}
+		for _, i := range g {
+			n.runs = append(n.runs, runs[i*w:i*w+w]...)
+			n.ids = append(n.ids, ids[i])
+		}
+		level = append(level, n)
+	}
 	for len(level) > 1 {
 		level = packNodes(t, level)
 	}
 	t.root = level[0]
-	t.size = len(entries)
+	t.rootRun = make([]float64, w)
+	t.root.mbr(t.rootRun, k)
+	t.size = len(ids)
 	return t, nil
 }
 
-// Entries returns every stored (box, id) entry in an unspecified order.
-// The returned boxes are shared with the tree and must not be modified.
-// Feeding the slice back into BulkLoad re-packs the tree's current
-// contents with STR.
+// Entries returns every stored (box, id) entry in an unspecified order,
+// with freshly allocated boxes. Feeding the slice back into BulkLoad
+// re-packs the tree's current contents with STR.
 func (t *Tree) Entries() []Entry {
 	out := make([]Entry, 0, t.size)
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n.leaf {
-			out = append(out, n.entries...)
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
+	collectEntries(t.root, t.k, &out)
 	return out
-}
-
-// packLeaves tiles the entries into fully packed leaf nodes.
-func packLeaves(t *Tree, entries []Entry) []*node {
-	boxes := make([]bbox.Box, len(entries))
-	for i, e := range entries {
-		boxes[i] = e.Box
-	}
-	groups := strTile(boxes, t.max, t.k, 0)
-	leaves := make([]*node, 0, len(groups))
-	for _, g := range groups {
-		n := &node{leaf: true}
-		for _, i := range g {
-			n.entries = append(n.entries, entries[i])
-		}
-		n.recomputeBox(t.k)
-		leaves = append(leaves, n)
-	}
-	return leaves
 }
 
 // packNodes tiles child nodes into parent nodes.
 func packNodes(t *Tree, children []*node) []*node {
-	boxes := make([]bbox.Box, len(children))
+	w := 2 * t.k
+	mbrs := make([]float64, w*len(children))
 	for i, c := range children {
-		boxes[i] = c.box
+		c.mbr(mbrs[i*w:i*w+w], t.k)
 	}
-	groups := strTile(boxes, t.max, t.k, 0)
+	groups := strTile(mbrs, len(children), t.max, t.k)
 	parents := make([]*node, 0, len(groups))
 	for _, g := range groups {
-		n := &node{}
+		n := &node{runs: make([]float64, 0, w*len(g)), children: make([]*node, 0, len(g))}
 		for _, i := range g {
+			n.runs = append(n.runs, mbrs[i*w:i*w+w]...)
 			n.children = append(n.children, children[i])
 		}
-		n.recomputeBox(t.k)
 		parents = append(parents, n)
 	}
 	return parents
 }
 
-// strTile recursively partitions indices into groups of ≤ cap by sorting
-// on successive center coordinates and slicing into slabs.
-func strTile(boxes []bbox.Box, cap, k, dim int) [][]int {
-	n := len(boxes)
+// strTile recursively partitions the indices of n runs into groups of
+// ≤ cap by sorting on successive center coordinates and slicing into
+// slabs.
+func strTile(runs []float64, n, cap, k int) [][]int {
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -113,24 +106,23 @@ func strTile(boxes []bbox.Box, cap, k, dim int) [][]int {
 		if len(ids) <= cap {
 			return [][]int{ids}
 		}
-		sort.Slice(ids, func(a, b int) bool {
-			ca := boxes[ids[a]].Center()[dim]
-			cb := boxes[ids[b]].Center()[dim]
-			if ca != cb {
-				return ca < cb
+		// Sort by center on dim, ties by index: a total order, so the
+		// tiling does not depend on the sort algorithm.
+		slices.SortFunc(ids, func(a, b int) int {
+			ca := (runs[a*2*k+dim] + runs[a*2*k+k+dim]) / 2
+			cb := (runs[b*2*k+dim] + runs[b*2*k+k+dim]) / 2
+			if c := cmp.Compare(ca, cb); c != 0 {
+				return c
 			}
-			return ids[a] < ids[b]
+			return cmp.Compare(a, b)
 		})
 		numLeaves := int(math.Ceil(float64(len(ids)) / float64(cap)))
 		if dim == k-1 {
 			// Last dimension: slice straight into leaves.
 			out := make([][]int, 0, numLeaves)
 			for i := 0; i < len(ids); i += cap {
-				end := i + cap
-				if end > len(ids) {
-					end = len(ids)
-				}
-				out = append(out, append([]int(nil), ids[i:end]...))
+				end := min(i+cap, len(ids))
+				out = append(out, ids[i:end:end])
 			}
 			return out
 		}
@@ -139,13 +131,10 @@ func strTile(boxes []bbox.Box, cap, k, dim int) [][]int {
 		slabSize := slabLeaves * cap
 		var out [][]int
 		for i := 0; i < len(ids); i += slabSize {
-			end := i + slabSize
-			if end > len(ids) {
-				end = len(ids)
-			}
-			out = append(out, rec(append([]int(nil), ids[i:end]...), dim+1)...)
+			end := min(i+slabSize, len(ids))
+			out = append(out, rec(ids[i:end:end], dim+1)...)
 		}
 		return out
 	}
-	return rec(idx, dim)
+	return rec(idx, 0)
 }

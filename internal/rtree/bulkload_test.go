@@ -47,8 +47,8 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range randomBoxes(30, 5) {
-		a := collectIDs(func(v func(Entry) bool) int { return bulk.SearchOverlap(q, v) })
-		b := collectIDs(func(v func(Entry) bool) int { return inc.SearchOverlap(q, v) })
+		a := collectIDs(func(v func(int64) bool) int { return bulk.SearchOverlap(q, v) })
+		b := collectIDs(func(v func(int64) bool) int { return inc.SearchOverlap(q, v) })
 		if !equalIDs(a, b) {
 			t.Fatalf("bulk and incremental disagree on %v: %d vs %d", q, len(a), len(b))
 		}
@@ -75,7 +75,7 @@ func TestBulkLoadIsDynamicAfterwards(t *testing.T) {
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	ids := collectIDs(func(v func(Entry) bool) int {
+	ids := collectIDs(func(v func(int64) bool) int {
 		return tr.SearchOverlap(rect(-1e9, -1e9, 1e9, 1e9), v)
 	})
 	if len(ids) != 200 {
@@ -98,8 +98,8 @@ func TestBulkLoadPacksTighter(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := rect(20, 20, 40, 40)
-	tb := bulk.SearchOverlap(q, func(Entry) bool { return true })
-	ti := inc.SearchOverlap(q, func(Entry) bool { return true })
+	tb := bulk.SearchOverlap(q, func(int64) bool { return true })
+	ti := inc.SearchOverlap(q, func(int64) bool { return true })
 	if tb > ti {
 		t.Errorf("bulk-loaded tree touched %d nodes, incremental %d", tb, ti)
 	}

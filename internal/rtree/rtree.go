@@ -9,11 +9,17 @@
 // and linear algorithms from the original paper. Deletion condenses the
 // tree and reinserts orphaned entries.
 //
+// Nodes keep their slots' boxes flat: one []float64 holding a run of 2k
+// floats (lo₁…lo_k, hi₁…hi_k) per slot — an entry's box in a leaf, a
+// child's MBR in an internal node. A search tests those runs against a
+// spec flattened once (bbox.FlatSpec) and allocates nothing.
+//
 // DESIGN.md §2 ("Storage") places this package in the module map.
 package rtree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bbox"
 )
@@ -33,24 +39,80 @@ type Entry struct {
 	ID  int64
 }
 
+// node is one tree node. runs holds 2k floats per slot; ids (leaf) or
+// children (internal) parallels it. A node's own MBR lives in its
+// parent's run for it, the root's in Tree.rootRun.
 type node struct {
 	leaf     bool
-	box      bbox.Box // MBR of contents
-	entries  []Entry  // leaf payload
-	children []*node  // internal children
+	runs     []float64
+	ids      []int64
+	children []*node
 }
 
-func (n *node) recomputeBox(k int) {
-	n.box = bbox.Empty(k)
+func (n *node) len() int {
 	if n.leaf {
-		for _, e := range n.entries {
-			n.box = n.box.Join(e.Box)
+		return len(n.ids)
+	}
+	return len(n.children)
+}
+
+// run returns slot i's run; w is 2k.
+func (n *node) run(i, w int) []float64 { return n.runs[i*w : i*w+w : i*w+w] }
+
+// mbr writes the join of n's runs into dst (len 2k); n must be non-empty.
+func (n *node) mbr(dst []float64, k int) {
+	copy(dst, n.runs[:2*k])
+	for r := n.runs[2*k:]; len(r) > 0; r = r[2*k:] {
+		join(dst, r, k)
+	}
+}
+
+// Run arithmetic. The operation order matches bbox.Box's Join, Volume and
+// Enlarge, so a tree built here is shaped exactly as one built over Box
+// values.
+
+// join widens dst to cover r.
+func join(dst, r []float64, k int) {
+	for i := 0; i < k; i++ {
+		dst[i] = min(dst[i], r[i])
+		dst[k+i] = max(dst[k+i], r[k+i])
+	}
+}
+
+func volume(r []float64, k int) float64 {
+	v := 1.0
+	for i := 0; i < k; i++ {
+		v *= r[k+i] - r[i]
+	}
+	return v
+}
+
+// joinVolume is the volume of the join of a and b.
+func joinVolume(a, b []float64, k int) float64 {
+	v := 1.0
+	for i := 0; i < k; i++ {
+		v *= max(a[k+i], b[k+i]) - min(a[i], b[i])
+	}
+	return v
+}
+
+// enlarge is the volume increase of a ⊔ b over a (Guttman's insertion
+// heuristic).
+func enlarge(a, b []float64, k int) float64 { return joinVolume(a, b, k) - volume(a, k) }
+
+// contains reports whether run a contains run b.
+func contains(a, b []float64, k int) bool {
+	for i := 0; i < k; i++ {
+		if b[i] < a[i] || b[k+i] > a[k+i] {
+			return false
 		}
-		return
 	}
-	for _, c := range n.children {
-		n.box = n.box.Join(c.box)
-	}
+	return true
+}
+
+// runBox copies a run into a fresh Box.
+func runBox(r []float64, k int) bbox.Box {
+	return bbox.New(r[:k], r[k:2*k])
 }
 
 // Tree is an R-tree over k-dimensional boxes. The zero value is unusable;
@@ -60,6 +122,7 @@ type Tree struct {
 	min, max int
 	split    SplitStrategy
 	root     *node
+	rootRun  []float64 // the root's MBR; nil while the tree is empty
 	size     int
 }
 
@@ -86,7 +149,7 @@ func New(k int, opts ...Option) *Tree {
 	if t.min < 1 || t.max < 2*t.min {
 		panic(fmt.Sprintf("rtree: invalid branching m=%d M=%d (need M ≥ 2m)", t.min, t.max))
 	}
-	t.root = &node{leaf: true, box: bbox.Empty(k)}
+	t.root = &node{leaf: true}
 	return t
 }
 
@@ -106,71 +169,94 @@ func (t *Tree) Height() int {
 	return h
 }
 
-// Insert adds an entry. Empty boxes are rejected: they match no range
-// query and would poison MBRs.
-func (t *Tree) Insert(box bbox.Box, id int64) error {
+// checkBox validates a box for storage.
+func (t *Tree) checkBox(box bbox.Box) error {
 	if box.IsEmpty() {
 		return fmt.Errorf("rtree: cannot index an empty box")
 	}
 	if box.K != t.k {
 		return fmt.Errorf("rtree: box dimension %d, tree dimension %d", box.K, t.k)
 	}
-	path := t.chooseLeafPath(box)
-	leaf := path[len(path)-1]
-	leaf.entries = append(leaf.entries, Entry{Box: box, ID: id})
-	for _, n := range path {
-		n.box = n.box.Join(box)
-	}
-	t.size++
-	t.propagateSplits(path)
 	return nil
 }
 
+// Insert adds an entry. Empty boxes are rejected: they match no range
+// query and would poison MBRs. Only the runs on the insertion path that
+// the new box widens are rewritten.
+func (t *Tree) Insert(box bbox.Box, id int64) error {
+	if err := t.checkBox(box); err != nil {
+		return err
+	}
+	t.insertRun(box.AppendRun(make([]float64, 0, 2*t.k)), id)
+	return nil
+}
+
+// insertRun adds the entry with run r.
+func (t *Tree) insertRun(r []float64, id int64) {
+	path, slots := t.chooseLeafPath(r)
+	leaf := path[len(path)-1]
+	leaf.runs = append(leaf.runs, r...)
+	leaf.ids = append(leaf.ids, id)
+	w := 2 * t.k
+	for i, s := range slots {
+		join(path[i].run(s, w), r, t.k)
+	}
+	if t.rootRun == nil {
+		t.rootRun = slices.Clone(r)
+	} else {
+		join(t.rootRun, r, t.k)
+	}
+	t.size++
+	t.propagateSplits(path, slots)
+}
+
 // chooseLeafPath descends by least enlargement (ties by smaller volume)
-// and returns the root-to-leaf path.
-func (t *Tree) chooseLeafPath(box bbox.Box) []*node {
-	path := []*node{t.root}
-	n := t.root
+// and returns the root-to-leaf path with the slot taken at each internal
+// node.
+func (t *Tree) chooseLeafPath(r []float64) (path []*node, slots []int) {
+	path = []*node{t.root}
+	n, w := t.root, 2*t.k
 	for !n.leaf {
-		var best *node
+		best := -1
 		bestEnl, bestVol := 0.0, 0.0
-		for _, c := range n.children {
-			enl := c.box.Enlarge(box)
-			vol := c.box.Volume()
-			if best == nil || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
-				best, bestEnl, bestVol = c, enl, vol
+		for i := range n.children {
+			c := n.run(i, w)
+			enl := enlarge(c, r, t.k)
+			vol := volume(c, t.k)
+			if best < 0 || enl < bestEnl || (enl == bestEnl && vol < bestVol) {
+				best, bestEnl, bestVol = i, enl, vol
 			}
 		}
-		n = best
+		slots = append(slots, best)
+		n = n.children[best]
 		path = append(path, n)
 	}
-	return path
+	return path, slots
 }
 
 // propagateSplits splits overflowing nodes from the leaf upward along the
-// recorded path, growing the root if needed.
-func (t *Tree) propagateSplits(path []*node) {
+// recorded path, growing the root if needed. A split node's two halves
+// cover exactly what it covered, so no run above the split changes.
+func (t *Tree) propagateSplits(path []*node, slots []int) {
+	w := 2 * t.k
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		over := (n.leaf && len(n.entries) > t.max) ||
-			(!n.leaf && len(n.children) > t.max)
-		if !over {
+		if n.len() <= t.max {
 			return
 		}
 		a, b := t.splitNode(n)
+		ra, rb := make([]float64, w), make([]float64, w)
+		a.mbr(ra, t.k)
+		b.mbr(rb, t.k)
 		if i == 0 {
-			t.root = &node{box: a.box.Join(b.box), children: []*node{a, b}}
+			t.root = &node{runs: append(ra, rb...), children: []*node{a, b}}
 			return
 		}
-		parent := path[i-1]
-		for j, c := range parent.children {
-			if c == n {
-				parent.children[j] = a
-				break
-			}
-		}
+		parent, s := path[i-1], slots[i-1]
+		parent.children[s] = a
+		copy(parent.run(s, w), ra)
 		parent.children = append(parent.children, b)
-		parent.recomputeBox(t.k)
+		parent.runs = append(parent.runs, rb...)
 	}
 }
 
@@ -178,9 +264,12 @@ func (t *Tree) propagateSplits(path []*node) {
 // was found. Underfull nodes are condensed: their surviving entries are
 // reinserted, per Guttman's CondenseTree.
 func (t *Tree) Delete(box bbox.Box, id int64) bool {
+	if t.checkBox(box) != nil || t.size == 0 {
+		return false
+	}
+	r := box.AppendRun(nil)
 	var orphans []Entry
-	removed := t.deleteRec(t.root, box, id, &orphans)
-	if !removed {
+	if !t.deleteRec(t.root, r, id, &orphans) {
 		return false
 	}
 	t.size--
@@ -188,171 +277,156 @@ func (t *Tree) Delete(box bbox.Box, id int64) bool {
 	for !t.root.leaf && len(t.root.children) == 1 {
 		t.root = t.root.children[0]
 	}
+	if t.root.len() == 0 {
+		t.rootRun = nil
+	} else {
+		t.root.mbr(t.rootRun, t.k)
+	}
 	for _, e := range orphans {
-		t.size-- // Insert will re-add
-		if err := t.Insert(e.Box, e.ID); err != nil {
-			panic(err) // orphans came from the tree; cannot be invalid
-		}
+		t.size-- // insertRun will re-add
+		t.insertRun(e.Box.AppendRun(nil), e.ID)
 	}
 	return true
 }
 
-func (t *Tree) deleteRec(n *node, box bbox.Box, id int64, orphans *[]Entry) bool {
+func (t *Tree) deleteRec(n *node, r []float64, id int64, orphans *[]Entry) bool {
+	w := 2 * t.k
 	if n.leaf {
-		for i, e := range n.entries {
-			if e.ID == id && e.Box.Equal(box) {
-				n.entries = append(n.entries[:i], n.entries[i+1:]...)
-				n.recomputeBox(t.k)
+		for i, eid := range n.ids {
+			if eid == id && slices.Equal(n.run(i, w), r) {
+				n.ids = slices.Delete(n.ids, i, i+1)
+				n.runs = slices.Delete(n.runs, i*w, i*w+w)
 				return true
 			}
 		}
 		return false
 	}
 	for i, c := range n.children {
-		if !c.box.Contains(box) {
+		if !contains(n.run(i, w), r, t.k) {
 			continue
 		}
-		if t.deleteRec(c, box, id, orphans) {
-			underfull := (c.leaf && len(c.entries) < t.min) ||
-				(!c.leaf && len(c.children) < t.min)
-			if underfull {
-				collectEntries(c, orphans)
-				n.children = append(n.children[:i], n.children[i+1:]...)
+		if t.deleteRec(c, r, id, orphans) {
+			if c.len() < t.min {
+				collectEntries(c, t.k, orphans)
+				n.children = slices.Delete(n.children, i, i+1)
+				n.runs = slices.Delete(n.runs, i*w, i*w+w)
+			} else {
+				c.mbr(n.run(i, w), t.k)
 			}
-			n.recomputeBox(t.k)
 			return true
 		}
 	}
 	return false
 }
 
-func collectEntries(n *node, out *[]Entry) {
+func collectEntries(n *node, k int, out *[]Entry) {
 	if n.leaf {
-		*out = append(*out, n.entries...)
+		for i, id := range n.ids {
+			*out = append(*out, Entry{Box: runBox(n.run(i, 2*k), k), ID: id})
+		}
 		return
 	}
 	for _, c := range n.children {
-		collectEntries(c, out)
+		collectEntries(c, k, out)
 	}
 }
 
-// SearchOverlap visits every entry whose box overlaps q. The visitor
-// returns false to stop early. It reports the number of tree nodes
-// touched (the index-cost metric used by the experiments).
-func (t *Tree) SearchOverlap(q bbox.Box, visit func(Entry) bool) int {
-	touched := 0
-	var rec func(n *node) bool
-	rec = func(n *node) bool {
-		touched++
-		if !n.box.Overlaps(q) {
-			return true
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if e.Box.Overlaps(q) {
-					if !visit(e) {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		for _, c := range n.children {
-			if !rec(c) {
-				return false
-			}
-		}
-		return true
+// flatStack is the float count of the stack arrays searches flatten their
+// query into; larger queries allocate.
+const flatStack = 2 * bbox.FlatRunsHint
+
+// SearchOverlap visits the id of every entry whose box overlaps q. The
+// visitor returns false to stop early. It reports the number of tree
+// nodes touched (the index-cost metric used by the experiments).
+//
+//boolq:noalloc
+func (t *Tree) SearchOverlap(q bbox.Box, visit func(id int64) bool) int {
+	if q.IsEmpty() {
+		return 1
 	}
-	rec(t.root)
-	return touched
+	var buf [flatStack]float64
+	var f bbox.FlatSpec
+	f.K, f.Over = t.k, q.AppendRun(buf[:0])
+	return t.search(&f, visit)
 }
 
-// SearchContained visits every entry whose box is contained in q.
-func (t *Tree) SearchContained(q bbox.Box, visit func(Entry) bool) int {
-	touched := 0
-	var rec func(n *node) bool
-	rec = func(n *node) bool {
-		touched++
-		if !n.box.Overlaps(q) {
-			return true
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if q.Contains(e.Box) {
-					if !visit(e) {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		for _, c := range n.children {
-			if !rec(c) {
-				return false
-			}
-		}
-		return true
+// SearchContained visits the id of every entry whose box is contained
+// in q.
+//
+//boolq:noalloc
+func (t *Tree) SearchContained(q bbox.Box, visit func(id int64) bool) int {
+	if q.IsEmpty() {
+		return 1
 	}
-	rec(t.root)
-	return touched
+	var buf [flatStack]float64
+	var f bbox.FlatSpec
+	f.K, f.Upper = t.k, q.AppendRun(buf[:0])
+	return t.search(&f, visit)
 }
 
-// SearchSpec visits every entry whose box satisfies the combined range
-// spec (containment + overlap constraints), pruning subtrees by three
-// sound MBR tests:
+// SearchSpec visits the id of every entry whose box satisfies the
+// combined range spec (containment + overlap constraints), pruning
+// subtrees by three sound MBR tests:
 //
 //   - an entry must contain spec.Lower, so its subtree MBR must too;
 //   - an entry must lie inside spec.Upper, so its subtree MBR must
 //     overlap spec.Upper;
 //   - an entry must overlap each witness c, so its subtree MBR must too.
-func (t *Tree) SearchSpec(spec bbox.RangeSpec, visit func(Entry) bool) int {
-	touched := 0
-	if spec.Unsatisfiable() {
+//
+// A spec no stored box can match (bbox.RangeSpec.Flatten) touches
+// nothing.
+//
+//boolq:noalloc
+func (t *Tree) SearchSpec(spec bbox.RangeSpec, visit func(id int64) bool) int {
+	var buf [flatStack]float64
+	f, ok := spec.Flatten(buf[:0])
+	if !ok {
 		return 0
 	}
-	var rec func(n *node) bool
-	rec = func(n *node) bool {
-		touched++
-		if !n.box.Contains(spec.Lower) {
-			return true
-		}
-		if !spec.Upper.IsEmpty() && !n.box.Overlaps(spec.Upper) {
-			return true
-		}
-		for _, c := range spec.Overlaps {
-			if !n.box.Overlaps(c) {
-				return true
-			}
-		}
-		if n.leaf {
-			for _, e := range n.entries {
-				if spec.Matches(e.Box) {
-					if !visit(e) {
-						return false
-					}
-				}
-			}
-			return true
-		}
-		for _, c := range n.children {
-			if !rec(c) {
+	return t.search(&f, visit)
+}
+
+// search runs a flat query from the root and returns the nodes touched:
+// the root, then every child slot considered, pruned or not.
+//
+//boolq:noalloc
+func (t *Tree) search(f *bbox.FlatSpec, visit func(id int64) bool) int {
+	touched := 1
+	if t.rootRun != nil && f.Admits(t.rootRun[:t.k], t.rootRun[t.k:]) {
+		t.searchNode(t.root, f, visit, &touched)
+	}
+	return touched
+}
+
+//boolq:noalloc
+func (t *Tree) searchNode(n *node, f *bbox.FlatSpec, visit func(id int64) bool, touched *int) bool {
+	k, w := t.k, 2*t.k
+	if n.leaf {
+		for i, id := range n.ids {
+			r := n.runs[i*w : i*w+w]
+			if f.Matches(r[:k], r[k:]) && !visit(id) {
 				return false
 			}
 		}
 		return true
 	}
-	rec(t.root)
-	return touched
+	for i, c := range n.children {
+		*touched++
+		r := n.runs[i*w : i*w+w]
+		if f.Admits(r[:k], r[k:]) && !t.searchNode(c, f, visit, touched) {
+			return false
+		}
+	}
+	return true
 }
 
-// All visits every entry.
+// All visits every entry. The boxes are fresh copies.
 func (t *Tree) All(visit func(Entry) bool) {
 	var rec func(n *node) bool
 	rec = func(n *node) bool {
 		if n.leaf {
-			for _, e := range n.entries {
-				if !visit(e) {
+			for i, id := range n.ids {
+				if !visit(Entry{Box: runBox(n.run(i, 2*t.k), t.k), ID: id}) {
 					return false
 				}
 			}
@@ -368,25 +442,31 @@ func (t *Tree) All(visit func(Entry) bool) {
 	rec(t.root)
 }
 
-// checkInvariants verifies structural invariants; used by tests.
+// checkInvariants verifies structural invariants — every run of an
+// internal node is exactly its child's MBR, the root run the root's, and
+// all leaves sit at one depth; used by tests.
 func (t *Tree) checkInvariants() error {
+	w := 2 * t.k
+	got := make([]float64, w)
 	var rec func(n *node, depth int) (int, error)
 	rec = func(n *node, depth int) (int, error) {
+		if len(n.runs) != n.len()*w {
+			return 0, fmt.Errorf("node holds %d floats for %d slots", len(n.runs), n.len())
+		}
 		if n.leaf {
-			for _, e := range n.entries {
-				if !n.box.Contains(e.Box) {
-					return 0, fmt.Errorf("leaf MBR %v misses entry %v", n.box, e.Box)
-				}
-			}
 			return depth, nil
 		}
 		if len(n.children) == 0 {
 			return 0, fmt.Errorf("internal node with no children")
 		}
 		first := -1
-		for _, c := range n.children {
-			if !n.box.Contains(c.box) {
-				return 0, fmt.Errorf("node MBR %v misses child %v", n.box, c.box)
+		for i, c := range n.children {
+			if c.len() == 0 {
+				return 0, fmt.Errorf("empty child node")
+			}
+			c.mbr(got, t.k)
+			if !slices.Equal(n.run(i, w), got) {
+				return 0, fmt.Errorf("run %v is not child MBR %v", n.run(i, w), got)
 			}
 			d, err := rec(c, depth+1)
 			if err != nil {
@@ -400,6 +480,13 @@ func (t *Tree) checkInvariants() error {
 		}
 		return first, nil
 	}
+	if t.root.len() == 0 {
+		if t.rootRun != nil {
+			return fmt.Errorf("empty tree with root run %v", t.rootRun)
+		}
+	} else if t.root.mbr(got, t.k); !slices.Equal(t.rootRun, got) {
+		return fmt.Errorf("root run %v is not root MBR %v", t.rootRun, got)
+	}
 	_, err := rec(t.root, 0)
 	return err
 }
@@ -407,47 +494,37 @@ func (t *Tree) checkInvariants() error {
 // splitNode divides an overflowing node into two per the configured
 // strategy.
 func (t *Tree) splitNode(n *node) (*node, *node) {
-	if n.leaf {
-		ga, gb := t.splitGroups(len(n.entries),
-			func(i int) bbox.Box { return n.entries[i].Box })
-		a := &node{leaf: true}
-		b := &node{leaf: true}
-		for _, i := range ga {
-			a.entries = append(a.entries, n.entries[i])
+	w := 2 * t.k
+	ga, gb := t.splitGroups(n.len(), func(i int) []float64 { return n.run(i, w) })
+	a, b := &node{leaf: n.leaf}, &node{leaf: n.leaf}
+	for _, g := range []struct {
+		dst *node
+		idx []int
+	}{{a, ga}, {b, gb}} {
+		for _, i := range g.idx {
+			g.dst.runs = append(g.dst.runs, n.run(i, w)...)
+			if n.leaf {
+				g.dst.ids = append(g.dst.ids, n.ids[i])
+			} else {
+				g.dst.children = append(g.dst.children, n.children[i])
+			}
 		}
-		for _, i := range gb {
-			b.entries = append(b.entries, n.entries[i])
-		}
-		a.recomputeBox(t.k)
-		b.recomputeBox(t.k)
-		return a, b
 	}
-	ga, gb := t.splitGroups(len(n.children),
-		func(i int) bbox.Box { return n.children[i].box })
-	a := &node{}
-	b := &node{}
-	for _, i := range ga {
-		a.children = append(a.children, n.children[i])
-	}
-	for _, i := range gb {
-		b.children = append(b.children, n.children[i])
-	}
-	a.recomputeBox(t.k)
-	b.recomputeBox(t.k)
 	return a, b
 }
 
 // splitGroups partitions indices 0..n-1 into two groups using the chosen
 // strategy, respecting the minimum fill.
-func (t *Tree) splitGroups(n int, boxOf func(int) bbox.Box) ([]int, []int) {
+func (t *Tree) splitGroups(n int, runOf func(int) []float64) ([]int, []int) {
+	k := t.k
 	var seedA, seedB int
 	if t.split == QuadraticSplit {
-		seedA, seedB = quadraticSeeds(n, boxOf)
+		seedA, seedB = quadraticSeeds(n, k, runOf)
 	} else {
-		seedA, seedB = linearSeeds(n, boxOf)
+		seedA, seedB = linearSeeds(n, k, runOf)
 	}
 	ga, gb := []int{seedA}, []int{seedB}
-	boxA, boxB := boxOf(seedA), boxOf(seedB)
+	boxA, boxB := slices.Clone(runOf(seedA)), slices.Clone(runOf(seedB))
 	for i := 0; i < n; i++ {
 		if i == seedA || i == seedB {
 			continue
@@ -458,21 +535,21 @@ func (t *Tree) splitGroups(n int, boxOf func(int) bbox.Box) ([]int, []int) {
 		case len(ga)+remaining+1 <= t.min:
 			// Everything left must go to group A to reach minimum fill.
 			ga = append(ga, i)
-			boxA = boxA.Join(boxOf(i))
+			join(boxA, runOf(i), k)
 			continue
 		case len(gb)+remaining+1 <= t.min:
 			gb = append(gb, i)
-			boxB = boxB.Join(boxOf(i))
+			join(boxB, runOf(i), k)
 			continue
 		}
-		dA := boxA.Enlarge(boxOf(i))
-		dB := boxB.Enlarge(boxOf(i))
-		if dA < dB || (dA == dB && boxA.Volume() <= boxB.Volume()) {
+		dA := enlarge(boxA, runOf(i), k)
+		dB := enlarge(boxB, runOf(i), k)
+		if dA < dB || (dA == dB && volume(boxA, k) <= volume(boxB, k)) {
 			ga = append(ga, i)
-			boxA = boxA.Join(boxOf(i))
+			join(boxA, runOf(i), k)
 		} else {
 			gb = append(gb, i)
-			boxB = boxB.Join(boxOf(i))
+			join(boxB, runOf(i), k)
 		}
 	}
 	return ga, gb
@@ -480,13 +557,13 @@ func (t *Tree) splitGroups(n int, boxOf func(int) bbox.Box) ([]int, []int) {
 
 // quadraticSeeds picks the pair wasting the most volume together
 // (Guttman's quadratic PickSeeds).
-func quadraticSeeds(n int, boxOf func(int) bbox.Box) (int, int) {
+func quadraticSeeds(n, k int, runOf func(int) []float64) (int, int) {
 	sa, sb, worst := 0, 1, 0.0
 	first := true
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			bi, bj := boxOf(i), boxOf(j)
-			waste := bi.Join(bj).Volume() - bi.Volume() - bj.Volume()
+			bi, bj := runOf(i), runOf(j)
+			waste := joinVolume(bi, bj, k) - volume(bi, k) - volume(bj, k)
 			if first || waste > worst {
 				sa, sb, worst = i, j, waste
 				first = false
@@ -498,33 +575,32 @@ func quadraticSeeds(n int, boxOf func(int) bbox.Box) (int, int) {
 
 // linearSeeds picks the pair with greatest normalized separation along any
 // dimension (Guttman's linear PickSeeds).
-func linearSeeds(n int, boxOf func(int) bbox.Box) (int, int) {
-	k := boxOf(0).K
+func linearSeeds(n, k int, runOf func(int) []float64) (int, int) {
 	bestSep := 0.0
 	bestLo, bestHi := -1, -1
 	for d := 0; d < k; d++ {
 		hiLo, loHi := 0, 0
-		minLo, maxHi := boxOf(0).Lo[d], boxOf(0).Hi[d]
+		minLo, maxHi := runOf(0)[d], runOf(0)[k+d]
 		for i := 1; i < n; i++ {
-			b := boxOf(i)
-			if b.Lo[d] > boxOf(hiLo).Lo[d] {
+			b := runOf(i)
+			if b[d] > runOf(hiLo)[d] {
 				hiLo = i
 			}
-			if b.Hi[d] < boxOf(loHi).Hi[d] {
+			if b[k+d] < runOf(loHi)[k+d] {
 				loHi = i
 			}
-			if b.Lo[d] < minLo {
-				minLo = b.Lo[d]
+			if b[d] < minLo {
+				minLo = b[d]
 			}
-			if b.Hi[d] > maxHi {
-				maxHi = b.Hi[d]
+			if b[k+d] > maxHi {
+				maxHi = b[k+d]
 			}
 		}
 		width := maxHi - minLo
 		if width <= 0 {
 			width = 1
 		}
-		sep := (boxOf(hiLo).Lo[d] - boxOf(loHi).Hi[d]) / width
+		sep := (runOf(hiLo)[d] - runOf(loHi)[k+d]) / width
 		if hiLo != loHi && (bestLo < 0 || sep > bestSep) {
 			bestSep = sep
 			bestLo, bestHi = hiLo, loHi

@@ -12,10 +12,10 @@ import (
 func rect(x0, y0, x1, y1 float64) bbox.Box { return bbox.Rect(x0, y0, x1, y1) }
 
 // collectIDs gathers and sorts result IDs.
-func collectIDs(search func(func(Entry) bool) int) []int64 {
+func collectIDs(search func(func(int64) bool) int) []int64 {
 	var ids []int64
-	search(func(e Entry) bool {
-		ids = append(ids, e.ID)
+	search(func(id int64) bool {
+		ids = append(ids, id)
 		return true
 	})
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -60,13 +60,13 @@ func TestSmallOverlapSearch(t *testing.T) {
 	}
 	// Closed-box semantics: box 1 touches the query at its corner (2,2)
 	// and therefore overlaps.
-	ids := collectIDs(func(v func(Entry) bool) int { return tr.SearchOverlap(rect(0, 0, 2, 2), v) })
+	ids := collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(rect(0, 0, 2, 2), v) })
 	want := []int64{0, 1, 2}
 	if !equalIDs(ids, want) {
 		t.Errorf("overlap ids = %v, want %v", ids, want)
 	}
 	// Shrinking the query below the corner excludes box 1.
-	ids = collectIDs(func(v func(Entry) bool) int { return tr.SearchOverlap(rect(0, 0, 1.9, 1.9), v) })
+	ids = collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(rect(0, 0, 1.9, 1.9), v) })
 	want = []int64{0, 2}
 	if !equalIDs(ids, want) {
 		t.Errorf("overlap ids = %v, want %v", ids, want)
@@ -78,7 +78,7 @@ func TestContainedSearch(t *testing.T) {
 	_ = tr.Insert(rect(0, 0, 1, 1), 0)
 	_ = tr.Insert(rect(0, 0, 5, 5), 1)
 	_ = tr.Insert(rect(2, 2, 3, 3), 2)
-	ids := collectIDs(func(v func(Entry) bool) int { return tr.SearchContained(rect(0, 0, 3.5, 3.5), v) })
+	ids := collectIDs(func(v func(int64) bool) int { return tr.SearchContained(rect(0, 0, 3.5, 3.5), v) })
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
 		t.Errorf("contained ids = %v", ids)
 	}
@@ -90,7 +90,7 @@ func TestEarlyTermination(t *testing.T) {
 		_ = tr.Insert(rect(float64(i), 0, float64(i)+1, 1), int64(i))
 	}
 	count := 0
-	tr.SearchOverlap(rect(0, 0, 200, 1), func(Entry) bool {
+	tr.SearchOverlap(rect(0, 0, 200, 1), func(int64) bool {
 		count++
 		return count < 5
 	})
@@ -127,7 +127,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 		}
 		queries := randomBoxes(25, 7)
 		for _, q := range queries {
-			got := collectIDs(func(v func(Entry) bool) int { return tr.SearchOverlap(q, v) })
+			got := collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(q, v) })
 			var want []int64
 			for i, b := range boxes {
 				if b.Overlaps(q) {
@@ -137,7 +137,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 			if !equalIDs(got, want) {
 				t.Fatalf("overlap mismatch for %v: got %d ids, want %d", q, len(got), len(want))
 			}
-			gotC := collectIDs(func(v func(Entry) bool) int { return tr.SearchContained(q, v) })
+			gotC := collectIDs(func(v func(int64) bool) int { return tr.SearchContained(q, v) })
 			var wantC []int64
 			for i, b := range boxes {
 				if q.Contains(b) {
@@ -166,7 +166,7 @@ func TestSearchSpecMatchesDirectFilter(t *testing.T) {
 			Overlaps: []bbox.Box{rect(10, 10, 30, 30), rect(25, 25, 45, 45)}},
 	}
 	for _, spec := range specs {
-		got := collectIDs(func(v func(Entry) bool) int { return tr.SearchSpec(spec, v) })
+		got := collectIDs(func(v func(int64) bool) int { return tr.SearchSpec(spec, v) })
 		var want []int64
 		for i, b := range boxes {
 			if spec.Matches(b) {
@@ -183,7 +183,7 @@ func TestSearchSpecUnsatisfiable(t *testing.T) {
 	tr := New(2)
 	_ = tr.Insert(rect(0, 0, 1, 1), 1)
 	spec := bbox.RangeSpec{K: 2, Lower: rect(5, 5, 6, 6), Upper: rect(0, 0, 1, 1)}
-	touched := tr.SearchSpec(spec, func(Entry) bool {
+	touched := tr.SearchSpec(spec, func(int64) bool {
 		t.Fatal("visitor called on unsatisfiable spec")
 		return false
 	})
@@ -210,7 +210,7 @@ func TestDelete(t *testing.T) {
 	if err := tr.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := collectIDs(func(v func(Entry) bool) int { return tr.SearchOverlap(rect(0, 0, 200, 200), v) })
+	got := collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(rect(0, 0, 200, 200), v) })
 	if len(got) != 100 {
 		t.Fatalf("%d entries visible after deletes", len(got))
 	}
@@ -240,7 +240,7 @@ func TestDeleteToEmptyAndReuse(t *testing.T) {
 	}
 	// Tree must be reusable.
 	_ = tr.Insert(rect(0, 0, 1, 1), 7)
-	ids := collectIDs(func(v func(Entry) bool) int { return tr.SearchOverlap(rect(0, 0, 2, 2), v) })
+	ids := collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(rect(0, 0, 2, 2), v) })
 	if len(ids) != 1 || ids[0] != 7 {
 		t.Errorf("reuse after emptying failed: %v", ids)
 	}
@@ -289,8 +289,8 @@ func TestSearchPrunes(t *testing.T) {
 			n++
 		}
 	}
-	touched := tr.SearchOverlap(rect(0, 0, 50, 1), func(Entry) bool { return true })
-	total := tr.SearchOverlap(rect(-1e9, -1e9, 1e9, 1e9), func(Entry) bool { return true })
+	touched := tr.SearchOverlap(rect(0, 0, 50, 1), func(int64) bool { return true })
+	total := tr.SearchOverlap(rect(-1e9, -1e9, 1e9, 1e9), func(int64) bool { return true })
 	if touched*4 > total {
 		t.Errorf("clustered query touched %d nodes of %d — no pruning", touched, total)
 	}
@@ -307,7 +307,7 @@ func TestQuickInsertSearchAgainstScan(t *testing.T) {
 			}
 		}
 		q := rect(float64(qx%100), float64(qy%100), float64(qx%100)+15, float64(qy%100)+15)
-		got := collectIDs(func(v func(Entry) bool) int { return tr.SearchOverlap(q, v) })
+		got := collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(q, v) })
 		var want []int64
 		for i, b := range boxes {
 			if b.Overlaps(q) {
@@ -351,7 +351,7 @@ func TestFourDimensional(t *testing.T) {
 		}
 	}
 	q := bbox.New([]float64{2, 2, 2, 2}, []float64{8, 8, 8, 8})
-	got := collectIDs(func(v func(Entry) bool) int { return tr.SearchOverlap(q, v) })
+	got := collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(q, v) })
 	var want []int64
 	for _, r := range pts {
 		if q.ContainsPoint(r.p) {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bbox"
 	"repro/internal/spatialdb"
 	"repro/internal/workload"
 )
@@ -279,4 +280,60 @@ func TestBatchAndBulkStats(t *testing.T) {
 	if stats.Batch.Requests != 1 || stats.Batch.QueriesRun != 1 {
 		t.Errorf("batch stats %+v", stats.Batch)
 	}
+}
+
+// FuzzBulkObjects feeds arbitrary bytes as the body of a best-effort bulk
+// insert into an R-tree store. The decoder and the per-object validation
+// must answer every body with a 2xx or 4xx status and never panic, and
+// every object the store then holds must be found by a probe of its own
+// bounding box.
+func FuzzBulkObjects(f *testing.F) {
+	var ndjson strings.Builder
+	for i := 0; i < 3; i++ {
+		line, _ := json.Marshal(bulkObject{
+			Name:  fmt.Sprintf("p%d", i),
+			Boxes: []jsonBox{{Lo: []float64{float64(i) * 10, 0}, Hi: []float64{float64(i)*10 + 5, 5}}},
+		})
+		_, _ = ndjson.Write(line) // strings.Builder never returns an error
+		_ = ndjson.WriteByte('\n')
+	}
+	for _, seed := range []string{
+		ndjson.String(),
+		bulkBodyJSON(4),
+		ndjson.String()[:ndjson.Len()/2],
+		bulkBodyJSON(2)[:20],
+		`[{"name":"a","boxes":[{"lo":[1,1],"hi":[2,2]}]},`,
+		`{"name":"inverted","boxes":[{"lo":[5,5],"hi":[1,1]}]}` + "\n" + `{"name":"outside","boxes":[{"lo":[2000,1],"hi":[2001,2]}]}`,
+		`{"name":"flat","boxes":[{"lo":[1,1],"hi":[1,5]}]} {"name":"3d","boxes":[{"lo":[1,1,1],"hi":[2,2,2]}]}`,
+		`{"name":"x","boxes":[],"extra":1}`,
+		"garbage\x00\xff",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		store := spatialdb.NewStore(bbox.Rect(0, 0, 1000, 1000), spatialdb.RTree)
+		s := New(store, Options{})
+		w := rawRequest(s, http.MethodPost, "/layers/parcels/objects:bulk?mode=best_effort", "application/x-ndjson", string(body))
+		if w.Code < 200 || w.Code >= 500 {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		store.RLock()
+		defer store.RUnlock()
+		l, ok := store.LayerIfExists("parcels")
+		if !ok {
+			return
+		}
+		l.All(func(o spatialdb.Object) bool {
+			found := false
+			l.Search(bbox.RangeSpec{K: 2, Lower: o.Box, Upper: o.Box}, func(m spatialdb.Object) bool {
+				found = found || m.ID == o.ID
+				return !found
+			})
+			if !found {
+				t.Fatalf("object %d %q with box %v is not found by a probe of its box", o.ID, o.Name, o.Box)
+			}
+			return true
+		})
+	})
 }

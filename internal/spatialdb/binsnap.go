@@ -26,7 +26,7 @@ import (
 //	universe 2·k float64                 lo then hi
 //	layers   uvarint count, per layer:
 //	  name    string (uvarint len + bytes)
-//	  objects uvarint count, per object (insertion order):
+//	  objects uvarint count, per object (ascending id order):
 //	    id     uvarint
 //	    name   string
 //	    boxes  uvarint count, 2·k float64 each (lo then hi)
@@ -102,9 +102,8 @@ func (s *Store) SaveBinaryMark(w io.Writer, mark func()) error {
 	for _, name := range s.names {
 		l := s.layers[name]
 		writeString(name)
-		writeUvarint(uint64(len(l.order)))
-		for _, id := range l.order {
-			o := l.objs[id]
+		writeUvarint(uint64(len(l.slab)))
+		for _, o := range l.slab {
 			writeUvarint(uint64(o.ID))
 			writeString(o.Name)
 			boxes := o.Reg.Boxes()
@@ -238,20 +237,13 @@ func LoadBinary(r io.Reader, kind IndexKind) (*Store, error) {
 				}
 				mo.Boxes = append(mo.Boxes, b)
 			}
-			if seen[mo.ID] {
-				return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q object %q: duplicate id %d", name, oname, mo.ID)
+			if objs, err = store.loadObject(objs, mo, seen); err != nil {
+				return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q: %w", name, err)
 			}
-			seen[mo.ID] = true
-			o, err := store.newObject(0, mo)
-			if err != nil {
-				return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q object %q: %w", name, oname, err)
-			}
-			objs = append(objs, o)
 		}
-		if _, err := store.applyMutationLocked(OpBulkInsert, name, objs, 0, BulkAtomic); err != nil {
+		if err := store.loadLayerLocked(name, objs); err != nil {
 			return nil, fmt.Errorf("spatialdb: binary snapshot: layer %q: %w", name, err)
 		}
-		store.epoch.Add(1)
 		if version >= 2 {
 			blobLen, err := d.uvarint()
 			if err != nil {

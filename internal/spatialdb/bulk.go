@@ -149,11 +149,12 @@ func (s *Store) BulkInsert(layer string, items []BulkItem, mode BulkMode) (BulkR
 	return rep, lerr
 }
 
-// bulkInsert adds objs (regions already validated non-empty, ids
-// assigned) to the layer. The returned slice parallels objs (nil entries
-// succeeded). In atomic mode either every object is inserted or none,
-// and the second return value carries the aborting error; otherwise
-// index-rejected objects are skipped and it is nil.
+// bulkInsert adds objs (built by newObject, in ascending id order) to the
+// layer.
+// The returned slice parallels objs (nil entries succeeded). In atomic
+// mode either every object is inserted or none, and the second return
+// value carries the aborting error; otherwise index-rejected objects are
+// skipped and it is nil.
 //
 // The caller must hold the store's write lock.
 func (l *Layer) bulkInsert(objs []Object, atomic bool) ([]error, error) {
@@ -161,41 +162,47 @@ func (l *Layer) bulkInsert(objs []Object, atomic bool) ([]error, error) {
 	if len(objs) == 0 {
 		return errs, nil
 	}
+	// Objects take the slots after the slab's, so their ids must follow.
+	if n := len(l.slab); n > 0 && objs[0].ID <= l.slab[n-1].ID {
+		return errs, fmt.Errorf("object %q: id %d not above the layer's %d", objs[0].Name, objs[0].ID, l.slab[n-1].ID)
+	}
 	// The packed path rebuilds the whole index (existing + new), so it
 	// only pays off when the batch is a sizable fraction of the layer;
 	// trickle batches into a big layer go through plain inserts instead
 	// of an O(layer) rebuild per call.
 	const bulkRebuildFraction = 4 // packed rebuild when new ≥ existing/4
-	if bl, ok := l.idx.(BulkLoader); ok && len(objs)*bulkRebuildFraction >= len(l.order) {
-		all := make([]Object, 0, len(l.order)+len(objs))
-		for _, id := range l.order {
-			all = append(all, l.objs[id])
-		}
-		all = append(all, objs...)
+	if bl, ok := l.idx.(BulkLoader); ok && len(objs)*bulkRebuildFraction >= len(l.slab) {
+		n := len(l.slab)
+		all := append(l.slab, objs...)
 		if err := bl.BulkLoad(all); err == nil {
+			l.slab = all[:n]
 			for _, o := range objs {
-				l.commit(o)
+				l.commit(o) // rewrites all[n+i] in place
 			}
 			return errs, nil
 		}
+		clear(all[n:]) // the slab keeps its length; drop the batch's references
 		// The packed build failed (e.g. a box outside a z-order universe).
 		// The BulkLoader contract leaves the live index at its pre-batch
 		// contents, so fall through to looped inserts, which attribute the
 		// error to the exact object.
 	}
+	slot := int64(len(l.slab))
 	for i, o := range objs {
-		if err := l.idx.insert(o); err != nil {
+		if err := l.idx.insert(o, slot); err != nil {
 			errs[i] = err
 			if atomic {
-				// Roll back the objects inserted so far: the lookup maps
-				// are not yet committed, so a rebuild from l.order restores
-				// exactly the pre-batch index.
+				// Roll back the objects inserted so far: the slab is not
+				// yet committed, so a rebuild over it restores exactly the
+				// pre-batch index.
 				if rerr := l.rebuildIndex(); rerr != nil {
 					return errs, fmt.Errorf("object %q: %v (and rollback failed: %v)", o.Name, err, rerr)
 				}
 				return errs, fmt.Errorf("object %q: %w", o.Name, err)
 			}
+			continue
 		}
+		slot++ // a rejected object takes no slot
 	}
 	for i, o := range objs {
 		if errs[i] == nil {

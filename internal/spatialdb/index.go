@@ -7,22 +7,24 @@ import (
 	"repro/internal/zorder"
 )
 
-// layerIndex is the index backend behind one layer. insert adds a single
-// object; search appends to ids the id of every object whose bounding box
-// matches the spec (the layer applies the exact defense-in-depth filter
-// and ordering) and returns the grown slice with the backend cost
+// layerIndex is the index backend behind one layer, over slots: the
+// positions of the layer's objects in its slab. insert adds the object at
+// slot; search appends to slots the slot of every object whose bounding
+// box matches the spec (the layer applies the exact defense-in-depth
+// filter and ordering) and returns the grown slice with the backend cost
 // counters: index nodes/cells touched and candidate objects examined.
 type layerIndex interface {
-	insert(o Object) error
-	search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int)
+	insert(o Object, slot int64) error
+	search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int)
 }
 
 // BulkLoader is the optional batch-ingestion path of an index backend:
 // BulkLoad replaces the index contents with exactly the given objects in
-// one packed build (the R-tree backends use Sort-Tile-Recursive packing,
-// the grid file pre-seeds its scales from the full point set, the z-order
-// index sorts its element list once). Store.BulkInsert and index rebuilds
-// use it when available and fall back to looped inserts otherwise.
+// one packed build, objs[i] at slot i (the R-tree backends use
+// Sort-Tile-Recursive packing, the grid file pre-seeds its scales from the
+// full point set, the z-order index sorts its element list once).
+// Store.BulkInsert and index rebuilds use it when available and fall back
+// to looped inserts otherwise.
 //
 // Contract: on error the live index must be left unchanged — adapters
 // build a fresh structure and swap it in only on success — so a failed
@@ -39,7 +41,7 @@ const (
 )
 
 // newLayerIndex returns the backend for a layer's kind. The scan backend
-// reads the layer's object table directly; the others own a structure.
+// reads the layer's slab directly; the others own a structure.
 func newLayerIndex(l *Layer) layerIndex {
 	switch l.kind {
 	case RTree:
@@ -58,19 +60,21 @@ func newLayerIndex(l *Layer) layerIndex {
 // ---- scan ----
 
 // scanIndex is the no-structure baseline: search examines every object in
-// insertion order. It has no BulkLoad — the looped fallback is already
-// optimal when there is nothing to build.
+// the slab. It has no BulkLoad — the looped fallback is already optimal
+// when there is nothing to build.
 type scanIndex struct{ l *Layer }
 
-func (ix scanIndex) insert(Object) error { return nil }
+func (ix scanIndex) insert(Object, int64) error { return nil }
 
-func (ix scanIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
-	for _, id := range ix.l.order {
-		if spec.Matches(ix.l.objs[id].Box) {
-			ids = append(ids, id)
+func (ix scanIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
+	var buf [bbox.FlatRunsHint]float64
+	f, ok := spec.Flatten(buf[:0])
+	for slot, o := range ix.l.slab {
+		if ok && f.Matches(o.Box.Lo, o.Box.Hi) {
+			slots = append(slots, int64(slot))
 		}
 	}
-	return ids, len(ix.l.order), len(ix.l.order)
+	return slots, len(ix.l.slab), len(ix.l.slab)
 }
 
 // ---- R-tree over native boxes ----
@@ -82,30 +86,39 @@ type rtreeIndex struct {
 	k int
 }
 
-func (ix *rtreeIndex) insert(o Object) error { return ix.t.Insert(o.Box, o.ID) }
+func (ix *rtreeIndex) insert(o Object, slot int64) error { return ix.t.Insert(o.Box, slot) }
 
-func (ix *rtreeIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
-	n := len(ids)
-	touched = ix.t.SearchSpec(spec, func(e rtree.Entry) bool {
-		ids = append(ids, e.ID)
+func (ix *rtreeIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
+	n := len(slots)
+	touched = ix.t.SearchSpec(spec, func(slot int64) bool {
+		slots = append(slots, slot)
 		return true
 	})
-	return ids, touched, len(ids) - n
+	return slots, touched, len(slots) - n
 }
 
 // BulkLoad rebuilds the tree with STR packing (experiment E13: packed
 // trees answer queries markedly cheaper than insertion-built ones).
 func (ix *rtreeIndex) BulkLoad(objs []Object) error {
-	entries := make([]rtree.Entry, len(objs))
-	for i, o := range objs {
-		entries[i] = rtree.Entry{Box: o.Box, ID: o.ID}
+	runs := make([]float64, 0, 2*ix.k*len(objs))
+	for _, o := range objs {
+		runs = o.Box.AppendRun(runs)
 	}
-	t, err := rtree.BulkLoad(ix.k, entries)
+	t, err := rtree.BulkLoadRuns(ix.k, runs, iota64(len(objs)))
 	if err != nil {
 		return err
 	}
 	ix.t = t
 	return nil
+}
+
+// iota64 returns the slots 0…n-1.
+func iota64(n int) []int64 {
+	s := make([]int64, n)
+	for i := range s {
+		s[i] = int64(i)
+	}
+	return s
 }
 
 // ---- R-tree over point-transformed boxes ----
@@ -117,33 +130,33 @@ type pointIndex struct {
 	k int // store dimensionality; the tree is 2k-dimensional
 }
 
-func (ix *pointIndex) insert(o Object) error {
+func (ix *pointIndex) insert(o Object, slot int64) error {
 	p := bbox.PointTransform(o.Box)
-	return ix.t.Insert(bbox.New(p, p), o.ID)
+	return ix.t.Insert(bbox.Box{K: len(p), Lo: p, Hi: p}, slot)
 }
 
-func (ix *pointIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
-	q, ok := spec.PointQuery()
+func (ix *pointIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
+	var lo, hi [16]float64 // on the stack up to k = 8
+	q, ok := spec.PointQueryTo(lo[:], hi[:])
 	if !ok {
-		return ids, 0, 0
+		return slots, 0, 0
 	}
-	n := len(ids)
-	touched = ix.t.SearchOverlap(q, func(e rtree.Entry) bool {
-		ids = append(ids, e.ID)
+	n := len(slots)
+	touched = ix.t.SearchOverlap(q, func(slot int64) bool {
+		slots = append(slots, slot)
 		return true
 	})
-	return ids, touched, len(ids) - n
+	return slots, touched, len(slots) - n
 }
 
 // BulkLoad rebuilds the point tree with STR packing over the transformed
-// boxes.
+// boxes: the degenerate box of point (lo, hi) has the run lo, hi, lo, hi.
 func (ix *pointIndex) BulkLoad(objs []Object) error {
-	entries := make([]rtree.Entry, len(objs))
-	for i, o := range objs {
-		p := bbox.PointTransform(o.Box)
-		entries[i] = rtree.Entry{Box: bbox.New(p, p), ID: o.ID}
+	runs := make([]float64, 0, 4*ix.k*len(objs))
+	for _, o := range objs {
+		runs = o.Box.AppendRun(o.Box.AppendRun(runs))
 	}
-	t, err := rtree.BulkLoad(2*ix.k, entries)
+	t, err := rtree.BulkLoadRuns(2*ix.k, runs, iota64(len(objs)))
 	if err != nil {
 		return err
 	}
@@ -160,33 +173,32 @@ type gridIndex struct {
 	k int
 }
 
-func (ix *gridIndex) insert(o Object) error {
-	return ix.g.Insert(bbox.PointTransform(o.Box), o.ID)
+func (ix *gridIndex) insert(o Object, slot int64) error {
+	return ix.g.Insert(bbox.PointTransform(o.Box), slot)
 }
 
-func (ix *gridIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
-	q, ok := spec.PointQuery()
+func (ix *gridIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
+	var lo, hi [16]float64 // on the stack up to k = 8
+	q, ok := spec.PointQueryTo(lo[:], hi[:])
 	if !ok {
-		return ids, 0, 0
+		return slots, 0, 0
 	}
-	n := len(ids)
-	touched = ix.g.Search(q, func(_ []float64, id int64) bool {
-		ids = append(ids, id)
+	n := len(slots)
+	touched = ix.g.Search(q, func(_ []float64, slot int64) bool {
+		slots = append(slots, slot)
 		return true
 	})
-	return ids, touched, len(ids) - n
+	return slots, touched, len(slots) - n
 }
 
 // BulkLoad rebuilds the grid with scales pre-seeded from the full point
 // set, avoiding the per-overflow directory rehashes of an insert loop.
 func (ix *gridIndex) BulkLoad(objs []Object) error {
 	points := make([][]float64, len(objs))
-	ids := make([]int64, len(objs))
 	for i, o := range objs {
 		points[i] = bbox.PointTransform(o.Box)
-		ids[i] = o.ID
 	}
-	g, err := gridfile.BulkLoad(2*ix.k, gridBucketCap, points, ids)
+	g, err := gridfile.BulkLoad(2*ix.k, gridBucketCap, points, iota64(len(objs)))
 	if err != nil {
 		return err
 	}
@@ -204,18 +216,12 @@ type zorderIndex struct {
 	universe bbox.Box
 }
 
-func (ix *zorderIndex) insert(o Object) error { return ix.zx.Insert(o.Box, o.ID) }
+func (ix *zorderIndex) insert(o Object, slot int64) error { return ix.zx.Insert(o.Box, slot) }
 
-func (ix *zorderIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, touched, scanned int) {
-	if spec.Unsatisfiable() {
-		return ids, 0, 0
-	}
-	n := len(ids)
-	touched = ix.zx.SearchOverlap(zorderFilter(spec), func(id int64) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids, touched, len(ids) - n
+func (ix *zorderIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
+	n := len(slots)
+	slots, touched = ix.zx.SearchSpec(spec, slots)
+	return slots, touched, len(slots) - n
 }
 
 // BulkLoad rebuilds the element list in one validated pass and sorts it
@@ -223,12 +229,10 @@ func (ix *zorderIndex) search(spec bbox.RangeSpec, ids []int64) (found []int64, 
 // back to looped inserts to attribute the error).
 func (ix *zorderIndex) BulkLoad(objs []Object) error {
 	boxes := make([]bbox.Box, len(objs))
-	ids := make([]int64, len(objs))
 	for i, o := range objs {
 		boxes[i] = o.Box
-		ids[i] = o.ID
 	}
-	zx, err := zorder.BulkLoad(ix.universe, zorderBudget, boxes, ids)
+	zx, err := zorder.BulkLoad(ix.universe, zorderBudget, boxes, iota64(len(objs)))
 	if err != nil {
 		return err
 	}

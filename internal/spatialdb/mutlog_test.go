@@ -128,7 +128,7 @@ func mutateScript(t testing.TB, s *Store) {
 
 // equalStores fails the test unless a and b hold identical content:
 // universe, layer order, and per layer the objects' ids, names and
-// regions in insertion order and the planner statistics, plus the id
+// regions in ascending id order and the planner statistics, plus the id
 // counter.
 func equalStores(t testing.TB, a, b *Store, label string) {
 	t.Helper()

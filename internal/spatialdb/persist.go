@@ -1,9 +1,11 @@
 package spatialdb
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/bbox"
 )
@@ -84,7 +86,8 @@ func (s *Store) Save(w io.Writer) error {
 // Load reads a snapshot written by Save into a fresh store with the given
 // index backend. Version 2 snapshots restore object ids and the id
 // counter; version 1 snapshots (written before ids were persisted) load
-// with ids assigned afresh in insertion order.
+// with ids assigned afresh in listed order. Each layer is applied in
+// ascending id order, whatever order the document lists it in.
 func Load(r io.Reader, kind IndexKind) (*Store, error) {
 	var snap snapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -119,23 +122,43 @@ func Load(r io.Reader, kind IndexKind) (*Store, error) {
 				// v1 carries no ids; assign the next free one.
 				mo.ID = store.nextID + int64(len(objs)) + 1
 			}
-			if seen[mo.ID] {
-				return nil, fmt.Errorf("spatialdb: layer %q object %q: duplicate id %d", sl.Name, so.Name, mo.ID)
+			var err error
+			if objs, err = store.loadObject(objs, mo, seen); err != nil {
+				return nil, fmt.Errorf("spatialdb: layer %q: %w", sl.Name, err)
 			}
-			seen[mo.ID] = true
-			o, err := store.newObject(0, mo)
-			if err != nil {
-				return nil, fmt.Errorf("spatialdb: layer %q object %q: %w", sl.Name, so.Name, err)
-			}
-			objs = append(objs, o)
 		}
-		if _, err := store.applyMutationLocked(OpBulkInsert, sl.Name, objs, 0, BulkAtomic); err != nil {
+		if err := store.loadLayerLocked(sl.Name, objs); err != nil {
 			return nil, fmt.Errorf("spatialdb: layer %q: %w", sl.Name, err)
 		}
-		store.epoch.Add(1)
 	}
 	store.nextID = max(store.nextID, snap.NextID)
 	return store, nil
+}
+
+// loadObject is both snapshot loaders' step for one object: its id must
+// be new to the snapshot (seen holds the ids so far), and newObject builds
+// it onto objs.
+func (s *Store) loadObject(objs []Object, mo MutObject, seen map[int64]bool) ([]Object, error) {
+	if seen[mo.ID] {
+		return objs, fmt.Errorf("object %q: duplicate id %d", mo.Name, mo.ID)
+	}
+	seen[mo.ID] = true
+	o, err := s.newObject(0, mo)
+	if err != nil {
+		return objs, fmt.Errorf("object %q: %w", mo.Name, err)
+	}
+	return append(objs, o), nil
+}
+
+// loadLayerLocked applies one loaded layer in one bulk insert, in the
+// ascending id order its slab keeps, whatever order the snapshot lists.
+func (s *Store) loadLayerLocked(name string, objs []Object) error {
+	slices.SortFunc(objs, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
+	if _, err := s.applyMutationLocked(OpBulkInsert, name, objs, 0, BulkAtomic); err != nil {
+		return err
+	}
+	s.epoch.Add(1)
+	return nil
 }
 
 func toSnapBox(b bbox.Box) snapBox {

@@ -22,11 +22,16 @@
 // also implement BulkLoader get the packed build path of Store.BulkInsert
 // (bulk.go) and of index rebuilds after deletions.
 //
+// A layer keeps its objects in one slab in ascending id order; an
+// object's position in the slab is its slot, and the backends store slots,
+// not ids, so a probe reads its matches straight out of the slab.
+//
 // DESIGN.md §2 ("Storage") places this package in the module map; §3
 // describes the locking and epoch protocol the store enforces.
 package spatialdb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -102,10 +107,9 @@ type Layer struct {
 	kind     IndexKind
 	k        int
 	universe bbox.Box
-	objs     map[int64]Object
+	slab     []Object         // the objects in ascending id order; an object's slot is its index
 	byName   map[string]int64 // latest object id per name, for CRUD by name
-	order    []int64          // insertion order, for deterministic scans
-	idx      layerIndex       // the backend behind kind; see index.go
+	idx      layerIndex       // the backend behind kind, over slots; see index.go
 	data     *stats.Layer     // planner statistics, maintained by commit/remove
 
 	mu    sync.Mutex // guards stats: Search may run concurrently
@@ -114,35 +118,18 @@ type Layer struct {
 
 func newLayer(name string, k int, kind IndexKind, universe bbox.Box) *Layer {
 	l := &Layer{name: name, kind: kind, k: k, universe: universe,
-		objs: map[int64]Object{}, byName: map[string]int64{},
-		data: stats.NewLayer(universe)}
-	l.resetIndex()
+		byName: map[string]int64{}, data: stats.NewLayer(universe)}
+	l.idx = newLayerIndex(l)
 	return l
 }
 
-// resetIndex discards and recreates the layer's index structure.
-func (l *Layer) resetIndex() {
-	l.idx = newLayerIndex(l)
-}
-
-// rebuildIndex recreates the index from the surviving objects in
-// insertion order, through the backend's packed bulk path when it has one.
+// rebuildIndex recreates the index over the slab in one packed build.
+// Every object in the slab was accepted by an index of this kind, so the
+// build cannot reject one; the scan backend has nothing to build.
 func (l *Layer) rebuildIndex() error {
-	l.resetIndex()
-	objs := make([]Object, 0, len(l.order))
-	for _, id := range l.order {
-		objs = append(objs, l.objs[id])
-	}
+	l.idx = newLayerIndex(l)
 	if bl, ok := l.idx.(BulkLoader); ok {
-		if err := bl.BulkLoad(objs); err == nil {
-			return nil
-		}
-		l.resetIndex() // bulk failed: fall back to looped inserts
-	}
-	for _, o := range objs {
-		if err := l.idx.insert(o); err != nil {
-			return err
-		}
+		return bl.BulkLoad(l.slab)
 	}
 	return nil
 }
@@ -154,7 +141,7 @@ func (l *Layer) Name() string { return l.name }
 func (l *Layer) Kind() IndexKind { return l.kind }
 
 // Len returns the number of stored objects.
-func (l *Layer) Len() int { return len(l.objs) }
+func (l *Layer) Len() int { return len(l.slab) }
 
 // DataStats returns the layer's planner statistics (count, per-axis edge
 // histograms and edge sums). The returned object is the live one,
@@ -176,40 +163,39 @@ func (l *Layer) ResetStats() {
 	l.stats = Stats{}
 }
 
-// commit records an object in the lookup maps after the index accepted
-// it. Every path that adds an object reaches it through bulkInsert (the
-// packed or the looped variant), so the planner statistics stay
-// consistent with the index without per-path hooks.
+// commit appends an object to the slab after the index accepted it at
+// slot len(slab). Every path that adds an object reaches it through
+// bulkInsert (the packed or the looped variant), so the planner
+// statistics stay consistent with the index without per-path hooks.
 func (l *Layer) commit(o Object) {
-	l.objs[o.ID] = o
+	l.slab = append(l.slab, o)
 	l.byName[o.Name] = o.ID
-	l.order = append(l.order, o.ID)
 	l.data.Add(o.Box)
 }
 
-// remove deletes an object by id and rebuilds the index from the
-// survivors (the index backends have no dynamic delete; at serving scale
-// a rebuild per mutation is the simple, always-correct choice).
+// slotOf returns the slot holding id.
+func (l *Layer) slotOf(id int64) (int, bool) {
+	return slices.BinarySearchFunc(l.slab, id, func(o Object, id int64) int { return cmp.Compare(o.ID, id) })
+}
+
+// remove deletes an object by id, compacting the slab, and rebuilds the
+// index over the survivors (the index backends have no dynamic delete,
+// and compaction renumbers the slots after the removed one).
 func (l *Layer) remove(id int64) error {
-	o, ok := l.objs[id]
+	slot, ok := l.slotOf(id)
 	if !ok {
 		return fmt.Errorf("spatialdb: no object with id %d in layer %q", id, l.name)
 	}
-	delete(l.objs, id)
+	o := l.slab[slot]
+	l.slab = slices.Delete(l.slab, slot, slot+1)
 	l.data.Remove(o.Box)
-	for i, oid := range l.order {
-		if oid == id {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
 	if l.byName[o.Name] == id {
 		delete(l.byName, o.Name)
 		// Inserts allow duplicate names; repoint to the newest survivor
 		// with this name so it stays reachable (and removable) by name.
-		for i := len(l.order) - 1; i >= 0; i-- {
-			if surv := l.objs[l.order[i]]; surv.Name == o.Name {
-				l.byName[o.Name] = surv.ID
+		for i := len(l.slab) - 1; i >= 0; i-- {
+			if l.slab[i].Name == o.Name {
+				l.byName[o.Name] = l.slab[i].ID
 				break
 			}
 		}
@@ -219,8 +205,10 @@ func (l *Layer) remove(id int64) error {
 
 // Get returns an object by id.
 func (l *Layer) Get(id int64) (Object, bool) {
-	o, ok := l.objs[id]
-	return o, ok
+	if slot, ok := l.slotOf(id); ok {
+		return l.slab[slot], true
+	}
+	return Object{}, false
 }
 
 // GetByName returns the most recently inserted object with the given
@@ -233,23 +221,17 @@ func (l *Layer) GetByName(name string) (Object, bool) {
 	return l.Get(id)
 }
 
-// All visits all objects in insertion order.
+// All visits all objects in ascending id order.
 func (l *Layer) All(visit func(Object) bool) {
-	for _, id := range l.order {
-		if !visit(l.objs[id]) {
+	for _, o := range l.slab {
+		if !visit(o) {
 			return
 		}
 	}
 }
 
-// Objects returns all objects in insertion order.
-func (l *Layer) Objects() []Object {
-	out := make([]Object, 0, len(l.order))
-	for _, id := range l.order {
-		out = append(out, l.objs[id])
-	}
-	return out
-}
+// Objects returns all objects in ascending id order.
+func (l *Layer) Objects() []Object { return slices.Clone(l.slab) }
 
 // Search visits every object whose bounding box matches the spec, in
 // ascending id order, updating the layer's cost counters. Search is safe
@@ -262,35 +244,44 @@ func (l *Layer) Search(spec bbox.RangeSpec, visit func(Object) bool) {
 // SearchStats is Search returning the cost of this one call (which is
 // also accumulated into the layer counters).
 func (l *Layer) SearchStats(spec bbox.RangeSpec, visit func(Object) bool) Stats {
-	var ids []int64
-	s := l.SearchInto(spec, &ids, visit)
+	var slots []int64
+	s := l.SearchInto(spec, &slots, visit)
 	l.AddStats(s)
 	return s
 }
 
-// SearchInto is the executors' form of SearchStats: matching ids are
-// gathered in the caller-owned *ids (reused from probe to probe, so a
+// SearchInto is the executors' form of SearchStats: matching slots are
+// gathered in the caller-owned *slots (reused from probe to probe, so a
 // warm buffer makes the probe allocation-free), and the call's cost is
 // returned WITHOUT being added to the layer counters. A run attributes
 // index work to itself from the return values — exact even when many
 // runs share a layer — and folds its total in with AddStats once, instead
-// of taking the counter lock on every probe.
-func (l *Layer) SearchInto(spec bbox.RangeSpec, ids *[]int64, visit func(Object) bool) Stats {
-	found, touched, scanned := l.idx.search(spec, (*ids)[:0])
-	*ids = found
-	slices.Sort(found)
-	s := Stats{Queries: 1, Touched: touched, Scanned: scanned}
+// of taking the counter lock on every probe. A spec no stored box can
+// match — an empty upper bound, or one bbox.RangeSpec.Unsatisfiable
+// names — returns at once, touching nothing: stored boxes are never
+// empty.
+func (l *Layer) SearchInto(spec bbox.RangeSpec, slots *[]int64, visit func(Object) bool) Stats {
+	s := Stats{Queries: 1}
+	var buf [bbox.FlatRunsHint]float64
+	f, ok := spec.Flatten(buf[:0])
+	if !ok {
+		return s
+	}
+	found, touched, scanned := l.idx.search(spec, (*slots)[:0])
+	*slots = found
+	slices.Sort(found) // ascending slots are ascending ids
+	s.Touched, s.Scanned = touched, scanned
 	visiting := true
-	for _, id := range found {
-		o := l.objs[id]
+	for _, slot := range found {
+		o := &l.slab[slot]
 		// Defense in depth: every backend must return exact matches; the
 		// filter also protects against floating-point edge cases in the point
 		// transform.
-		if !spec.Matches(o.Box) {
+		if !f.Matches(o.Box.Lo, o.Box.Hi) {
 			continue
 		}
 		s.Returned++ // every match counts, also after the visitor has stopped
-		if visiting && !visit(o) {
+		if visiting && !visit(*o) {
 			visiting = false
 		}
 	}
@@ -535,25 +526,4 @@ func (s *Store) ResetStats() {
 	for _, name := range s.names {
 		s.layers[name].ResetStats()
 	}
-}
-
-// zorderFilter picks the single overlap filter a z-order search can use:
-// every box matching the spec must overlap it. Preference order: the
-// required lower bound (a match contains it, hence overlaps it), then the
-// most selective witness meet the upper bound (a match inside Upper
-// overlapping w also overlaps w ⊓ Upper), then the upper bound itself.
-func zorderFilter(spec bbox.RangeSpec) bbox.Box {
-	if !spec.Lower.IsEmpty() {
-		return spec.Lower
-	}
-	if len(spec.Overlaps) > 0 {
-		best := spec.Overlaps[0]
-		for _, w := range spec.Overlaps[1:] {
-			if w.Volume() < best.Volume() {
-				best = w
-			}
-		}
-		return best.Meet(spec.Upper)
-	}
-	return spec.Upper
 }

@@ -94,7 +94,7 @@ func scriptState(t *testing.T, kind spatialdb.IndexKind, n int) *spatialdb.Store
 }
 
 // assertStoresEqual compares two stores through the public API: layer
-// order, per-layer objects in insertion order (id, name, region) and
+// order, per-layer objects in ascending id order (id, name, region) and
 // planner statistics, and the id counter.
 func assertStoresEqual(t *testing.T, got, want *spatialdb.Store, label string) {
 	t.Helper()

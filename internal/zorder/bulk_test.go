@@ -2,7 +2,7 @@ package zorder
 
 import (
 	"math/rand"
-	"sort"
+
 	"testing"
 
 	"repro/internal/bbox"
@@ -36,9 +36,7 @@ func TestBulkLoadMatchesLooped(t *testing.T) {
 		bbox.Rect(100, 100, 300, 300), bbox.Rect(0, 0, 1000, 1000), bbox.Rect(900, 900, 950, 950),
 	} {
 		get := func(ix *Index) []int64 {
-			var out []int64
-			ix.SearchOverlap(q, func(id int64) bool { out = append(out, id); return true })
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+			out, _ := ix.SearchOverlap(q, nil)
 			return out
 		}
 		got, want := get(bulk), get(looped)

@@ -1,7 +1,9 @@
 package zorder
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -104,54 +106,92 @@ func (ix *Index) ensureSorted() {
 	ix.sorted = true
 }
 
-// SearchOverlap visits the id of every stored box that overlaps the filter
-// box (each id once, ascending). It returns the number of z-elements
-// touched — the index cost metric.
-func (ix *Index) SearchOverlap(filter bbox.Box, visit func(id int64) bool) int {
+// coverStack is the element count of the stack array a search decomposes
+// its filter into; a larger cover allocates.
+const coverStack = 64
+
+// SearchOverlap appends to ids the id of every stored box that overlaps
+// the filter box, each once and in ascending order, and returns the grown
+// slice with the number of z-elements touched — the index cost metric.
+// Candidates are gathered in ids' spare capacity, so with a warm buffer
+// the search allocates nothing.
+func (ix *Index) SearchOverlap(filter bbox.Box, ids []int64) ([]int64, int) {
 	ix.ensureSorted()
 	touched := 0
-	cover := ix.space.Decompose(filter, ix.budget)
-	cand := map[int64]bool{}
-	for _, f := range cover {
+	var coverBuf [coverStack]Element
+	n := len(ids)
+	for _, f := range ix.space.decompose(filter, ix.budget, coverBuf[:0]) {
 		// Descendants and equals: stored codes in [f.Code, f.End()).
-		lo := sort.Search(len(ix.elems), func(i int) bool {
-			return ix.elems[i].code >= f.Code
-		})
-		for i := lo; i < len(ix.elems) && ix.elems[i].code < f.End(); i++ {
+		for i := ix.firstAtOrAbove(f.Code); i < len(ix.elems) && ix.elems[i].code < f.End(); i++ {
 			touched++
 			if f.ContainsElem(Element{Code: ix.elems[i].code, Level: ix.elems[i].level}) {
-				cand[ix.elems[i].id] = true
+				ids = append(ids, ix.elems[i].id)
 			}
 		}
 		// Ancestors: the prefix cells of f at every coarser level.
 		for level := f.Level - 1; level >= 0; level-- {
 			size := Element{Level: level}.Size()
 			anc := f.Code - f.Code%size
-			lo := sort.Search(len(ix.elems), func(i int) bool {
-				return ix.elems[i].code >= anc
-			})
-			for i := lo; i < len(ix.elems) && ix.elems[i].code == anc; i++ {
+			for i := ix.firstAtOrAbove(anc); i < len(ix.elems) && ix.elems[i].code == anc; i++ {
 				touched++
 				if ix.elems[i].level == level {
-					cand[ix.elems[i].id] = true
+					ids = append(ids, ix.elems[i].id)
 				}
 			}
 		}
 	}
-	// Exact filter and deterministic order.
-	ids := make([]int64, 0, len(cand))
-	for id := range cand {
+	// Deduplicate, order, and filter exactly, in place.
+	cand := ids[n:]
+	slices.Sort(cand)
+	ids = ids[:n]
+	for _, id := range slices.Compact(cand) {
 		if ix.boxes[id].Overlaps(filter) {
 			ids = append(ids, id)
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if !visit(id) {
-			break
+	return ids, touched
+}
+
+// SearchSpec appends to ids the id of every stored box the range spec's
+// single overlap filter lets through (see specFilter), as SearchOverlap
+// does; the caller applies the spec itself to the candidates. A
+// statically unsatisfiable spec touches nothing.
+func (ix *Index) SearchSpec(spec bbox.RangeSpec, ids []int64) ([]int64, int) {
+	if spec.Unsatisfiable() {
+		return ids, 0
+	}
+	var lo, hi [2]float64
+	return ix.SearchOverlap(specFilter(spec, lo[:], hi[:]), ids)
+}
+
+// specFilter returns the single overlap filter a z-order search can use
+// for spec: every box matching the spec must overlap it. Preference order:
+// the required lower bound (a match contains it, hence overlaps it), then
+// the most selective witness meet the upper bound (a match inside Upper
+// overlapping w also overlaps w ⊓ Upper), built in lo and hi, then the
+// upper bound itself.
+func specFilter(spec bbox.RangeSpec, lo, hi []float64) bbox.Box {
+	if !spec.Lower.IsEmpty() {
+		return spec.Lower
+	}
+	if len(spec.Overlaps) == 0 {
+		return spec.Upper
+	}
+	best := spec.Overlaps[0]
+	for _, w := range spec.Overlaps[1:] {
+		if w.Volume() < best.Volume() {
+			best = w
 		}
 	}
-	return touched
+	return best.MeetTo(spec.Upper, lo, hi)
+}
+
+// firstAtOrAbove returns the index of the first element with code ≥ code.
+func (ix *Index) firstAtOrAbove(code uint64) int {
+	i, _ := slices.BinarySearchFunc(ix.elems, code, func(e indexElem, code uint64) int {
+		return cmp.Compare(e.code, code)
+	})
+	return i
 }
 
 // All visits every stored id in ascending order.

@@ -2,7 +2,7 @@ package zorder
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"repro/internal/bbox"
@@ -41,18 +41,13 @@ func TestIndexSearchMatchesScan(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		x, y := rng.Float64()*900, rng.Float64()*900
 		q := bbox.Rect(x, y, x+rng.Float64()*80+1, y+rng.Float64()*80+1).Meet(u)
-		var got []int64
-		ix.SearchOverlap(q, func(id int64) bool {
-			got = append(got, id)
-			return true
-		})
+		got, _ := ix.SearchOverlap(q, nil)
 		var want []int64
 		for i, b := range boxes {
 			if b.Overlaps(q) {
 				want = append(want, int64(i))
 			}
 		}
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
 		if len(got) != len(want) {
 			t.Fatalf("query %v: got %d, want %d", q, len(got), len(want))
 		}
@@ -69,13 +64,9 @@ func TestIndexSearchEarlyStopAndOrder(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		_ = ix.Insert(bbox.Rect(float64(i), 0, float64(i)+1, 1), int64(i))
 	}
-	var got []int64
-	ix.SearchOverlap(bbox.Rect(0, 0, 100, 1), func(id int64) bool {
-		got = append(got, id)
-		return len(got) < 3
-	})
-	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Errorf("early stop / order wrong: %v", got)
+	got, _ := ix.SearchOverlap(bbox.Rect(0, 0, 100, 1), []int64{-1})
+	if len(got) != 21 || got[0] != -1 || !slices.IsSorted(got) {
+		t.Errorf("append / order wrong: %v", got)
 	}
 }
 
@@ -105,18 +96,18 @@ func TestIndexPrefixRelations(t *testing.T) {
 	_ = ix.Insert(bbox.Rect(511, 511, 513, 513), 1) // straddles the center
 	_ = ix.Insert(bbox.Rect(0.1, 0.1, 0.2, 0.2), 2) // one tiny leaf cell
 	found := map[int64]bool{}
-	ix.SearchOverlap(bbox.Rect(0, 0, 1024, 1024), func(id int64) bool {
+	ids, _ := ix.SearchOverlap(bbox.Rect(0, 0, 1024, 1024), nil)
+	for _, id := range ids {
 		found[id] = true
-		return true
-	})
+	}
 	if !found[1] || !found[2] {
 		t.Errorf("universe query missed stored boxes: %v", found)
 	}
 	found = map[int64]bool{}
-	ix.SearchOverlap(bbox.Rect(0.05, 0.05, 0.3, 0.3), func(id int64) bool {
+	ids, _ = ix.SearchOverlap(bbox.Rect(0.05, 0.05, 0.3, 0.3), nil)
+	for _, id := range ids {
 		found[id] = true
-		return true
-	})
+	}
 	if !found[2] || found[1] {
 		t.Errorf("tiny query wrong: %v", found)
 	}

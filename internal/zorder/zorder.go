@@ -17,7 +17,9 @@
 package zorder
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/bbox"
@@ -103,9 +105,15 @@ func NewSpace(universe bbox.Box) *Space {
 // gridRange clamps box coordinates to grid cell indices [lo, hi]
 // (inclusive).
 func (s *Space) gridRange(b bbox.Box) (x0, y0, x1, y1 uint32, ok bool) {
-	clip := b.Meet(s.universe)
-	if clip.IsEmpty() {
+	if b.IsEmpty() {
 		return 0, 0, 0, 0, false
+	}
+	var lo, hi [2]float64 // b ⊓ universe, without allocating the meet
+	for d := range lo {
+		lo[d], hi[d] = max(b.Lo[d], s.universe.Lo[d]), min(b.Hi[d], s.universe.Hi[d])
+		if lo[d] > hi[d] {
+			return 0, 0, 0, 0, false
+		}
 	}
 	n := uint32(1)<<MaxLevel - 1
 	toCell := func(v, lo, w float64) uint32 {
@@ -118,13 +126,13 @@ func (s *Space) gridRange(b bbox.Box) (x0, y0, x1, y1 uint32, ok bool) {
 		}
 		return uint32(c)
 	}
-	x0 = toCell(clip.Lo[0], s.universe.Lo[0], s.cell[0])
-	y0 = toCell(clip.Lo[1], s.universe.Lo[1], s.cell[1])
+	x0 = toCell(lo[0], s.universe.Lo[0], s.cell[0])
+	y0 = toCell(lo[1], s.universe.Lo[1], s.cell[1])
 	// Upper edges: a coordinate exactly on a cell boundary belongs to the
 	// lower cell so that touching boxes still share a cell (closed-box
 	// overlap semantics).
-	x1 = toCell(clip.Hi[0], s.universe.Lo[0], s.cell[0])
-	y1 = toCell(clip.Hi[1], s.universe.Lo[1], s.cell[1])
+	x1 = toCell(hi[0], s.universe.Lo[0], s.cell[0])
+	y1 = toCell(hi[1], s.universe.Lo[1], s.cell[1])
 	return x0, y0, x1, y1, true
 }
 
@@ -132,36 +140,46 @@ func (s *Space) gridRange(b bbox.Box) (x0, y0, x1, y1 uint32, ok bool) {
 // maxElems leaf splits (coarser covers are still correct — they only add
 // candidate pairs). maxElems ≤ 0 means no budget limit.
 func (s *Space) Decompose(b bbox.Box, maxElems int) []Element {
+	return s.decompose(b, maxElems, nil)
+}
+
+// decompose is Decompose into dst's backing array (reset to length 0),
+// growing it only past its capacity.
+func (s *Space) decompose(b bbox.Box, maxElems int, dst []Element) []Element {
 	x0, y0, x1, y1, ok := s.gridRange(b)
 	if !ok {
 		return nil
 	}
-	var out []Element
-	budget := maxElems
-	var rec func(cx, cy uint32, level int)
-	rec = func(cx, cy uint32, level int) {
-		// Cell spans grid rows [cy*size, (cy+1)*size) etc. at this level.
-		size := uint32(1) << uint(MaxLevel-level)
-		gx0, gy0 := cx*size, cy*size
-		gx1, gy1 := gx0+size-1, gy0+size-1
-		if gx1 < x0 || gx0 > x1 || gy1 < y0 || gy0 > y1 {
-			return // disjoint
-		}
-		fullyInside := gx0 >= x0 && gx1 <= x1 && gy0 >= y0 && gy1 <= y1
-		if fullyInside || level == MaxLevel || (budget > 0 && len(out) >= budget) {
-			out = append(out, Element{
-				Code:  Interleave2(gx0, gy0),
-				Level: level,
-			})
-			return
-		}
-		rec(cx*2, cy*2, level+1)
-		rec(cx*2+1, cy*2, level+1)
-		rec(cx*2, cy*2+1, level+1)
-		rec(cx*2+1, cy*2+1, level+1)
+	c := coverer{x0: x0, y0: y0, x1: x1, y1: y1, budget: maxElems}
+	return mergeElems(c.cover(dst[:0], 0, 0, 0))
+}
+
+// coverer is one decomposition's box and budget.
+type coverer struct {
+	x0, y0, x1, y1 uint32 // the box's grid cell range, inclusive
+	budget         int
+}
+
+// cover visits the cell (cx, cy) at level and returns out extended by its
+// share of the cover: a disjoint cell adds nothing, a covered cell (or
+// one at the depth or budget limit) adds itself, and the rest are
+// quartered.
+func (c *coverer) cover(out []Element, cx, cy uint32, level int) []Element {
+	// Cell spans grid rows [cy*size, (cy+1)*size) etc. at this level.
+	size := uint32(1) << uint(MaxLevel-level)
+	gx0, gy0 := cx*size, cy*size
+	gx1, gy1 := gx0+size-1, gy0+size-1
+	if gx1 < c.x0 || gx0 > c.x1 || gy1 < c.y0 || gy0 > c.y1 {
+		return out // disjoint
 	}
-	rec(0, 0, 0)
-	return mergeElems(out)
+	fullyInside := gx0 >= c.x0 && gx1 <= c.x1 && gy0 >= c.y0 && gy1 <= c.y1
+	if fullyInside || level == MaxLevel || (c.budget > 0 && len(out) >= c.budget) {
+		return append(out, Element{Code: Interleave2(gx0, gy0), Level: level})
+	}
+	out = c.cover(out, cx*2, cy*2, level+1)
+	out = c.cover(out, cx*2+1, cy*2, level+1)
+	out = c.cover(out, cx*2, cy*2+1, level+1)
+	return c.cover(out, cx*2+1, cy*2+1, level+1)
 }
 
 // mergeElems merges four sibling cells into their parent where possible
@@ -170,11 +188,11 @@ func mergeElems(es []Element) []Element {
 	if len(es) < 2 {
 		return es
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Code != es[j].Code {
-			return es[i].Code < es[j].Code
+	slices.SortFunc(es, func(a, b Element) int {
+		if c := cmp.Compare(a.Code, b.Code); c != 0 {
+			return c
 		}
-		return es[i].Level < es[j].Level
+		return cmp.Compare(a.Level, b.Level)
 	})
 	// Drop contained elements (they follow their container in z-order).
 	out := es[:0]
