@@ -61,8 +61,10 @@ chaos:
 # corpus texts), the WAL segment reader (FuzzSegment: Open's tail
 # repair and ReadFrom over an arbitrary active segment) and the mutation
 # record (FuzzMutation: DecodeMutation, then ApplyReplicated on an R-tree
-# and a z-order store) and the bulk-insert body decoder (FuzzBulkObjects:
-# POST objects:bulk?mode=best_effort with arbitrary bytes). A failing input
+# and a z-order store), the bulk-insert body decoder (FuzzBulkObjects:
+# POST objects:bulk?mode=best_effort with arbitrary bytes) and the
+# /repl/wal envelope (FuzzReplRecords: the replica's NDJSON decoder, then
+# its record apply). A failing input
 # lands in the package's testdata/fuzz/<target> and replays in every plain
 # `go test`. Minimising a newly interesting input may otherwise take the
 # whole budget, so it is capped at one second.
@@ -76,4 +78,6 @@ fuzz:
 	go test ./internal/spatialdb -run '^$$' -fuzz '^FuzzMutation$$' \
 		-fuzztime 10s -fuzzminimizetime 1s
 	go test ./internal/server -run '^$$' -fuzz '^FuzzBulkObjects$$' \
+		-fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/repl -run '^$$' -fuzz '^FuzzReplRecords$$' \
 		-fuzztime 10s -fuzzminimizetime 1s

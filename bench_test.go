@@ -374,7 +374,7 @@ func BenchmarkE12OrderPlanning(b *testing.B) {
 	q := query.Smuggler()
 	b.Run("static", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			query.SuggestOrder(q, store)
+			query.SuggestOrder(q, store, params)
 		}
 	})
 	b.Run("adaptive", func(b *testing.B) {
@@ -431,7 +431,7 @@ func BenchmarkE12AdaptiveExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	suggested, err := query.Compile(query.SuggestOrder(base, store), store)
+	suggested, err := query.Compile(query.SuggestOrder(base, store, params), store)
 	if err != nil {
 		b.Fatal(err)
 	}

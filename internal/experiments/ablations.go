@@ -15,9 +15,10 @@ import (
 
 // E12Ordering ablates the retrieval order the paper picks "arbitrarily"
 // (§2): every permutation of the smuggler query's variables is executed,
-// alongside the two planners: static (SuggestOrder — structure and layer
-// sizes only) and adaptive (CompileAdaptive — the one boolqd serves, here
-// cold: histogram estimates with parameter values, no tuner feedback).
+// alongside the two planners, which share one cost model: static
+// (SuggestOrder — a greedy front-to-back walk) and adaptive
+// (CompileAdaptive — every order, the planner boolqd serves; here cold:
+// histogram estimates with parameter values, no tuner feedback).
 func E12Ordering() Table {
 	m := workload.GenMap(workload.MapConfig{Seed: 42})
 	store := spatialdb.NewStore(m.Config.Universe, spatialdb.RTree)
@@ -45,7 +46,7 @@ func E12Ordering() Table {
 		return plan.OrderKey(), res.Stats.Candidates, res.Stats.Solutions, time.Since(start)
 	}
 
-	staticQ := query.SuggestOrder(base, store)
+	staticQ := query.SuggestOrder(base, store, params)
 	adaptive, err := query.CompileAdaptive(base, store, query.AdaptiveOptions{Params: params})
 	if err != nil {
 		panic(err)

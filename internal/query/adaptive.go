@@ -6,7 +6,9 @@ import (
 	"sync"
 
 	"repro/internal/bbox"
+	"repro/internal/boolalg"
 	"repro/internal/constraint"
+	"repro/internal/formula"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
 	"repro/internal/stats"
@@ -191,7 +193,7 @@ func orderKey(q *Query) string {
 func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*Plan, error) {
 	n := len(q.Retrieve)
 	if n > maxAdaptivePermute {
-		plan, err := Compile(SuggestOrder(q, store), store)
+		plan, err := Compile(SuggestOrder(q, store, opts.Params), store)
 		if err != nil {
 			return nil, err
 		}
@@ -227,8 +229,7 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 	}
 	ground := s.eliminate(q.Sys.Normalize())
 	if ground.F != nil {
-		s.envBox = paramBoxes(q, store, opts.Params)
-		s.rank(store)
+		s.rank(store, opts.Params)
 	}
 	if s.best == nil {
 		return Compile(q, store) // every order failed: the query's own order's error
@@ -279,9 +280,7 @@ type orderSearch struct {
 	steps []elimStep
 
 	// Phase 2 state.
-	k            int
-	stats        []*stats.Layer // binding j's layer statistics; nil when the layer is missing
-	envBox       []bbox.Box     // representative environment of the current prefix
+	costModel
 	observed     map[string]Observation
 	epoch, stale uint64
 	prune        bool
@@ -342,16 +341,10 @@ func (s *orderSearch) eliminate(norm constraint.Normal) triangular.Elim {
 // when its prefix alone costs more than the best complete order — never
 // on a tie, which permRank must still break, and never when the Tuner
 // holds observations, which replace a whole order's cost.
-func (s *orderSearch) rank(store *spatialdb.Store) {
+func (s *orderSearch) rank(store *spatialdb.Store, params map[string]*region.Region) {
 	store.RLock()
 	defer store.RUnlock()
-	s.k = store.K()
-	s.stats = make([]*stats.Layer, s.n)
-	for j, b := range s.q.Retrieve {
-		if l, ok := store.LayerIfExists(b.Layer); ok {
-			s.stats[j] = l.DataStats()
-		}
-	}
+	s.init(s.q, store, params)
 	s.prune = len(s.observed) == 0
 	s.place(0, 0, 0, 1, true)
 }
@@ -382,31 +375,84 @@ func (s *orderSearch) place(i, placed int, cost, width float64, live bool) {
 		v := es.box.Var
 		saved := s.envBox[v]
 		if l {
-			c, w, l = s.estimate(&es.box, s.stats[j], c, w)
+			c, w, l = s.estimate(es, j, c, w)
 		}
 		if s.prune && c > s.bestCost {
-			s.envBox[v] = saved
+			s.bind(v, saved)
 			continue
 		}
 		s.perm[i] = j
 		s.place(i+1, placed|1<<j, c, w, l)
-		s.envBox[v] = saved
+		s.bind(v, saved)
 	}
 }
 
-// estimate extends a live prefix's estimate by one step: it instantiates
-// the step's range template over the representative environment, asks
-// the layer's histograms for the expected match count and, when the
-// prefix stays live, binds the step's variable to a representative box for
-// deeper steps: the mean stored box, narrowed to the step's upper bound
-// when they meet (survivors of the range query are contained in Upper).
-func (s *orderSearch) estimate(sp *StepBoxPlan, ds *stats.Layer, cost, width float64) (float64, float64, bool) {
+// costModel is the cost model both planners rank retrieval orders by:
+// the expected number of candidates the executor visits, estimated from
+// the layer statistics over a representative environment.
+type costModel struct {
+	k         int
+	stats     []*stats.Layer    // binding j's layer statistics; nil when the layer is missing
+	envBox    []bbox.Box        // representative environment of the current prefix
+	env       []boolalg.Element // envBox[v] as a region once a lower bound used it; else nil
+	retrieved []bool            // retrieval variables: their boxes are layer representatives
+	alg       region.Algebra    // the store's algebra bound to scr
+	scr       region.Scratch
+}
+
+// init reads the layer statistics and binds every parameter to its
+// representative box (paramBoxes). The caller holds the store's read
+// guard for as long as it estimates.
+func (m *costModel) init(q *Query, store *spatialdb.Store, params map[string]*region.Region) {
+	m.k = store.K()
+	m.stats = make([]*stats.Layer, len(q.Retrieve))
+	for j, b := range q.Retrieve {
+		if l, ok := store.LayerIfExists(b.Layer); ok {
+			m.stats[j] = l.DataStats()
+		}
+	}
+	m.envBox = paramBoxes(q, store, params)
+	m.env = make([]boolalg.Element, len(m.envBox))
+	m.retrieved = make([]bool, len(m.envBox))
+	for _, b := range q.Retrieve {
+		if v, ok := q.Sys.Vars.Lookup(b.Var); ok {
+			m.retrieved[v] = true
+		}
+	}
+	m.alg = region.NewAlgebra(store.Universe()).Bind(&m.scr)
+}
+
+// bind makes b variable v's representative box; its region is built
+// when a lower bound first needs it.
+func (m *costModel) bind(v int, b bbox.Box) {
+	m.envBox[v], m.env[v] = b, nil
+}
+
+// estimate extends a live prefix's estimate by binding j's step es: it
+// instantiates the step's range template over the representative
+// environment, joins in the box of the solved lower bound as the executor
+// does (lowerBox), asks the layer's histograms for the expected match
+// count and, when the prefix stays live, binds the step's variable to a
+// representative box for deeper steps: the mean stored box, narrowed to
+// the step's upper bound when they meet (survivors of the range query are
+// contained in Upper) and joined with the lower bound's box (they contain
+// it).
+func (m *costModel) estimate(es *elimStep, j int, cost, width float64) (float64, float64, bool) {
+	ds := m.stats[j]
 	if ds == nil {
 		return math.Inf(1), width, false
 	}
-	spec, satisfiable := sp.Spec(s.k, s.envBox)
+	sp := &es.box
+	spec, satisfiable := sp.Spec(m.k, m.envBox)
 	if !satisfiable {
 		return cost, width, false
+	}
+	lower, bounded := m.lowerBox(es.tri.Lower)
+	if bounded {
+		spec.Lower = spec.Lower.Join(lower)
+		if spec.Unsatisfiable() {
+			return cost, width, false
+		}
 	}
 	est := ds.EstimateSpec(spec)
 	if est == 0 {
@@ -416,14 +462,71 @@ func (s *orderSearch) estimate(sp *StepBoxPlan, ds *stats.Layer, cost, width flo
 	cost += width
 	rep := ds.MeanBox()
 	if !spec.Upper.IsEmpty() && !spec.Upper.IsUniv() {
-		if m := rep.Meet(spec.Upper); !m.IsEmpty() {
-			rep = m
+		if in := rep.Meet(spec.Upper); !in.IsEmpty() {
+			rep = in
 		} else {
 			rep = spec.Upper
 		}
 	}
-	s.envBox[sp.Var] = rep
+	if bounded {
+		rep = rep.Join(lower)
+	}
+	m.bind(sp.Var, rep)
 	return cost, width, true
+}
+
+// lowerBox is the planner's model of the executor's exact lower box: the
+// solved lower bound evaluated over the representative environment (see
+// repValue), each bound variable the region of its representative box,
+// and clipped to the universe (region.Algebra.LowerBoxInto). It reports
+// false when the bound is 0 or gives no box.
+func (m *costModel) lowerBox(lower *formula.Formula) (bbox.Box, bool) {
+	if lower.IsConst(false) {
+		return bbox.Box{}, false
+	}
+	for v, r := range m.env {
+		if r == nil && !m.envBox[v].IsEmpty() && lower.Uses(v) {
+			m.env[v] = region.FromBox(m.envBox[v])
+		}
+	}
+	m.scr.Reset()
+	var b bbox.Box
+	if !m.alg.LowerBoxInto(m.repValue(lower), &b) || b.IsEmpty() {
+		return bbox.Box{}, false
+	}
+	return b, true
+}
+
+// repValue evaluates f over the representative environment, except that
+// a complemented retrieval variable counts as 1. Every retrieval
+// variable's representative box sits where its layer's mean box does, so
+// two of them share roughly one centre and the larger covers the
+// smaller: subtracting one from another measures the layers' mean sizes,
+// not how two independently placed objects overlap. (On query_hot's
+// smuggler-shaped template the mean zone covered the mean road, so the
+// lower bound R ∧ ¬W ∧ ¬Z of P looked empty and the order that profits
+// from it looked worst.) Taking ¬Z as 1 over-approximates the lower box
+// instead. Parameters keep their complements: their boxes are the
+// caller's.
+func (m *costModel) repValue(f *formula.Formula) boolalg.Element {
+	switch f.Kind() {
+	case formula.KindConst:
+		if f.Const() {
+			return m.alg.Top()
+		}
+		return m.alg.Bottom()
+	case formula.KindVar:
+		return m.env[f.VarIndex()]
+	case formula.KindNot:
+		if x := f.Left(); x.Kind() == formula.KindVar && m.retrieved[x.VarIndex()] {
+			return m.alg.Top()
+		}
+		return m.alg.Complement(m.repValue(f.Left()))
+	case formula.KindAnd:
+		return m.alg.Meet(m.repValue(f.Left()), m.repValue(f.Right()))
+	default:
+		return m.alg.Join(m.repValue(f.Left()), m.repValue(f.Right()))
+	}
 }
 
 // leaf ranks one complete order: a fresh Tuner observation replaces its
@@ -471,4 +574,27 @@ func paramBoxes(q *Query, store *spatialdb.Store, params map[string]*region.Regi
 		}
 	}
 	return envBox
+}
+
+// permRank is perm's position in the enumeration CompileAdaptive's tie
+// rule follows: position 0 chooses first, and each position k chooses
+// among the bindings not yet placed in the order a swap-based generator
+// meets them — swap cur[k] with cur[k], cur[k+1], …, recurse, swap back.
+// perm is a permutation of 0..len(perm)-1, len(perm) ≤ maxAdaptivePermute.
+func permRank(perm []int) int {
+	var cur [maxAdaptivePermute]int
+	n := len(perm)
+	for i := range n {
+		cur[i] = i
+	}
+	rank := 0
+	for k := range n {
+		i := k
+		for cur[i] != perm[k] {
+			i++
+		}
+		rank = rank*(n-k) + i - k
+		cur[k], cur[i] = cur[i], cur[k]
+	}
+	return rank
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/bbox"
+	"repro/internal/boolalg"
+	"repro/internal/formula"
 	"repro/internal/race"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
@@ -28,7 +30,7 @@ func TestSuggestOrderMissingLayerNotAttractive(t *testing.T) {
 	q.Sys.Subset(y, c)
 	q.From("x", "towns").From("y", "ghost")
 
-	got := SuggestOrder(q, store)
+	got := SuggestOrder(q, store, nil)
 	if got.Retrieve[0].Layer != "towns" {
 		t.Fatalf("missing layer %q ordered before existing %q: %v",
 			"ghost", "towns", got.Retrieve)
@@ -65,7 +67,7 @@ func TestCompileAdaptiveResultsMatchNaiveAndStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	staticPlan, err := Compile(SuggestOrder(q, store), store)
+	staticPlan, err := Compile(SuggestOrder(q, store, params), store)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +349,7 @@ func referenceAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (
 			continue
 		}
 		plan.outPos = perm
-		cost := estimatePlanCost(plan.Steps, store, paramBox)
+		cost := estimatePlanCost(plan, store, paramBox)
 		if o, ok := observed[plan.OrderKey()]; ok && epoch >= o.Epoch && epoch-o.Epoch <= stale {
 			cost = float64(o.Candidates)
 			feedbackUsed++
@@ -565,18 +567,20 @@ func TestCompileAdaptiveAllocs(t *testing.T) {
 // estimatePlanCost is the per-order form of CompileAdaptive's cost walk,
 // the reference its prefix-shared arithmetic must reproduce: it walks a
 // plan's steps once under the store's read guard, instantiating each range
-// template over the representative environment and asking the layer's
+// template over the representative environment, joining in the box of the
+// step's solved lower bound as the executor does, and asking the layer's
 // histograms for the expected match count, and returns the
 // cumulative-width cost. A missing layer costs +inf — it can only fail at
 // run time, so no order that reaches it early should ever win.
-func estimatePlanCost(steps []StepBoxPlan, store *spatialdb.Store, paramBox []bbox.Box) float64 {
+func estimatePlanCost(plan *Plan, store *spatialdb.Store, paramBox []bbox.Box) float64 {
 	store.RLock()
 	defer store.RUnlock()
 	k := store.K()
+	alg := region.NewAlgebra(store.Universe())
 	envBox := append([]bbox.Box(nil), paramBox...)
 	cost, width := 0.0, 1.0
-	for i := range steps {
-		sp := &steps[i]
+	for i := range plan.Steps {
+		sp := &plan.Steps[i]
 		l, ok := store.LayerIfExists(sp.Layer)
 		if !ok {
 			return math.Inf(1)
@@ -585,6 +589,29 @@ func estimatePlanCost(steps []StepBoxPlan, store *spatialdb.Store, paramBox []bb
 		spec, satisfiable := sp.Spec(k, envBox)
 		if !satisfiable {
 			return cost // statically dead prefix: deeper steps never run
+		}
+
+		// The solved lower bound, each bound variable the region of its
+		// representative box and a complemented retrieval variable taken
+		// as 1: every survivor's box contains its bounding box within the
+		// universe.
+		lower := bbox.Empty(k)
+		if f := plan.Form.Steps[i].Lower; !f.IsConst(false) {
+			env := make([]boolalg.Element, len(envBox))
+			for v, b := range envBox {
+				if !b.IsEmpty() {
+					env[v] = region.FromBox(b)
+				}
+			}
+			for _, b := range plan.Query.Retrieve {
+				v, _ := plan.Query.Sys.Vars.Lookup(b.Var)
+				f = substituteNot(f, v, formula.One())
+			}
+			alg.LowerBoxInto(formula.Eval(f, alg, env), &lower) // false leaves it empty
+		}
+		spec.Lower = spec.Lower.Join(lower)
+		if spec.Unsatisfiable() {
+			return cost // the lower bound's box misses the upper bound
 		}
 		est := ds.EstimateSpec(spec)
 		if est == 0 {
@@ -595,7 +622,8 @@ func estimatePlanCost(steps []StepBoxPlan, store *spatialdb.Store, paramBox []bb
 
 		// Representative box for this variable at deeper steps: the mean
 		// stored box, narrowed to the step's upper bound when they meet
-		// (survivors of the range query are contained in Upper).
+		// (survivors of the range query are contained in Upper), joined
+		// with the lower bound's box (they contain it).
 		rep := ds.MeanBox()
 		if !spec.Upper.IsEmpty() && !spec.Upper.IsUniv() {
 			if m := rep.Meet(spec.Upper); !m.IsEmpty() {
@@ -604,7 +632,24 @@ func estimatePlanCost(steps []StepBoxPlan, store *spatialdb.Store, paramBox []bb
 				rep = spec.Upper
 			}
 		}
-		envBox[sp.Var] = rep
+		envBox[sp.Var] = rep.Join(lower)
 	}
 	return cost
+}
+
+// substituteNot returns f with every complemented occurrence of variable
+// v, ¬v, replaced by g.
+func substituteNot(f *formula.Formula, v int, g *formula.Formula) *formula.Formula {
+	switch f.Kind() {
+	case formula.KindNot:
+		if x := f.Left(); x.Kind() == formula.KindVar && x.VarIndex() == v {
+			return g
+		}
+		return formula.Not(substituteNot(f.Left(), v, g))
+	case formula.KindAnd:
+		return formula.And(substituteNot(f.Left(), v, g), substituteNot(f.Right(), v, g))
+	case formula.KindOr:
+		return formula.Or(substituteNot(f.Left(), v, g), substituteNot(f.Right(), v, g))
+	}
+	return f
 }

@@ -180,6 +180,9 @@ func (f *execFrame) run(i int) {
 			return // this prefix admits no extension
 		}
 		f.bindExact(i)
+		if !f.joinExactLower(i, &spec) {
+			return // the exact lower bound lies outside the box bounds
+		}
 		sf.db.Add(f.layers[i].SearchInto(spec, &sf.slots, sf.visit))
 	} else {
 		f.bindExact(i)
@@ -196,6 +199,24 @@ func (f *execFrame) bindExact(i int) {
 	sf := &f.steps[i]
 	sf.scr.Reset()
 	f.p.Form.Steps[i].ValuesInto(&sf.alg, f.env, &sf.exact)
+}
+
+// joinExactLower tightens step i's range query with the exact lower
+// bound bindExact just evaluated: every candidate x must satisfy
+// Lower ⊑ x, so ⌈Lower ∧ u⌉ ⊑ ⌈x⌉ (region.Algebra.LowerBoxInto). Algorithm
+// 2 approximates a lower bound with a complemented term by ∅; the exact
+// value has no such gap. It reports false when the joined spec can match
+// no box, and the prefix is pruned without a probe.
+//
+//boolq:noalloc
+func (f *execFrame) joinExactLower(i int, spec *bbox.RangeSpec) bool {
+	sf := &f.steps[i]
+	if !f.opts.UseExact || !sf.alg.LowerBoxInto(sf.exact.Lower, &sf.spec.exact) || sf.spec.exact.IsEmpty() {
+		return true
+	}
+	spec.Lower.JoinInto(sf.spec.exact, &sf.spec.lower)
+	spec.Lower = sf.spec.lower
+	return !spec.Unsatisfiable()
 }
 
 // consider is step i's candidate callback: exact-filter o against the

@@ -70,29 +70,77 @@ func randSystemN(rng *workload.RNG, n int) *Query {
 	return q
 }
 
+// randSmugglerSystem is a random system in the shape of the smuggler
+// query's hot template: x ⊑ A ∨ B ∨ y over two parameters, plus up to two
+// more constraints from the template's vocabulary, with the bindings in
+// either order. Retrieving y after x has the complemented lower bound
+// x ∧ ¬A ∧ ¬B, which Algorithm 2 approximates by ∅ and the executor bounds
+// by its exact box.
+func randSmugglerSystem(rng *workload.RNG) *Query {
+	q := New()
+	x, y, a, b := q.Sys.Var("x"), q.Sys.Var("y"), q.Sys.Var("A"), q.Sys.Var("B")
+	q.Sys.Subset(x, formula.OrN(a, b, y))
+	for i := rng.IntN(3); i > 0; i-- {
+		switch rng.IntN(4) {
+		case 0:
+			q.Sys.Overlap(x, y)
+		case 1:
+			q.Sys.NotSubset(y, a)
+		case 2:
+			q.Sys.Subset(y, formula.Or(a, x))
+		default:
+			q.Sys.Overlap(x, b)
+		}
+	}
+	if rng.IntN(2) == 0 {
+		return q.From("x", "xs").From("y", "ys")
+	}
+	return q.From("y", "ys").From("x", "xs")
+}
+
 // TestFuzzOptimizedAgainstNaive is the end-to-end differential test: for
 // random constraint systems over random stores, every optimizer
 // configuration must return exactly the naive cross product's solutions.
 // This exercises normalization, projection, solved forms, bounding-box
-// approximation, the indexes and the executor together.
+// approximation, the indexes and the executor together. Trials from 40 on
+// draw smuggler-shaped systems (randSmugglerSystem) on all five backends,
+// with a large parameter A so that some of them have solutions.
 func TestFuzzOptimizedAgainstNaive(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz test skipped in -short mode")
 	}
 	universe := bbox.Rect(0, 0, 64, 64)
-	for trial := 0; trial < 40; trial++ {
+	answered := 0 // smuggler-shaped trials with solutions
+	for trial := 0; trial < 80; trial++ {
 		rng := workload.NewRNG(uint64(trial) + 1000)
-		q := randSystem(rng)
+		smuggler := trial >= 40
+		var q *Query
+		if smuggler {
+			q = randSmugglerSystem(rng)
+		} else {
+			q = randSystem(rng)
+		}
 
-		kind := []spatialdb.IndexKind{
-			spatialdb.Scan, spatialdb.RTree, spatialdb.PointRTree, spatialdb.Grid,
-		}[trial%4]
+		kinds := []spatialdb.IndexKind{
+			spatialdb.Scan, spatialdb.RTree, spatialdb.PointRTree, spatialdb.Grid, spatialdb.ZOrderIdx,
+		}
+		kind := kinds[trial%4]
+		if smuggler {
+			kind = kinds[trial%5]
+		}
 		store := spatialdb.NewStore(universe, kind)
 		for i := 0; i < 6; i++ {
 			store.MustInsert("xs", fmt.Sprintf("x%d", i), workload.RandRegion(rng, universe, 2))
 			store.MustInsert("ys", fmt.Sprintf("y%d", i), workload.RandRegion(rng, universe, 2))
 		}
 		params := map[string]*region.Region{"C": workload.RandRegion(rng, universe, 2)}
+		if smuggler {
+			x0, y0 := rng.Range(0, 24), rng.Range(0, 24)
+			params = map[string]*region.Region{
+				"A": region.FromBox(bbox.Rect(x0, y0, x0+40, y0+40)),
+				"B": workload.RandRegion(rng, universe, 2),
+			}
+		}
 
 		naive, err := RunNaive(q, store, params)
 		if err != nil {
@@ -118,6 +166,12 @@ func TestFuzzOptimizedAgainstNaive(t *testing.T) {
 					q.Sys, plan.Explain())
 			}
 		}
+		if smuggler && naive.Stats.Solutions > 0 {
+			answered++
+		}
+	}
+	if answered < 10 {
+		t.Errorf("%d of 40 smuggler-shaped trials have solutions; the generator should give at least 10", answered)
 	}
 }
 
@@ -167,7 +221,7 @@ func TestFuzzAdaptiveAgainstNaive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: adaptive run: %v", trial, err)
 		}
-		staticPlan, err := Compile(SuggestOrder(q, store), store)
+		staticPlan, err := Compile(SuggestOrder(q, store, params), store)
 		if err != nil {
 			t.Fatalf("trial %d: static compile: %v\nsystem:\n%s", trial, err, q.Sys)
 		}
@@ -186,7 +240,7 @@ func TestFuzzAdaptiveAgainstNaive(t *testing.T) {
 		}
 
 		// Estimator invariants over the plan's own specs plus random ones.
-		cost := estimatePlanCost(plan.Steps, store, paramBoxes(plan.Query, store, params))
+		cost := estimatePlanCost(plan, store, paramBoxes(plan.Query, store, params))
 		if math.IsNaN(cost) || cost < 0 {
 			t.Fatalf("trial %d: plan cost = %v", trial, cost)
 		}

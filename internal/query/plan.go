@@ -83,11 +83,13 @@ func (sp StepBoxPlan) Spec(k int, envBox []bbox.Box) (bbox.RangeSpec, bool) {
 
 // specScratch is the per-step, per-frame evaluation state SpecInto reuses
 // across candidates: the program stack plus owned boxes for the spec's
-// bounds and overlap witnesses. A warm scratch makes SpecInto
+// bounds and overlap witnesses, and for the box of the exact lower bound
+// the executor joins into the spec's. A warm scratch makes SpecInto
 // allocation-free.
 type specScratch struct {
 	eval         bbox.Scratch
 	lower, upper bbox.Box
+	exact        bbox.Box
 	overlaps     []bbox.Box
 }
 
@@ -220,7 +222,10 @@ func stepBoxPlan(st triangular.Step, b Binding) (StepBoxPlan, error) {
 }
 
 // Explain renders the plan: the triangular solved form followed by the
-// per-step range-query templates, in the paper's notation.
+// per-step range-query templates, in the paper's notation. A step whose
+// solved lower bound is not 0 gets one more line: the executor joins the
+// bounding box of that bound, evaluated exactly for each prefix, into the
+// template's lower box.
 func (p *Plan) Explain() string {
 	name := p.Query.Sys.Vars.Name
 	var b strings.Builder
@@ -232,6 +237,9 @@ func (p *Plan) Explain() string {
 			i+1, name(sp.Var), sp.Layer)
 		fmt.Fprintf(&b, "    %s <= [%s] <= %s\n",
 			sp.Lower.StringNamed(name), name(sp.Var), sp.Upper.StringNamed(name))
+		if lower := p.Form.Steps[i].Lower; !lower.IsConst(false) {
+			fmt.Fprintf(&b, "    ⌈%s⌉ <= [%s]  (exact, per prefix)\n", lower.StringNamed(name), name(sp.Var))
+		}
 		for _, d := range sp.Diseqs {
 			fmt.Fprintf(&b, "    [%s] ^ %s != ∅   (when %s = ∅)\n",
 				name(sp.Var), d.P.StringNamed(name), d.Q.StringNamed(name))

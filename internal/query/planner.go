@@ -2,130 +2,131 @@ package query
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
+	"repro/internal/region"
 	"repro/internal/spatialdb"
+	"repro/internal/triangular"
 )
 
-// SuggestOrder reorders the query's retrieval bindings with a greedy
-// selectivity heuristic and returns the reordered copy. The paper picks
-// its retrieval order "arbitrarily" (§2); the order strongly affects how
-// early the triangular form can prune, so this planner prefers, at each
-// position, the variable that is
+// SuggestOrder reorders the query's retrieval bindings greedily and
+// returns the reordered copy. The paper picks its retrieval order
+// "arbitrarily" (§2); the order strongly affects how early the triangular
+// form can prune. SuggestOrder ranks by CompileAdaptive's cost model
+// (costModel) over the caller's parameters, but instead of searching every
+// order it walks front to back and places, at each position, the binding
+// whose step adds the fewest expected candidates to the prefix, the
+// earliest binding on a tie. It solves only the steps that walk looks at,
+// with one residual per eliminated set, so it stays cheap where the
+// subset search would not: CompileAdaptive uses it for queries with more
+// than maxAdaptivePermute retrieval variables. The walk holds the store's
+// read guard. Experiment E12 measures it against all permutations.
 //
-//  1. most connected to what is already bound (parameters and earlier
-//     variables) — more binding constraints mean a tighter range query —
-//     and among equally connected variables,
-//  2. drawn from the smallest layer (fewer candidates to extend).
-//
-// The heuristic needs only the store's layer sizes, no data statistics,
-// which is why CompileAdaptive keeps it as the fallback for queries with
-// too many retrieval variables to enumerate. Experiment E12 measures it
-// against all permutations.
-func SuggestOrder(q *Query, store *spatialdb.Store) *Query {
-	if len(q.Retrieve) < 2 {
+// A query whose own order cannot compile — a retrieval variable in no
+// constraint or retrieved twice, or no compilable step at some position —
+// comes back unchanged, so Compile reports its error.
+func SuggestOrder(q *Query, store *spatialdb.Store, params map[string]*region.Region) *Query {
+	n := len(q.Retrieve)
+	if n < 2 {
 		return q
 	}
-	// Variable ids per binding and the parameter set.
-	ids := make([]int, len(q.Retrieve))
-	for i, b := range q.Retrieve {
-		ids[i], _ = q.Sys.Vars.Lookup(b.Var)
-	}
-	bound := map[int]bool{}
-	for _, p := range paramIDs(q) {
-		bound[p] = true
-	}
-
-	// Layer sizes, read once under the guard (and without store.Layer,
-	// which would create layers the query merely names). A missing layer
-	// must plan as infinitely large, not zero: size 0 would make it
-	// maximally attractive to the greedy order, silently front-loading a
-	// step that can only fail. Compile rejects the query anyway; until
-	// then the order keeps the existing layers' ranking intact.
-	sizes := make([]int, len(q.Retrieve))
-	store.RLock()
-	for i, b := range q.Retrieve {
-		if l, ok := store.LayerIfExists(b.Layer); ok {
-			sizes[i] = l.Len()
-		} else {
-			sizes[i] = math.MaxInt
+	g := &greedyOrder{q: q, full: 1<<n - 1, ids: make([]int, n), res: map[int]triangular.Elim{}}
+	for j, b := range q.Retrieve {
+		v, ok := q.Sys.Vars.Lookup(b.Var)
+		if !ok || slices.Contains(g.ids[:j], v) {
+			return q
 		}
+		g.ids[j] = v
 	}
-	store.RUnlock()
+	g.res[0] = triangular.Start(q.Sys.Normalize())
 
-	remaining := make([]int, len(ids)) // indices into q.Retrieve
-	for i := range remaining {
-		remaining[i] = i
-	}
-	var orderIdx []int
-	for len(remaining) > 0 {
-		bestPos, bestConn, bestSize := -1, -1, 0
-		for pos, ri := range remaining {
-			v := ids[ri]
-			conn := connectivity(q, v, bound)
-			size := sizes[ri]
-			better := conn > bestConn ||
-				(conn == bestConn && size < bestSize) ||
-				(conn == bestConn && size == bestSize && bestPos > pos)
-			if bestPos < 0 || better {
-				bestPos, bestConn, bestSize = pos, conn, size
+	store.RLock()
+	defer store.RUnlock()
+	var m costModel
+	m.init(q, store, params)
+	out := &Query{Sys: q.Sys, Retrieve: make([]Binding, 0, n)}
+	placed, cost, width, live := 0, 0.0, 1.0, true
+	for range n {
+		best, bestCost := -1, math.Inf(1)
+		var bestStep elimStep
+		for j := range n {
+			if placed&(1<<j) != 0 {
+				continue
+			}
+			es, ok := g.step(placed|1<<j, j)
+			if !ok {
+				continue
+			}
+			c := cost
+			if live {
+				saved := m.envBox[es.box.Var]
+				c, _, _ = m.estimate(&es, j, cost, width)
+				m.bind(es.box.Var, saved)
+			}
+			if best < 0 || c < bestCost {
+				best, bestCost, bestStep = j, c, es
 			}
 		}
-		ri := remaining[bestPos]
-		orderIdx = append(orderIdx, ri)
-		bound[ids[ri]] = true
-		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
-	}
-
-	out := &Query{Sys: q.Sys}
-	for _, ri := range orderIdx {
-		out.Retrieve = append(out.Retrieve, q.Retrieve[ri])
+		if best < 0 {
+			return q
+		}
+		if live {
+			cost, width, live = m.estimate(&bestStep, best, cost, width)
+		}
+		placed |= 1 << best
+		out.Retrieve = append(out.Retrieve, q.Retrieve[best])
 	}
 	return out
 }
 
-// connectivity counts constraints that mention v and otherwise only bound
-// variables — the constraints that become range-query content when v is
-// retrieved next.
-func connectivity(q *Query, v int, bound map[int]bool) int {
-	n := 0
-	for _, c := range q.Sys.Cons {
-		usesV := c.Lhs.Uses(v) || c.Rhs.Uses(v)
-		if !usesV {
-			continue
-		}
-		grounded := true
-		for _, fv := range append(c.Lhs.FreeVars(), c.Rhs.FreeVars()...) {
-			if fv != v && !bound[fv] {
-				grounded = false
-				break
-			}
-		}
-		if grounded {
-			n++
-		}
-	}
-	return n
+// greedyOrder is SuggestOrder's lazy share of CompileAdaptive's phase 1:
+// a residual per eliminated set, computed when the walk first needs it.
+// Sets of bindings are bitmasks over q.Retrieve.
+type greedyOrder struct {
+	q    *Query
+	full int
+	ids  []int
+	res  map[int]triangular.Elim // F nil: the set's residual failed
 }
 
-// permRank is perm's position in the enumeration CompileAdaptive's tie
-// rule follows: position 0 chooses first, and each position k chooses
-// among the bindings not yet placed in the order a swap-based generator
-// meets them — swap cur[k] with cur[k], cur[k+1], …, recurse, swap back.
-// perm is a permutation of 0..len(perm)-1, len(perm) ≤ maxAdaptivePermute.
-func permRank(perm []int) int {
-	var cur [maxAdaptivePermute]int
-	n := len(perm)
-	for i := range n {
-		cur[i] = i
+// residual returns the residual after eliminating the bindings in set.
+// Residuals are canonical (package triangular), so eliminating the set's
+// highest binding last gives the one any order would.
+func (g *greedyOrder) residual(set int) (triangular.Elim, bool) {
+	if e, ok := g.res[set]; ok {
+		return e, e.F != nil
 	}
-	rank := 0
-	for k := range n {
-		i := k
-		for cur[i] != perm[k] {
-			i++
+	last := bits.Len(uint(set)) - 1
+	var e triangular.Elim
+	if prev, ok := g.residual(set &^ (1 << last)); ok {
+		if _, rest, err := prev.Eliminate(g.ids[last]); err == nil {
+			e = rest
 		}
-		rank = rank*(n-k) + i - k
-		cur[k], cur[i] = cur[i], cur[k]
 	}
-	return rank
+	g.res[set] = e
+	return e, e.F != nil
+}
+
+// step returns binding j's elimination when it is placed in front of
+// every binding outside placed (placed includes j), as orderSearch.step
+// does.
+func (g *greedyOrder) step(placed, j int) (elimStep, bool) {
+	before := g.full &^ placed
+	e, ok := g.residual(before)
+	if !ok {
+		return elimStep{}, false
+	}
+	st, rest, err := e.Eliminate(g.ids[j])
+	if err != nil {
+		return elimStep{}, false
+	}
+	if _, ok := g.res[before|1<<j]; !ok {
+		g.res[before|1<<j] = rest
+	}
+	sp, err := stepBoxPlan(st, g.q.Retrieve[j])
+	if err != nil {
+		return elimStep{}, false
+	}
+	return elimStep{tri: st, box: sp, ok: true}, true
 }

@@ -14,7 +14,7 @@ func TestSuggestOrderSingleVariableIsIdentity(t *testing.T) {
 	x, c := q.Sys.Var("x"), q.Sys.Var("C")
 	q.Sys.Subset(x, c)
 	q.From("x", "towns")
-	if got := SuggestOrder(q, store); len(got.Retrieve) != 1 || got.Retrieve[0].Var != "x" {
+	if got := SuggestOrder(q, store, nil); len(got.Retrieve) != 1 || got.Retrieve[0].Var != "x" {
 		t.Errorf("SuggestOrder changed a single binding: %v", got.Retrieve)
 	}
 }
@@ -24,12 +24,13 @@ func TestSuggestOrderPrefersConnectedAndSmall(t *testing.T) {
 	store := spatialdb.NewStore(m.Config.Universe, spatialdb.RTree)
 	m.Populate(store)
 
-	// In the smuggler system, T connects to the parameter C directly
-	// (T ⋢ C) while B only connects to C (B ⊑ C) and R needs T. Both T
-	// and B have one grounded constraint initially; states (9) is smaller
-	// than towns (24), so B goes first, then T, then R.
+	// Without parameter values every parameter plans as the universe box,
+	// and the layer statistics steer the walk: states (9 objects) is the
+	// smallest first fanout, so B goes first; given B, towns' range query
+	// is estimated to return fewer candidates than roads', so T goes
+	// next, then R.
 	q := Smuggler()
-	got := SuggestOrder(q, store)
+	got := SuggestOrder(q, store, nil)
 	order := []string{got.Retrieve[0].Var, got.Retrieve[1].Var, got.Retrieve[2].Var}
 	if order[0] != "B" || order[1] != "T" || order[2] != "R" {
 		t.Errorf("suggested order = %v", order)
@@ -56,7 +57,7 @@ func TestSuggestOrderDoesNotMutateInput(t *testing.T) {
 	m.Populate(store)
 	q := Smuggler()
 	before := append([]Binding(nil), q.Retrieve...)
-	SuggestOrder(q, store)
+	SuggestOrder(q, store, nil)
 	for i := range before {
 		if q.Retrieve[i] != before[i] {
 			t.Fatalf("input query mutated")
@@ -97,7 +98,7 @@ func TestSuggestOrderNearBestPermutation(t *testing.T) {
 	// The static heuristic sees structure but not data selectivity
 	// (it cannot know that few roads overlap the area); it must at least
 	// avoid the worst orders.
-	suggested := SuggestOrder(base, store)
+	suggested := SuggestOrder(base, store, params)
 	res, err := CompileAndRun(suggested, store, params)
 	if err != nil {
 		t.Fatal(err)

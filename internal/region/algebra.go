@@ -2,6 +2,7 @@ package region
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/bbox"
 	"repro/internal/boolalg"
@@ -98,6 +99,38 @@ func (a *Algebra) Region(e boolalg.Element) *Region {
 // Clip returns r ∩ universe as an element of this algebra.
 func (a *Algebra) Clip(r *Region) boolalg.Element {
 	return r.Intersect(FromBox(a.universe))
+}
+
+// LowerBoxInto stores ⌈e ∧ u⌉, the bounding box of e within the
+// universe u, into dst and reports true. That box is a sound lower bound
+// on the bounding box of any x with e ⊑ x: each box of e ∧ u has positive
+// volume, and a positive-volume box that x covers up to a null set lies
+// in x. A complemented element reports false, leaving dst as it was: its
+// box decomposition is not at hand, so it yields no bound. An element
+// that is 0 within u leaves dst empty, which bounds nothing.
+//
+//boolq:noalloc
+func (a *Algebra) LowerBoxInto(e boolalg.Element, dst *bbox.Box) bool {
+	r, complemented := split(e)
+	if complemented {
+		return false
+	}
+	u := a.universe
+	dst.SetEmpty(u.K)
+	for _, b := range r.boxes {
+		if !interiorOverlaps(b, u) {
+			continue // outside u, or meeting it in a null set
+		}
+		if dst.IsEmpty() {
+			b.MeetInto(u, dst)
+			continue
+		}
+		for i := 0; i < u.K; i++ {
+			dst.Lo[i] = math.Min(dst.Lo[i], math.Max(b.Lo[i], u.Lo[i]))
+			dst.Hi[i] = math.Max(dst.Hi[i], math.Min(b.Hi[i], u.Hi[i]))
+		}
+	}
+	return true
 }
 
 // Bottom implements boolalg.Algebra.

@@ -3,6 +3,7 @@ package region
 import (
 	"testing"
 
+	"repro/internal/bbox"
 	"repro/internal/boolalg"
 	"repro/internal/formula"
 )
@@ -101,6 +102,32 @@ func TestAtomlessWitnessConstruction(t *testing.T) {
 		}
 		if !parts[i].Leq(r) {
 			t.Errorf("part %d escapes the region", i)
+		}
+	}
+}
+
+// LowerBoxInto: the bounding box within the universe, dropping parts that
+// meet it in a null set; a complement gives no box.
+func TestLowerBoxInto(t *testing.T) {
+	alg := NewAlgebra(rect(0, 0, 10, 10))
+	cases := []struct {
+		name string
+		e    boolalg.Element
+		ok   bool
+		want bbox.Box
+	}{
+		{"inside", FromBoxes(2, rect(1, 1, 2, 2), rect(5, 6, 7, 8)), true, rect(1, 1, 7, 8)},
+		{"clipped", FromBoxes(2, rect(-5, 2, 3, 4), rect(8, 8, 15, 9)), true, rect(0, 2, 10, 9)},
+		{"face contact only", FromBoxes(2, rect(2, 2, 3, 3), rect(10, 0, 12, 10)), true, rect(2, 2, 3, 3)},
+		{"outside", FromBox(rect(20, 20, 30, 30)), true, bbox.Empty(2)},
+		{"bottom", alg.Bottom(), true, bbox.Empty(2)},
+		{"complement", alg.Complement(FromBox(rect(1, 1, 2, 2))), false, rect(4, 4, 5, 5)},
+		{"top", alg.Top(), false, rect(4, 4, 5, 5)},
+	}
+	for _, c := range cases {
+		dst := rect(4, 4, 5, 5)
+		if ok := alg.LowerBoxInto(c.e, &dst); ok != c.ok || !dst.Equal(c.want) {
+			t.Errorf("%s: LowerBoxInto = %v, %v; want %v, %v", c.name, dst, ok, c.want, c.ok)
 		}
 	}
 }

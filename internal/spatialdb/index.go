@@ -10,9 +10,9 @@ import (
 // layerIndex is the index backend behind one layer, over slots: the
 // positions of the layer's objects in its slab. insert adds the object at
 // slot; search appends to slots the slot of every object whose bounding
-// box matches the spec (the layer applies the exact defense-in-depth
-// filter and ordering) and returns the grown slice with the backend cost
-// counters: index nodes/cells touched and candidate objects examined.
+// box matches the spec, and no other (the layer orders them), and returns
+// the grown slice with the backend cost counters: index nodes/cells
+// touched and candidate objects examined.
 type layerIndex interface {
 	insert(o Object, slot int64) error
 	search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int)
@@ -51,7 +51,7 @@ func newLayerIndex(l *Layer) layerIndex {
 	case Grid:
 		return &gridIndex{g: gridfile.New(2*l.k, gridBucketCap), k: l.k}
 	case ZOrderIdx:
-		return &zorderIndex{zx: zorder.NewIndex(l.universe, zorderBudget), universe: l.universe}
+		return &zorderIndex{zx: zorder.NewIndex(l.universe, zorderBudget), l: l}
 	default:
 		return scanIndex{l: l}
 	}
@@ -212,16 +212,27 @@ func (ix *gridIndex) BulkLoad(objs []Object) error {
 // the z-ordering extension the paper's conclusion sketches. Stored boxes
 // must lie inside the universe.
 type zorderIndex struct {
-	zx       *zorder.Index
-	universe bbox.Box
+	zx *zorder.Index
+	l  *Layer // its slab holds the boxes search re-checks
 }
 
 func (ix *zorderIndex) insert(o Object, slot int64) error { return ix.zx.Insert(o.Box, slot) }
 
+// search is the one backend whose structure cannot answer a spec exactly:
+// a z-order probe filters by a single overlap box (zorder.SearchSpec), so
+// the candidates it scanned are checked against the whole spec here.
 func (ix *zorderIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
 	n := len(slots)
 	slots, touched = ix.zx.SearchSpec(spec, slots)
-	return slots, touched, len(slots) - n
+	var buf [bbox.FlatRunsHint]float64
+	f, _ := spec.Flatten(buf[:0]) // SearchInto probes only satisfiable specs
+	found = slots[:n]
+	for _, slot := range slots[n:] {
+		if b := &ix.l.slab[slot].Box; f.Matches(b.Lo, b.Hi) {
+			found = append(found, slot)
+		}
+	}
+	return found, touched, len(slots) - n
 }
 
 // BulkLoad rebuilds the element list in one validated pass and sorts it
@@ -232,7 +243,7 @@ func (ix *zorderIndex) BulkLoad(objs []Object) error {
 	for i, o := range objs {
 		boxes[i] = o.Box
 	}
-	zx, err := zorder.BulkLoad(ix.universe, zorderBudget, boxes, iota64(len(objs)))
+	zx, err := zorder.BulkLoad(ix.l.universe, zorderBudget, boxes, iota64(len(objs)))
 	if err != nil {
 		return err
 	}

@@ -262,27 +262,16 @@ func (l *Layer) SearchStats(spec bbox.RangeSpec, visit func(Object) bool) Stats 
 // empty.
 func (l *Layer) SearchInto(spec bbox.RangeSpec, slots *[]int64, visit func(Object) bool) Stats {
 	s := Stats{Queries: 1}
-	var buf [bbox.FlatRunsHint]float64
-	f, ok := spec.Flatten(buf[:0])
-	if !ok {
+	if spec.Upper.IsEmpty() || spec.Unsatisfiable() {
 		return s
 	}
 	found, touched, scanned := l.idx.search(spec, (*slots)[:0])
 	*slots = found
 	slices.Sort(found) // ascending slots are ascending ids
-	s.Touched, s.Scanned = touched, scanned
-	visiting := true
+	s.Touched, s.Scanned, s.Returned = touched, scanned, len(found)
 	for _, slot := range found {
-		o := &l.slab[slot]
-		// Defense in depth: every backend must return exact matches; the
-		// filter also protects against floating-point edge cases in the point
-		// transform.
-		if !f.Matches(o.Box.Lo, o.Box.Hi) {
-			continue
-		}
-		s.Returned++ // every match counts, also after the visitor has stopped
-		if visiting && !visit(*o) {
-			visiting = false
+		if !visit(l.slab[slot]) {
+			break
 		}
 	}
 	return s

@@ -13,6 +13,7 @@
 # paired differences B-A (absolute and relative to A), their min and max,
 # and in how many of the k pairs B was the better side — the numbers a PR
 # quotes ("ops_per_s +31 %, 10/10 pairs") and a reviewer reruns.
+# A table of every run's value of each metric follows.
 #
 # Each run takes the benchmark's own length (about a minute per workload
 # with set-up), so ten pairs of one workload take twenty-odd minutes.
@@ -20,7 +21,7 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { sed -n '2,19p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,20p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 2 ] || usage
 specA=$1 specB=$2
 shift 2
@@ -120,6 +121,13 @@ END {
 		printf "%-14s %12.4f %12.4f %+12.4f %+7.1f%% %+12.4f %+12.4f  %d/%d pairs%s (%s is better)\n",
 			name, median(a, n), median(b, n), median(d, n), median(rel, n), lo, hi, wins, n,
 			ties ? sprintf(", %d ties", ties) : "", better[name]
+	}
+	printf "\nevery run (seed, side, then the metrics above in order):\n"
+	for (s = 1; s <= seeds; s++) for (k = 1; k <= 2; k++) {
+		side = k == 1 ? "A" : "B"
+		line = sprintf("%4d %s", s, side)
+		for (i = 1; i <= m; i++) line = line sprintf(" %12s", ((side, order[i], s) in val) ? sprintf("%.4f", val[side, order[i], s]) : "-")
+		print line
 	}
 	for (side in bad) printf "WARNING: %d run(s) of side %s reported failed operations or wrong answers\n", bad[side], side
 }' "$root/BENCHMARK.json" "$results"
