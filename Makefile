@@ -60,9 +60,11 @@ chaos:
 # the query parser and normaliser (FuzzParse, seeded from the golden
 # corpus texts), the WAL segment reader (FuzzSegment: Open's tail
 # repair and ReadFrom over an arbitrary active segment) and the mutation
-# record (FuzzMutation: DecodeMutation, then ApplyReplicated on an R-tree
-# and a z-order store), the bulk-insert body decoder (FuzzBulkObjects:
-# POST objects:bulk?mode=best_effort with arbitrary bytes) and the
+# record (FuzzMutation: DecodeMutation, then ApplyReplicated on a store
+# of each of the five index backends; every object an accepted record
+# stores lies inside the universe), the bulk-insert body decoder
+# (FuzzBulkObjects: POST objects:bulk?mode=best_effort with arbitrary
+# bytes; every stored object lies inside the universe) and the
 # /repl/wal envelope (FuzzReplRecords: the replica's NDJSON decoder, then
 # its record apply). A failing input
 # lands in the package's testdata/fuzz/<target> and replays in every plain

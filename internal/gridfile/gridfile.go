@@ -239,35 +239,6 @@ func (g *Grid) rehash() {
 	}
 }
 
-// Delete removes one point with the given coordinates and id.
-func (g *Grid) Delete(p []float64, id int64) bool {
-	if len(p) != g.k {
-		return false
-	}
-	b := g.dir[g.keyOf(p)]
-	if b == nil {
-		return false
-	}
-	for i, e := range b.entries {
-		if e.id != id {
-			continue
-		}
-		same := true
-		for d := 0; d < g.k; d++ {
-			if e.p[d] != p[d] {
-				same = false
-				break
-			}
-		}
-		if same {
-			b.entries = append(b.entries[:i], b.entries[i+1:]...)
-			g.size--
-			return true
-		}
-	}
-	return false
-}
-
 // searchStack bounds the dimensionality whose cell odometer and key fit
 // Search's stack arrays; a larger grid allocates them.
 const searchStack = 16

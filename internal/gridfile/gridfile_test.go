@@ -81,24 +81,6 @@ func TestDuplicatePointsOverflow(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	g := New(2, 4)
-	_ = g.Insert([]float64{1, 1}, 10)
-	_ = g.Insert([]float64{1, 1}, 11)
-	if !g.Delete([]float64{1, 1}, 10) {
-		t.Fatalf("Delete failed")
-	}
-	if g.Delete([]float64{1, 1}, 10) {
-		t.Errorf("double delete succeeded")
-	}
-	if g.Delete([]float64{9, 9}, 11) {
-		t.Errorf("delete with wrong coords succeeded")
-	}
-	if g.Len() != 1 {
-		t.Errorf("Len = %d", g.Len())
-	}
-}
-
 func TestSearchMatchesScan(t *testing.T) {
 	g := New(2, 8)
 	rng := rand.New(rand.NewSource(7))

@@ -91,43 +91,6 @@ func TestRunCtxCandidateLoopAllocs(t *testing.T) {
 	}
 }
 
-// TestExactFilterUniverseRelative pins the algebra's containment
-// semantics: stored regions may extend beyond the store universe, and the
-// exact filter must treat the excess as a null set (the generic
-// IsBottom(x ∧ ¬y) path complements within the universe, so the Leqer
-// fast path has to agree). Regression: an early version of the fast path
-// used absolute containment and silently dropped such objects, breaking
-// the every-configuration-same-solutions contract.
-func TestExactFilterUniverseRelative(t *testing.T) {
-	store := spatialdb.NewStore(bbox.Rect(0, 0, 100, 100), spatialdb.RTree)
-	store.MustInsert("objs", "spill", region.FromBox(bbox.Rect(90, 90, 110, 110)))
-	q := New()
-	x, c := q.Sys.Var("x"), q.Sys.Var("C")
-	q.Sys.Subset(x, c)
-	q.From("x", "objs")
-	plan, err := Compile(q, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := map[string]*region.Region{"C": region.FromBox(bbox.Rect(0, 0, 100, 100))}
-	// (UseIndex stays off: the bounding-box filter sees the raw, unclipped
-	// box — an object spilling past the universe is outside the paper's
-	// data model for the index path, and ZOrderIdx rejects such inserts.)
-	for _, opts := range []Options{
-		{UseIndex: false, UseExact: false},
-		{UseIndex: false, UseExact: true},
-	} {
-		res, err := plan.Run(store, params, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Solutions) != 1 {
-			t.Errorf("opts %+v: %d solutions, want 1 (object spilling past the universe must count as contained)",
-				opts, len(res.Solutions))
-		}
-	}
-}
-
 // TestScanExactLoopAllocs covers the other ablation: no index, exact
 // filter only — the fast Leq refutation must keep the scan allocation-free
 // per candidate too.

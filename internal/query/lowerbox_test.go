@@ -17,17 +17,12 @@ import (
 
 var lowerBoxUniverse = bbox.Rect(0, 0, 100, 100)
 
-// lowerBoxStore fills a store of the given kind. A box reaching outside
-// the universe is stored only where the backend accepts it: z-order keeps
-// stored boxes inside the universe.
+// lowerBoxStore fills a store of the given kind.
 func lowerBoxStore(t *testing.T, kind spatialdb.IndexKind, layers map[string]map[string]bbox.Box) *spatialdb.Store {
 	t.Helper()
 	store := spatialdb.NewStore(lowerBoxUniverse, kind)
 	for layer, objs := range layers {
 		for name, b := range objs {
-			if kind == spatialdb.ZOrderIdx && !lowerBoxUniverse.Contains(b) {
-				continue
-			}
 			store.MustInsert(layer, name, region.FromBox(b))
 		}
 	}
@@ -50,44 +45,6 @@ func runAgainstNaive(t *testing.T, kind spatialdb.IndexKind, plan *Plan, store *
 		t.Fatalf("%v: solutions %v, naive %v\n%s", kind, got, want, plan.Explain())
 	}
 	return res
-}
-
-// Y ∧ ¬P ⊑ X: Algorithm 2 bounds X's lower side by ∅, the executor by
-// ⌈Y ∧ ¬P⌉ within the universe. y-wide reaches outside the universe, so
-// its unclipped box would ask X to contain its outside part and lose the
-// solution (y-wide, x-a). Each y's probe returns exactly its solutions.
-func TestLowerBoxClippedToUniverse(t *testing.T) {
-	layers := map[string]map[string]bbox.Box{
-		"ys": {
-			"y-wide": bbox.Rect(-20, 60, 20, 80), // ∧ ¬P within U: [0,20]×[60,80]
-			"y-in":   bbox.Rect(30, 60, 40, 70),
-		},
-		"xs": {
-			"x-a": bbox.Rect(0, 55, 25, 85),
-			"x-b": bbox.Rect(5, 55, 45, 85),
-			"x-c": bbox.Rect(50, 0, 60, 10),
-		},
-	}
-	params := map[string]*region.Region{"P": region.FromBox(bbox.Rect(0, 0, 100, 50))}
-	q := New()
-	y, x, p := q.Sys.Var("Y"), q.Sys.Var("X"), q.Sys.Var("P")
-	q.Sys.Subset(formula.And(y, formula.Not(p)), x)
-	q.From("Y", "ys").From("X", "xs")
-	for _, kind := range allKinds {
-		store := lowerBoxStore(t, kind, layers)
-		plan, err := Compile(q, store)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := runAgainstNaive(t, kind, plan, store, params)
-		ys := store.Layer("ys").Len()
-		if want := ys; res.Stats.Solutions != want {
-			t.Errorf("%v: %d solutions, want %d", kind, res.Stats.Solutions, want)
-		}
-		if want := ys + res.Stats.Solutions; res.Stats.Candidates != want {
-			t.Errorf("%v: %d candidates, want %d (each y's probe returns only its solutions)", kind, res.Stats.Candidates, want)
-		}
-	}
 }
 
 // ¬P ∧ ¬Y ⊑ X: the exact lower bound is a complement, which gives no box.

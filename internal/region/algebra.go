@@ -18,8 +18,9 @@ import (
 // Morgan, and the predicates dispatch on the signs — so the universe is
 // never subtracted from. The sign is private to this package: callers see
 // only boolalg.Element and get a *Region back through Region, which takes
-// the complement when there is one. Stored regions may extend beyond the
-// universe; every predicate ignores that excess (coveredIn, overlapsIn),
+// the complement when there is one. An operand may extend beyond the
+// universe (the store refuses such objects, but the algebra does not rely
+// on it); every predicate ignores that excess (coveredIn, overlapsIn),
 // exactly as a materialised complement would.
 //
 // Within its universe the algebra is atomless in the operational sense the

@@ -259,8 +259,23 @@ func TestQuickDifferenceViaComplement(t *testing.T) {
 // boxes stay pairwise interior-disjoint with positive volume, and the
 // fast Leq/Overlaps agree with their measure-theoretic definitions.
 func TestQuickInvariantsAndFastPredicates(t *testing.T) {
+	u := rect(0, 0, 12, 12)
+	alg := NewAlgebra(u)
+	// spill reaches outside u. Within the algebra that excess is a null
+	// set: spill ⊑ u, and the Leq/Overlaps fast paths must agree with the
+	// generic x ∧ ¬y = 0 on it as on the random regions (which spill too).
+	spill := FromBox(rect(9, 9, 14, 14))
+	if !alg.Leq(spill, FromBox(u)) || !spill.LeqIn(u, FromBox(u)) {
+		t.Fatal("a region spilling outside the universe is not contained in it")
+	}
 	check := func(s1, s2 uint64) bool {
 		a, b := randRegion(s1), randRegion(s2)
+		for _, x := range []*Region{a, spill} {
+			if alg.Leq(x, b) != alg.IsBottom(alg.Meet(x, alg.Complement(b))) ||
+				alg.Overlaps(x, b) != !alg.IsBottom(alg.Meet(x, b)) {
+				return false
+			}
+		}
 		for _, r := range []*Region{a.Union(b), a.Difference(b), a.Intersect(b)} {
 			for i, bi := range r.boxes {
 				if !positiveVolume(bi) {
@@ -277,7 +292,6 @@ func TestQuickInvariantsAndFastPredicates(t *testing.T) {
 			return false
 		}
 		// LeqIn is containment clipped to a universe: (a\b) ∩ u = (a∩u)\b.
-		u := rect(0, 0, 12, 12)
 		if a.LeqIn(u, b) != a.Intersect(FromBox(u)).Leq(b) {
 			return false
 		}

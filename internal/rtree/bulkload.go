@@ -64,15 +64,6 @@ func BulkLoadRuns(k int, runs []float64, ids []int64, opts ...Option) (*Tree, er
 	return t, nil
 }
 
-// Entries returns every stored (box, id) entry in an unspecified order,
-// with freshly allocated boxes. Feeding the slice back into BulkLoad
-// re-packs the tree's current contents with STR.
-func (t *Tree) Entries() []Entry {
-	out := make([]Entry, 0, t.size)
-	collectEntries(t.root, t.k, &out)
-	return out
-}
-
 // packNodes tiles child nodes into parent nodes.
 func packNodes(t *Tree, children []*node) []*node {
 	w := 2 * t.k

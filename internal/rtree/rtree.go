@@ -3,11 +3,12 @@
 // over bounding boxes (§1, reference [6]).
 //
 // The tree stores (box, id) entries and answers the range-query primitives
-// the compiled plans need: overlap search, containment search, and the
-// combined RangeSpec search with subtree pruning. Insertion uses Guttman's
-// least-enlargement descent; node splitting offers the quadratic (default)
-// and linear algorithms from the original paper. Deletion condenses the
-// tree and reinserts orphaned entries.
+// the compiled plans need: overlap search and the combined RangeSpec
+// search (containment, overlap and lower-bound constraints) with subtree
+// pruning. Insertion uses Guttman's least-enlargement descent; node
+// splitting offers the quadratic (default) and linear algorithms from the
+// original paper. There is no delete: the store removes an object by
+// rebuilding its layer's index.
 //
 // Nodes keep their slots' boxes flat: one []float64 holding a run of 2k
 // floats (lo₁…lo_k, hi₁…hi_k) per slot — an entry's box in a leaf, a
@@ -99,16 +100,6 @@ func joinVolume(a, b []float64, k int) float64 {
 // enlarge is the volume increase of a ⊔ b over a (Guttman's insertion
 // heuristic).
 func enlarge(a, b []float64, k int) float64 { return joinVolume(a, b, k) - volume(a, k) }
-
-// contains reports whether run a contains run b.
-func contains(a, b []float64, k int) bool {
-	for i := 0; i < k; i++ {
-		if b[i] < a[i] || b[k+i] > a[k+i] {
-			return false
-		}
-	}
-	return true
-}
 
 // runBox copies a run into a fresh Box.
 func runBox(r []float64, k int) bbox.Box {
@@ -260,77 +251,6 @@ func (t *Tree) propagateSplits(path []*node, slots []int) {
 	}
 }
 
-// Delete removes one entry with the given box and id, returning whether it
-// was found. Underfull nodes are condensed: their surviving entries are
-// reinserted, per Guttman's CondenseTree.
-func (t *Tree) Delete(box bbox.Box, id int64) bool {
-	if t.checkBox(box) != nil || t.size == 0 {
-		return false
-	}
-	r := box.AppendRun(nil)
-	var orphans []Entry
-	if !t.deleteRec(t.root, r, id, &orphans) {
-		return false
-	}
-	t.size--
-	// Shrink a root with a single internal child.
-	for !t.root.leaf && len(t.root.children) == 1 {
-		t.root = t.root.children[0]
-	}
-	if t.root.len() == 0 {
-		t.rootRun = nil
-	} else {
-		t.root.mbr(t.rootRun, t.k)
-	}
-	for _, e := range orphans {
-		t.size-- // insertRun will re-add
-		t.insertRun(e.Box.AppendRun(nil), e.ID)
-	}
-	return true
-}
-
-func (t *Tree) deleteRec(n *node, r []float64, id int64, orphans *[]Entry) bool {
-	w := 2 * t.k
-	if n.leaf {
-		for i, eid := range n.ids {
-			if eid == id && slices.Equal(n.run(i, w), r) {
-				n.ids = slices.Delete(n.ids, i, i+1)
-				n.runs = slices.Delete(n.runs, i*w, i*w+w)
-				return true
-			}
-		}
-		return false
-	}
-	for i, c := range n.children {
-		if !contains(n.run(i, w), r, t.k) {
-			continue
-		}
-		if t.deleteRec(c, r, id, orphans) {
-			if c.len() < t.min {
-				collectEntries(c, t.k, orphans)
-				n.children = slices.Delete(n.children, i, i+1)
-				n.runs = slices.Delete(n.runs, i*w, i*w+w)
-			} else {
-				c.mbr(n.run(i, w), t.k)
-			}
-			return true
-		}
-	}
-	return false
-}
-
-func collectEntries(n *node, k int, out *[]Entry) {
-	if n.leaf {
-		for i, id := range n.ids {
-			*out = append(*out, Entry{Box: runBox(n.run(i, 2*k), k), ID: id})
-		}
-		return
-	}
-	for _, c := range n.children {
-		collectEntries(c, k, out)
-	}
-}
-
 // flatStack is the float count of the stack arrays searches flatten their
 // query into; larger queries allocate.
 const flatStack = 2 * bbox.FlatRunsHint
@@ -347,20 +267,6 @@ func (t *Tree) SearchOverlap(q bbox.Box, visit func(id int64) bool) int {
 	var buf [flatStack]float64
 	var f bbox.FlatSpec
 	f.K, f.Over = t.k, q.AppendRun(buf[:0])
-	return t.search(&f, visit)
-}
-
-// SearchContained visits the id of every entry whose box is contained
-// in q.
-//
-//boolq:noalloc
-func (t *Tree) SearchContained(q bbox.Box, visit func(id int64) bool) int {
-	if q.IsEmpty() {
-		return 1
-	}
-	var buf [flatStack]float64
-	var f bbox.FlatSpec
-	f.K, f.Upper = t.k, q.AppendRun(buf[:0])
 	return t.search(&f, visit)
 }
 

@@ -73,12 +73,17 @@ func TestSmallOverlapSearch(t *testing.T) {
 	}
 }
 
+// containedIn is the containment query "box inside q" as a range spec.
+func containedIn(q bbox.Box) bbox.RangeSpec {
+	return bbox.RangeSpec{K: q.K, Lower: bbox.Empty(q.K), Upper: q}
+}
+
 func TestContainedSearch(t *testing.T) {
 	tr := New(2)
 	_ = tr.Insert(rect(0, 0, 1, 1), 0)
 	_ = tr.Insert(rect(0, 0, 5, 5), 1)
 	_ = tr.Insert(rect(2, 2, 3, 3), 2)
-	ids := collectIDs(func(v func(int64) bool) int { return tr.SearchContained(rect(0, 0, 3.5, 3.5), v) })
+	ids := collectIDs(func(v func(int64) bool) int { return tr.SearchSpec(containedIn(rect(0, 0, 3.5, 3.5)), v) })
 	if len(ids) != 2 || ids[0] != 0 || ids[1] != 2 {
 		t.Errorf("contained ids = %v", ids)
 	}
@@ -111,8 +116,8 @@ func randomBoxes(n int, seed int64) []bbox.Box {
 	return out
 }
 
-// Exhaustive cross-check against linear scan for all three search modes,
-// both split strategies.
+// Exhaustive cross-check against linear scan for overlap and containment
+// search, both split strategies.
 func TestSearchMatchesLinearScan(t *testing.T) {
 	for _, strat := range []SplitStrategy{QuadraticSplit, LinearSplit} {
 		tr := New(2, WithSplit(strat), WithBranching(2, 5))
@@ -137,7 +142,7 @@ func TestSearchMatchesLinearScan(t *testing.T) {
 			if !equalIDs(got, want) {
 				t.Fatalf("overlap mismatch for %v: got %d ids, want %d", q, len(got), len(want))
 			}
-			gotC := collectIDs(func(v func(int64) bool) int { return tr.SearchContained(q, v) })
+			gotC := collectIDs(func(v func(int64) bool) int { return tr.SearchSpec(containedIn(q), v) })
 			var wantC []int64
 			for i, b := range boxes {
 				if q.Contains(b) {
@@ -189,60 +194,6 @@ func TestSearchSpecUnsatisfiable(t *testing.T) {
 	})
 	if touched != 0 {
 		t.Errorf("touched %d nodes on unsatisfiable spec", touched)
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := New(2, WithBranching(2, 4))
-	boxes := randomBoxes(200, 5)
-	for i, b := range boxes {
-		_ = tr.Insert(b, int64(i))
-	}
-	// Delete half, verify the rest intact.
-	for i := 0; i < 100; i++ {
-		if !tr.Delete(boxes[i], int64(i)) {
-			t.Fatalf("Delete(%d) failed", i)
-		}
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len after deletes = %d", tr.Len())
-	}
-	if err := tr.checkInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	got := collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(rect(0, 0, 200, 200), v) })
-	if len(got) != 100 {
-		t.Fatalf("%d entries visible after deletes", len(got))
-	}
-	for _, id := range got {
-		if id < 100 {
-			t.Fatalf("deleted entry %d still present", id)
-		}
-	}
-	// Deleting a missing entry returns false.
-	if tr.Delete(rect(0, 0, 1, 1), 9999) {
-		t.Errorf("deleting a missing entry succeeded")
-	}
-}
-
-func TestDeleteToEmptyAndReuse(t *testing.T) {
-	tr := New(2)
-	for i := 0; i < 50; i++ {
-		_ = tr.Insert(rect(float64(i), 0, float64(i+1), 1), int64(i))
-	}
-	for i := 0; i < 50; i++ {
-		if !tr.Delete(rect(float64(i), 0, float64(i+1), 1), int64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len = %d after deleting all", tr.Len())
-	}
-	// Tree must be reusable.
-	_ = tr.Insert(rect(0, 0, 1, 1), 7)
-	ids := collectIDs(func(v func(int64) bool) int { return tr.SearchOverlap(rect(0, 0, 2, 2), v) })
-	if len(ids) != 1 || ids[0] != 7 {
-		t.Errorf("reuse after emptying failed: %v", ids)
 	}
 }
 

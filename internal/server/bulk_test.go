@@ -285,8 +285,8 @@ func TestBatchAndBulkStats(t *testing.T) {
 // FuzzBulkObjects feeds arbitrary bytes as the body of a best-effort bulk
 // insert into an R-tree store. The decoder and the per-object validation
 // must answer every body with a 2xx or 4xx status and never panic, and
-// every object the store then holds must be found by a probe of its own
-// bounding box.
+// every object the store then holds must lie inside the universe and be
+// found by a probe of its own bounding box.
 func FuzzBulkObjects(f *testing.F) {
 	var ndjson strings.Builder
 	for i := 0; i < 3; i++ {
@@ -312,7 +312,8 @@ func FuzzBulkObjects(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		store := spatialdb.NewStore(bbox.Rect(0, 0, 1000, 1000), spatialdb.RTree)
+		u := bbox.Rect(0, 0, 1000, 1000)
+		store := spatialdb.NewStore(u, spatialdb.RTree)
 		s := New(store, Options{})
 		w := rawRequest(s, http.MethodPost, "/layers/parcels/objects:bulk?mode=best_effort", "application/x-ndjson", string(body))
 		if w.Code < 200 || w.Code >= 500 {
@@ -325,6 +326,9 @@ func FuzzBulkObjects(f *testing.F) {
 			return
 		}
 		l.All(func(o spatialdb.Object) bool {
+			if !u.Contains(o.Box) {
+				t.Fatalf("object %d %q with box %v lies outside the universe %v", o.ID, o.Name, o.Box, u)
+			}
 			found := false
 			l.Search(bbox.RangeSpec{K: 2, Lower: o.Box, Upper: o.Box}, func(m spatialdb.Object) bool {
 				found = found || m.ID == o.ID

@@ -130,8 +130,9 @@ type bulkResponse struct {
 	Failed   int         `json:"failed"`
 	Epoch    uint64      `json:"epoch"`
 	Errors   []bulkError `json:"errors,omitempty"`
-	// Error is the batch-level failure (durability loss, degraded mode) as
-	// opposed to the per-object Errors above.
+	// Error is the batch-level failure (an aborted atomic batch, durability
+	// loss, degraded mode, the replica gate) as opposed to the per-object
+	// Errors above.
 	Error string `json:"error,omitempty"`
 }
 

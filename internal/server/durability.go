@@ -43,15 +43,25 @@ const PrimaryHeader = "X-Boolq-Primary"
 // is usually a stream flush away, so it is the short value.
 const retryAfterLagging = 1
 
-// mutationStatus maps a mutation error to an HTTP status. Degraded
-// read-only mode (the WAL is down, a background probe is repairing it)
-// and the replica gate (writes belong on the primary) are both 503 —
-// retryable somewhere, if not here; a plain durability failure (the WAL
-// append failed and the write must not be treated as acknowledged) is a
-// server-side 500; anything else is the caller's 400.
-func mutationStatus(err error) int {
+// mutationFailure is the one mapping from a failed mutation to its HTTP
+// answer: it sets the headers that go with the error and returns the
+// status. The replica gate (the write belongs on the primary, named in
+// X-Boolq-Primary when known) and degraded read-only mode (the WAL is
+// down and a background probe is repairing it) are 503 plus Retry-After —
+// retryable somewhere, if not here; a mutation that degraded the store
+// matches both ErrDurability and ErrDegraded and answers the same 503. A
+// plain durability failure (the WAL append failed and the write must not
+// be treated as acknowledged) is a server-side 500; anything else is the
+// caller's 400.
+func (s *Server) mutationFailure(w http.ResponseWriter, err error) int {
 	switch {
-	case errors.Is(err, spatialdb.ErrDegraded), errors.Is(err, spatialdb.ErrReplica):
+	case errors.Is(err, spatialdb.ErrReplica):
+		if rp := s.replica; rp != nil && rp.Primary() != "" {
+			w.Header().Set(PrimaryHeader, rp.Primary())
+		}
+		fallthrough
+	case errors.Is(err, spatialdb.ErrDegraded):
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterDegraded))
 		return http.StatusServiceUnavailable
 	case errors.Is(err, spatialdb.ErrDurability):
 		return http.StatusInternalServerError
@@ -59,31 +69,17 @@ func mutationStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// writeMutationError reports a failed mutation, attaching Retry-After
-// when the failure is the retryable degraded-mode rejection and the
-// primary's address when it is the replica gate.
+// writeMutationError reports a failed mutation with mutationFailure's
+// status and headers; the replica gate gets its own message.
 //
 //boolq:errwriter
 func (s *Server) writeMutationError(w http.ResponseWriter, err error, format string, args ...any) {
+	status := s.mutationFailure(w, err)
 	if errors.Is(err, spatialdb.ErrReplica) {
-		primary := ""
-		if s.replica != nil {
-			primary = s.replica.Primary()
+		format, args = "store is a read-only replica", nil
+		if primary := w.Header().Get(PrimaryHeader); primary != "" {
+			format, args = "store is a read-only replica; write to the primary at %s", []any{primary}
 		}
-		if primary != "" {
-			w.Header().Set(PrimaryHeader, primary)
-			writeRetryError(w, http.StatusServiceUnavailable, retryAfterDegraded,
-				"store is a read-only replica; write to the primary at %s", primary)
-			return
-		}
-		writeRetryError(w, http.StatusServiceUnavailable, retryAfterDegraded,
-			"store is a read-only replica")
-		return
-	}
-	status := mutationStatus(err)
-	if status == http.StatusServiceUnavailable {
-		writeRetryError(w, status, retryAfterDegraded, format, args...)
-		return
 	}
 	writeError(w, status, format, args...)
 }

@@ -1,10 +1,14 @@
 package server
 
 import (
+	"errors"
+	"fmt"
 	"net/http"
 	"testing"
 
 	"repro/internal/bbox"
+	"repro/internal/region"
+	"repro/internal/repl"
 	"repro/internal/spatialdb"
 	"repro/internal/wal"
 )
@@ -129,5 +133,65 @@ func TestNonDurableServerBehaviour(t *testing.T) {
 	do(t, s, http.MethodGet, "/stats", nil, &stats)
 	if stats.WAL != nil {
 		t.Fatalf("/stats grew a wal section without durable mode: %+v", stats.WAL)
+	}
+}
+
+// TestMutationFailureMapping: PUT, DELETE, layer creation and bulk insert
+// answer each mutation error with the same status and headers.
+func TestMutationFailureMapping(t *testing.T) {
+	const primary = "http://primary.invalid:8080"
+	u := bbox.Rect(0, 0, 1000, 1000)
+	// withA is a server over a store holding towns/a, prepared by arm.
+	withA := func(arm func(*spatialdb.Store)) func(*testing.T) *Server {
+		return func(t *testing.T) *Server {
+			store := spatialdb.NewStore(u, spatialdb.RTree)
+			store.MustInsert("towns", "a", region.FromBox(bbox.Rect(1, 1, 2, 2)))
+			arm(store)
+			return New(store, Options{})
+		}
+	}
+	failSink := func(err error) func(*spatialdb.Store) {
+		return func(s *spatialdb.Store) { s.SetMutationSink(func(*spatialdb.Mutation) error { return err }) }
+	}
+	cases := []struct {
+		name       string
+		server     func(*testing.T) *Server
+		status     int
+		retryAfter bool
+		primary    string
+	}{
+		{"durability", withA(failSink(errors.New("disk full"))), http.StatusInternalServerError, false, ""},
+		{"degraded", withA(func(s *spatialdb.Store) { s.SetDegraded(true) }), http.StatusServiceUnavailable, true, ""},
+		{"degraded wrapped in durability", withA(failSink(fmt.Errorf("append: %w", spatialdb.ErrDegraded))),
+			http.StatusServiceUnavailable, true, ""},
+		{"replica", func(t *testing.T) *Server {
+			rep, err := repl.New(repl.Options{Primary: primary, Transport: &repl.HTTPTransport{Base: primary},
+				Kind: spatialdb.RTree, Universe: u})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return New(rep.Store(), Options{Replica: rep})
+		}, http.StatusServiceUnavailable, true, primary},
+	}
+	requests := []struct{ name, method, path, body string }{
+		{"PUT", http.MethodPut, "/layers/towns/objects/x", `{"boxes":[{"lo":[10,10],"hi":[20,20]}]}`},
+		{"DELETE", http.MethodDelete, "/layers/towns/objects/a", ""},
+		{"create layer", http.MethodPut, "/layers/fresh", ""},
+		{"bulk", http.MethodPost, "/layers/towns/objects:bulk", `[{"name":"b","boxes":[{"lo":[30,30],"hi":[40,40]}]}]`},
+	}
+	for _, c := range cases {
+		for _, r := range requests {
+			w := rawRequest(c.server(t), r.method, r.path, "application/json", r.body)
+			label := c.name + " " + r.name
+			if w.Code != c.status {
+				t.Errorf("%s: status %d, want %d: %s", label, w.Code, c.status, w.Body.String())
+			}
+			if got := w.Header().Get("Retry-After") != ""; got != c.retryAfter {
+				t.Errorf("%s: Retry-After %q, want set=%v", label, w.Header().Get("Retry-After"), c.retryAfter)
+			}
+			if got := w.Header().Get(PrimaryHeader); got != c.primary {
+				t.Errorf("%s: %s %q, want %q", label, PrimaryHeader, got, c.primary)
+			}
+		}
 	}
 }

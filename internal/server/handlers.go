@@ -106,20 +106,6 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "region: %v", err)
 		return
 	}
-	if reg.IsEmpty() {
-		// Upsert would reject this too, but with a less pointed message.
-		writeError(w, http.StatusBadRequest, "region: empty (no boxes with positive volume)")
-		return
-	}
-	if !store.Universe().Contains(reg.BoundingBox()) {
-		// Enforced uniformly here: some index backends would reject this
-		// themselves while others would accept it and then give the object
-		// universe-relative complement semantics — backend-dependent query
-		// answers either way.
-		writeError(w, http.StatusBadRequest, "region: bounding box %v outside the store universe %v",
-			reg.BoundingBox(), store.Universe())
-		return
-	}
 	o, replaced, err := store.Upsert(layer, name, reg)
 	if err != nil {
 		s.writeMutationError(w, err, "upserting %s/%s: %v", layer, name, err)

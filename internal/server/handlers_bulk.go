@@ -3,11 +3,9 @@ package server
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -125,36 +123,26 @@ func (s *Server) handleBulkInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.BulkBatches.Add(1)
 
-	// Wire-level validation per object: dimensionality, emptiness and
-	// universe containment, the same checks the single-object PUT makes.
-	wireErrs := make([]error, len(objs))
+	// Only decoding can fail here; the store validates the regions (it
+	// refuses empty ones and ones outside its universe). errs collects
+	// both kinds of per-object failure by batch position.
+	errs := make([]error, len(objs))
 	items := make([]spatialdb.BulkItem, 0, len(objs))
 	vidx := make([]int, 0, len(objs)) // items position → objs position
 	for i, bo := range objs {
 		reg, err := jsonRegion{Boxes: bo.Boxes}.toRegion(store.K())
-		switch {
-		case err != nil:
-			wireErrs[i] = fmt.Errorf("region: %v", err)
-		case reg.IsEmpty():
-			wireErrs[i] = errors.New("region: empty (no boxes with positive volume)")
-		case !store.Universe().Contains(reg.BoundingBox()):
-			wireErrs[i] = fmt.Errorf("region: bounding box %v outside the store universe %v",
-				reg.BoundingBox(), store.Universe())
-		default:
-			items = append(items, spatialdb.BulkItem{Name: bo.Name, Reg: reg})
-			vidx = append(vidx, i)
+		if err != nil {
+			errs[i] = fmt.Errorf("region: %v", err)
+			continue
 		}
+		items = append(items, spatialdb.BulkItem{Name: bo.Name, Reg: reg})
+		vidx = append(vidx, i)
 	}
-	collectErrs := func(rep spatialdb.BulkReport) []bulkError {
+	collectErrs := func() []bulkError {
 		var out []bulkError
-		for i, we := range wireErrs {
-			if we != nil {
-				out = append(out, bulkError{Index: i, Name: objs[i].Name, Error: we.Error()})
-			}
-		}
-		for vi, res := range rep.Results {
-			if res.Err != nil {
-				out = append(out, bulkError{Index: vidx[vi], Name: objs[vidx[vi]].Name, Error: res.Err.Error()})
+		for i, err := range errs {
+			if err != nil {
+				out = append(out, bulkError{Index: i, Name: objs[i].Name, Error: err.Error()})
 			}
 		}
 		return out
@@ -163,52 +151,26 @@ func (s *Server) handleBulkInsert(w http.ResponseWriter, r *http.Request) {
 
 	if mode == spatialdb.BulkAtomic && len(items) < len(objs) {
 		resp.Failed = len(objs)
-		resp.Errors = collectErrs(spatialdb.BulkReport{})
+		resp.Errors = collectErrs()
 		writeJSON(w, http.StatusBadRequest, resp)
 		return
 	}
 	rep, err := store.BulkInsert(layer, items, mode)
+	for vi, res := range rep.Results {
+		if res.Err != nil {
+			errs[vidx[vi]] = res.Err
+		}
+	}
 	resp.Epoch = rep.Epoch
 	resp.Inserted = rep.Inserted
-	resp.Errors = collectErrs(rep)
-	if errors.Is(err, spatialdb.ErrReplica) {
-		// Checked before ErrDegraded: the replica gate rejects before the
-		// degraded gate is even consulted, and the remedy is different —
-		// send the batch to the primary, don't retry here.
-		resp.Failed = len(objs) - rep.Inserted
+	resp.Failed = len(objs) - rep.Inserted
+	resp.Errors = collectErrs()
+	if err != nil {
 		resp.Error = err.Error()
-		if rp := s.replica; rp != nil && rp.Primary() != "" {
-			w.Header().Set(PrimaryHeader, rp.Primary())
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterDegraded))
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
-	}
-	if errors.Is(err, spatialdb.ErrDegraded) {
-		// Checked before ErrDurability: the mutation that *triggered*
-		// degradation matches both. Either way the batch must be retried
-		// once the store re-arms.
-		resp.Failed = len(objs) - rep.Inserted
-		resp.Error = err.Error()
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterDegraded))
-		writeJSON(w, http.StatusServiceUnavailable, resp)
-		return
-	}
-	if errors.Is(err, spatialdb.ErrDurability) {
-		// The batch (or part of it) is applied in memory but its WAL
-		// record was not acknowledged; the client must treat it as failed.
-		resp.Failed = len(objs) - rep.Inserted
-		resp.Error = err.Error()
-		writeJSON(w, http.StatusInternalServerError, resp)
-		return
-	}
-	if err != nil { // atomic abort: nothing inserted
-		resp.Failed = len(objs)
-		writeJSON(w, http.StatusBadRequest, resp)
+		writeJSON(w, s.mutationFailure(w, err), resp)
 		return
 	}
 	s.metrics.BulkObjects.Add(int64(rep.Inserted))
-	resp.Failed = len(objs) - rep.Inserted
 	status := http.StatusOK
 	if resp.Failed > 0 {
 		status = http.StatusMultiStatus

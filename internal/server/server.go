@@ -45,12 +45,13 @@
 //
 // The batch-shaped entry points exist because the single-object paths are
 // where a production load falls over: objects:bulk takes the store's
-// write lock once per batch and engages the index backends' packed bulk
-// loaders (spatialdb.BulkLoader), and /query/batch compiles each distinct
-// query once through the plan cache against one (store, generation,
-// epoch) snapshot, fans execution across a bounded worker pool, and
-// streams one NDJSON result line per query so large result sets never
-// buffer server-side.
+// write lock once per batch, and a batch that is a sizable fraction of
+// its layer rebuilds the index in one packed build (spatialdb.BulkInsert);
+// the store, not the handler, validates each region. /query/batch
+// compiles each distinct query once through the plan cache against one
+// (store, generation, epoch) snapshot, fans execution across a bounded
+// worker pool, and streams one NDJSON result line per query so large
+// result sets never buffer server-side.
 package server
 
 import (

@@ -271,6 +271,23 @@ func TestSnapshotRoundTripOverHTTP(t *testing.T) {
 	}
 }
 
+// TestSnapshotLoadRefusesOutOfUniverse: POST /snapshot of a document
+// holding an object that reaches outside the universe answers 400 and
+// keeps the current store.
+func TestSnapshotLoadRefusesOutOfUniverse(t *testing.T) {
+	s, _ := newTestServer(t)
+	before := s.Store()
+	doc := `{"version": 2, "next_id": 1, "universe": {"lo": [0, 0], "hi": [100, 100]},
+	  "layers": [{"name": "ys", "objects": [{"id": 1, "name": "y", "boxes": [{"lo": [-10, 10], "hi": [10, 20]}]}]}]}`
+	w := rawRequest(s, http.MethodPost, "/snapshot", "application/json", doc)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("POST /snapshot: %d, want 400: %s", w.Code, w.Body.String())
+	}
+	if s.Store() != before {
+		t.Error("a refused snapshot replaced the store")
+	}
+}
+
 func TestQueryErrors(t *testing.T) {
 	s, m := newTestServer(t)
 	cases := []struct {

@@ -12,10 +12,8 @@ type BulkMode int
 
 // Bulk insertion modes.
 const (
-	// BulkAtomic inserts every object or none: an invalid object or an
-	// index rejection anywhere in the batch aborts it and leaves the
-	// store's objects unchanged (a layer created for the batch persists —
-	// it is idempotent metadata).
+	// BulkAtomic inserts every object or none: an invalid object anywhere
+	// in the batch aborts it and leaves the store unchanged.
 	BulkAtomic BulkMode = iota
 	// BulkBestEffort inserts every insertable object and reports
 	// per-object errors for the rest.
@@ -54,18 +52,18 @@ type BulkReport struct {
 
 // BulkInsert adds a batch of named regions to a layer under ONE
 // write-lock acquisition, bumping the epoch once for the whole batch
-// instead of once per object. Backends implementing BulkLoader (R-tree
-// and point R-tree via STR packing, grid file via pre-seeded scales,
-// z-order via a single sorted build) rebuild their structure in one
-// packed pass over the existing and new objects; other backends fall
-// back to looped inserts.
+// instead of once per object. A batch that is a sizable fraction of the
+// layer rebuilds the index in one packed pass over the existing and new
+// objects (STR packing for the R-tree backends, pre-seeded scales for the
+// grid file, one sorted build for z-order); a smaller one is inserted
+// object by object.
 //
-// Validation (empty regions) happens before anything touches the index.
-// In BulkAtomic mode any invalid object or index rejection aborts the
-// batch with a non-nil error and leaves the layer's objects and the id
-// counter as they were. In BulkBestEffort mode every insertable object
-// is inserted, failures are reported per object in the report, and the
-// error is nil.
+// Validation (newObject) is the only step that can refuse an object, and
+// it runs before anything touches the layer. In BulkAtomic mode any
+// invalid object aborts the batch with a non-nil error and leaves the
+// store as it was. In BulkBestEffort mode every valid object is inserted,
+// the invalid ones are reported per object in the report, and the error
+// is nil.
 //
 //boolq:mutation
 func (s *Store) BulkInsert(layer string, items []BulkItem, mode BulkMode) (BulkReport, error) {
@@ -78,9 +76,8 @@ func (s *Store) BulkInsert(layer string, items []BulkItem, mode BulkMode) (BulkR
 	}
 	_, existed := s.layers[layer]
 
-	// Validate first: invalid objects never reach the index. The valid
-	// ones take ids nextID+1, nextID+2, …; vidx maps their position back
-	// to the item index.
+	// The valid objects take ids nextID+1, nextID+2, …; vidx maps their
+	// position back to the item index.
 	objs := make([]Object, 0, len(items))
 	vidx := make([]int, 0, len(items))
 	for i, it := range items {
@@ -102,112 +99,56 @@ func (s *Store) BulkInsert(layer string, items []BulkItem, mode BulkMode) (BulkR
 		return rep, fmt.Errorf("spatialdb: bulk insert into %q: %d of %d objects invalid",
 			layer, invalid, len(items))
 	}
-
-	errs, err := s.applyMutationLocked(OpBulkInsert, layer, objs, 0, mode)
-	for vi, e := range errs {
-		if e != nil {
-			rep.Results[vidx[vi]].Err = e
-		}
-	}
-	if err != nil {
-		// Atomic abort: nothing was inserted, but a layer created for the
-		// batch persists, so its creation is applied and logged.
-		if !existed {
-			_, cerr := s.applyMutationLocked(OpCreateLayer, layer, nil, 0, BulkAtomic)
-			if cerr == nil {
-				s.epoch.Add(1)
-				cerr = s.logMutation(&Mutation{Op: OpCreateLayer, Layer: layer})
-			}
-			if cerr != nil {
-				err = fmt.Errorf("%v (%v)", err, cerr)
-			}
-		}
+	if err := s.applyMutationLocked(OpBulkInsert, layer, objs, 0); err != nil {
 		rep.Epoch = s.epoch.Load()
 		return rep, fmt.Errorf("spatialdb: bulk insert into %q: %w", layer, err)
 	}
-	// One record for the whole batch, carrying only the objects that made
-	// it in (replay re-creates the layer implicitly). A batch that changed
-	// nothing but the layer's existence logs the creation alone.
-	m := &Mutation{Op: OpBulkInsert, Layer: layer}
-	for vi, e := range errs {
-		if e == nil {
-			rep.Results[vidx[vi]].Object = objs[vi]
-			m.Objects = append(m.Objects, mutObject(objs[vi]))
-		}
+	rep.Inserted = len(objs)
+	if rep.Inserted == 0 && existed {
+		rep.Epoch = s.epoch.Load()
+		return rep, nil
 	}
-	rep.Inserted = len(m.Objects)
-	if rep.Inserted > 0 || !existed {
-		s.epoch.Add(1)
-	}
+	s.epoch.Add(1)
 	rep.Epoch = s.epoch.Load()
-	var lerr error
-	if rep.Inserted > 0 {
-		lerr = s.logMutation(m)
-	} else if !existed {
-		lerr = s.logMutation(&Mutation{Op: OpCreateLayer, Layer: layer})
+	// One record for the whole batch, carrying the objects that went in
+	// (replay re-creates the layer implicitly). A batch that changed
+	// nothing but the layer's existence logs the creation alone.
+	if rep.Inserted == 0 {
+		return rep, s.logMutation(&Mutation{Op: OpCreateLayer, Layer: layer})
 	}
-	return rep, lerr
+	m := &Mutation{Op: OpBulkInsert, Layer: layer, Objects: make([]MutObject, len(objs))}
+	for vi, o := range objs {
+		rep.Results[vidx[vi]].Object = o
+		m.Objects[vi] = mutObject(o)
+	}
+	return rep, s.logMutation(m)
 }
 
 // bulkInsert adds objs (built by newObject, in ascending id order) to the
-// layer.
-// The returned slice parallels objs (nil entries succeeded). In atomic
-// mode either every object is inserted or none, and the second return
-// value carries the aborting error; otherwise index-rejected objects are
-// skipped and it is nil.
-//
-// The caller must hold the store's write lock.
-func (l *Layer) bulkInsert(objs []Object, atomic bool) ([]error, error) {
-	errs := make([]error, len(objs))
-	if len(objs) == 0 {
-		return errs, nil
-	}
-	// Objects take the slots after the slab's, so their ids must follow.
-	if n := len(l.slab); n > 0 && objs[0].ID <= l.slab[n-1].ID {
-		return errs, fmt.Errorf("object %q: id %d not above the layer's %d", objs[0].Name, objs[0].ID, l.slab[n-1].ID)
+// layer. Their ids must follow the slab's, since they take the slots
+// after it; that is the only error. The caller must hold the store's
+// write lock.
+func (l *Layer) bulkInsert(objs []Object) error {
+	if n := len(l.slab); n > 0 && len(objs) > 0 && objs[0].ID <= l.slab[n-1].ID {
+		return fmt.Errorf("object %q: id %d not above the layer's %d", objs[0].Name, objs[0].ID, l.slab[n-1].ID)
 	}
 	// The packed path rebuilds the whole index (existing + new), so it
 	// only pays off when the batch is a sizable fraction of the layer;
 	// trickle batches into a big layer go through plain inserts instead
 	// of an O(layer) rebuild per call.
 	const bulkRebuildFraction = 4 // packed rebuild when new ≥ existing/4
-	if bl, ok := l.idx.(BulkLoader); ok && len(objs)*bulkRebuildFraction >= len(l.slab) {
-		n := len(l.slab)
+	n := len(l.slab)
+	if len(objs)*bulkRebuildFraction >= n {
 		all := append(l.slab, objs...)
-		if err := bl.BulkLoad(all); err == nil {
-			l.slab = all[:n]
-			for _, o := range objs {
-				l.commit(o) // rewrites all[n+i] in place
-			}
-			return errs, nil
-		}
-		clear(all[n:]) // the slab keeps its length; drop the batch's references
-		// The packed build failed (e.g. a box outside a z-order universe).
-		// The BulkLoader contract leaves the live index at its pre-batch
-		// contents, so fall through to looped inserts, which attribute the
-		// error to the exact object.
-	}
-	slot := int64(len(l.slab))
-	for i, o := range objs {
-		if err := l.idx.insert(o, slot); err != nil {
-			errs[i] = err
-			if atomic {
-				// Roll back the objects inserted so far: the slab is not
-				// yet committed, so a rebuild over it restores exactly the
-				// pre-batch index.
-				if rerr := l.rebuildIndex(); rerr != nil {
-					return errs, fmt.Errorf("object %q: %v (and rollback failed: %v)", o.Name, err, rerr)
-				}
-				return errs, fmt.Errorf("object %q: %w", o.Name, err)
-			}
-			continue
-		}
-		slot++ // a rejected object takes no slot
-	}
-	for i, o := range objs {
-		if errs[i] == nil {
-			l.commit(o)
+		l.idx.bulkLoad(all)
+		l.slab = all[:n] // commit rewrites all[n:] in place
+	} else {
+		for i, o := range objs {
+			l.idx.insert(o, int64(n+i))
 		}
 	}
-	return errs, nil
+	for _, o := range objs {
+		l.commit(o)
+	}
+	return nil
 }

@@ -179,15 +179,15 @@ func TestBulkInsertBestEffortInvalidMidBatch(t *testing.T) {
 	}
 }
 
-// TestBulkInsertIndexRejectionRollback uses a z-order layer, whose index
-// rejects boxes outside the universe at insertion time (the store itself
-// does not check). The packed bulk build fails, the fallback loop
-// attributes the error to the exact object, and in atomic mode the index
-// is rolled back to its pre-batch contents.
-func TestBulkInsertIndexRejectionRollback(t *testing.T) {
+// TestBulkInsertRefusesOutOfUniverse: the store refuses a box outside the
+// universe on every backend. Validation attributes the refusal to the
+// exact object before anything touches the index, so an atomic batch
+// leaves the layer and its index as they were, and a best-effort batch
+// inserts the rest.
+func TestBulkInsertRefusesOutOfUniverse(t *testing.T) {
 	u := rect(0, 0, 100, 100)
-	mk := func() (*Store, []BulkItem) {
-		s := NewStore(u, ZOrderIdx)
+	mk := func(kind IndexKind) (*Store, []BulkItem) {
+		s := NewStore(u, kind)
 		s.MustInsert("objs", "pre", region.FromBox(rect(1, 1, 2, 2)))
 		items := bulkItems(10, 9)
 		items[6] = BulkItem{Name: "outside", Reg: region.FromBox(rect(90, 90, 150, 150))}
@@ -195,46 +195,50 @@ func TestBulkInsertIndexRejectionRollback(t *testing.T) {
 	}
 
 	t.Run("atomic", func(t *testing.T) {
-		s, items := mk()
-		epoch := s.Epoch()
-		rep, err := s.BulkInsert("objs", items, BulkAtomic)
-		if err == nil {
-			t.Fatal("atomic batch with an out-of-universe box succeeded")
-		}
-		if rep.Results[6].Err == nil {
-			t.Error("index rejection not attributed to the offending object")
-		}
-		l := s.Layer("objs")
-		if l.Len() != 1 {
-			t.Fatalf("rollback left %d objects, want 1", l.Len())
-		}
-		// The rolled-back index still answers queries for the survivor.
-		if !searchNames(l, rect(0, 0, 5, 5))["pre"] {
-			t.Error("pre-batch object unsearchable after rollback")
-		}
-		if s.Epoch() != epoch {
-			t.Errorf("epoch moved on an aborted batch: %d -> %d", epoch, s.Epoch())
+		for _, kind := range allKinds {
+			s, items := mk(kind)
+			epoch := s.Epoch()
+			rep, err := s.BulkInsert("objs", items, BulkAtomic)
+			if err == nil {
+				t.Fatalf("%v: atomic batch with an out-of-universe box succeeded", kind)
+			}
+			if rep.Results[6].Err == nil {
+				t.Errorf("%v: refusal not attributed to the offending object", kind)
+			}
+			l := s.Layer("objs")
+			if l.Len() != 1 {
+				t.Fatalf("%v: aborted batch left %d objects, want 1", kind, l.Len())
+			}
+			// The index still answers queries for the survivor.
+			if !searchNames(l, rect(0, 0, 5, 5))["pre"] {
+				t.Errorf("%v: pre-batch object unsearchable after the aborted batch", kind)
+			}
+			if s.Epoch() != epoch {
+				t.Errorf("%v: epoch moved on an aborted batch: %d -> %d", kind, epoch, s.Epoch())
+			}
 		}
 	})
 
 	t.Run("best-effort", func(t *testing.T) {
-		s, items := mk()
-		rep, err := s.BulkInsert("objs", items, BulkBestEffort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Inserted != 9 {
-			t.Errorf("inserted %d, want 9", rep.Inserted)
-		}
-		if rep.Results[6].Err == nil {
-			t.Error("index rejection not attributed")
-		}
-		l := s.Layer("objs")
-		if l.Len() != 10 { // pre + 9 valid
-			t.Errorf("layer has %d objects, want 10", l.Len())
-		}
-		if _, ok := l.GetByName("outside"); ok {
-			t.Error("rejected object reachable by name")
+		for _, kind := range allKinds {
+			s, items := mk(kind)
+			rep, err := s.BulkInsert("objs", items, BulkBestEffort)
+			if err != nil {
+				t.Fatalf("%v: %v", kind, err)
+			}
+			if rep.Inserted != 9 {
+				t.Errorf("%v: inserted %d, want 9", kind, rep.Inserted)
+			}
+			if rep.Results[6].Err == nil {
+				t.Errorf("%v: refusal not attributed", kind)
+			}
+			l := s.Layer("objs")
+			if l.Len() != 10 { // pre + 9 valid
+				t.Errorf("%v: layer has %d objects, want 10", kind, l.Len())
+			}
+			if _, ok := l.GetByName("outside"); ok {
+				t.Errorf("%v: refused object reachable by name", kind)
+			}
 		}
 	})
 }

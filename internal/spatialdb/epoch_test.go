@@ -100,28 +100,31 @@ func TestUpsertByNameReplaces(t *testing.T) {
 	}
 }
 
-func TestUpsertRollsBackOnIndexRejection(t *testing.T) {
-	// The z-order index rejects boxes outside the universe; a failed
-	// replacement must restore the old object and leave the epoch alone.
-	s := NewStore(bbox.Rect(0, 0, 100, 100), ZOrderIdx)
-	s.MustInsert("a", "x", region.FromBox(bbox.Rect(1, 1, 2, 2)))
-	epoch := s.Epoch()
-	if _, _, err := s.Upsert("a", "x", region.FromBox(bbox.Rect(90, 90, 200, 200))); err == nil {
-		t.Fatal("Upsert accepted an out-of-universe box on zorder")
-	}
-	if s.Epoch() != epoch {
-		t.Errorf("failed upsert bumped the epoch: %d -> %d", epoch, s.Epoch())
-	}
-	o, ok := s.Layer("a").GetByName("x")
-	if !ok || o.Box.Lo[0] != 1 {
-		t.Fatalf("old object lost by failed upsert: %+v, %v", o, ok)
-	}
-	// The restored object must still be indexed.
-	spec := bbox.RangeSpec{K: 2, Lower: bbox.Empty(2), Upper: bbox.Univ(2)}
-	found := 0
-	s.Layer("a").Search(spec, func(Object) bool { found++; return true })
-	if found != 1 {
-		t.Errorf("restored object not searchable: found %d", found)
+func TestUpsertKeepsOldOnRefusal(t *testing.T) {
+	// The store refuses boxes outside the universe on every backend; a
+	// refused replacement must keep the old object and leave the epoch
+	// alone.
+	for _, kind := range allKinds {
+		s := NewStore(bbox.Rect(0, 0, 100, 100), kind)
+		s.MustInsert("a", "x", region.FromBox(bbox.Rect(1, 1, 2, 2)))
+		epoch := s.Epoch()
+		if _, _, err := s.Upsert("a", "x", region.FromBox(bbox.Rect(90, 90, 200, 200))); err == nil {
+			t.Fatalf("%v: Upsert accepted an out-of-universe box", kind)
+		}
+		if s.Epoch() != epoch {
+			t.Errorf("%v: failed upsert bumped the epoch: %d -> %d", kind, epoch, s.Epoch())
+		}
+		o, ok := s.Layer("a").GetByName("x")
+		if !ok || o.Box.Lo[0] != 1 {
+			t.Fatalf("%v: old object lost by failed upsert: %+v, %v", kind, o, ok)
+		}
+		// The old object must still be indexed.
+		spec := bbox.RangeSpec{K: 2, Lower: bbox.Empty(2), Upper: bbox.Univ(2)}
+		found := 0
+		s.Layer("a").Search(spec, func(Object) bool { found++; return true })
+		if found != 1 {
+			t.Errorf("%v: old object not searchable: found %d", kind, found)
+		}
 	}
 }
 

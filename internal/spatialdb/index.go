@@ -9,29 +9,30 @@ import (
 
 // layerIndex is the index backend behind one layer, over slots: the
 // positions of the layer's objects in its slab. insert adds the object at
-// slot; search appends to slots the slot of every object whose bounding
-// box matches the spec, and no other (the layer orders them), and returns
-// the grown slice with the backend cost counters: index nodes/cells
-// touched and candidate objects examined.
+// slot; bulkLoad replaces the contents with exactly objs, objs[i] at slot
+// i, in one packed build (the R-tree backends use Sort-Tile-Recursive
+// packing, the grid file pre-seeds its scales from the full point set,
+// the z-order index sorts its element list once); search appends to slots
+// the slot of every object whose bounding box matches the spec, and no
+// other (the layer orders them), and returns the grown slice with the
+// backend cost counters: index nodes/cells touched and candidate objects
+// examined.
+//
+// Every object reaching a backend was built by newObject — non-empty, of
+// the store's dimensionality, inside the universe — so no backend can
+// reject one. An adapter whose package still returns an error panics
+// (must): that error means a broken invariant, not bad input.
 type layerIndex interface {
-	insert(o Object, slot int64) error
+	insert(o Object, slot int64)
+	bulkLoad(objs []Object)
 	search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int)
 }
 
-// BulkLoader is the optional batch-ingestion path of an index backend:
-// BulkLoad replaces the index contents with exactly the given objects in
-// one packed build, objs[i] at slot i (the R-tree backends use
-// Sort-Tile-Recursive packing, the grid file pre-seeds its scales from the
-// full point set, the z-order index sorts its element list once).
-// Store.BulkInsert and index rebuilds use it when available and fall back
-// to looped inserts otherwise.
-//
-// Contract: on error the live index must be left unchanged — adapters
-// build a fresh structure and swap it in only on success — so a failed
-// bulk load can always fall back to per-object insertion for exact error
-// attribution.
-type BulkLoader interface {
-	BulkLoad(objs []Object) error
+// must panics on an index package's error; see layerIndex.
+func must(err error) {
+	if err != nil {
+		panic("spatialdb: index refused a validated object: " + err.Error())
+	}
 }
 
 // Per-backend tuning shared by the incremental and bulk constructors.
@@ -60,11 +61,12 @@ func newLayerIndex(l *Layer) layerIndex {
 // ---- scan ----
 
 // scanIndex is the no-structure baseline: search examines every object in
-// the slab. It has no BulkLoad — the looped fallback is already optimal
-// when there is nothing to build.
+// the slab, so there is nothing to insert into or build.
 type scanIndex struct{ l *Layer }
 
-func (ix scanIndex) insert(Object, int64) error { return nil }
+func (ix scanIndex) insert(Object, int64) {}
+
+func (ix scanIndex) bulkLoad([]Object) {}
 
 func (ix scanIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
 	var buf [bbox.FlatRunsHint]float64
@@ -86,7 +88,7 @@ type rtreeIndex struct {
 	k int
 }
 
-func (ix *rtreeIndex) insert(o Object, slot int64) error { return ix.t.Insert(o.Box, slot) }
+func (ix *rtreeIndex) insert(o Object, slot int64) { must(ix.t.Insert(o.Box, slot)) }
 
 func (ix *rtreeIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
 	n := len(slots)
@@ -97,19 +99,16 @@ func (ix *rtreeIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64,
 	return slots, touched, len(slots) - n
 }
 
-// BulkLoad rebuilds the tree with STR packing (experiment E13: packed
+// bulkLoad rebuilds the tree with STR packing (experiment E13: packed
 // trees answer queries markedly cheaper than insertion-built ones).
-func (ix *rtreeIndex) BulkLoad(objs []Object) error {
+func (ix *rtreeIndex) bulkLoad(objs []Object) {
 	runs := make([]float64, 0, 2*ix.k*len(objs))
 	for _, o := range objs {
 		runs = o.Box.AppendRun(runs)
 	}
 	t, err := rtree.BulkLoadRuns(ix.k, runs, iota64(len(objs)))
-	if err != nil {
-		return err
-	}
+	must(err)
 	ix.t = t
-	return nil
 }
 
 // iota64 returns the slots 0…n-1.
@@ -130,9 +129,9 @@ type pointIndex struct {
 	k int // store dimensionality; the tree is 2k-dimensional
 }
 
-func (ix *pointIndex) insert(o Object, slot int64) error {
+func (ix *pointIndex) insert(o Object, slot int64) {
 	p := bbox.PointTransform(o.Box)
-	return ix.t.Insert(bbox.Box{K: len(p), Lo: p, Hi: p}, slot)
+	must(ix.t.Insert(bbox.Box{K: len(p), Lo: p, Hi: p}, slot))
 }
 
 func (ix *pointIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
@@ -149,19 +148,16 @@ func (ix *pointIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64,
 	return slots, touched, len(slots) - n
 }
 
-// BulkLoad rebuilds the point tree with STR packing over the transformed
+// bulkLoad rebuilds the point tree with STR packing over the transformed
 // boxes: the degenerate box of point (lo, hi) has the run lo, hi, lo, hi.
-func (ix *pointIndex) BulkLoad(objs []Object) error {
+func (ix *pointIndex) bulkLoad(objs []Object) {
 	runs := make([]float64, 0, 4*ix.k*len(objs))
 	for _, o := range objs {
 		runs = o.Box.AppendRun(o.Box.AppendRun(runs))
 	}
 	t, err := rtree.BulkLoadRuns(2*ix.k, runs, iota64(len(objs)))
-	if err != nil {
-		return err
-	}
+	must(err)
 	ix.t = t
-	return nil
 }
 
 // ---- grid file ----
@@ -173,8 +169,8 @@ type gridIndex struct {
 	k int
 }
 
-func (ix *gridIndex) insert(o Object, slot int64) error {
-	return ix.g.Insert(bbox.PointTransform(o.Box), slot)
+func (ix *gridIndex) insert(o Object, slot int64) {
+	must(ix.g.Insert(bbox.PointTransform(o.Box), slot))
 }
 
 func (ix *gridIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, touched, scanned int) {
@@ -191,32 +187,29 @@ func (ix *gridIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64, 
 	return slots, touched, len(slots) - n
 }
 
-// BulkLoad rebuilds the grid with scales pre-seeded from the full point
+// bulkLoad rebuilds the grid with scales pre-seeded from the full point
 // set, avoiding the per-overflow directory rehashes of an insert loop.
-func (ix *gridIndex) BulkLoad(objs []Object) error {
+func (ix *gridIndex) bulkLoad(objs []Object) {
 	points := make([][]float64, len(objs))
 	for i, o := range objs {
 		points[i] = bbox.PointTransform(o.Box)
 	}
 	g, err := gridfile.BulkLoad(2*ix.k, gridBucketCap, points, iota64(len(objs)))
-	if err != nil {
-		return err
-	}
+	must(err)
 	ix.g = g
-	return nil
 }
 
 // ---- z-order ----
 
 // zorderIndex decomposes each box into z-elements in one sorted list —
-// the z-ordering extension the paper's conclusion sketches. Stored boxes
-// must lie inside the universe.
+// the z-ordering extension the paper's conclusion sketches. Its package
+// refuses a box outside the universe, which newObject already has.
 type zorderIndex struct {
 	zx *zorder.Index
 	l  *Layer // its slab holds the boxes search re-checks
 }
 
-func (ix *zorderIndex) insert(o Object, slot int64) error { return ix.zx.Insert(o.Box, slot) }
+func (ix *zorderIndex) insert(o Object, slot int64) { must(ix.zx.Insert(o.Box, slot)) }
 
 // search is the one backend whose structure cannot answer a spec exactly:
 // a z-order probe filters by a single overlap box (zorder.SearchSpec), so
@@ -235,18 +228,13 @@ func (ix *zorderIndex) search(spec bbox.RangeSpec, slots []int64) (found []int64
 	return found, touched, len(slots) - n
 }
 
-// BulkLoad rebuilds the element list in one validated pass and sorts it
-// once. An out-of-universe box fails the whole build (the caller falls
-// back to looped inserts to attribute the error).
-func (ix *zorderIndex) BulkLoad(objs []Object) error {
+// bulkLoad rebuilds the element list in one pass and sorts it once.
+func (ix *zorderIndex) bulkLoad(objs []Object) {
 	boxes := make([]bbox.Box, len(objs))
 	for i, o := range objs {
 		boxes[i] = o.Box
 	}
 	zx, err := zorder.BulkLoad(ix.l.universe, zorderBudget, boxes, iota64(len(objs)))
-	if err != nil {
-		return err
-	}
+	must(err)
 	ix.zx = zx
-	return nil
 }

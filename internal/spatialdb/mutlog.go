@@ -181,8 +181,8 @@ func mutObject(o Object) MutObject {
 // Replay is deterministic: applied to the state the record was logged
 // against, it reproduces the original effect down to ids and NextID. A
 // record that does not fit the store — wrong dimensionality, a NaN
-// coordinate, an empty region, ids not ascending above NextID, a
-// missing remove target, an index rejection — reports an error and
+// coordinate, an empty region, a box outside the universe, ids not
+// ascending above NextID, a missing remove target — reports an error and
 // leaves the store unchanged.
 //
 // It bypasses admitMutationLocked — the gate exists to turn LOCAL writes
@@ -206,7 +206,7 @@ func (s *Store) ApplyReplicated(m *Mutation) error {
 		objs = append(objs, o)
 		after = o.ID
 	}
-	if _, err := s.applyMutationLocked(m.Op, m.Layer, objs, m.RemoveID, BulkAtomic); err != nil {
+	if err := s.applyMutationLocked(m.Op, m.Layer, objs, m.RemoveID); err != nil {
 		return fmt.Errorf("spatialdb: apply %s %q: %w", m.Op, m.Layer, err)
 	}
 	s.epoch.Add(1)
@@ -218,8 +218,12 @@ func (s *Store) ApplyReplicated(m *Mutation) error {
 // writes and records pass the store's id counter (and, within a batch,
 // the previous object's id), so ids ascend above every id in the store;
 // the snapshot loaders pass 0 and check uniqueness themselves. Every box
-// must have the store's dimensionality and no NaN coordinate, and the
-// region they cover must be non-empty.
+// must have the store's dimensionality and no NaN coordinate, the region
+// they cover must be non-empty, and its bounding box must lie inside the
+// universe (closed containment, as zorder.Index.Insert checks): the
+// paper's regions are elements of the universe's Boolean algebra, and
+// the §4 box bounds assume it, so an object reaching outside could be
+// missed by a planned run that the naive executor finds.
 func (s *Store) newObject(after int64, mo MutObject) (Object, error) {
 	if mo.ID <= after {
 		return Object{}, fmt.Errorf("object id %d not above %d", mo.ID, after)
@@ -238,28 +242,28 @@ func (s *Store) newObject(after int64, mo MutObject) (Object, error) {
 	if reg.IsEmpty() {
 		return Object{}, errors.New("empty region")
 	}
-	return Object{ID: mo.ID, Name: mo.Name, Reg: reg, Box: reg.BoundingBox()}, nil
+	box := reg.BoundingBox()
+	if !s.universe.Contains(box) {
+		return Object{}, fmt.Errorf("bounding box %v outside the universe %v", box, s.universe)
+	}
+	return Object{ID: mo.ID, Name: mo.Name, Reg: reg, Box: box}, nil
 }
 
 // applyMutationLocked is the one function that changes a layer's
 // contents: the local entry points, ApplyReplicated and both snapshot
 // loaders all apply through it. op acts on the named layer with objs,
-// built by newObject, or, for OpRemove, on the object removeID. A layer
-// it creates is installed only when it succeeds; an upsert inserts the
-// new object before it removes the one it replaces, so a rejected insert
-// changes nothing. nextID rises to the largest id applied.
-//
-// mode is BulkAtomic except for a best-effort OpBulkInsert, which skips
-// the objects the index rejects; errs parallels objs and names them. On
-// error the store is exactly as it was. The caller admits, bumps the
-// epoch and logs.
+// built by newObject in ascending id order, or, for OpRemove, on the
+// object removeID. A layer it creates is installed only when it
+// succeeds; an upsert inserts the new object before it removes the one it
+// replaces. nextID rises to the largest id applied. On error the store is
+// exactly as it was. The caller admits, bumps the epoch and logs.
 //
 //boolq:locked mu
-func (s *Store) applyMutationLocked(op MutOp, name string, objs []Object, removeID int64, mode BulkMode) (errs []error, err error) {
+func (s *Store) applyMutationLocked(op MutOp, name string, objs []Object, removeID int64) error {
 	l, existed := s.layers[name]
 	if !existed {
 		if op == OpRemove {
-			return nil, fmt.Errorf("no layer %q", name)
+			return fmt.Errorf("no layer %q", name)
 		}
 		l = newLayer(name, s.universe.K, s.kind, s.universe)
 	}
@@ -267,7 +271,7 @@ func (s *Store) applyMutationLocked(op MutOp, name string, objs []Object, remove
 	case OpCreateLayer:
 	case OpRemove:
 		if err := l.remove(removeID); err != nil {
-			return nil, err
+			return err
 		}
 	case OpInsert, OpUpsert, OpBulkInsert:
 		var prev Object
@@ -275,29 +279,25 @@ func (s *Store) applyMutationLocked(op MutOp, name string, objs []Object, remove
 		if op == OpUpsert {
 			prev, replacing = l.GetByName(objs[0].Name)
 		}
-		if errs, err = l.bulkInsert(objs, mode == BulkAtomic); err != nil {
-			return errs, err
+		if err := l.bulkInsert(objs); err != nil {
+			return err
 		}
 		if replacing {
-			// The index held prev a moment ago, so the rebuild that
-			// drops it cannot reject anything.
 			if err := l.remove(prev.ID); err != nil {
-				return errs, err
+				return err // unreachable: the layer held prev a moment ago
 			}
 		}
-		for i, o := range objs {
-			if errs[i] == nil && o.ID > s.nextID {
-				s.nextID = o.ID
-			}
+		if n := len(objs); n > 0 {
+			s.nextID = max(s.nextID, objs[n-1].ID)
 		}
 	default:
-		return nil, fmt.Errorf("unknown mutation op %d", op)
+		return fmt.Errorf("unknown mutation op %d", op)
 	}
 	if !existed {
 		s.layers[name] = l
 		s.names = append(s.names, name)
 	}
-	return errs, nil
+	return nil
 }
 
 // NextID returns the highest object id the store has applied; the next

@@ -83,10 +83,9 @@ func (rs *recordingSink) log(m *Mutation) error {
 }
 
 // mutateScript drives every mutating entry point against s. Each call
-// that succeeds emits exactly one record. On a z-order store it ends
-// with two writes the index rejects — an atomic BulkInsert and an Upsert,
-// each with a box outside the universe — which must change nothing, as
-// they log nothing.
+// that succeeds emits exactly one record. It ends with two writes the
+// store refuses — an atomic BulkInsert and an Upsert, each with a box
+// outside the universe — which must change nothing, as they log nothing.
 func mutateScript(t testing.TB, s *Store) {
 	t.Helper()
 	if _, _, err := s.CreateLayer("empty"); err != nil {
@@ -114,15 +113,13 @@ func mutateScript(t testing.TB, s *Store) {
 	if ok, err := s.Remove("towns", "b"); err != nil || !ok {
 		t.Fatalf("Remove = %v, %v", ok, err)
 	}
-	if s.Kind() == ZOrderIdx {
-		outside := region.FromBox(rect(90, 90, 150, 150))
-		items := []BulkItem{{Name: "r3", Reg: region.FromBox(rect(0, 70, 80, 72))}, {Name: "r4", Reg: outside}}
-		if _, err := s.BulkInsert("roads", items, BulkAtomic); err == nil {
-			t.Fatal("atomic BulkInsert of an out-of-universe box succeeded")
-		}
-		if _, _, err := s.Upsert("towns", "", outside); err == nil {
-			t.Fatal("Upsert of an out-of-universe box succeeded")
-		}
+	outside := region.FromBox(rect(90, 90, 150, 150))
+	items = []BulkItem{{Name: "r3", Reg: region.FromBox(rect(0, 70, 80, 72))}, {Name: "r4", Reg: outside}}
+	if _, err := s.BulkInsert("roads", items, BulkAtomic); err == nil {
+		t.Fatal("atomic BulkInsert of an out-of-universe box succeeded")
+	}
+	if _, _, err := s.Upsert("towns", "", outside); err == nil {
+		t.Fatal("Upsert of an out-of-universe box succeeded")
 	}
 }
 
@@ -270,12 +267,12 @@ func TestJSONSnapshotV2PreservesIDs(t *testing.T) {
 }
 
 // The apply-path tests below pin records the store must refuse without
-// changing anything. Which of them reach boolqd: its handlers reject empty and out-of-universe regions
-// before the store sees them, so the rejected local writes at the end of
-// mutateScript are library-level. A duplicate id, a replayed upsert the
-// index rejects and a NaN coordinate need a record that passes its CRC
-// but that boolqd's own primary would not write: a crafted or faulty
-// /repl/wal stream, or a log written by a buggy build.
+// changing anything. boolqd passes regions to the store, so its handlers
+// answer the refused local writes at the end of mutateScript with 400. A
+// duplicate id, a replayed upsert of a box outside the universe and a NaN
+// coordinate need a record that passes its CRC but that boolqd's own
+// primary would not write: a crafted or faulty /repl/wal stream, or a log
+// written by a buggy build.
 
 // storeConsistent fails the test unless every layer's Len, Objects and a
 // match-all Search agree, ids are unique across the store, and NextID is
@@ -344,20 +341,25 @@ func TestApplyReplicatedRejectsDuplicateID(t *testing.T) {
 }
 
 func TestApplyReplicatedUpsertKeepsOldOnRejection(t *testing.T) {
-	outside := rect(90, 90, 150, 150)
-	replayed := storeWithA(ZOrderIdx)
-	m := &Mutation{Op: OpUpsert, Layer: "towns", Objects: []MutObject{{ID: 2, Name: "a", Boxes: []bbox.Box{outside}}}}
-	if err := replayed.ApplyReplicated(m); err == nil {
-		t.Fatal("replayed upsert of an out-of-universe box succeeded on zorder")
-	}
-	equalStores(t, storeWithA(ZOrderIdx), replayed, "replayed upsert")
-	storeConsistent(t, replayed, "replayed upsert")
+	for _, kind := range allKinds {
+		replayed := storeWithA(kind)
+		if err := replayed.ApplyReplicated(outsideUpsertRecord()); err == nil {
+			t.Fatalf("%v: replayed upsert of an out-of-universe box succeeded", kind)
+		}
+		equalStores(t, storeWithA(kind), replayed, kind.String()+" replayed upsert")
+		storeConsistent(t, replayed, kind.String()+" replayed upsert")
 
-	local := storeWithA(ZOrderIdx)
-	if _, _, err := local.Upsert("towns", "a", region.FromBox(outside)); err == nil {
-		t.Fatal("local upsert of an out-of-universe box succeeded on zorder")
+		local := storeWithA(kind)
+		if _, _, err := local.Upsert("towns", "a", region.FromBox(outsideBox)); err == nil {
+			t.Fatalf("%v: local upsert of an out-of-universe box succeeded", kind)
+		}
+		equalStores(t, storeWithA(kind), local, kind.String()+" local upsert")
 	}
-	equalStores(t, storeWithA(ZOrderIdx), local, "local upsert")
+}
+
+// outsideUpsertRecord replaces storeWithA's "a" by outsideBox.
+func outsideUpsertRecord() *Mutation {
+	return &Mutation{Op: OpUpsert, Layer: "towns", Objects: []MutObject{{ID: 2, Name: "a", Boxes: []bbox.Box{outsideBox}}}}
 }
 
 func TestApplyReplicatedRejectsNaN(t *testing.T) {
@@ -373,13 +375,15 @@ func TestApplyReplicatedRejectsNaN(t *testing.T) {
 }
 
 // FuzzMutation decodes arbitrary bytes as a mutation record and applies
-// whatever decodes to a store rebuilt from mutateScript's records, once on
-// an R-tree and once on a z-order index. Nothing may panic; a rejected
-// record must leave the store and its epoch as they were; an accepted
-// one must leave the store consistent (see storeConsistent); and every
-// decoded record must survive an encode/decode round trip.
+// whatever decodes to a store rebuilt from mutateScript's records, on
+// every backend. Nothing may panic; a rejected record must leave the
+// store and its epoch as they were; an accepted one must leave the store
+// consistent (see storeConsistent) with every object inside the
+// universe; and every decoded record must survive an encode/decode round
+// trip.
 func FuzzMutation(f *testing.F) {
-	src := NewStore(rect(0, 0, 100, 100), ZOrderIdx)
+	u := rect(0, 0, 100, 100)
+	src := NewStore(u, RTree)
 	sink := &recordingSink{}
 	src.SetMutationSink(sink.log)
 	mutateScript(f, src)
@@ -389,9 +393,10 @@ func FuzzMutation(f *testing.F) {
 	f.Add(AppendMutation(nil, dupIDRecord("towns")))
 	f.Add(AppendMutation(nil, nanRecord()))
 	f.Add(hugeDimRecord())
+	f.Add(AppendMutation(nil, outsideUpsertRecord()))
 
 	replay := func(t *testing.T, kind IndexKind) *Store {
-		s := NewStore(rect(0, 0, 100, 100), kind)
+		s := NewStore(u, kind)
 		for i, rec := range sink.recs {
 			m, err := DecodeMutation(rec)
 			if err == nil {
@@ -418,7 +423,7 @@ func FuzzMutation(f *testing.F) {
 		if !bytes.Equal(AppendMutation(nil, back), enc) {
 			t.Fatalf("round trip changed the record:\n got %+v\nwant %+v", back, m)
 		}
-		for _, kind := range []IndexKind{RTree, ZOrderIdx} {
+		for _, kind := range allKinds {
 			s := replay(t, kind)
 			epoch := s.Epoch()
 			if err := s.ApplyReplicated(m); err != nil {
@@ -429,6 +434,13 @@ func FuzzMutation(f *testing.F) {
 				continue
 			}
 			storeConsistent(t, s, kind.String())
+			for _, name := range s.LayerNames() {
+				for _, o := range s.Layer(name).Objects() {
+					if !u.Contains(o.Box) {
+						t.Fatalf("%v: stored %q/%q at %v, outside the universe", kind, name, o.Name, o.Box)
+					}
+				}
+			}
 		}
 	})
 }

@@ -154,7 +154,7 @@ func (s *Store) loadObject(objs []Object, mo MutObject, seen map[int64]bool) ([]
 // ascending id order its slab keeps, whatever order the snapshot lists.
 func (s *Store) loadLayerLocked(name string, objs []Object) error {
 	slices.SortFunc(objs, func(a, b Object) int { return cmp.Compare(a.ID, b.ID) })
-	if _, err := s.applyMutationLocked(OpBulkInsert, name, objs, 0, BulkAtomic); err != nil {
+	if err := s.applyMutationLocked(OpBulkInsert, name, objs, 0); err != nil {
 		return err
 	}
 	s.epoch.Add(1)

@@ -18,9 +18,10 @@
 //
 // All backends return exactly the objects whose bounding box matches the
 // spec; they differ only in cost, which Stats exposes to the experiments.
-// Backends sit behind the layerIndex interface (index.go); those that
-// also implement BulkLoader get the packed build path of Store.BulkInsert
-// (bulk.go) and of index rebuilds after deletions.
+// Backends sit behind the layerIndex interface (index.go), which also
+// gives Store.BulkInsert (bulk.go) and index rebuilds after deletions a
+// packed build. Every stored object lies inside the store universe, so no
+// backend ever refuses one.
 //
 // A layer keeps its objects in one slab in ascending id order; an
 // object's position in the slab is its slot, and the backends store slots,
@@ -53,8 +54,7 @@ const (
 	Grid
 	// ZOrderIdx indexes boxes by their z-element decomposition — the
 	// extension the paper's conclusion sketches ("it seems possible to
-	// extend our approach to make use of z-ordering methods"). Stored
-	// boxes must lie inside the store universe.
+	// extend our approach to make use of z-ordering methods").
 	ZOrderIdx
 )
 
@@ -124,14 +124,9 @@ func newLayer(name string, k int, kind IndexKind, universe bbox.Box) *Layer {
 }
 
 // rebuildIndex recreates the index over the slab in one packed build.
-// Every object in the slab was accepted by an index of this kind, so the
-// build cannot reject one; the scan backend has nothing to build.
-func (l *Layer) rebuildIndex() error {
+func (l *Layer) rebuildIndex() {
 	l.idx = newLayerIndex(l)
-	if bl, ok := l.idx.(BulkLoader); ok {
-		return bl.BulkLoad(l.slab)
-	}
-	return nil
+	l.idx.bulkLoad(l.slab)
 }
 
 // Name returns the layer name.
@@ -163,8 +158,8 @@ func (l *Layer) ResetStats() {
 	l.stats = Stats{}
 }
 
-// commit appends an object to the slab after the index accepted it at
-// slot len(slab). Every path that adds an object reaches it through
+// commit appends an object to the slab after the index took it at slot
+// len(slab). Every path that adds an object reaches it through
 // bulkInsert (the packed or the looped variant), so the planner
 // statistics stay consistent with the index without per-path hooks.
 func (l *Layer) commit(o Object) {
@@ -200,7 +195,8 @@ func (l *Layer) remove(id int64) error {
 			}
 		}
 	}
-	return l.rebuildIndex()
+	l.rebuildIndex()
+	return nil
 }
 
 // Get returns an object by id.
@@ -374,7 +370,7 @@ func (s *Store) CreateLayer(name string) (*Layer, bool, error) {
 	if err := s.admitMutationLocked(); err != nil {
 		return nil, false, err
 	}
-	if _, err := s.applyMutationLocked(OpCreateLayer, name, nil, 0, BulkAtomic); err != nil {
+	if err := s.applyMutationLocked(OpCreateLayer, name, nil, 0); err != nil {
 		return nil, false, err
 	}
 	s.epoch.Add(1)
@@ -422,7 +418,7 @@ func (s *Store) Insert(layer, name string, r *region.Region) (Object, error) {
 	}
 	o, err := s.newObject(s.nextID, MutObject{ID: s.nextID + 1, Name: name, Boxes: r.Boxes()})
 	if err == nil {
-		_, err = s.applyMutationLocked(OpInsert, layer, []Object{o}, 0, BulkAtomic)
+		err = s.applyMutationLocked(OpInsert, layer, []Object{o}, 0)
 	}
 	if err != nil {
 		return Object{}, fmt.Errorf("spatialdb: insert %q/%q: %w", layer, name, err)
@@ -451,7 +447,7 @@ func (s *Store) Upsert(layer, name string, r *region.Region) (Object, bool, erro
 	}
 	o, err := s.newObject(s.nextID, MutObject{ID: s.nextID + 1, Name: name, Boxes: r.Boxes()})
 	if err == nil {
-		_, err = s.applyMutationLocked(OpUpsert, layer, []Object{o}, 0, BulkAtomic)
+		err = s.applyMutationLocked(OpUpsert, layer, []Object{o}, 0)
 	}
 	if err != nil {
 		return Object{}, false, fmt.Errorf("spatialdb: upsert %q/%q: %w", layer, name, err)
@@ -479,7 +475,7 @@ func (s *Store) Remove(layer, name string) (bool, error) {
 	if !ok {
 		return false, nil
 	}
-	if _, err := s.applyMutationLocked(OpRemove, layer, nil, o.ID, BulkAtomic); err != nil {
+	if err := s.applyMutationLocked(OpRemove, layer, nil, o.ID); err != nil {
 		return false, err
 	}
 	s.epoch.Add(1)
