@@ -7,8 +7,9 @@ build:
 
 # test also vets and tests bench/, a nested module the root module's
 # ./... never reaches: it compiles against internal/{server,query,
-# spatialdb,region,wal,lang}, so a signature it calls cannot change
-# unnoticed.
+# spatialdb,region,wal,lang,bbox,workload}, so a signature it calls
+# cannot change unnoticed. bench/harness.ServerStats decodes GET /stats
+# by field name, so those names are a contract too.
 test:
 	go test ./...
 	cd bench && go vet ./... && go test ./...

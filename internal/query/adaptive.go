@@ -133,10 +133,8 @@ type AdaptiveOptions struct {
 	TunerKey string
 
 	// Epoch is the store epoch to judge observation freshness against
-	// (0 reads the store's current epoch). StaleEpochs overrides
-	// DefaultStaleEpochs when positive.
-	Epoch       uint64
-	StaleEpochs uint64
+	// (0 reads the store's current epoch).
+	Epoch uint64
 }
 
 // AdaptiveInfo records how CompileAdaptive chose the plan it returned.
@@ -211,15 +209,11 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 		full:     1<<n - 1,
 		ids:      make([]int, n),
 		epoch:    opts.Epoch,
-		stale:    opts.StaleEpochs,
 		perm:     make([]int, n),
 		bestCost: math.Inf(1),
 	}
 	if s.epoch == 0 {
 		s.epoch = store.Epoch()
-	}
-	if s.stale == 0 {
-		s.stale = DefaultStaleEpochs
 	}
 	if opts.Tuner != nil && opts.TunerKey != "" {
 		s.observed = opts.Tuner.Lookup(opts.TunerKey)
@@ -282,7 +276,7 @@ type orderSearch struct {
 	// Phase 2 state.
 	costModel
 	observed     map[string]Observation
-	epoch, stale uint64
+	epoch        uint64
 	prune        bool
 	perm         []int // the current prefix: binding perm[i] at position i
 	best         []int
@@ -534,7 +528,7 @@ func (m *costModel) repValue(f *formula.Formula) boolalg.Element {
 // tie.
 func (s *orderSearch) leaf(cost float64) {
 	if len(s.observed) > 0 {
-		if o, ok := s.observed[orderKey(permuted(s.q, s.perm))]; ok && s.epoch >= o.Epoch && s.epoch-o.Epoch <= s.stale {
+		if o, ok := s.observed[orderKey(permuted(s.q, s.perm))]; ok && s.epoch >= o.Epoch && s.epoch-o.Epoch <= DefaultStaleEpochs {
 			cost = float64(o.Candidates)
 			s.feedbackUsed++
 		}

@@ -322,12 +322,9 @@ func TestPermRankMatchesEnumeration(t *testing.T) {
 // a fresh Tuner observation, and keep the earliest minimum. It also
 // returns every compiled order's cost.
 func referenceAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (best *Plan, costs []float64, feedbackUsed int, err error) {
-	epoch, stale := opts.Epoch, opts.StaleEpochs
+	epoch := opts.Epoch
 	if epoch == 0 {
 		epoch = store.Epoch()
-	}
-	if stale == 0 {
-		stale = DefaultStaleEpochs
 	}
 	var observed map[string]Observation
 	if opts.Tuner != nil {
@@ -350,7 +347,7 @@ func referenceAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (
 		}
 		plan.outPos = perm
 		cost := estimatePlanCost(plan, store, paramBox)
-		if o, ok := observed[plan.OrderKey()]; ok && epoch >= o.Epoch && epoch-o.Epoch <= stale {
+		if o, ok := observed[plan.OrderKey()]; ok && epoch >= o.Epoch && epoch-o.Epoch <= DefaultStaleEpochs {
 			cost = float64(o.Candidates)
 			feedbackUsed++
 		}

@@ -243,8 +243,9 @@ func TestChaosReplicationConvergesAllKinds(t *testing.T) {
 			if st.StreamErrors < 3 {
 				t.Errorf("stream_errors = %d, want ≥ 3 (corrupt + disconnect + cut)", st.StreamErrors)
 			}
-			if fs := ft.FaultStats(); fs.Injected != 3 {
-				t.Errorf("injected = %d, want 3", fs.Injected)
+			// ByOp counts injections, not the operations observed.
+			if fs := ft.FaultStats(); fs.Injected != 3 || len(fs.ByOp) != 1 || fs.ByOp["next"] != 3 {
+				t.Errorf("fault stats = %+v, want 3 injected, all on next", fs)
 			}
 			if !rep.Store().IsReplica() {
 				t.Error("replica store lost its replica gate")

@@ -95,11 +95,12 @@ func (f *armedFault) err() error {
 	return ErrInjected
 }
 
-// FaultStats summarizes a FaultTransport's activity.
+// FaultStats summarizes a FaultTransport's activity: how many operations
+// it saw and how many faults it injected, per operation kind.
 type FaultStats struct {
-	Ops      int64            `json:"ops"`
-	Injected int64            `json:"injected"`
-	ByOp     map[string]int64 `json:"by_op,omitempty"`
+	Ops      int64 // operations observed
+	Injected int64 // faults injected
+	ByOp     map[string]int64
 }
 
 // FaultTransport wraps a Transport with programmable failpoints. Fault
@@ -136,7 +137,7 @@ func (t *FaultTransport) Clear() {
 	t.faults = nil
 }
 
-// FaultStats returns the observed/injected counters.
+// FaultStats returns the transport's counters.
 func (t *FaultTransport) FaultStats() FaultStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -155,7 +156,6 @@ func (t *FaultTransport) check(op Op) (delay time.Duration, corrupt bool, err er
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.ops++
-	t.byOp[op]++
 	for _, f := range t.faults {
 		if f.Op != op {
 			continue
@@ -166,6 +166,7 @@ func (t *FaultTransport) check(op Op) (delay time.Duration, corrupt bool, err er
 		}
 		f.fired++
 		t.injected++
+		t.byOp[op]++
 		if f.Corrupt {
 			return f.Delay, true, nil
 		}

@@ -14,7 +14,7 @@
 // the queue is full — or the request's own deadline (or the queue wait
 // cap) expires first — it is shed with 429 + Retry-After, never having
 // touched the store or its guards. Cheap point reads and the
-// observability endpoints (/stats, /healthz, /readyz, /debug/vars) are
+// observability endpoints (/stats and /debug/vars, /healthz, /readyz) are
 // deliberately unguarded: an operator must be able to see an overloaded
 // server.
 package server
@@ -43,11 +43,10 @@ func errIsShed(err error) bool {
 }
 
 // shedReject answers a shed request: 429 Too Many Requests with a
-// Retry-After hint, counted in query_shed.
+// Retry-After hint. The pool that refused the request has counted it.
 //
 //boolq:errwriter
-func (s *Server) shedReject(w http.ResponseWriter, err error) {
-	s.metrics.Shed.Add(1)
+func shedReject(w http.ResponseWriter, err error) {
 	writeRetryError(w, http.StatusTooManyRequests, retryAfterShed, "%v", err)
 }
 

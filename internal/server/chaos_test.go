@@ -77,8 +77,8 @@ func TestServerTransientFsyncIsAbsorbedInline(t *testing.T) {
 	if stats.Degraded.WALRetries == 0 || stats.Degraded.Rearms == 0 {
 		t.Fatalf("retry counters missing from /stats: %+v", stats.Degraded)
 	}
-	if stats.WAL == nil || stats.WAL.Faults == nil || stats.WAL.Faults.Injected == 0 {
-		t.Fatal("injected faults not surfaced in /stats wal section")
+	if inj.FaultStats().Injected == 0 {
+		t.Fatal("the fsync fault was never injected")
 	}
 }
 
@@ -290,6 +290,16 @@ func TestServerBatchShedsPerQuery(t *testing.T) {
 	}
 	if summary == nil || summary["shed"] != float64(3) || summary["errors"] != float64(3) {
 		t.Fatalf("batch summary = %v", summary)
+	}
+	// shed.total is the pools' own count: every shed once, none twice.
+	var stats statsResponse
+	do(t, s, http.MethodGet, "/stats", nil, &stats)
+	var pools int64
+	for _, p := range []*shedPool{stats.Shed.Reads, stats.Shed.Mutations} {
+		pools += p.ShedFull + p.ShedWait
+	}
+	if stats.Shed.Total != pools || pools != 3 {
+		t.Fatalf("shed.total = %d, pools = %d, want both 3: %+v", stats.Shed.Total, pools, stats.Shed)
 	}
 }
 

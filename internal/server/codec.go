@@ -167,7 +167,8 @@ type batchSummary struct {
 	ElapsedUS int64  `json:"elapsed_us"`
 }
 
-// statsResponse is the GET /stats reply.
+// statsResponse is the GET /stats reply, also served at GET /debug/vars:
+// the server's one counter document.
 type statsResponse struct {
 	Epoch     uint64          `json:"epoch"`
 	Layers    map[string]int  `json:"layers"`
@@ -227,7 +228,7 @@ type shedStats struct {
 // chosen on cache misses and how much run-cost feedback has accumulated.
 type plannerStats struct {
 	Mode             string `json:"mode"`              // "adaptive" or "static"
-	AdaptiveCompiles int64  `json:"adaptive_compiles"` // compiles through CompileAdaptive
+	AdaptiveCompiles int64  `json:"adaptive_compiles"` // queries.compiles in adaptive mode, else 0
 	Reordered        int64  `json:"reordered"`         // compiles that changed the retrieval order
 	FeedbackUsed     int64  `json:"feedback_used"`     // compiles ranked by observed run costs
 	Observations     int64  `json:"observations"`      // completed runs recorded into the tuner

@@ -1,7 +1,7 @@
 // Durability endpoints. When boolqd runs with -data-dir the server is
 // constructed over a wal.DB (Options.Durable): every mutation handler's
-// store call appends a WAL record before acknowledging, /stats and
-// /debug/vars grow durability counters, and two probe endpoints become
+// store call appends a WAL record before acknowledging, /stats grows
+// its wal and degraded sections, and two probe endpoints become
 // meaningful:
 //
 //	GET  /healthz     liveness + durability state — always 200 while the

@@ -67,7 +67,7 @@ func (s *Server) handleListLayers(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleCreateLayer(w http.ResponseWriter, r *http.Request) {
 	release, aerr := s.mutGate.acquire(r.Context())
 	if aerr != nil {
-		s.shedReject(w, aerr)
+		shedReject(w, aerr)
 		return
 	}
 	defer release()
@@ -91,7 +91,7 @@ func (s *Server) handleCreateLayer(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 	release, aerr := s.mutGate.acquire(r.Context())
 	if aerr != nil {
-		s.shedReject(w, aerr)
+		shedReject(w, aerr)
 		return
 	}
 	defer release()
@@ -143,7 +143,7 @@ func (s *Server) handleGetObject(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteObject(w http.ResponseWriter, r *http.Request) {
 	release, aerr := s.mutGate.acquire(r.Context())
 	if aerr != nil {
-		s.shedReject(w, aerr)
+		shedReject(w, aerr)
 		return
 	}
 	defer release()
@@ -207,7 +207,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// decode, and certainly never the store's read guard.
 	release, aerr := s.readGate.acquire(r.Context())
 	if aerr != nil {
-		s.shedReject(w, aerr)
+		shedReject(w, aerr)
 		return
 	}
 	defer release()
@@ -302,7 +302,6 @@ func (s *Server) lookupPlan(store *spatialdb.Store, gen, epoch uint64, normalize
 		if err != nil {
 			return nil, false, err
 		}
-		s.metrics.PlanAdaptive.Add(1)
 		if info := plan.Adaptive; info != nil {
 			if info.Reordered {
 				s.metrics.PlanReordered.Add(1)
@@ -500,12 +499,12 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		shed = &shedStats{
 			Reads:     s.readGate.poolStats(),
 			Mutations: s.mutGate.poolStats(),
-			Total:     mt.Shed.Value(),
+			Total:     s.readGate.shedTotal() + s.mutGate.shedTotal(),
 		}
 	}
-	mode := "adaptive"
+	mode, adaptive := "adaptive", mt.PlanCompiles.Load()
 	if s.staticPlan {
-		mode = "static"
+		mode, adaptive = "static", 0
 	}
 	writeJSON(w, http.StatusOK, statsResponse{
 		Epoch:  store.Epoch(),
@@ -518,28 +517,28 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		},
 		Planner: plannerStats{
 			Mode:             mode,
-			AdaptiveCompiles: mt.PlanAdaptive.Value(),
-			Reordered:        mt.PlanReordered.Value(),
-			FeedbackUsed:     mt.PlanFeedback.Value(),
-			Observations:     mt.TunerObservations.Value(),
+			AdaptiveCompiles: adaptive,
+			Reordered:        mt.PlanReordered.Load(),
+			FeedbackUsed:     mt.PlanFeedback.Load(),
+			Observations:     mt.TunerObservations.Load(),
 			TunerKeys:        s.tuner.Len(),
 		},
 		Queries: counterGroup{
-			Total:     mt.QueriesTotal.Value(),
-			Errors:    mt.QueryErrors.Value(),
-			Naive:     mt.QueriesNaive.Value(),
-			Compiles:  mt.PlanCompiles.Value(),
-			Timeouts:  mt.QueryTimeouts.Value(),
-			Cancelled: mt.QueryCancelled.Value(),
-			Truncated: mt.QueryTruncated.Value(),
+			Total:     mt.QueriesTotal.Load(),
+			Errors:    mt.QueryErrors.Load(),
+			Naive:     mt.QueriesNaive.Load(),
+			Compiles:  mt.PlanCompiles.Load(),
+			Timeouts:  mt.QueryTimeouts.Load(),
+			Cancelled: mt.QueryCancelled.Load(),
+			Truncated: mt.QueryTruncated.Load(),
 		},
 		Batch: batchStats{
-			Requests:   mt.BatchRequests.Value(),
-			QueriesRun: mt.BatchQueries.Value(),
+			Requests:   mt.BatchRequests.Load(),
+			QueriesRun: mt.BatchQueries.Load(),
 		},
-		Mutations:   mutationStats{Inserts: mt.Inserts.Value(), Deletes: mt.Deletes.Value()},
-		Bulk:        bulkStats{Batches: mt.BulkBatches.Value(), Objects: mt.BulkObjects.Value()},
-		Snapshots:   snapshotStats{Saves: mt.SnapshotSaves.Value(), Loads: mt.SnapshotLoads.Value()},
+		Mutations:   mutationStats{Inserts: mt.Inserts.Load(), Deletes: mt.Deletes.Load()},
+		Bulk:        bulkStats{Batches: mt.BulkBatches.Load(), Objects: mt.BulkObjects.Load()},
+		Snapshots:   snapshotStats{Saves: mt.SnapshotSaves.Load(), Loads: mt.SnapshotLoads.Load()},
 		DB:          store.TotalStats(),
 		WAL:         walStats,
 		Degraded:    degStats,
@@ -592,10 +591,4 @@ func (s *Server) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 		"layers": layerSizes(store),
 		"epoch":  store.Epoch(),
 	})
-}
-
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write([]byte(s.vars.String()))
-	_, _ = w.Write([]byte("\n"))
 }

@@ -105,7 +105,7 @@ func peekNonSpace(br *bufio.Reader) (byte, error) {
 func (s *Server) handleBulkInsert(w http.ResponseWriter, r *http.Request) {
 	release, aerr := s.mutGate.acquire(r.Context())
 	if aerr != nil {
-		s.shedReject(w, aerr)
+		shedReject(w, aerr)
 		return
 	}
 	defer release()
@@ -256,7 +256,6 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 				// admitted remainder still runs — rather than all or nothing.
 				release, aerr := s.readGate.acquire(ctx)
 				if aerr != nil {
-					s.metrics.Shed.Add(1)
 					shedCount.Add(1)
 					errCount.Add(1)
 					writeLine(batchErrorLine{Index: i, Error: aerr.Error(), Shed: true})

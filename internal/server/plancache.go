@@ -11,7 +11,7 @@ import (
 // PlanCache is an LRU cache of compiled query plans keyed by the
 // normalized query text (lang.Normalize), validated against the store
 // epoch the plan was compiled at. A hit skips Parse and Compile — the
-// whole §3/§4 pipeline — and goes straight to Plan.Run.
+// whole §3/§4 pipeline — and goes straight to Plan.RunStream.
 //
 // Epoch handling: each entry remembers the store generation (bumped when
 // the server swaps its store on snapshot load — epochs of different
@@ -19,10 +19,10 @@ import (
 // with a different generation or epoch deletes the entry and reports a
 // miss, so a store mutation invalidates every cached plan lazily, without
 // a sweep, and an in-flight Put racing a store swap can never be served
-// against the new store. (Compilation today depends only on the store
-// schema, but cached plans may embed data-dependent choices — e.g.
-// sampled retrieval orders — so the cache is conservative and keys on
-// every mutation.)
+// against the new store. A plan depends on the store's data, not only
+// its schema: the adaptive planner ranks retrieval orders by the layers'
+// statistics and the tuner's epoch-stamped observations, so every
+// mutation invalidates it.
 type PlanCache struct {
 	mu  sync.Mutex
 	cap int

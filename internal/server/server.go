@@ -13,10 +13,10 @@
 //	POST   /query                               run a textual query (?stream=1: NDJSON per solution)
 //	POST   /query/batch                         run many queries, streaming NDJSON results
 //	GET    /stats                               service + store statistics
+//	GET    /debug/vars                          the /stats document
 //	GET    /snapshot                            save the store as JSON
 //	POST   /snapshot                            replace the store from JSON (409 in durable mode)
 //	POST   /checkpoint                          force a durability checkpoint (durable mode only)
-//	GET    /debug/vars                          expvar metrics
 //	GET    /healthz                             liveness probe
 //	GET    /readyz                              readiness probe (503 until recovery completes)
 //	GET    /repl/snapshot                       stream the newest checkpoint to a replica (durable mode)
@@ -40,8 +40,8 @@
 // per-request workers override is clamped to MaxQueryWorkers. Expired or
 // disconnected runs release the store's read guard within a few hundred
 // candidates and come back as 408 with partial results flagged
-// cancelled; capped runs flag truncated. The query_timeouts,
-// query_cancelled and query_truncated counters expose the outcomes.
+// cancelled; capped runs flag truncated. The timeouts, cancelled and
+// truncated counters of /stats' queries section count the outcomes.
 //
 // The batch-shaped entry points exist because the single-object paths are
 // where a production load falls over: objects:bulk takes the store's
@@ -56,7 +56,6 @@ package server
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -88,8 +87,8 @@ type Options struct {
 	// guard longer than this.
 	QueryTimeout time.Duration
 	// Durable, when set, is the wal.DB whose recovered store this server
-	// serves. It enables POST /checkpoint, the durability sections of
-	// /stats and /debug/vars, and disables POST /snapshot (replacing the
+	// serves. It enables POST /checkpoint and the durability sections
+	// of /stats, and disables POST /snapshot (replacing the
 	// store would disconnect it from the write-ahead log). The store
 	// passed to New must be Durable.Store().
 	Durable *wal.DB
@@ -97,9 +96,6 @@ type Options struct {
 	// compile in the query's own retrieval order with no feedback, as
 	// before PR 7. Exposed as boolqd's -plan flag for A/B comparisons.
 	StaticPlan bool
-	// TunerSize caps how many distinct queries the feedback tuner tracks
-	// (≤ 0 means the query package default).
-	TunerSize int
 	// MaxInflight bounds concurrently admitted expensive requests: one
 	// pool of this many slots for plan-executing reads and a separate
 	// equal-sized pool for mutations (admission.go). ≤ 0 disables
@@ -136,7 +132,6 @@ type Server struct {
 	gen          uint64 //boolq:guardedby mu
 	cache        *PlanCache
 	metrics      *Metrics
-	vars         *expvar.Map
 	workers      int
 	batchWorkers int
 	queryTimeout time.Duration
@@ -180,7 +175,7 @@ func New(store *spatialdb.Store, opts Options) *Server {
 		replica:      opts.Replica,
 		rejectStale:  opts.RejectStaleReads,
 		staticPlan:   opts.StaticPlan,
-		tuner:        query.NewTuner(opts.TunerSize),
+		tuner:        query.NewTuner(0),
 		readGate:     newAdmission(opts.MaxInflight, opts.ShedQueue, opts.MaxQueueWait),
 		mutGate:      newAdmission(opts.MaxInflight, opts.ShedQueue, opts.MaxQueueWait),
 		drainc:       make(chan struct{}),
@@ -188,8 +183,6 @@ func New(store *spatialdb.Store, opts Options) *Server {
 	if s.replica != nil {
 		s.replica.SetOnSwap(s.swapStore)
 	}
-	s.vars = s.expvarMap()
-	publishOnce.Do(func() { expvar.Publish("boolqd", s.vars) })
 	s.mux = http.NewServeMux()
 	s.routes()
 	return s
@@ -210,9 +203,6 @@ func (s *Server) storeAndGen() (*spatialdb.Store, uint64) {
 	defer s.mu.RUnlock()
 	return s.store, s.gen
 }
-
-// Cache returns the plan cache (exposed for stats and benchmarks).
-func (s *Server) Cache() *PlanCache { return s.cache }
 
 // swapStore replaces the backing store and drops all cached plans, whose
 // epochs are meaningless against the new store. The generation bump
@@ -245,10 +235,10 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /query/batch", s.handleQueryBatch)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
+	s.mux.HandleFunc("GET /debug/vars", s.handleStats)
 	s.mux.HandleFunc("GET /snapshot", s.handleSnapshotSave)
 	s.mux.HandleFunc("POST /snapshot", s.handleSnapshotLoad)
 	s.mux.HandleFunc("POST /checkpoint", s.handleCheckpoint)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /readyz", s.handleReady)
 	s.mux.HandleFunc("GET /repl/snapshot", s.handleReplSnapshot)
@@ -266,9 +256,6 @@ func (s *Server) BeginDrain() {
 		close(s.drainc)
 	})
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // writeJSON writes v as the response body with the given status.
 func writeJSON(w http.ResponseWriter, status int, v any) {

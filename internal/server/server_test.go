@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -321,20 +323,47 @@ func smugglerRequestWithoutParams(m *workload.Map) queryRequest {
 	return req
 }
 
+// TestExpvarEndpoint: GET /debug/vars serves the /stats document, on a
+// plain server, a durable one and one with admission control on, after
+// traffic that moves their counters.
 func TestExpvarEndpoint(t *testing.T) {
-	s, m := newTestServer(t)
-	do(t, s, http.MethodPost, "/query", smugglerRequest(m), nil)
-	var vars map[string]any
-	if w := do(t, s, http.MethodGet, "/debug/vars", nil, &vars); w.Code != http.StatusOK {
-		t.Fatalf("GET /debug/vars: %d", w.Code)
+	plain, m := newTestServer(t)
+	do(t, plain, http.MethodPost, "/query", smugglerRequest(m), nil)
+	do(t, plain, http.MethodPost, "/query", smugglerRequest(m), nil)
+
+	durable, db := newDurableServer(t, t.TempDir())
+	t.Cleanup(func() { db.Close() })
+	putTestObject(t, durable, "towns", "a")
+	do(t, durable, http.MethodPost, "/query", degradedQuery, nil)
+
+	shed := newShedServer(t)
+	release, err := shed.readGate.acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, key := range []string{"queries_total", "plan_cache_hits", "plan_cache_misses", "store_epoch", "plan_compiles"} {
-		if _, ok := vars[key]; !ok {
-			t.Errorf("expvar missing %q: %v", key, vars)
+	do(t, shed, http.MethodPost, "/query", degradedQuery, nil) // shed
+	release()
+	do(t, shed, http.MethodPost, "/query", degradedQuery, nil)
+
+	for _, tc := range []struct {
+		name    string
+		s       *Server
+		queries float64
+	}{{"plain", plain, 2}, {"durable", durable, 1}, {"admission", shed, 1}} {
+		name, s := tc.name, tc.s
+		var stats, vars map[string]any
+		if w := do(t, s, http.MethodGet, "/stats", nil, &stats); w.Code != http.StatusOK {
+			t.Fatalf("%s: GET /stats: %d", name, w.Code)
 		}
-	}
-	if vars["queries_total"].(float64) < 1 {
-		t.Errorf("queries_total = %v", vars["queries_total"])
+		if w := do(t, s, http.MethodGet, "/debug/vars", nil, &vars); w.Code != http.StatusOK {
+			t.Fatalf("%s: GET /debug/vars: %d", name, w.Code)
+		}
+		if !reflect.DeepEqual(vars, stats) {
+			t.Errorf("%s: /debug/vars differs from /stats:\n%v\n%v", name, vars, stats)
+		}
+		if q, _ := stats["queries"].(map[string]any); q["total"] != tc.queries {
+			t.Errorf("%s: queries = %v, want total %v", name, stats["queries"], tc.queries)
+		}
 	}
 }
 

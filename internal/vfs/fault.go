@@ -105,15 +105,9 @@ func (f *fault) err() error {
 // FaultStats summarizes an Injector's activity: how many operations it
 // saw and how many faults it injected, per operation kind.
 type FaultStats struct {
-	Ops      int64            `json:"ops"`      // operations observed
-	Injected int64            `json:"injected"` // faults injected
-	ByOp     map[string]int64 `json:"by_op,omitempty"`
-}
-
-// Faulty is implemented by filesystems that can report injected-fault
-// counters; internal/wal surfaces them in /stats when its FS has them.
-type Faulty interface {
-	FaultStats() FaultStats
+	Ops      int64 // operations observed
+	Injected int64 // faults injected
+	ByOp     map[string]int64
 }
 
 // Injector is an FS wrapping another FS with programmable failpoints.
@@ -130,8 +124,6 @@ type Injector struct {
 	injected int64
 	byOp     [opCount]int64
 }
-
-var _ Faulty = (*Injector)(nil)
 
 // NewInjector wraps base (nil: OS) with an empty fault schedule.
 func NewInjector(base FS) *Injector {

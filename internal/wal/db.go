@@ -173,8 +173,7 @@ type DBStats struct {
 	DegradedEntered int64  `json:"degraded_entered"` // lifetime transitions into degraded
 	Probes          int64  `json:"probes"`           // recovery attempts while degraded
 
-	Log    Stats           `json:"log"`
-	Faults *vfs.FaultStats `json:"faults,omitempty"` // set when the FS injects faults (tests)
+	Log Stats `json:"log"`
 }
 
 // OpenDB opens (creating if needed) a durable store in dir and recovers
@@ -363,10 +362,6 @@ func (db *DB) Stats() DBStats {
 		if cause, ok := db.degradeCause.Load().(string); ok {
 			st.DegradeCause = cause
 		}
-	}
-	if faulty, ok := db.fs.(vfs.Faulty); ok {
-		fst := faulty.FaultStats()
-		st.Faults = &fst
 	}
 	return st
 }
