@@ -622,7 +622,8 @@ func BenchmarkCompileAdaptive4(b *testing.B) {
 }
 
 // BenchmarkCompileAdaptive5 is BenchmarkCompileAdaptive4 with a fifth
-// binding: 120 retrieval orders, 80 eliminations.
+// binding: 120 retrieval orders, 80 (set, binding) steps and 31
+// projections.
 func BenchmarkCompileAdaptive5(b *testing.B) {
 	store, params := smugglerSetup(1)
 	q, err := lang.Parse(`find T in towns, B in states, R in roads, S in states, U in towns given C

@@ -1,6 +1,8 @@
 package bbox
 
 import (
+	"math/bits"
+
 	"repro/internal/bcf"
 	"repro/internal/formula"
 )
@@ -50,45 +52,37 @@ func Upper(f *formula.Formula) (*Func, error) {
 func UpperFromBCF(s formula.SOP) *Func {
 	// Drop negative literals per term; a term with only negative literals
 	// (or the empty term) upper-approximates to the universe.
-	type boxTerm struct {
-		vars uint64 // set of positive literals; meet of their boxes
-	}
-	var terms []boxTerm
 	for _, t := range s {
 		if t.Pos == 0 {
 			return UnivFunc()
 		}
-		terms = append(terms, boxTerm{vars: t.Pos})
-	}
-	// Simplify: a term whose variable set is a superset of another's is
-	// absorbed (meet of more boxes is smaller, so it adds nothing to ⊔).
-	var kept []boxTerm
-	for i, t := range terms {
-		absorbed := false
-		for j, u := range terms {
-			if i == j {
-				continue
-			}
-			if u.vars&^t.vars == 0 && (u.vars != t.vars || j < i) {
-				absorbed = true
-				break
-			}
-		}
-		if !absorbed {
-			kept = append(kept, t)
-		}
 	}
 	acc := EmptyFunc()
-	for _, t := range kept {
+	for i, t := range s {
+		if absorbedPos(s, i) {
+			continue
+		}
 		term := UnivFunc()
-		for v := 0; v < 64; v++ {
-			if t.vars&(uint64(1)<<uint(v)) != 0 {
-				term = MeetFunc(term, VarFunc(v))
-			}
+		for m := t.Pos; m != 0; m &= m - 1 {
+			term = MeetFunc(term, VarFunc(bits.TrailingZeros64(m)))
 		}
 		acc = JoinFunc(acc, term)
 	}
 	return acc
+}
+
+// absorbedPos reports whether term i's positive literals, as a meet of
+// boxes, add nothing to the join of the other terms': some other term's
+// positive literals are a subset of them (a meet of more boxes is
+// smaller), the earlier of two equal sets being kept.
+func absorbedPos(s formula.SOP, i int) bool {
+	t := s[i].Pos
+	for j, u := range s {
+		if j != i && u.Pos&^t == 0 && (u.Pos != t || j < i) {
+			return true
+		}
+	}
+	return false
 }
 
 // Approx bundles the two approximations of one Boolean function.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/formula"
 )
 
 // FuncKind discriminates bounding-box function nodes.
@@ -30,16 +32,32 @@ type Func struct {
 	l, r *Func
 }
 
+// Functions are immutable, so the two constants and the variables a
+// formula can mention (formula.MaxVars of them) are shared.
+var (
+	emptyFunc = &Func{kind: FEmpty}
+	univFunc  = &Func{kind: FUniv}
+	varFuncs  = func() (fs [formula.MaxVars]*Func) {
+		for v := range fs {
+			fs[v] = &Func{kind: FVar, v: v}
+		}
+		return fs
+	}()
+)
+
 // EmptyFunc returns the constant-∅ function.
-func EmptyFunc() *Func { return &Func{kind: FEmpty} }
+func EmptyFunc() *Func { return emptyFunc }
 
 // UnivFunc returns the constant-universe function.
-func UnivFunc() *Func { return &Func{kind: FUniv} }
+func UnivFunc() *Func { return univFunc }
 
 // VarFunc returns the function ⌈x_v⌉.
 func VarFunc(v int) *Func {
 	if v < 0 {
 		panic(fmt.Sprintf("bbox: negative variable index %d", v))
+	}
+	if v < len(varFuncs) {
+		return varFuncs[v]
 	}
 	return &Func{kind: FVar, v: v}
 }
@@ -121,6 +139,48 @@ func (f *Func) Eval(k int, env []Box) Box {
 	default:
 		return f.l.Eval(k, env).Join(f.r.Eval(k, env))
 	}
+}
+
+// EvalInto is Eval on a caller-owned Scratch, for a function that was
+// never lowered to a Program: once scr has grown it allocates nothing,
+// and its result may alias scr, env or f's constants, as Program.Eval's
+// does (valid until the next evaluation with scr).
+//
+//boolq:noalloc
+func (f *Func) EvalInto(k int, env []Box, scr *Scratch) Box {
+	return f.evalAt(k, env, scr, 0)
+}
+
+// evalAt evaluates f into scr's slots at depth d and deeper: the right
+// operand of a node at depth d works at d+1, so it cannot overwrite the
+// left operand's result.
+//
+//boolq:noalloc
+func (f *Func) evalAt(k int, env []Box, scr *Scratch, d int) Box {
+	switch f.kind {
+	case FEmpty:
+		return Box{K: k} //boolq:allowalloc value literal of the empty box
+	case FUniv:
+		scr.grow(d + 1)
+		scr.slots[d].SetUniv(k)
+		return scr.slots[d]
+	case FVar:
+		if f.v >= len(env) {
+			panic(fmt.Sprintf("bbox: unbound variable x%d in box function", f.v))
+		}
+		return env[f.v]
+	case FConst:
+		return f.c
+	}
+	a := f.l.evalAt(k, env, scr, d)
+	b := f.r.evalAt(k, env, scr, d+1)
+	scr.grow(d + 1)
+	if f.kind == FMeet {
+		a.MeetInto(b, &scr.slots[d])
+	} else {
+		a.JoinInto(b, &scr.slots[d])
+	}
+	return scr.slots[d]
 }
 
 // FreeVars returns the sorted variable indices used by f. There is no cap

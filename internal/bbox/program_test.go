@@ -50,7 +50,8 @@ func randProgFunc(r *rand.Rand, depth, nvars, k int) *Func {
 
 // TestProgramEquivalentToFuncEval is the randomized property test: for
 // random trees over all node kinds and random environments, the compiled
-// program computes exactly what the tree walk computes.
+// program and the scratch-backed tree walk (EvalInto, sharing the
+// program's scratch) compute exactly what the tree walk computes.
 func TestProgramEquivalentToFuncEval(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	var scr Scratch
@@ -66,6 +67,10 @@ func TestProgramEquivalentToFuncEval(t *testing.T) {
 		got := f.Compile().Eval(k, env, &scr)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: Program.Eval = %v, Func.Eval = %v for %v over %v",
+				trial, got, want, f, env)
+		}
+		if got := f.EvalInto(k, env, &scr); !got.Equal(want) {
+			t.Fatalf("trial %d: Func.EvalInto = %v, Func.Eval = %v for %v over %v",
 				trial, got, want, f, env)
 		}
 	}
@@ -114,7 +119,8 @@ func TestProgramUnboundVarPanics(t *testing.T) {
 
 // TestProgramEvalAllocFree pins the tentpole invariant: a warm scratch
 // makes Eval allocate nothing, whatever mix of empty/universe/proper boxes
-// flows through the stack.
+// flows through the stack; nor does EvalInto, the tree walk the planner
+// costs unlowered templates with.
 func TestProgramEvalAllocFree(t *testing.T) {
 	f := JoinFunc(
 		MeetFunc(VarFunc(0), MeetFunc(VarFunc(1), ConstFunc(Rect(0, 0, 50, 50)))),
@@ -129,6 +135,13 @@ func TestProgramEvalAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Program.Eval allocates %v per run with a warm scratch, want 0", allocs)
+	}
+	f.EvalInto(2, env, &scr)
+	allocs = testing.AllocsPerRun(200, func() {
+		f.EvalInto(2, env, &scr)
+	})
+	if allocs != 0 {
+		t.Fatalf("Func.EvalInto allocates %v per run with a warm scratch, want 0", allocs)
 	}
 }
 

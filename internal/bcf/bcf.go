@@ -32,6 +32,85 @@ func BCF(f *formula.Formula) (formula.SOP, error) {
 	return Close(sop)
 }
 
+// Memo caches Blake canonical forms for the life of one compilation. It
+// is keyed by structure: a formula's hash (formula.Formula.Hash) finds the
+// candidates and Same confirms a hit, so a formula rebuilt node by node —
+// the same cofactor reached along another elimination path — hits as well
+// as a shared pointer does. (A memo keyed on the formula's text costs more
+// to key than it saves.) Each canonical form's own formula is entered as
+// well, since its BCF is itself. The zero value is ready. A Memo holds
+// every formula it has seen and is not safe for concurrent use: keep one
+// per compilation and drop it with the compilation.
+type Memo struct {
+	index    map[uint32]int32 // hash → 1 + index in entries of the latest entry with that hash
+	entries  []memoEntry
+	computed int
+}
+
+type memoEntry struct {
+	f    *formula.Formula
+	sop  formula.SOP
+	form *formula.Formula // sop.FormulaOf(), built on first request
+	err  error
+	next int32 // 1 + index of the previous entry with the same hash; 0 ends the chain
+}
+
+// BCF is the package's BCF, computed once per distinct formula.
+func (m *Memo) BCF(f *formula.Formula) (formula.SOP, error) {
+	e := &m.entries[m.lookup(f)]
+	return e.sop, e.err
+}
+
+// Formula returns BCF(f) as a formula (formula.SOP.FormulaOf): the sum of
+// f's prime implicants, the same formula for every f denoting the same
+// function.
+func (m *Memo) Formula(f *formula.Formula) (*formula.Formula, error) {
+	i := m.lookup(f)
+	if e := &m.entries[i]; e.err != nil || e.form != nil {
+		return e.form, e.err
+	}
+	form := m.entries[i].sop.FormulaOf()
+	m.entries[i].form = form
+	if m.find(form) < 0 {
+		m.add(memoEntry{f: form, sop: m.entries[i].sop, form: form})
+	}
+	return form, nil
+}
+
+// Computed reports how many canonical forms the memo has computed: its
+// distinct formulas, less the canonical forms it entered for free.
+func (m *Memo) Computed() int { return m.computed }
+
+// lookup returns f's entry, computing its canonical form on a miss.
+func (m *Memo) lookup(f *formula.Formula) int {
+	if i := m.find(f); i >= 0 {
+		return i
+	}
+	sop, err := BCF(f)
+	m.computed++
+	return m.add(memoEntry{f: f, sop: sop, err: err})
+}
+
+func (m *Memo) find(f *formula.Formula) int {
+	for i := m.index[f.Hash()]; i != 0; i = m.entries[i-1].next {
+		if m.entries[i-1].f.Same(f) {
+			return int(i - 1)
+		}
+	}
+	return -1
+}
+
+func (m *Memo) add(e memoEntry) int {
+	if m.index == nil {
+		m.index = make(map[uint32]int32)
+	}
+	h := e.f.Hash()
+	e.next = m.index[h]
+	m.entries = append(m.entries, e)
+	m.index[h] = int32(len(m.entries))
+	return len(m.entries) - 1
+}
+
 // Close computes the consensus/absorption closure of an arbitrary sum of
 // products, yielding the Blake canonical form of the function it denotes.
 func Close(sop formula.SOP) (formula.SOP, error) {

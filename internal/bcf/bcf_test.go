@@ -1,6 +1,7 @@
 package bcf
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -112,6 +113,46 @@ func TestBCFPreservesSemantics(t *testing.T) {
 		}
 		if !formula.Equivalent(s.FormulaOf(), f) {
 			t.Errorf("BCF changed semantics of %v: %v", f, s)
+		}
+	}
+}
+
+// A Memo returns what BCF returns, computes each distinct formula once —
+// also one rebuilt node by node — and knows a canonical form's own
+// formula without computing it.
+func TestMemoMatchesBCF(t *testing.T) {
+	build := func() []*formula.Formula {
+		x, y, z, w := formula.Var(0), formula.Var(1), formula.Var(2), formula.Var(3)
+		return []*formula.Formula{
+			formula.Xor(x, formula.Xor(y, z)),
+			formula.OrN(formula.And(x, y), formula.And(y, z), formula.And(z, x)),
+			formula.Implies(formula.And(x, y), formula.Or(z, w)),
+			formula.Not(formula.Or(formula.And(x, formula.Not(y)), z)),
+			formula.Zero(), formula.One(), x,
+		}
+	}
+	var m Memo
+	for round, fs := range [][]*formula.Formula{build(), build()} {
+		for _, f := range fs {
+			want, err := BCF(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.BCF(f)
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("round %d: Memo.BCF(%v) = %v, %v; BCF = %v", round, f, got, err, want)
+			}
+			form, err := m.Formula(f)
+			if err != nil || !form.Same(want.FormulaOf()) {
+				t.Fatalf("round %d: Memo.Formula(%v) = %v, %v; want %v", round, f, form, err, want.FormulaOf())
+			}
+			before := m.Computed()
+			if again, _ := m.BCF(form); fmt.Sprint(again) != fmt.Sprint(want) || m.Computed() != before {
+				t.Fatalf("round %d: BCF of %v's canonical form = %v after %d new computations", round, f, again, m.Computed()-before)
+			}
+		}
+		if n := len(fs); m.Computed() != n {
+			t.Fatalf("round %d: %d canonical forms computed for %d distinct formulas", round, m.Computed(), n)
 		}
 	}
 }

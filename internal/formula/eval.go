@@ -2,6 +2,7 @@ package formula
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/boolalg"
 )
@@ -23,7 +24,7 @@ func Eval(f *Formula, alg boolalg.Algebra, env []boolalg.Element) boolalg.Elemen
 		}
 		return alg.Bottom()
 	case KindVar:
-		if f.v >= len(env) || env[f.v] == nil {
+		if int(f.v) >= len(env) || env[f.v] == nil {
 			panic(fmt.Sprintf("formula: unbound variable x%d in evaluation", f.v))
 		}
 		return env[f.v]
@@ -68,14 +69,18 @@ func TautologyZero(f *Formula) bool {
 	if f.IsConst(false) {
 		return true
 	}
-	vars := f.FreeVars()
-	if len(vars) > 24 {
-		panic(fmt.Sprintf("formula: equivalence check over %d variables", len(vars)))
+	var vars [MaxVars]int
+	n := 0
+	for m := f.vars; m != 0; m &= m - 1 {
+		vars[n] = bits.TrailingZeros64(m)
+		n++
 	}
-	n := uint(len(vars))
+	if n > 24 {
+		panic(fmt.Sprintf("formula: equivalence check over %d variables", n))
+	}
 	for m := uint64(0); m < uint64(1)<<n; m++ {
 		var assign uint64
-		for i, v := range vars {
+		for i, v := range vars[:n] {
 			if m&(uint64(1)<<uint(i)) != 0 {
 				assign |= uint64(1) << uint(v)
 			}

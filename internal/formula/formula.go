@@ -25,7 +25,7 @@ package formula
 import (
 	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 )
 
@@ -41,18 +41,34 @@ const (
 	KindOr                // binary disjunction
 )
 
-// Formula is an immutable Boolean formula node.
+// Formula is an immutable Boolean formula node. Its constructors record
+// two summaries of the subtree, so neither needs a walk: a structural
+// hash (Hash) and the set of variables it mentions (variable indices are
+// below MaxVars, so the set is one mask).
 type Formula struct {
 	kind Kind
 	val  bool     // for KindConst
-	v    int      // for KindVar: variable index (≥ 0)
+	v    uint8    // for KindVar: variable index (< MaxVars)
+	h    uint32   // structural hash: equal for Same formulas
+	vars uint64   // bit v set iff variable v occurs
 	l, r *Formula // children: Not uses l only
 }
 
 var (
-	zero = &Formula{kind: KindConst, val: false}
-	one  = &Formula{kind: KindConst, val: true}
+	zero = &Formula{kind: KindConst, val: false, h: mix(KindConst, 0, 0)}
+	one  = &Formula{kind: KindConst, val: true, h: mix(KindConst, 1, 0)}
 )
+
+// mix hashes a node from its kind and its children's hashes (or its
+// variable index). Order matters: And(f, g) and And(g, f) are different
+// formulas.
+func mix(k Kind, a, b uint32) uint32 {
+	h := (uint32(k)+1)*0x9e3779b1 ^ a
+	h = (h ^ h>>15) * 0x85ebca77
+	h ^= b + 0x27d4eb2f + h<<6 + h>>2
+	h = (h ^ h>>13) * 0xc2b2ae3d
+	return h ^ h>>16
+}
 
 // Zero returns the constant-0 formula (the empty region).
 func Zero() *Formula { return zero }
@@ -60,12 +76,22 @@ func Zero() *Formula { return zero }
 // One returns the constant-1 formula (the universe).
 func One() *Formula { return one }
 
-// Var returns the formula consisting of variable v.
-func Var(v int) *Formula {
-	if v < 0 {
-		panic(fmt.Sprintf("formula: negative variable index %d", v))
+// The literals are shared like the constants: one node per variable and
+// one per complemented variable.
+var vars, notVars = func() (pos, neg [MaxVars]*Formula) {
+	for v := range MaxVars {
+		pos[v] = &Formula{kind: KindVar, v: uint8(v), h: mix(KindVar, uint32(v), 0), vars: 1 << v}
+		neg[v] = &Formula{kind: KindNot, l: pos[v], h: mix(KindNot, pos[v].h, 0), vars: 1 << v}
 	}
-	return &Formula{kind: KindVar, v: v}
+	return pos, neg
+}()
+
+// Var returns the formula consisting of variable v, 0 ≤ v < MaxVars.
+func Var(v int) *Formula {
+	if v < 0 || v >= MaxVars {
+		panic(fmt.Sprintf("formula: variable index %d outside [0, %d)", v, MaxVars))
+	}
+	return vars[v]
 }
 
 // Kind returns the node kind.
@@ -75,7 +101,12 @@ func (f *Formula) Kind() Kind { return f.kind }
 func (f *Formula) Const() bool { return f.val }
 
 // VarIndex returns the variable index; valid only for KindVar nodes.
-func (f *Formula) VarIndex() int { return f.v }
+func (f *Formula) VarIndex() int { return int(f.v) }
+
+// Hash returns f's structural hash, computed when f was built: Same
+// formulas hash alike, so a table keyed by Hash and confirmed by Same
+// finds a formula however it was rebuilt (bcf.Memo).
+func (f *Formula) Hash() uint32 { return f.h }
 
 // Left returns the left (or only) child.
 func (f *Formula) Left() *Formula { return f.l }
@@ -96,8 +127,10 @@ func Not(f *Formula) *Formula {
 		return one
 	case KindNot:
 		return f.l
+	case KindVar:
+		return notVars[f.v]
 	}
-	return &Formula{kind: KindNot, l: f}
+	return &Formula{kind: KindNot, l: f, h: mix(KindNot, f.h, 0), vars: f.vars}
 }
 
 // And returns f ∧ g with unit/zero/idempotence folding.
@@ -114,7 +147,7 @@ func And(f, g *Formula) *Formula {
 	case complementary(f, g):
 		return zero
 	}
-	return &Formula{kind: KindAnd, l: f, r: g}
+	return &Formula{kind: KindAnd, l: f, r: g, h: mix(KindAnd, f.h, g.h), vars: f.vars | g.vars}
 }
 
 // Or returns f ∨ g with unit/zero/idempotence folding.
@@ -131,7 +164,7 @@ func Or(f, g *Formula) *Formula {
 	case complementary(f, g):
 		return one
 	}
-	return &Formula{kind: KindOr, l: f, r: g}
+	return &Formula{kind: KindOr, l: f, r: g, h: mix(KindOr, f.h, g.h), vars: f.vars | g.vars}
 }
 
 // complementary reports the cheap syntactic check f = ¬g or g = ¬f.
@@ -168,12 +201,13 @@ func Xor(f, g *Formula) *Formula { return Or(Diff(f, g), Diff(g, f)) }
 func Implies(f, g *Formula) *Formula { return Or(Not(f), g) }
 
 // Same reports structural equality (not semantic equivalence; see
-// Equivalent). Shared subtrees compare in O(1) via pointer identity.
+// Equivalent). Shared subtrees compare in O(1) via pointer identity, and
+// formulas whose hashes or variable sets differ in O(1) too.
 func (f *Formula) Same(g *Formula) bool {
 	if f == g {
 		return true
 	}
-	if f == nil || g == nil || f.kind != g.kind {
+	if f == nil || g == nil || f.h != g.h || f.vars != g.vars || f.kind != g.kind {
 		return false
 	}
 	switch f.kind {
@@ -222,40 +256,16 @@ func Compare(f, g *Formula) int {
 
 // FreeVars returns the sorted indices of variables occurring in f.
 func (f *Formula) FreeVars() []int {
-	seen := map[int]bool{}
-	f.collectVars(seen)
-	out := make([]int, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
+	out := make([]int, 0, bits.OnesCount64(f.vars))
+	for m := f.vars; m != 0; m &= m - 1 {
+		out = append(out, bits.TrailingZeros64(m))
 	}
-	sort.Ints(out)
 	return out
-}
-
-func (f *Formula) collectVars(seen map[int]bool) {
-	switch f.kind {
-	case KindVar:
-		seen[f.v] = true
-	case KindNot:
-		f.l.collectVars(seen)
-	case KindAnd, KindOr:
-		f.l.collectVars(seen)
-		f.r.collectVars(seen)
-	}
 }
 
 // Uses reports whether variable v occurs in f.
 func (f *Formula) Uses(v int) bool {
-	switch f.kind {
-	case KindVar:
-		return f.v == v
-	case KindNot:
-		return f.l.Uses(v)
-	case KindAnd, KindOr:
-		return f.l.Uses(v) || f.r.Uses(v)
-	default:
-		return false
-	}
+	return v >= 0 && v < MaxVars && f.vars&(1<<v) != 0
 }
 
 // Size returns the number of nodes in the formula tree (shared nodes
@@ -298,7 +308,7 @@ func (f *Formula) render(b *strings.Builder, name func(int) string, parent int) 
 			b.WriteString("0")
 		}
 	case KindVar:
-		b.WriteString(name(f.v))
+		b.WriteString(name(int(f.v)))
 	case KindNot:
 		b.WriteString("~")
 		f.l.render(b, name, 3)

@@ -1,6 +1,7 @@
 package formula
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -43,6 +44,81 @@ func TestVarPanicsOnNegative(t *testing.T) {
 		}
 	}()
 	Var(-1)
+}
+
+// A formula records its variables in one 64-bit mask.
+func TestVarPanicsPastMaxVars(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("Var(%d) should panic", MaxVars)
+		}
+	}()
+	Var(MaxVars)
+}
+
+// The hash and the variable set are computed by the constructors, so a
+// formula rebuilt node by node carries the same ones, and Same may reject
+// on either without walking.
+func TestHashFollowsStructure(t *testing.T) {
+	build := func() []*Formula {
+		x, y, z := Var(0), Var(1), Var(63)
+		return []*Formula{
+			Zero(), One(), x, y, Not(x), Not(z),
+			And(x, y), And(y, x), Or(x, y), Or(y, x),
+			And(x, Not(y)), Or(And(x, y), z), And(Or(x, y), z), Xor(x, z),
+		}
+	}
+	a, b := build(), build()
+	for i := range a {
+		if a[i].Hash() != b[i].Hash() || !a[i].Same(b[i]) {
+			t.Errorf("%v rebuilt: hash %08x vs %08x, Same %v", a[i], a[i].Hash(), b[i].Hash(), a[i].Same(b[i]))
+		}
+		for j := range a {
+			if j != i && a[i].Same(b[j]) {
+				t.Errorf("%v Same as %v", a[i], b[j])
+			}
+		}
+		var vars []int
+		for v := range MaxVars {
+			if a[i].Uses(v) {
+				vars = append(vars, v)
+			}
+		}
+		if fmt.Sprint(vars) != fmt.Sprint(a[i].FreeVars()) && len(vars)+len(a[i].FreeVars()) > 0 {
+			t.Errorf("%v: Uses reports %v, FreeVars %v", a[i], vars, a[i].FreeVars())
+		}
+	}
+}
+
+// An Expander's cofactors are the package's, call after call on one
+// table, and a subtree without the variable comes back unchanged.
+func TestExpanderMatchesExpansion(t *testing.T) {
+	x, y, z, w := Var(0), Var(1), Var(2), Var(3)
+	shared := Or(And(x, y), Not(z))
+	formulas := []*Formula{
+		Or(And(x, y), z),
+		Xor(x, Xor(y, z)),
+		And(shared, Or(shared, And(w, Not(x)))),
+		And(Implies(x, y), Implies(y, Or(z, w))),
+		w,
+	}
+	var ex Expander
+	for round := range 3 {
+		for _, f := range formulas {
+			for v := range 4 {
+				pos, neg := ex.Expansion(f, v)
+				if !pos.Same(Cofactor(f, v, true)) || !neg.Same(Cofactor(f, v, false)) {
+					t.Fatalf("round %d: Expander.Expansion(%v, x%d) = %v, %v", round, f, v, pos, neg)
+				}
+				if !Equivalent(f, Or(And(Var(v), pos), And(Not(Var(v)), neg))) {
+					t.Fatalf("Boole expansion of %v on x%d failed", f, v)
+				}
+			}
+		}
+	}
+	if pos, neg := ex.Expansion(shared, 3); pos != shared || neg != shared {
+		t.Errorf("cofactors of a formula without the variable were rebuilt")
+	}
 }
 
 func TestSame(t *testing.T) {

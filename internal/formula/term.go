@@ -242,9 +242,9 @@ func dnf(f *Formula, neg bool) (SOP, error) {
 		return SOP{}, nil
 	case KindVar:
 		if neg {
-			return SOP{Term{}.WithNeg(f.v)}, nil
+			return SOP{Term{}.WithNeg(int(f.v))}, nil
 		}
-		return SOP{Term{}.WithPos(f.v)}, nil
+		return SOP{Term{}.WithPos(int(f.v))}, nil
 	case KindNot:
 		return dnf(f.l, !neg)
 	case KindAnd, KindOr:

@@ -141,6 +141,16 @@ type AdaptiveOptions struct {
 type AdaptiveInfo struct {
 	Reordered    bool // the chosen order differs from the query's
 	FeedbackUsed int  // orders costed from a fresh Tuner observation
+
+	work compileWork
+}
+
+// compileWork counts phase 1's work in one CompileAdaptive call. The
+// counts are deterministic for a query, so tests pin them.
+type compileWork struct {
+	projections int // Eliminate calls: one per eliminated set that some order reaches
+	templates   int // range templates lowered: one per distinct (binding, step)
+	bcfs        int // Blake canonical forms computed: one per distinct formula
 }
 
 // outPositions maps the reordered query's step index back to the
@@ -183,11 +193,15 @@ func orderKey(q *Query) string {
 // order, and its residual after a set of eliminations does not depend on
 // the order they went in (package triangular), so the step at position i
 // depends only on the binding placed there and the set placed after it.
-// Phase 1 runs each such elimination once: n·2ⁿ⁻¹ of them (32 at n = 4,
-// 80 at n = 5) instead of one per order suffix (64 and 325). Phase 2
-// costs the orders front to back, so orders sharing a prefix share its
-// estimate, and drops a prefix that already costs more than the best
-// complete order. Only the winner's box programs are lowered.
+// Phase 1 solves each of the n·2ⁿ⁻¹ (set, binding) pairs once (32 at
+// n = 4, 80 at n = 5), but projects only once per eliminated set: 2ⁿ−1
+// projections (15 and 31); a pair into a set whose residual is known
+// solves the step alone. It lowers one range template per distinct
+// (binding, step) and computes each Blake canonical form once, all within
+// this call. Phase 2 costs the orders front to back, so orders sharing a
+// prefix share its estimate, and drops a prefix that already costs more
+// than the best complete order; costing allocates nothing once warm.
+// Only the winner's box programs are lowered.
 func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*Plan, error) {
 	n := len(q.Retrieve)
 	if n > maxAdaptivePermute {
@@ -252,6 +266,7 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 	plan.Adaptive = &AdaptiveInfo{
 		Reordered:    plan.orderKey != orderKey(q),
 		FeedbackUsed: s.feedbackUsed,
+		work:         s.work,
 	}
 	return plan, nil
 }
@@ -273,6 +288,12 @@ type orderSearch struct {
 	ids   []int // binding j's variable id
 	steps []elimStep
 
+	// Phase 1 state: the compilation's canonical-form memo and cofactor
+	// table, and per binding the distinct steps solved for it.
+	scr      triangular.Scratch
+	distinct [][]elimStep
+	work     compileWork
+
 	// Phase 2 state.
 	costModel
 	observed     map[string]Observation
@@ -292,40 +313,63 @@ func (s *orderSearch) step(placed, j int) *elimStep {
 }
 
 // eliminate is phase 1. It visits the eliminated sets in ascending order —
-// every subset of a set before the set — and eliminates each remaining
-// binding from the set's residual once. The first successful residual of
-// a set is the set's residual: any other order into it yields the same
-// one. It returns the residual of the full set (F nil when no order
-// compiles): the ground constraint every plan shares.
+// every subset of a set before the set — and solves each remaining
+// binding against the set's residual once. The first successful residual
+// of a set is the set's residual: any other order into it yields the same
+// one, so a binding whose target set already has its residual is only
+// solved (triangular.Scratch.Solve), not projected. Each distinct step
+// gets one range template (template). It returns the residual of the full
+// set (F nil when no order compiles): the ground constraint every plan
+// shares.
 func (s *orderSearch) eliminate(norm constraint.Normal) triangular.Elim {
 	res := make([]triangular.Elim, s.full+1) // F nil: no order reaches the set
 	res[0] = triangular.Start(norm)
 	s.steps = make([]elimStep, (s.full+1)*s.n)
+	s.distinct = make([][]elimStep, s.n)
 	for used := 0; used < s.full; used++ {
 		if res[used].F == nil {
 			continue
 		}
-		for j, b := range s.q.Retrieve {
+		for j := range s.q.Retrieve {
 			if used&(1<<j) != 0 {
 				continue
 			}
 			// A failure fails every order that eliminates j right after
 			// this set, as compiling each of them would.
-			st, rest, err := res[used].Eliminate(s.ids[j])
-			if err != nil {
-				continue
+			var st triangular.Step
+			var err error
+			if next := used | 1<<j; res[next].F != nil {
+				st, err = s.scr.Solve(res[used], s.ids[j])
+			} else {
+				var rest triangular.Elim
+				st, rest, err = s.scr.Eliminate(res[used], s.ids[j])
+				s.work.projections++
+				if err == nil {
+					res[next] = rest
+				}
 			}
-			sp, err := stepBoxPlan(st, b)
-			if err != nil {
-				continue
-			}
-			s.steps[used*s.n+j] = elimStep{tri: st, box: sp, ok: true}
-			if next := used | 1<<j; res[next].F == nil {
-				res[next] = rest
+			if err == nil {
+				s.steps[used*s.n+j] = s.template(j, st)
 			}
 		}
 	}
+	s.work.bcfs = s.scr.Memo.Computed()
 	return res[s.full]
+}
+
+// template returns binding j's step st with its range template, lowered
+// (Algorithm 2) the first time the binding meets a step Same as st.
+func (s *orderSearch) template(j int, st triangular.Step) elimStep {
+	for _, es := range s.distinct[j] {
+		if es.tri.Same(st) {
+			return es
+		}
+	}
+	sp, err := stepBoxPlan(st, s.q.Retrieve[j], &s.scr.Memo)
+	es := elimStep{tri: st, box: sp, ok: err == nil}
+	s.distinct[j] = append(s.distinct[j], es)
+	s.work.templates++
+	return es
 }
 
 // rank is phase 2: one front-to-back walk over the orders phase 1
@@ -387,11 +431,20 @@ func (s *orderSearch) place(i, placed int, cost, width float64, live bool) {
 type costModel struct {
 	k         int
 	stats     []*stats.Layer    // binding j's layer statistics; nil when the layer is missing
+	mean      []bbox.Box        // binding j's mean stored box
 	envBox    []bbox.Box        // representative environment of the current prefix
 	env       []boolalg.Element // envBox[v] as a region once a lower bound used it; else nil
 	retrieved []bool            // retrieval variables: their boxes are layer representatives
 	alg       region.Algebra    // the store's algebra bound to scr
 	scr       region.Scratch
+
+	// Scratch boxes, so estimating allocates nothing once warm: the
+	// step's range spec, the box of its lower bound, and binding j's
+	// representative box, which envBox holds while j is placed (a
+	// prefix places each binding once).
+	spec  specScratch
+	lower bbox.Box
+	reps  []bbox.Box
 }
 
 // init reads the layer statistics and binds every parameter to its
@@ -400,9 +453,12 @@ type costModel struct {
 func (m *costModel) init(q *Query, store *spatialdb.Store, params map[string]*region.Region) {
 	m.k = store.K()
 	m.stats = make([]*stats.Layer, len(q.Retrieve))
+	m.mean = make([]bbox.Box, len(q.Retrieve))
+	m.reps = make([]bbox.Box, len(q.Retrieve))
 	for j, b := range q.Retrieve {
 		if l, ok := store.LayerIfExists(b.Layer); ok {
 			m.stats[j] = l.DataStats()
+			m.mean[j] = m.stats[j].MeanBox()
 		}
 	}
 	m.envBox = paramBoxes(q, store, params)
@@ -437,13 +493,14 @@ func (m *costModel) estimate(es *elimStep, j int, cost, width float64) (float64,
 		return math.Inf(1), width, false
 	}
 	sp := &es.box
-	spec, satisfiable := sp.Spec(m.k, m.envBox)
+	spec, satisfiable := sp.SpecInto(m.k, m.envBox, &m.spec)
 	if !satisfiable {
 		return cost, width, false
 	}
-	lower, bounded := m.lowerBox(es.tri.Lower)
+	bounded := m.lowerBox(es.tri.Lower)
 	if bounded {
-		spec.Lower = spec.Lower.Join(lower)
+		spec.Lower.JoinInto(m.lower, &m.spec.lower)
+		spec.Lower = m.spec.lower
 		if spec.Unsatisfiable() {
 			return cost, width, false
 		}
@@ -454,29 +511,29 @@ func (m *costModel) estimate(es *elimStep, j int, cost, width float64) (float64,
 	}
 	width *= est
 	cost += width
-	rep := ds.MeanBox()
+	rep := &m.reps[j]
+	m.mean[j].CopyInto(rep)
 	if !spec.Upper.IsEmpty() && !spec.Upper.IsUniv() {
-		if in := rep.Meet(spec.Upper); !in.IsEmpty() {
-			rep = in
-		} else {
-			rep = spec.Upper
+		if rep.MeetInto(spec.Upper, rep); rep.IsEmpty() {
+			spec.Upper.CopyInto(rep)
 		}
 	}
 	if bounded {
-		rep = rep.Join(lower)
+		rep.JoinInto(m.lower, rep)
 	}
-	m.bind(sp.Var, rep)
+	m.bind(sp.Var, *rep)
 	return cost, width, true
 }
 
 // lowerBox is the planner's model of the executor's exact lower box: the
 // solved lower bound evaluated over the representative environment (see
 // repValue), each bound variable the region of its representative box,
-// and clipped to the universe (region.Algebra.LowerBoxInto). It reports
-// false when the bound is 0 or gives no box.
-func (m *costModel) lowerBox(lower *formula.Formula) (bbox.Box, bool) {
+// and clipped to the universe (region.Algebra.LowerBoxInto). It leaves
+// the box in m.lower, reporting false when the bound is 0 or gives no
+// box.
+func (m *costModel) lowerBox(lower *formula.Formula) bool {
 	if lower.IsConst(false) {
-		return bbox.Box{}, false
+		return false
 	}
 	for v, r := range m.env {
 		if r == nil && !m.envBox[v].IsEmpty() && lower.Uses(v) {
@@ -484,11 +541,7 @@ func (m *costModel) lowerBox(lower *formula.Formula) (bbox.Box, bool) {
 		}
 	}
 	m.scr.Reset()
-	var b bbox.Box
-	if !m.alg.LowerBoxInto(m.repValue(lower), &b) || b.IsEmpty() {
-		return bbox.Box{}, false
-	}
-	return b, true
+	return m.alg.LowerBoxInto(m.repValue(lower), &m.lower) && !m.lower.IsEmpty()
 }
 
 // repValue evaluates f over the representative environment, except that

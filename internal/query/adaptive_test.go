@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/bbox"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/race"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
+	"repro/internal/triangular"
 	"repro/internal/workload"
 )
 
@@ -413,9 +415,9 @@ var GoldenCorpus func() ([]CorpusCase, error)
 
 // The one-pass planner must return exactly the plan the per-order
 // brute force returns — same order, tuple order, solved form, range
-// templates and feedback count — on the golden corpus, on random 1–5
-// variable systems, with a fresh Tuner observation in play and when two
-// orders tie on cost.
+// templates and feedback count, or the same error — on the golden corpus,
+// on random 1–5 variable systems, with a fresh Tuner observation in play
+// and when two orders tie on cost.
 func TestCompileAdaptiveMatchesPerOrderCompile(t *testing.T) {
 	corpus, err := GoldenCorpus()
 	if err != nil {
@@ -425,11 +427,28 @@ func TestCompileAdaptiveMatchesPerOrderCompile(t *testing.T) {
 		checkMatchesReference(t, c.Name, c.Query, c.Store, AdaptiveOptions{Params: c.Params})
 	}
 
+	// Phase 1 shares the most work at four and five bindings, so those
+	// run 24 systems each, and every other system past the first 24-4n
+	// gets two more disequations between its bindings: projecting one
+	// binding out of several such disequations yields new ones.
 	universe := bbox.Rect(0, 0, 64, 64)
+	multiDiseq := 0
 	for n := 1; n <= maxAdaptivePermute; n++ {
-		for trial := 0; trial < 24-4*n; trial++ {
+		trials := 24 - 4*n
+		if n >= 4 {
+			trials = 24
+		}
+		for trial := 0; trial < trials; trial++ {
 			rng := workload.NewRNG(uint64(100*n + trial))
 			q := randSystemN(rng, n)
+			if trial >= 24-4*n && trial%2 == 1 {
+				x, y, z := q.Retrieve[rng.IntN(n)].Var, q.Retrieve[rng.IntN(n)].Var, q.Retrieve[rng.IntN(n)].Var
+				q.Sys.Overlap(q.Sys.Var(x), q.Sys.Var(y))
+				q.Sys.NotSubset(q.Sys.Var(y), q.Sys.Var(z))
+			}
+			if n >= 4 && joinDiseqs(q) >= 2 {
+				multiDiseq++
+			}
 			store := spatialdb.NewStore(universe, spatialdb.RTree)
 			for _, b := range q.Retrieve {
 				store.Layer(b.Layer)
@@ -440,6 +459,9 @@ func TestCompileAdaptiveMatchesPerOrderCompile(t *testing.T) {
 			params := map[string]*region.Region{"C": workload.RandRegion(rng, universe, 2)}
 			checkMatchesReference(t, fmt.Sprintf("random n=%d trial %d\n%s", n, trial, q.Sys), q, store, AdaptiveOptions{Params: params})
 		}
+	}
+	if multiDiseq < 16 {
+		t.Fatalf("only %d of the 48 random systems at n = 4 and 5 carry two or more disequations between bindings", multiDiseq)
 	}
 
 	store, params := smugglerFixture(t, spatialdb.RTree, workload.MapConfig{Seed: 7})
@@ -472,6 +494,24 @@ func TestCompileAdaptiveMatchesPerOrderCompile(t *testing.T) {
 	if plan.OrderKey() != "B→R→T" {
 		t.Fatalf("tie: chose %s, want B→R→T", plan.OrderKey())
 	}
+}
+
+// joinDiseqs counts q's disequations that mention two or more retrieval
+// variables: the ones an elimination projects into new ones.
+func joinDiseqs(q *Query) int {
+	n := 0
+	for _, g := range q.Sys.Normalize().G {
+		vars := 0
+		for _, b := range q.Retrieve {
+			if v, _ := q.Sys.Vars.Lookup(b.Var); g.Uses(v) {
+				vars++
+			}
+		}
+		if vars >= 2 {
+			n++
+		}
+	}
+	return n
 }
 
 func countMin(costs []float64) int {
@@ -534,11 +574,85 @@ func coldShapeQuery() *Query {
 	return q.From("T0", "towns").From("B1", "states").From("R2", "roads").From("B3", "states")
 }
 
+// Phase 1 does each piece of work once: one projection per eliminated set
+// some order reaches (2ⁿ−1 sets; the full set's residual is the ground
+// constraint), one range template per distinct (binding, step) — counted
+// here from per-order Compile, which solves every step from scratch — and
+// one canonical form per distinct formula. The counts are deterministic
+// for a query. Before the memo and the step-only solve, the cold-shape
+// compile ran n·2ⁿ⁻¹ = 32 projections, lowered 32 templates and made 256
+// BCF calls.
+func TestCompileAdaptiveWorkCounts(t *testing.T) {
+	store, params := smugglerFixture(t, spatialdb.RTree, workload.MapConfig{Seed: 3, Towns: 4, Interior: 4, Roads: 6})
+	for _, c := range []struct {
+		name        string
+		q           *Query
+		pairs, bcfs int
+	}{
+		{"cold shape", coldShapeQuery(), 32, 69},
+		{"independent binding", independentBindingQuery(), 12, 18},
+	} {
+		plan, err := CompileAdaptive(c.q, store, AdaptiveOptions{Params: params})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, w := len(c.q.Retrieve), plan.Adaptive.work
+		distinct := make([][]triangular.Step, n)
+		pairs := map[[2]int]bool{}
+		for _, perm := range permutations(n) {
+			ref, err := Compile(permuted(c.q, perm), store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := 0
+			for i := n - 1; i >= 0; i-- {
+				j, st := perm[i], ref.Form.Steps[i]
+				pairs[[2]int{after, j}] = true
+				if !slices.ContainsFunc(distinct[j], st.Same) {
+					distinct[j] = append(distinct[j], st)
+				}
+				after |= 1 << j
+			}
+		}
+		templates := 0
+		for _, d := range distinct {
+			templates += len(d)
+		}
+		t.Logf("%s: %d (set, binding) pairs, %d distinct steps; %+v", c.name, len(pairs), templates, w)
+		if len(pairs) != c.pairs {
+			t.Errorf("%s: %d (set, binding) pairs, want %d", c.name, len(pairs), c.pairs)
+		}
+		if w.projections != 1<<n-1 {
+			t.Errorf("%s: %d projections, want 2^%d-1 = %d", c.name, w.projections, n, 1<<n-1)
+		}
+		if w.templates != templates {
+			t.Errorf("%s: %d templates lowered, want one per distinct step: %d", c.name, w.templates, templates)
+		}
+		if w.bcfs != c.bcfs {
+			t.Errorf("%s: %d canonical forms computed, want %d", c.name, w.bcfs, c.bcfs)
+		}
+	}
+}
+
+// independentBindingQuery has a binding, T0, constrained by the
+// parameter alone, so sets eliminated after it that leave it the same
+// residual give it the same step: its four (set, binding) pairs need two
+// templates, and the query's twelve need ten.
+func independentBindingQuery() *Query {
+	q := New()
+	t0, b1, r2, c := q.Sys.Var("T0"), q.Sys.Var("B1"), q.Sys.Var("R2"), q.Sys.Var("C")
+	q.Sys.Subset(t0, c).Overlap(b1, c).Subset(r2, b1)
+	return q.From("T0", "towns").From("B1", "states").From("R2", "roads")
+}
+
 // TestCompileAdaptiveAllocs pins the planner's allocation floor. Compiling
 // each of the 24 orders from scratch took 16,720 allocations on this
 // fixture, and one elimination per order suffix (64 of them) about 5,600;
 // one elimination per (set, binding) pair (32) with prefix-shared costing
-// and only the winner's programs lowered takes about 3,740.
+// and only the winner's programs lowered took about 3,740 (3,774 when
+// last measured). One projection per eliminated set (15), one template
+// per distinct step, one canonical form per distinct formula, shared
+// literal nodes and allocation-free costing take 1,390.
 func TestCompileAdaptiveAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation floors are pinned on the normal build")
@@ -554,7 +668,7 @@ func TestCompileAdaptiveAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const budget = 4200
+	const budget = 1530
 	if allocs > budget {
 		t.Fatalf("CompileAdaptive allocates %v per 4-variable compile, want <= %d", allocs, budget)
 	}

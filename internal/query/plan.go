@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/bbox"
+	"repro/internal/bcf"
 	"repro/internal/spatialdb"
 	"repro/internal/triangular"
 )
@@ -93,26 +94,24 @@ type specScratch struct {
 	overlaps     []bbox.Box
 }
 
-// SpecInto is Spec evaluated through the step's compiled programs into
-// caller-owned scratch. The returned spec's boxes alias scr and stay valid
-// only until the next SpecInto with the same scratch — exactly the
-// executor's use: build the spec, run the index search, drop it. Plans
-// built without Compile (no programs) fall back to the tree-walking Spec.
+// SpecInto is Spec evaluated into caller-owned scratch. The returned
+// spec's boxes alias scr and stay valid only until the next SpecInto with
+// the same scratch — exactly the executor's use: build the spec, run the
+// index search, drop it. A lowered step evaluates its compiled programs;
+// one never lowered (the planner costs every distinct template and lowers
+// only the winner's) walks its function trees, also without allocating.
 //
 //boolq:noalloc
 func (sp StepBoxPlan) SpecInto(k int, envBox []bbox.Box, scr *specScratch) (bbox.RangeSpec, bool) {
-	if sp.lower == nil {
-		return sp.Spec(k, envBox) //boolq:allowalloc uncompiled-plan fallback; compiled plans never reach it
-	}
-	sp.lower.Eval(k, envBox, &scr.eval).CopyInto(&scr.lower)
-	sp.upper.Eval(k, envBox, &scr.eval).CopyInto(&scr.upper)
+	evalBox(sp.lower, sp.Lower, k, envBox, &scr.eval).CopyInto(&scr.lower)
+	evalBox(sp.upper, sp.Upper, k, envBox, &scr.eval).CopyInto(&scr.upper)
 	spec := bbox.RangeSpec{K: k, Lower: scr.lower, Upper: scr.upper} //boolq:allowalloc value literal aliasing scratch boxes; stays on the stack
 	n := 0
 	for _, d := range sp.Diseqs {
-		if !d.q.Eval(k, envBox, &scr.eval).IsEmpty() {
+		if !evalBox(d.q, d.Q, k, envBox, &scr.eval).IsEmpty() {
 			continue // ¬x∧Q can witness the disequation: trivially true
 		}
-		p := d.p.Eval(k, envBox, &scr.eval)
+		p := evalBox(d.p, d.P, k, envBox, &scr.eval)
 		if p.IsEmpty() {
 			return bbox.RangeSpec{}, false //boolq:allowalloc zero-value literal with nil slices; stays on the stack
 		}
@@ -132,6 +131,17 @@ func (sp StepBoxPlan) SpecInto(k int, envBox []bbox.Box, scr *specScratch) (bbox
 		return bbox.RangeSpec{}, false //boolq:allowalloc zero-value literal with nil slices; stays on the stack
 	}
 	return spec, true
+}
+
+// evalBox evaluates one of a step's box functions: its program when the
+// step was lowered, else its tree.
+//
+//boolq:noalloc
+func evalBox(p *bbox.Program, f *bbox.Func, k int, envBox []bbox.Box, scr *bbox.Scratch) bbox.Box {
+	if p != nil {
+		return p.Eval(k, envBox, scr)
+	}
+	return f.EvalInto(k, envBox, scr)
 }
 
 // Plan is a compiled query: the triangular solved form plus one range-query
@@ -187,8 +197,9 @@ func Compile(q *Query, store *spatialdb.Store) (*Plan, error) {
 		return nil, fmt.Errorf("query: triangularization failed: %w", err)
 	}
 	plan := &Plan{Query: q, Form: form, Steps: make([]StepBoxPlan, len(form.Steps)), orderKey: orderKey(q)}
+	var memo bcf.Memo
 	for i, st := range form.Steps {
-		if plan.Steps[i], err = stepBoxPlan(st, q.Retrieve[i]); err != nil {
+		if plan.Steps[i], err = stepBoxPlan(st, q.Retrieve[i], &memo); err != nil {
 			return nil, err
 		}
 		plan.Steps[i].compilePrograms()
@@ -197,26 +208,30 @@ func Compile(q *Query, store *spatialdb.Store) (*Plan, error) {
 }
 
 // stepBoxPlan approximates one solved step by its range-query template
-// (Algorithm 2). The function trees are left unlowered: the caller runs
-// compilePrograms on the steps of the plan it keeps.
-func stepBoxPlan(st triangular.Step, b Binding) (StepBoxPlan, error) {
+// (Algorithm 2), reading each approximation off a canonical form from the
+// compilation's memo. The function trees are left unlowered: the caller
+// runs compilePrograms on the steps of the plan it keeps.
+func stepBoxPlan(st triangular.Step, b Binding, memo *bcf.Memo) (StepBoxPlan, error) {
 	sp := StepBoxPlan{Var: st.Var, Layer: b.Layer}
-	var err error
-	if sp.Lower, err = bbox.Lower(st.Lower); err != nil {
+	s, err := memo.BCF(st.Lower)
+	if err != nil {
 		return sp, fmt.Errorf("query: lower approximation for %s: %w", b.Var, err)
 	}
-	if sp.Upper, err = bbox.Upper(st.Upper); err != nil {
+	sp.Lower = bbox.LowerFromBCF(s)
+	if s, err = memo.BCF(st.Upper); err != nil {
 		return sp, fmt.Errorf("query: upper approximation for %s: %w", b.Var, err)
 	}
+	sp.Upper = bbox.UpperFromBCF(s)
 	for _, d := range st.Diseqs {
-		var dp DiseqBoxPlan
-		if dp.P, err = bbox.Upper(d.P); err != nil {
+		p, err := memo.BCF(d.P)
+		if err != nil {
 			return sp, fmt.Errorf("query: disequation approximation: %w", err)
 		}
-		if dp.Q, err = bbox.Upper(d.Q); err != nil {
+		q, err := memo.BCF(d.Q)
+		if err != nil {
 			return sp, fmt.Errorf("query: disequation approximation: %w", err)
 		}
-		sp.Diseqs = append(sp.Diseqs, dp)
+		sp.Diseqs = append(sp.Diseqs, DiseqBoxPlan{P: bbox.UpperFromBCF(p), Q: bbox.UpperFromBCF(q)})
 	}
 	return sp, nil
 }

@@ -88,6 +88,7 @@ type greedyOrder struct {
 	full int
 	ids  []int
 	res  map[int]triangular.Elim // F nil: the set's residual failed
+	scr  triangular.Scratch
 }
 
 // residual returns the residual after eliminating the bindings in set.
@@ -100,7 +101,7 @@ func (g *greedyOrder) residual(set int) (triangular.Elim, bool) {
 	last := bits.Len(uint(set)) - 1
 	var e triangular.Elim
 	if prev, ok := g.residual(set &^ (1 << last)); ok {
-		if _, rest, err := prev.Eliminate(g.ids[last]); err == nil {
+		if _, rest, err := g.scr.Eliminate(prev, g.ids[last]); err == nil {
 			e = rest
 		}
 	}
@@ -110,21 +111,28 @@ func (g *greedyOrder) residual(set int) (triangular.Elim, bool) {
 
 // step returns binding j's elimination when it is placed in front of
 // every binding outside placed (placed includes j), as orderSearch.step
-// does.
+// does. Like phase 1, it projects only when the target set has no
+// residual yet, and solves the step alone otherwise.
 func (g *greedyOrder) step(placed, j int) (elimStep, bool) {
 	before := g.full &^ placed
 	e, ok := g.residual(before)
 	if !ok {
 		return elimStep{}, false
 	}
-	st, rest, err := e.Eliminate(g.ids[j])
+	var st triangular.Step
+	var err error
+	if _, known := g.res[before|1<<j]; known {
+		st, err = g.scr.Solve(e, g.ids[j])
+	} else {
+		var rest triangular.Elim
+		if st, rest, err = g.scr.Eliminate(e, g.ids[j]); err == nil {
+			g.res[before|1<<j] = rest
+		}
+	}
 	if err != nil {
 		return elimStep{}, false
 	}
-	if _, ok := g.res[before|1<<j]; !ok {
-		g.res[before|1<<j] = rest
-	}
-	sp, err := stepBoxPlan(st, g.q.Retrieve[j])
+	sp, err := stepBoxPlan(st, g.q.Retrieve[j], &g.scr.Memo)
 	if err != nil {
 		return elimStep{}, false
 	}

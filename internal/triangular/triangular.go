@@ -25,18 +25,20 @@
 // of disequations in atomless algebras — in particular the measurable
 // regions of R^k (Theorems 5–6).
 //
-// One elimination is one Elim.Eliminate, yielding a variable's solved step
-// and the residual over the rest; Compile chains Start, Eliminate per
-// variable and Form.
+// One elimination is one Scratch.Eliminate, yielding a variable's solved
+// step and the residual over the rest; Scratch.Solve yields the step
+// alone. Compile chains Start, Eliminate per variable and Form. A Scratch
+// carries what one compilation's eliminations share: each Blake canonical
+// form is computed once (bcf.Memo) and cofactors reuse one table.
 //
 // Residuals are canonical: the residual after eliminating a set of
 // variables is the same value whatever order the set went in, so the
-// adaptive planner eliminates each variable once per set rather than once
-// per order (DESIGN.md §7). Projection commutes: ∃x∃y F = ⋀_ab F_ab over
-// the four cofactors F_ab = F[x↦a, y↦b], and a disequation g projected
-// through x and then y is ⋁_ab ¬F_ab ∧ g_ab, symmetric in x and y — also
-// when g does not mention one of them and is carried past it unchanged,
-// since then g_ab = g_b. Every projected formula is re-normalised to its
+// adaptive planner projects once per set and only solves the steps of
+// the other paths into it (DESIGN.md §7). Projection commutes:
+// ∃x∃y F = ⋀_ab F_ab over the four cofactors F_ab = F[x↦a, y↦b], and a
+// disequation g projected through x and then y is ⋁_ab ¬F_ab ∧ g_ab,
+// symmetric in x and y — also when g does not mention one of them and is
+// carried past it unchanged, since then g_ab = g_b. Every projected formula is re-normalised to its
 // Blake canonical form, which is unique for the function it denotes; and
 // Eliminate sorts the residual's disequations by formula.Compare and
 // drops duplicates, so neither the order of the list nor a repeated entry
@@ -89,9 +91,10 @@ type Form struct {
 func Compile(n constraint.Normal, order []int) (*Form, error) {
 	steps := make([]Step, len(order))
 	e := Start(n)
+	var scr Scratch
 	for i := len(order) - 1; i >= 0; i-- {
 		var err error
-		if steps[i], e, err = e.Eliminate(order[i]); err != nil {
+		if steps[i], e, err = scr.Eliminate(e, order[i]); err != nil {
 			return nil, err
 		}
 	}
@@ -113,39 +116,38 @@ func Start(n constraint.Normal) Elim {
 	return Elim{F: n.F, G: n.G}
 }
 
-// Eliminate is one step of Algorithm 1: it solves the residual for v —
+// Scratch is what one compilation's eliminations share: a memo of the
+// Blake canonical forms they compute and a reusable cofactor table. The
+// zero value is ready. A Scratch holds every formula its eliminations
+// canonicalised and is not safe for concurrent use: keep one per
+// compilation.
+type Scratch struct {
+	Memo bcf.Memo // also serves the compilation's bounding-box templates
+	exp  formula.Expander
+}
+
+// Eliminate is one step of Algorithm 1: it solves the residual e for v —
 // Schröder's range s ⊑ v ⊑ t and Boole's expansion of every disequation
 // mentioning v — and projects v out, returning the solved step and the
 // residual over the remaining variables.
-func (e Elim) Eliminate(v int) (Step, Elim, error) {
-	f1, f0 := formula.Expansion(e.F, v)
-	f1, err := simplify(f1)
+func (s *Scratch) Eliminate(e Elim, v int) (Step, Elim, error) {
+	step, f1, f0, err := s.solve(e, v)
 	if err != nil {
 		return Step{}, Elim{}, err
 	}
-	f0, err = simplify(f0)
-	if err != nil {
-		return Step{}, Elim{}, err
-	}
-	step := Step{Var: v, Lower: f0, Upper: formula.Not(f1)}
-
 	next := Elim{Unsat: e.Unsat}
 	for _, g := range e.G {
 		if !g.Uses(v) {
 			next.G = append(next.G, g)
-			continue
 		}
-		g1, g0 := formula.Expansion(g, v)
-		if slices.ContainsFunc(step.Diseqs, func(d Diseq) bool { return d.P.Same(g1) && d.Q.Same(g0) }) {
-			continue // same cofactors: the same solved disequation and projection
-		}
-		step.Diseqs = append(step.Diseqs, Diseq{P: g1, Q: g0})
+	}
+	notF0 := formula.Not(f0)
+	for _, d := range step.Diseqs {
 		// Projection of this disequation: ¬f₁∧g₁ ∨ ¬f₀∧g₀ ≠ 0.
-		proj := formula.Or(
-			formula.And(formula.Not(f1), g1),
-			formula.And(formula.Not(f0), g0),
-		)
-		proj, err := simplify(proj)
+		proj, err := s.Memo.Formula(formula.Or(
+			formula.And(step.Upper, d.P),
+			formula.And(notF0, d.Q),
+		))
 		if err != nil {
 			return Step{}, Elim{}, err
 		}
@@ -159,10 +161,53 @@ func (e Elim) Eliminate(v int) (Step, Elim, error) {
 		}
 	}
 	next.G = canonical(next.G)
-	if next.F, err = simplify(formula.And(f1, f0)); err != nil {
+	if next.F, err = s.Memo.Formula(formula.And(f1, f0)); err != nil {
 		return Step{}, Elim{}, err
 	}
 	return step, next, nil
+}
+
+// Solve is Eliminate without the projection: the solved step alone, at
+// the cost of two canonical forms and the cofactors of the disequations
+// that mention v. A caller that already holds the residual Eliminate
+// would return — residuals are canonical, so any order into the same set
+// of eliminated variables gives it — needs only this. Solve fails only
+// where the step's own canonical forms explode; it cannot see a
+// projection that would explode along this path.
+func (s *Scratch) Solve(e Elim, v int) (Step, error) {
+	step, _, _, err := s.solve(e, v)
+	return step, err
+}
+
+// solve returns the step for v with the canonical cofactors f₁ = F[v↦1]
+// and f₀ = F[v↦0] it was read from.
+func (s *Scratch) solve(e Elim, v int) (step Step, f1, f0 *formula.Formula, err error) {
+	f1, f0 = s.exp.Expansion(e.F, v)
+	if f1, err = s.Memo.Formula(f1); err != nil {
+		return Step{}, nil, nil, err
+	}
+	if f0, err = s.Memo.Formula(f0); err != nil {
+		return Step{}, nil, nil, err
+	}
+	step = Step{Var: v, Lower: f0, Upper: formula.Not(f1)}
+	for _, g := range e.G {
+		if !g.Uses(v) {
+			continue
+		}
+		g1, g0 := s.exp.Expansion(g, v)
+		if slices.ContainsFunc(step.Diseqs, func(d Diseq) bool { return d.P.Same(g1) && d.Q.Same(g0) }) {
+			continue // same cofactors: the same solved disequation and projection
+		}
+		step.Diseqs = append(step.Diseqs, Diseq{P: g1, Q: g0})
+	}
+	return step, f1, f0, nil
+}
+
+// Same reports whether two steps are structurally equal: the same
+// variable, bounds and disequations in the same order.
+func (st Step) Same(u Step) bool {
+	return st.Var == u.Var && st.Lower.Same(u.Lower) && st.Upper.Same(u.Upper) &&
+		slices.EqualFunc(st.Diseqs, u.Diseqs, func(a, b Diseq) bool { return a.P.Same(b.P) && a.Q.Same(b.Q) })
 }
 
 // Form closes an elimination: once every retrieval variable is eliminated

@@ -1,6 +1,7 @@
 package triangular
 
 import (
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"slices"
@@ -406,12 +407,15 @@ func hasDuplicate[T any](xs []T, same func(a, b T) bool) bool {
 // residual — equation, disequation list element by element, and Unsat —
 // whatever order the set went in. The adaptive planner's subset DP keeps
 // one residual per set and relies on exactly this. No step and no
-// residual may carry a disequation twice.
+// residual may carry a disequation twice, and Solve must return the step
+// Eliminate returns. Each system's walk shares one Scratch, as a
+// compilation does.
 func TestEliminateResidualIsOrderIndependent(t *testing.T) {
 	for n := 1; n <= 5; n++ {
 		for trial := range 40 {
 			rng := rand.New(rand.NewPCG(uint64(n), uint64(trial)))
 			s := randSystem(rng, n)
+			var scr Scratch
 			bySet := map[uint]Elim{}
 			orderOf := map[uint][]int{}
 			var walk func(e Elim, used uint, order []int)
@@ -429,9 +433,12 @@ func TestEliminateResidualIsOrderIndependent(t *testing.T) {
 					if used&(1<<v) != 0 {
 						continue
 					}
-					st, rest, err := e.Eliminate(v)
+					st, rest, err := scr.Eliminate(e, v)
 					if err != nil {
 						continue
+					}
+					if solved, err := scr.Solve(e, v); err != nil || !solved.Same(st) {
+						t.Fatalf("n=%d trial %d: Solve(x%d) after %v = %+v, %v; Eliminate's step %+v", n, trial, v, order, solved, err, st)
 					}
 					if hasDuplicate(st.Diseqs, func(a, b Diseq) bool { return a.P.Same(b.P) && a.Q.Same(b.Q) }) {
 						t.Fatalf("n=%d trial %d: step for x%d after %v repeats a disequation", n, trial, v, order)
@@ -459,4 +466,34 @@ func elimString(e Elim) string {
 		b.WriteString(" ; UNSAT")
 	}
 	return b.String()
+}
+
+// Solve reads the step alone, so it cannot see a projection that
+// explodes. Eliminating v from v∧X = 0 ∧ v∧P ≠ 0, with
+// X = x₁y₁ ∨ … ∨ x₉y₉ and P = (a₁∨b₁)…(a₉∨b₉), projects ¬X∧P, whose sum
+// of products has 512·512 terms, past formula.MaxDNFTerms; the step needs
+// only the canonical forms of X and 0. CompileAdaptive solves a binding
+// this way when another path has already given its target set the
+// residual, and so keeps a step whose own projection would fail
+// (DESIGN.md §7).
+func TestSolveSkipsTheProjection(t *testing.T) {
+	v := formula.Var(0)
+	x, p := formula.Zero(), formula.One()
+	for i := 1; i <= 9; i++ {
+		x = formula.Or(x, formula.And(formula.Var(i), formula.Var(9+i)))
+		p = formula.And(p, formula.Or(formula.Var(18+i), formula.Var(27+i)))
+	}
+	e := Elim{F: formula.And(v, x), G: []*formula.Formula{formula.And(v, p)}}
+	var scr Scratch
+	if _, _, err := scr.Eliminate(e, 0); !errors.Is(err, formula.ErrTooManyTerms) {
+		t.Fatalf("Eliminate: %v, want %v", err, formula.ErrTooManyTerms)
+	}
+	st, err := scr.Solve(e, 0)
+	if err != nil {
+		t.Fatalf("Solve: %v", err)
+	}
+	if !st.Lower.IsConst(false) || !formula.Equivalent(st.Upper, formula.Not(x)) ||
+		len(st.Diseqs) != 1 || !st.Diseqs[0].P.Same(p) || !st.Diseqs[0].Q.IsConst(false) {
+		t.Fatalf("Solve: %v <= x0 <= %v, disequations %v", st.Lower, st.Upper, st.Diseqs)
+	}
 }

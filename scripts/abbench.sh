@@ -3,17 +3,20 @@
 #
 #   scripts/abbench.sh <A> <B> [-workload w] [-seeds k]
 #
-# A and B are each a commit-ish (built in a detached `git worktree` under
-# .bench_build/ab/, removed on exit) or a directory holding a checkout
-# (used as it is — `.` compares against uncommitted work). For seed
-# n = 1..k both sides run `bench/run.sh -workload w -seed n`, A first on
-# odd seeds and B first on even ones, so drift over the session cancels
-# instead of favouring a side. For every end-to-end metric of
-# BENCHMARK.json it then prints each side's median, the median of the k
-# paired differences B-A (absolute and relative to A), their min and max,
-# and in how many of the k pairs B was the better side — the numbers a PR
-# quotes ("ops_per_s +31 %, 10/10 pairs") and a reviewer reruns.
-# A table of every run's value of each metric follows.
+# A and B are each a commit-ish (its tree exported with `git archive`) or
+# a directory holding a git checkout (its tracked files plus the untracked
+# ones it does not ignore, so `.` compares against uncommitted work). Each
+# side runs from a fresh copy under .bench_build/ab/, removed on exit: a
+# checkout's own bench/out and .bench_build history never reach a run.
+# For seed n = 1..k both sides run `bench/run.sh -workload w -seed n`, A
+# first on odd seeds and B first on even ones, so drift over the runs
+# cancels instead of favouring a side. For every end-to-end metric of
+# BENCHMARK.json it then prints each side's median between its first and
+# third quartiles, the median of the k paired differences B-A (absolute
+# and relative to A), their min and max, and in how many of the k pairs B
+# was the better side — the numbers a change quotes ("ops_per_s +31 %, 10/10
+# pairs", a median gain wider than A's interquartile range) and a
+# reader can rerun. A table of every run's value of each metric follows.
 #
 # Each run takes the benchmark's own length (about a minute per workload
 # with set-up), so ten pairs of one workload take twenty-odd minutes.
@@ -21,7 +24,7 @@
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-usage() { sed -n '2,20p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2; exit 2; }
+usage() { sed -n '2,23p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2; exit 2; }
 [ $# -ge 2 ] || usage
 specA=$1 specB=$2
 shift 2
@@ -39,15 +42,24 @@ created=()
 cleanup() {
 	rm -f "$results"
 	for d in ${created[@]+"${created[@]}"}; do
-		git -C "$root" worktree remove --force "$d" >/dev/null 2>&1 || true
+		rm -rf "$d"
 	done
 }
 trap cleanup EXIT
 
-# checkout sets $dir to the directory holding the given side's source.
+# checkout <spec> <side> sets $dir to a fresh copy of the given side's
+# source under .bench_build/ab/.
 checkout() {
+	dir="$root/.bench_build/ab/$2"
+	rm -rf "$dir"
+	mkdir -p "$dir"
+	created+=("$dir")
 	if [ -d "$1" ]; then
-		dir=$(cd "$1" && pwd)
+		git -C "$1" rev-parse --is-inside-work-tree >/dev/null 2>&1 || {
+			echo "abbench: $1 is not a git checkout" >&2
+			exit 2
+		}
+		(cd "$1" && git ls-files -z --cached --others --exclude-standard | tar --null --ignore-failed-read -T - -cf -) | tar -xf - -C "$dir"
 		return
 	fi
 	local sha
@@ -55,15 +67,10 @@ checkout() {
 		echo "abbench: $1 is neither a directory nor a commit" >&2
 		exit 2
 	}
-	dir="$root/.bench_build/ab/$sha"
-	if [ ! -d "$dir" ]; then
-		mkdir -p "$root/.bench_build/ab"
-		git -C "$root" worktree add --detach "$dir" "$sha" >&2
-		created+=("$dir")
-	fi
+	git -C "$root" archive "$sha" | tar -xf - -C "$dir"
 }
-checkout "$specA"; dirA=$dir
-checkout "$specB"; dirB=$dir
+checkout "$specA" A; dirA=$dir
+checkout "$specB" B; dirB=$dir
 
 # run_side <side> <dir> <seed>: one benchmark run; its closing JSON line
 # goes to $results prefixed by side and seed.
@@ -83,11 +90,17 @@ done
 
 echo "workload $workload, $seeds paired seeds; A = $specA, B = $specB"
 awk -v seeds="$seeds" '
-function median(v, n,    i, j, t, s) {
+# quantile(v, n, p): the p-quantile of v[1..n], interpolating linearly
+# between order statistics (p = 0.5 is the median).
+function quantile(v, n, p,    i, j, t, s, h, f) {
 	for (i = 1; i <= n; i++) s[i] = v[i]
 	for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j+1] = s[j]; s[j+1] = t }
-	return n % 2 ? s[(n+1)/2] : (s[n/2] + s[n/2+1]) / 2
+	h = 1 + (n - 1) * p; f = int(h)
+	return f >= n ? s[n] : s[f] + (h - f) * (s[f+1] - s[f])
 }
+function median(v, n) { return quantile(v, n, 0.5) }
+# spread(v, n): "q1 median q3" of v.
+function spread(v, n) { return sprintf("%.4f %.4f %.4f", quantile(v, n, 0.25), median(v, n), quantile(v, n, 0.75)) }
 # First file: BENCHMARK.json — the end-to-end metrics and their direction.
 FNR == NR {
 	if ($0 ~ /"end_to_end"/) on = 1
@@ -105,7 +118,7 @@ FNR == NR {
 	}
 }
 END {
-	printf "%-14s %12s %12s %12s %8s %12s %12s  %s\n", "metric", "A median", "B median", "med(B-A)", "rel", "min(B-A)", "max(B-A)", "B better"
+	printf "%-14s %-32s %-32s %12s %8s %12s %12s  %s\n", "metric", "A q1 median q3", "B q1 median q3", "med(B-A)", "rel", "min(B-A)", "max(B-A)", "B better"
 	for (i = 1; i <= m; i++) {
 		name = order[i]; n = 0; wins = 0; ties = 0
 		for (s = 1; s <= seeds; s++) {
@@ -118,8 +131,8 @@ END {
 		if (n == 0) { printf "%-14s (no paired samples)\n", name; continue }
 		lo = hi = d[1]
 		for (s = 2; s <= n; s++) { if (d[s] < lo) lo = d[s]; if (d[s] > hi) hi = d[s] }
-		printf "%-14s %12.4f %12.4f %+12.4f %+7.1f%% %+12.4f %+12.4f  %d/%d pairs%s (%s is better)\n",
-			name, median(a, n), median(b, n), median(d, n), median(rel, n), lo, hi, wins, n,
+		printf "%-14s %-32s %-32s %+12.4f %+7.1f%% %+12.4f %+12.4f  %d/%d pairs%s (%s is better)\n",
+			name, spread(a, n), spread(b, n), median(d, n), median(rel, n), lo, hi, wins, n,
 			ties ? sprintf(", %d ties", ties) : "", better[name]
 	}
 	printf "\nevery run (seed, side, then the metrics above in order):\n"
