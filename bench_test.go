@@ -12,7 +12,12 @@ package boolq
 // EXPERIMENTS.md.
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/bbox"
@@ -534,27 +539,47 @@ where A <= C; B <= C; R <= A | B | T;
       R & A != 0; R & T != 0; T !<= C
 `
 
+// BenchmarkServiceQueryCold is a plan-cache miss as boolqd serves it:
+// POST /query through the server's handler, so every request pays body
+// decoding, normalization, the cache miss, parsing, the adaptive compile,
+// the run and the reply. The smuggler text is renamed per request (T0,
+// T1, …): 2×DefaultCacheSize distinct texts cycle through the cache, so
+// every request misses it, as every query_cold request does.
 func BenchmarkServiceQueryCold(b *testing.B) {
 	store, params := smugglerSetup(1)
+	h := server.New(store, server.Options{}).Handler()
+	bodies := make([][]byte, 2*server.DefaultCacheSize)
+	for i := range bodies {
+		text := strings.ReplaceAll(smugglerSrc, "T", fmt.Sprintf("T%d", i))
+		bodies[i] = queryBody(text, params)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		norm, err := lang.Normalize(smugglerSrc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q, err := lang.Parse(norm)
-		if err != nil {
-			b.Fatal(err)
-		}
-		plan, err := query.CompileAdaptive(q, store, query.AdaptiveOptions{Params: params})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := plan.Run(store, params, query.DefaultOptions); err != nil {
-			b.Fatal(err)
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest("POST", "/query", bytes.NewReader(bodies[i%len(bodies)])))
+		if w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"cached": false`)) {
+			b.Fatalf("status %d: %s", w.Code, w.Body.Bytes())
 		}
 	}
+}
+
+// queryBody is the POST /query body of text with params bound by their
+// boxes.
+func queryBody(text string, params map[string]*region.Region) []byte {
+	ps := make(map[string]any, len(params))
+	for name, r := range params {
+		var boxes []map[string][]float64
+		for _, bx := range r.Boxes() {
+			boxes = append(boxes, map[string][]float64{"lo": bx.Lo, "hi": bx.Hi})
+		}
+		ps[name] = map[string]any{"boxes": boxes}
+	}
+	body, err := json.Marshal(map[string]any{"query": text, "params": ps})
+	if err != nil {
+		panic(err)
+	}
+	return body
 }
 
 func BenchmarkServiceQueryCached(b *testing.B) {

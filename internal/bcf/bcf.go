@@ -25,11 +25,16 @@ import (
 // the intermediate sums explode (compile-time guard; the paper notes the
 // method is exponential in the number of variables).
 func BCF(f *formula.Formula) (formula.SOP, error) {
-	sop, err := formula.DNF(f)
+	var b formula.SumBuf
+	var spare []formula.Term
+	lo, err := b.DNF(f)
+	if err == nil {
+		err = closeIn(&b, lo, &spare)
+	}
 	if err != nil {
 		return nil, err
 	}
-	return Close(sop)
+	return append(formula.SOP{}, b.Sum(lo, b.Len())...), nil
 }
 
 // Memo caches Blake canonical forms for the life of one compilation. It
@@ -38,27 +43,32 @@ func BCF(f *formula.Formula) (formula.SOP, error) {
 // the same cofactor reached along another elimination path — hits as well
 // as a shared pointer does. (A memo keyed on the formula's text costs more
 // to key than it saves.) Each canonical form's own formula is entered as
-// well, since its BCF is itself. The zero value is ready. A Memo holds
-// every formula it has seen and is not safe for concurrent use: keep one
-// per compilation and drop it with the compilation.
+// well, since its BCF is itself. The index is open-addressed on that
+// hash, and every canonical form is built in, and kept in, one term
+// buffer. The zero value is ready. A Memo holds every formula it has seen
+// and is not safe for concurrent use: keep one per compilation, and Reset
+// it before the next one reuses its storage.
 type Memo struct {
-	index    map[uint32]int32 // hash → 1 + index in entries of the latest entry with that hash
+	index    []int32 // 1 + index in entries, 0 empty; len is zero or a power of two
 	entries  []memoEntry
+	terms    formula.SumBuf // every entry's canonical form, back to back
+	spare    []formula.Term // one round's consensus terms (closeIn)
 	computed int
 }
 
 type memoEntry struct {
-	f    *formula.Formula
-	sop  formula.SOP
-	form *formula.Formula // sop.FormulaOf(), built on first request
-	err  error
-	next int32 // 1 + index of the previous entry with the same hash; 0 ends the chain
+	f      *formula.Formula
+	lo, hi int32            // the canonical form: terms [lo, hi)
+	form   *formula.Formula // its formula (SOP.FormulaOf), built on first request
+	err    error
 }
 
-// BCF is the package's BCF, computed once per distinct formula.
+// BCF is the package's BCF, computed once per distinct formula. The sum
+// aliases the memo's term buffer: it must not be modified, and it is
+// valid until Reset.
 func (m *Memo) BCF(f *formula.Formula) (formula.SOP, error) {
 	e := &m.entries[m.lookup(f)]
-	return e.sop, e.err
+	return m.terms.Sum(int(e.lo), int(e.hi)), e.err
 }
 
 // Formula returns BCF(f) as a formula (formula.SOP.FormulaOf): the sum of
@@ -66,13 +76,14 @@ func (m *Memo) BCF(f *formula.Formula) (formula.SOP, error) {
 // function.
 func (m *Memo) Formula(f *formula.Formula) (*formula.Formula, error) {
 	i := m.lookup(f)
-	if e := &m.entries[i]; e.err != nil || e.form != nil {
+	e := m.entries[i]
+	if e.err != nil || e.form != nil {
 		return e.form, e.err
 	}
-	form := m.entries[i].sop.FormulaOf()
+	form := m.terms.Sum(int(e.lo), int(e.hi)).FormulaOf()
 	m.entries[i].form = form
 	if m.find(form) < 0 {
-		m.add(memoEntry{f: form, sop: m.entries[i].sop, form: form})
+		m.add(memoEntry{f: form, lo: e.lo, hi: e.hi, form: form})
 	}
 	return form, nil
 }
@@ -81,42 +92,109 @@ func (m *Memo) Formula(f *formula.Formula) (*formula.Formula, error) {
 // distinct formulas, less the canonical forms it entered for free.
 func (m *Memo) Computed() int { return m.computed }
 
+// Reset forgets every formula and canonical form, keeping the storage
+// for the next compilation. Sums BCF returned before are overwritten.
+//
+//boolq:noalloc
+func (m *Memo) Reset() {
+	clear(m.index)
+	clear(m.entries)
+	m.entries = m.entries[:0]
+	m.terms.Truncate(0)
+	m.computed = 0
+}
+
+// Cap returns how many entries and terms the memo retains, for pools that
+// drop an oversized memo instead of keeping it.
+//
+//boolq:noalloc
+func (m *Memo) Cap() int { return len(m.index) + cap(m.entries) + m.terms.Cap() + cap(m.spare) }
+
 // lookup returns f's entry, computing its canonical form on a miss.
 func (m *Memo) lookup(f *formula.Formula) int {
 	if i := m.find(f); i >= 0 {
 		return i
 	}
-	sop, err := BCF(f)
+	lo, err := m.terms.DNF(f)
+	if err == nil {
+		err = closeIn(&m.terms, lo, &m.spare)
+	}
+	if err != nil {
+		m.terms.Truncate(lo)
+	}
 	m.computed++
-	return m.add(memoEntry{f: f, sop: sop, err: err})
+	return m.add(memoEntry{f: f, lo: int32(lo), hi: int32(m.terms.Len()), err: err})
 }
 
+// find returns f's entry, or -1.
+//
+//boolq:noalloc
 func (m *Memo) find(f *formula.Formula) int {
-	for i := m.index[f.Hash()]; i != 0; i = m.entries[i-1].next {
-		if m.entries[i-1].f.Same(f) {
-			return int(i - 1)
+	mask := uint32(len(m.index) - 1)
+	for i := f.Hash() & mask; len(m.index) > 0; i = (i + 1) & mask {
+		e := m.index[i]
+		if e == 0 {
+			return -1
+		}
+		if m.entries[e-1].f.Same(f) {
+			return int(e - 1)
 		}
 	}
 	return -1
 }
 
+// add appends e, which find does not hold, and indexes it, doubling the
+// index past half full.
 func (m *Memo) add(e memoEntry) int {
-	if m.index == nil {
-		m.index = make(map[uint32]int32)
-	}
-	h := e.f.Hash()
-	e.next = m.index[h]
 	m.entries = append(m.entries, e)
-	m.index[h] = int32(len(m.entries))
+	if 2*len(m.entries) > len(m.index) {
+		m.index = make([]int32, max(64, 2*len(m.index)))
+		for i := range m.entries {
+			m.slot(i)
+		}
+	} else {
+		m.slot(len(m.entries) - 1)
+	}
 	return len(m.entries) - 1
+}
+
+// slot puts entry i in the index's first free slot from its hash on.
+//
+//boolq:noalloc
+func (m *Memo) slot(i int) {
+	mask := uint32(len(m.index) - 1)
+	j := m.entries[i].f.Hash() & mask
+	for m.index[j] != 0 {
+		j = (j + 1) & mask
+	}
+	m.index[j] = int32(i + 1)
 }
 
 // Close computes the consensus/absorption closure of an arbitrary sum of
 // products, yielding the Blake canonical form of the function it denotes.
 func Close(sop formula.SOP) (formula.SOP, error) {
-	terms := sop.Absorb()
+	var b formula.SumBuf
+	var spare []formula.Term
+	for _, t := range sop {
+		b.Insert(0, t)
+	}
+	if err := closeIn(&b, 0, &spare); err != nil {
+		return nil, err
+	}
+	return append(formula.SOP{}, b.Sum(0, b.Len())...), nil
+}
+
+// closeIn closes the absorbed sum that ends b, starting at lo, in place:
+// each round adds the consensus of every pair of its terms that no term
+// subsumes, collected in spare and then inserted into the sum, until a
+// round adds nothing. The rounds, and so the MaxDNFTerms bound, are the
+// ones a closure rebuilding its sum per round meets.
+//
+//boolq:noalloc
+func closeIn(b *formula.SumBuf, lo int, spare *[]formula.Term) error {
 	for {
-		var added []formula.Term
+		terms := b.Sum(lo, b.Len())
+		added := (*spare)[:0]
 		for i := 0; i < len(terms); i++ {
 			for j := i + 1; j < len(terms); j++ {
 				c, ok := terms[i].Consensus(terms[j])
@@ -126,22 +204,27 @@ func Close(sop formula.SOP) (formula.SOP, error) {
 				if subsumedBy(c, terms) || subsumedBy(c, added) {
 					continue
 				}
-				added = append(added, c)
+				added = append(added, c) //boolq:allowalloc grow-once: a warm spare already holds a round's terms
 				if len(terms)+len(added) > formula.MaxDNFTerms {
-					return nil, formula.ErrTooManyTerms
+					*spare = added
+					return formula.ErrTooManyTerms
 				}
 			}
 		}
+		*spare = added
 		if len(added) == 0 {
-			return terms, nil
+			return nil
 		}
-		terms = append(terms, added...)
-		terms = terms.Absorb()
+		for _, c := range added {
+			b.Insert(lo, c)
+		}
 	}
 }
 
 // subsumedBy reports whether some term of ts subsumes c (making c
 // redundant).
+//
+//boolq:noalloc
 func subsumedBy(c formula.Term, ts []formula.Term) bool {
 	for _, t := range ts {
 		if t.Subsumes(c) {

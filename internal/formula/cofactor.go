@@ -83,6 +83,20 @@ type expSlot struct {
 	gen      uint32
 }
 
+// Reset empties the table, keeping its slots: a pooled expander holds no
+// formula of an earlier compilation.
+//
+//boolq:noalloc
+func (x *Expander) Reset() {
+	clear(x.slots)
+	x.gen, x.n = 0, 0
+}
+
+// Cap returns how many slots the expander retains.
+//
+//boolq:noalloc
+func (x *Expander) Cap() int { return len(x.slots) }
+
 // Expansion is the package's Expansion on the expander's table.
 func (x *Expander) Expansion(f *Formula, v int) (pos, neg *Formula) {
 	return x.Substitute(f, v, one), x.Substitute(f, v, zero)

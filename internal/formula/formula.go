@@ -106,6 +106,8 @@ func (f *Formula) VarIndex() int { return int(f.v) }
 // Hash returns f's structural hash, computed when f was built: Same
 // formulas hash alike, so a table keyed by Hash and confirmed by Same
 // finds a formula however it was rebuilt (bcf.Memo).
+//
+//boolq:noalloc
 func (f *Formula) Hash() uint32 { return f.h }
 
 // Left returns the left (or only) child.
@@ -203,6 +205,8 @@ func Implies(f, g *Formula) *Formula { return Or(Not(f), g) }
 // Same reports structural equality (not semantic equivalence; see
 // Equivalent). Shared subtrees compare in O(1) via pointer identity, and
 // formulas whose hashes or variable sets differ in O(1) too.
+//
+//boolq:noalloc
 func (f *Formula) Same(g *Formula) bool {
 	if f == g {
 		return true

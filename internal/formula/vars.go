@@ -37,6 +37,8 @@ func (vs *Vars) ID(name string) int {
 }
 
 // Lookup returns the index of name without allocating.
+//
+//boolq:noalloc
 func (vs *Vars) Lookup(name string) (int, bool) {
 	i, ok := vs.index[name]
 	return i, ok

@@ -69,74 +69,92 @@ func (t Token) String() string {
 }
 
 // Lex tokenizes the input, returning a token stream or a positioned error.
+// It scans twice, counting the tokens first, so the stream is allocated
+// once at its size.
 func Lex(src string) ([]Token, error) {
-	var toks []Token
-	i := 0
-	for i < len(src) {
+	n := 0
+	for s := (scanner{src: src}); ; n++ {
+		t, err := s.next()
+		if err != nil {
+			return nil, err
+		}
+		if t.Kind == TokEOF {
+			break
+		}
+	}
+	toks := make([]Token, n+1)
+	s := scanner{src: src}
+	for i := range toks {
+		toks[i], _ = s.next()
+	}
+	return toks, nil
+}
+
+// scanner yields src's tokens one at a time: Lex collects them, and
+// Normalize renders them as it scans, with no token slice at all.
+type scanner struct {
+	src string
+	i   int // offset of the next unread byte
+}
+
+// next returns the next token: TokEOF, at len(src), once the input is
+// exhausted. A token's text is a substring of src.
+func (s *scanner) next() (Token, error) {
+	src := s.src
+	for s.i < len(src) {
+		i := s.i
 		c := src[i]
+		kind, width := TokEOF, 1
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
+			s.i++
+			continue
 		case c == '#': // comment to end of line
-			for i < len(src) && src[i] != '\n' {
-				i++
+			for s.i < len(src) && src[s.i] != '\n' {
+				s.i++
 			}
+			continue
 		case c == '&':
-			toks = append(toks, Token{TokAnd, "&", i})
-			i++
+			kind = TokAnd
 		case c == '|':
-			toks = append(toks, Token{TokOr, "|", i})
-			i++
+			kind = TokOr
 		case c == '~':
-			toks = append(toks, Token{TokNot, "~", i})
-			i++
+			kind = TokNot
 		case c == '(':
-			toks = append(toks, Token{TokLParen, "(", i})
-			i++
+			kind = TokLParen
 		case c == ')':
-			toks = append(toks, Token{TokRParen, ")", i})
-			i++
+			kind = TokRParen
 		case c == ',':
-			toks = append(toks, Token{TokComma, ",", i})
-			i++
+			kind = TokComma
 		case c == ';':
-			toks = append(toks, Token{TokSemi, ";", i})
-			i++
+			kind = TokSemi
 		case c == '0':
-			toks = append(toks, Token{TokZero, "0", i})
-			i++
+			kind = TokZero
 		case c == '1':
-			toks = append(toks, Token{TokOne, "1", i})
-			i++
+			kind = TokOne
 		case c == '<':
-			if i+1 < len(src) && src[i+1] == '=' {
-				toks = append(toks, Token{TokLeq, "<=", i})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("lang: offset %d: expected <=, got <%c", i, peek(src, i+1))
+			if i+1 >= len(src) || src[i+1] != '=' {
+				return Token{}, fmt.Errorf("lang: offset %d: expected <=, got <%c", i, peek(src, i+1))
 			}
+			kind, width = TokLeq, 2
 		case c == '=':
-			toks = append(toks, Token{TokEq, "=", i})
-			i++
+			kind = TokEq
 		case c == '!':
 			switch {
 			case strings.HasPrefix(src[i:], "!<="):
-				toks = append(toks, Token{TokNLeq, "!<=", i})
-				i += 3
+				kind, width = TokNLeq, 3
 			case strings.HasPrefix(src[i:], "!="):
-				toks = append(toks, Token{TokNeq, "!=", i})
-				i += 2
+				kind, width = TokNeq, 2
 			default:
-				return nil, fmt.Errorf("lang: offset %d: expected != or !<=", i)
+				return Token{}, fmt.Errorf("lang: offset %d: expected != or !<=", i)
 			}
 		case isIdentStart(rune(c)):
 			j := i
 			for j < len(src) && isIdentPart(rune(src[j])) {
 				j++
 			}
-			word := src[i:j]
-			kind := TokIdent
-			switch word {
+			kind, width = TokIdent, j-i
+			switch src[i:j] {
 			case "find":
 				kind = TokFind
 			case "in":
@@ -146,14 +164,13 @@ func Lex(src string) ([]Token, error) {
 			case "where":
 				kind = TokWhere
 			}
-			toks = append(toks, Token{kind, word, i})
-			i = j
 		default:
-			return nil, fmt.Errorf("lang: offset %d: unexpected character %q", i, c)
+			return Token{}, fmt.Errorf("lang: offset %d: unexpected character %q", i, c)
 		}
+		s.i += width
+		return Token{kind, src[i:s.i], i}, nil
 	}
-	toks = append(toks, Token{TokEOF, "", len(src)})
-	return toks, nil
+	return Token{TokEOF, "", len(src)}, nil
 }
 
 func peek(s string, i int) byte {

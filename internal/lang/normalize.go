@@ -10,18 +10,24 @@ import "strings"
 // epoch). The input is not parsed beyond lexing, so a normalized key can
 // be computed even for programs that fail semantic checks; Parse errors
 // then surface on the cache miss path.
+//
+// Normalize renders the tokens as it scans them, into a string sized
+// once at the input's length: one allocation for an input no shorter
+// than its canonical form.
 func Normalize(src string) (string, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return "", err
-	}
 	var b strings.Builder
+	b.Grow(len(src))
+	s := scanner{src: src}
 	prev := Token{Kind: TokEOF}
-	for i, t := range toks {
+	for first := true; ; first = false {
+		t, err := s.next()
+		if err != nil {
+			return "", err
+		}
 		if t.Kind == TokEOF {
 			break
 		}
-		if i > 0 && spaceBetween(prev, t) {
+		if !first && spaceBetween(prev, t) {
 			b.WriteByte(' ')
 		}
 		b.WriteString(t.Text)

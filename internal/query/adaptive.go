@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -170,11 +171,20 @@ func outPositions(orig, reordered *Query) []int {
 
 // orderKey renders a query's retrieval order as "T→R→B".
 func orderKey(q *Query) string {
-	names := make([]string, len(q.Retrieve))
-	for i, b := range q.Retrieve {
-		names[i] = b.Var
+	const sep = "→"
+	var b strings.Builder
+	n := 0
+	for _, bd := range q.Retrieve {
+		n += len(sep) + len(bd.Var)
 	}
-	return strings.Join(names, "→")
+	b.Grow(n)
+	for i, bd := range q.Retrieve {
+		if i > 0 {
+			b.WriteString(sep)
+		}
+		b.WriteString(bd.Var)
+	}
+	return b.String()
 }
 
 // CompileAdaptive compiles the query with the retrieval order the layer
@@ -202,6 +212,12 @@ func orderKey(q *Query) string {
 // prefix share its estimate, and drops a prefix that already costs more
 // than the best complete order; costing allocates nothing once warm.
 // Only the winner's box programs are lowered.
+//
+// Everything the search builds lives in one pooled scratch (searchPool)
+// and dies with the call, except the plan: at return the winning order's
+// steps, disequation lists and residual are copied out of the scratch
+// into memory the plan owns (export), so no cached plan points into
+// pooled storage (DESIGN.md §7, "compile memory").
 func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*Plan, error) {
 	n := len(q.Retrieve)
 	if n > maxAdaptivePermute {
@@ -217,58 +233,149 @@ func CompileAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (*P
 		return nil, err
 	}
 
-	s := &orderSearch{
-		q:        q,
-		n:        n,
-		full:     1<<n - 1,
-		ids:      make([]int, n),
-		epoch:    opts.Epoch,
-		perm:     make([]int, n),
-		bestCost: math.Inf(1),
+	epoch := opts.Epoch
+	if epoch == 0 {
+		epoch = store.Epoch()
 	}
-	if s.epoch == 0 {
-		s.epoch = store.Epoch()
-	}
+	s := acquireSearch(q, epoch)
+	defer s.release()
 	if opts.Tuner != nil && opts.TunerKey != "" {
 		s.observed = opts.Tuner.Lookup(opts.TunerKey)
-	}
-	for i, b := range q.Retrieve {
-		s.ids[i], _ = q.Sys.Vars.Lookup(b.Var)
 	}
 	ground := s.eliminate(q.Sys.Normalize())
 	if ground.F != nil {
 		s.rank(store, opts.Params)
 	}
-	if s.best == nil {
+	if len(s.best) == 0 {
 		return Compile(q, store) // every order failed: the query's own order's error
 	}
+	return s.export(ground), nil
+}
 
-	order := make([]int, n)
+// export builds the winning order's plan in memory the plan owns. Phase
+// 1's step disequation lists, range templates' disequation lists and
+// residual disequations are cut from the pooled scratch's slabs, so each
+// is copied into one slab of the plan's; the winner's box programs are
+// lowered into one block (compilePrograms). Formula and box-function
+// nodes are immutable and heap-allocated, so they are shared, not copied.
+func (s *orderSearch) export(ground triangular.Elim) *Plan {
+	n := s.n
+	ints := make([]int, 2*n)
+	order, outPos := ints[:n:n], ints[n:]
+	copy(outPos, s.best)
 	tri := make([]triangular.Step, n)
 	steps := make([]StepBoxPlan, n)
+	ndiseqs := 0
 	placed := 0
 	for i, j := range s.best {
 		placed |= 1 << j
 		es := s.step(placed, j)
 		order[i], tri[i], steps[i] = s.ids[j], es.tri, es.box
-		steps[i].compilePrograms()
+		ndiseqs += len(es.tri.Diseqs)
 	}
-	cand := permuted(q, s.best)
+	diseqs := make([]triangular.Diseq, 0, ndiseqs)
+	boxDiseqs := make([]DiseqBoxPlan, 0, ndiseqs) // one template per solved disequation
+	for i := range tri {
+		tri[i].Diseqs = own(&diseqs, tri[i].Diseqs)
+		steps[i].Diseqs = own(&boxDiseqs, steps[i].Diseqs)
+	}
+	ground.G = slices.Clone(ground.G)
+	compilePrograms(steps)
+	cand := permuted(s.q, outPos)
+	reordered := false
+	for i, j := range outPos {
+		reordered = reordered || i != j
+	}
 	plan := &Plan{
 		Query: cand,
 		Form:  ground.Form(order, tri),
 		Steps: steps,
-		// Step i retrieves the original query's binding s.best[i]; emit
+		// Step i retrieves the original query's binding outPos[i]; emit
 		// solutions back in the caller's order.
-		outPos:   s.best,
+		outPos:   outPos,
 		orderKey: orderKey(cand),
 	}
 	plan.Adaptive = &AdaptiveInfo{
-		Reordered:    plan.orderKey != orderKey(q),
+		Reordered:    reordered,
 		FeedbackUsed: s.feedbackUsed,
 		work:         s.work,
 	}
-	return plan, nil
+	return plan
+}
+
+// own appends src to *dst, whose capacity already holds it, and returns
+// the appended part, capped; nil when src is empty.
+func own[T any](dst *[]T, src []T) []T {
+	if len(src) == 0 {
+		return nil
+	}
+	lo := len(*dst)
+	*dst = append(*dst, src...)
+	return (*dst)[lo:len(*dst):len(*dst)]
+}
+
+// searchPool keeps CompileAdaptive's scratch between compiles: phase 1's
+// residual, step and per-binding template arrays, the canonical-form
+// memo and its term buffer, the cofactor table and the disequation
+// slabs (triangular.Scratch, boxDiseqs), and the cost model's buffers.
+var searchPool = sync.Pool{New: func() any { return new(orderSearch) }}
+
+// maxPooledSearch caps what a pooled search retains, in elements summed
+// over its arrays, slabs, memo and cofactor table: a 5-variable compile
+// of the query_cold shape holds about a tenth of it. One that an unusual
+// query grew past the cap is dropped on release instead of being kept
+// alive by the pool.
+const maxPooledSearch = 1 << 16
+
+// acquireSearch takes a search from the pool and readies it for q, whose
+// n ≤ maxAdaptivePermute bindings passed validate. Every array it sizes
+// comes back zeroed from release.
+//
+//boolq:noalloc
+func acquireSearch(q *Query, epoch uint64) *orderSearch {
+	s := searchPool.Get().(*orderSearch) //boolq:allowalloc a new search only when the pool is empty
+	n := len(q.Retrieve)
+	s.q, s.n, s.full, s.epoch = q, n, 1<<n-1, epoch
+	s.ids, s.perm = resized(s.ids, n), resized(s.perm, n)
+	for i, b := range q.Retrieve {
+		s.ids[i], _ = q.Sys.Vars.Lookup(b.Var)
+	}
+	s.res = resized(s.res, s.full+1)
+	s.steps = resized(s.steps, (s.full+1)*n)
+	s.bestCost = math.Inf(1)
+	return s
+}
+
+// release clears everything the search holds of the query, the store
+// and the compile — so the pool keeps no formula, statistic or region
+// alive — and returns it to the pool unless it outgrew maxPooledSearch.
+//
+//boolq:noalloc
+func (s *orderSearch) release() {
+	s.scr.Reset()
+	clear(s.res)
+	clear(s.steps)
+	clear(s.templates)
+	s.templates = s.templates[:0]
+	retained := cap(s.res) + cap(s.steps) + cap(s.templates) + cap(s.boxDiseqs) + s.scr.Cap()
+	clear(s.boxDiseqs)
+	s.boxDiseqs = s.boxDiseqs[:0]
+	s.costModel.reset()
+	s.q, s.observed, s.best = nil, nil, s.best[:0]
+	s.work = compileWork{} //boolq:allowalloc zero value assigned in place
+	s.prune, s.bestRank, s.feedbackUsed = false, 0, 0
+	if retained > maxPooledSearch {
+		return
+	}
+	searchPool.Put(s) //boolq:allowalloc the pool's per-P list grows once
+}
+
+// resized returns x with length n, reusing its array when it is large
+// enough.
+//
+//boolq:noalloc
+func resized[T any](x []T, n int) []T {
+	return slices.Grow(x[:0], n)[:n] //boolq:allowalloc grow-once: a warm array is large enough
 }
 
 // elimStep is one elimination of phase 1: a binding's solved step and
@@ -280,19 +387,25 @@ type elimStep struct {
 }
 
 // orderSearch is CompileAdaptive's subset dynamic program. Sets of
-// bindings are bitmasks over q.Retrieve.
+// bindings are bitmasks over q.Retrieve. Searches are pooled
+// (acquireSearch, release): every slice here is reused by the next
+// compile.
 type orderSearch struct {
 	q     *Query
 	n     int
 	full  int   // the set of all bindings
 	ids   []int // binding j's variable id
-	steps []elimStep
+	res   []triangular.Elim
+	steps []int32 // per (set, binding): 1 + its step's index in templates; 0 when none
 
-	// Phase 1 state: the compilation's canonical-form memo and cofactor
-	// table, and per binding the distinct steps solved for it.
-	scr      triangular.Scratch
-	distinct [][]elimStep
-	work     compileWork
+	// Phase 1 state: the compilation's canonical-form memo, cofactor
+	// table and step slabs, the distinct steps solved with their range
+	// templates, and the slab the templates' disequation lists are cut
+	// from.
+	scr       triangular.Scratch
+	templates []elimStep
+	boxDiseqs []DiseqBoxPlan
+	work      compileWork
 
 	// Phase 2 state.
 	costModel
@@ -308,8 +421,12 @@ type orderSearch struct {
 
 // step returns binding j's elimination when it is placed in front of
 // every binding outside placed (placed includes j).
+// It is nil when no order reaches that step or solving it failed.
 func (s *orderSearch) step(placed, j int) *elimStep {
-	return &s.steps[(s.full&^placed)*s.n+j]
+	if i := s.steps[(s.full&^placed)*s.n+j]; i > 0 {
+		return &s.templates[i-1]
+	}
+	return nil
 }
 
 // eliminate is phase 1. It visits the eliminated sets in ascending order —
@@ -322,10 +439,8 @@ func (s *orderSearch) step(placed, j int) *elimStep {
 // set (F nil when no order compiles): the ground constraint every plan
 // shares.
 func (s *orderSearch) eliminate(norm constraint.Normal) triangular.Elim {
-	res := make([]triangular.Elim, s.full+1) // F nil: no order reaches the set
+	res := s.res // F nil: no order reaches the set
 	res[0] = triangular.Start(norm)
-	s.steps = make([]elimStep, (s.full+1)*s.n)
-	s.distinct = make([][]elimStep, s.n)
 	for used := 0; used < s.full; used++ {
 		if res[used].F == nil {
 			continue
@@ -357,19 +472,19 @@ func (s *orderSearch) eliminate(norm constraint.Normal) triangular.Elim {
 	return res[s.full]
 }
 
-// template returns binding j's step st with its range template, lowered
-// (Algorithm 2) the first time the binding meets a step Same as st.
-func (s *orderSearch) template(j int, st triangular.Step) elimStep {
-	for _, es := range s.distinct[j] {
-		if es.tri.Same(st) {
-			return es
+// template returns 1 + the index in s.templates of binding j's step st
+// with its range template, lowered (Algorithm 2) the first time the
+// search meets a step Same as st.
+func (s *orderSearch) template(j int, st triangular.Step) int32 {
+	for i := range s.templates {
+		if s.templates[i].tri.Same(st) { // Same steps solve the same variable: binding j's
+			return int32(i + 1)
 		}
 	}
-	sp, err := stepBoxPlan(st, s.q.Retrieve[j], &s.scr.Memo)
-	es := elimStep{tri: st, box: sp, ok: err == nil}
-	s.distinct[j] = append(s.distinct[j], es)
+	sp, err := stepBoxPlan(st, s.q.Retrieve[j], &s.scr.Memo, &s.boxDiseqs)
+	s.templates = append(s.templates, elimStep{tri: st, box: sp, ok: err == nil})
 	s.work.templates++
-	return es
+	return int32(len(s.templates))
 }
 
 // rank is phase 2: one front-to-back walk over the orders phase 1
@@ -406,7 +521,7 @@ func (s *orderSearch) place(i, placed int, cost, width float64, live bool) {
 			continue
 		}
 		es := s.step(placed|1<<j, j)
-		if !es.ok {
+		if es == nil || !es.ok {
 			continue
 		}
 		c, w, l := cost, width, live
@@ -450,26 +565,42 @@ type costModel struct {
 // init reads the layer statistics and binds every parameter to its
 // representative box (paramBoxes). The caller holds the store's read
 // guard for as long as it estimates.
+//
+// A model kept between calls (CompileAdaptive's pooled search) reuses its
+// arrays and boxes: reset clears what refers to the query and the store.
 func (m *costModel) init(q *Query, store *spatialdb.Store, params map[string]*region.Region) {
 	m.k = store.K()
-	m.stats = make([]*stats.Layer, len(q.Retrieve))
-	m.mean = make([]bbox.Box, len(q.Retrieve))
-	m.reps = make([]bbox.Box, len(q.Retrieve))
+	n := len(q.Retrieve)
+	m.stats, m.mean, m.reps = resized(m.stats, n), resized(m.mean, n), resized(m.reps, n)
 	for j, b := range q.Retrieve {
+		m.stats[j] = nil
 		if l, ok := store.LayerIfExists(b.Layer); ok {
 			m.stats[j] = l.DataStats()
-			m.mean[j] = m.stats[j].MeanBox()
+			m.stats[j].MeanBoxInto(&m.mean[j])
 		}
 	}
-	m.envBox = paramBoxes(q, store, params)
-	m.env = make([]boolalg.Element, len(m.envBox))
-	m.retrieved = make([]bool, len(m.envBox))
+	m.envBox = paramBoxesInto(m.envBox, q, store, params)
+	m.env = resized(m.env, len(m.envBox))
+	m.retrieved = resized(m.retrieved, len(m.envBox))
+	clear(m.retrieved)
 	for _, b := range q.Retrieve {
 		if v, ok := q.Sys.Vars.Lookup(b.Var); ok {
 			m.retrieved[v] = true
 		}
 	}
 	m.alg = region.NewAlgebra(store.Universe()).Bind(&m.scr)
+}
+
+// reset drops what the model holds of the query and the store, keeping
+// its arrays and boxes.
+//
+//boolq:noalloc
+func (m *costModel) reset() {
+	clear(m.stats)
+	clear(m.envBox)
+	clear(m.env)
+	m.scr.Reset()
+	m.alg = region.Algebra{} //boolq:allowalloc zero value assigned in place
 }
 
 // bind makes b variable v's representative box; its region is built
@@ -587,7 +718,7 @@ func (s *orderSearch) leaf(cost float64) {
 		}
 	}
 	rank := permRank(s.perm)
-	if cost < s.bestCost || (s.best != nil && cost == s.bestCost && rank < s.bestRank) {
+	if cost < s.bestCost || (len(s.best) > 0 && cost == s.bestCost && rank < s.bestRank) {
 		s.bestCost, s.bestRank = cost, rank
 		s.best = append(s.best[:0], s.perm...)
 	}
@@ -609,7 +740,13 @@ func permuted(q *Query, perm []int) *Query {
 // did not supply it. Retrieval variables start unbound; CompileAdaptive's
 // cost walk binds them in order with representative boxes.
 func paramBoxes(q *Query, store *spatialdb.Store, params map[string]*region.Region) []bbox.Box {
-	envBox := make([]bbox.Box, q.Sys.Vars.Len())
+	return paramBoxesInto(nil, q, store, params)
+}
+
+// paramBoxesInto is paramBoxes reusing envBox's array.
+func paramBoxesInto(envBox []bbox.Box, q *Query, store *spatialdb.Store, params map[string]*region.Region) []bbox.Box {
+	envBox = resized(envBox, q.Sys.Vars.Len())
+	clear(envBox)
 	uni := store.Universe()
 	for _, v := range paramIDs(q) {
 		envBox[v] = uni

@@ -138,7 +138,7 @@ func TestLowerBoxOutsideUpperPrunesWithoutProbe(t *testing.T) {
 			t.Fatal(err)
 		}
 		plan.Steps[0].Upper = bbox.ConstFunc(bbox.Rect(0, 0, 50, 100))
-		plan.Steps[0].compilePrograms()
+		compilePrograms(plan.Steps)
 		res := runAgainstNaive(t, kind, plan, store, params)
 		if st := res.Stats; st.DB.Queries != 0 || st.Candidates != 0 {
 			t.Errorf("%v: %d probes, %d candidates; want the prefix pruned before its probe", kind, st.DB.Queries, st.Candidates)

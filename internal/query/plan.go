@@ -35,15 +35,29 @@ type StepBoxPlan struct {
 	lower, upper *bbox.Program // compiled forms of Lower and Upper
 }
 
-// compilePrograms lowers the step's function trees to programs; Compile
-// and CompileAdaptive call it once per step of the plan they return, so
-// executors never compile in the hot path.
-func (sp *StepBoxPlan) compilePrograms() {
-	sp.lower = sp.Lower.Compile()
-	sp.upper = sp.Upper.Compile()
-	for i := range sp.Diseqs {
-		sp.Diseqs[i].p = sp.Diseqs[i].P.Compile()
-		sp.Diseqs[i].q = sp.Diseqs[i].Q.Compile()
+// compilePrograms lowers the steps' function trees to programs, all in
+// one block (bbox.CompileAll); Compile and CompileAdaptive call it on the
+// steps of the plan they return, so executors never compile in the hot
+// path.
+func compilePrograms(steps []StepBoxPlan) {
+	n := 0
+	for _, sp := range steps {
+		n += 2 + 2*len(sp.Diseqs)
+	}
+	fs := make([]*bbox.Func, 0, n)
+	for _, sp := range steps {
+		fs = append(fs, sp.Lower, sp.Upper)
+		for _, d := range sp.Diseqs {
+			fs = append(fs, d.P, d.Q)
+		}
+	}
+	progs := bbox.CompileAll(fs)
+	for i := range steps {
+		sp := &steps[i]
+		sp.lower, sp.upper, progs = &progs[0], &progs[1], progs[2:]
+		for j := range sp.Diseqs {
+			sp.Diseqs[j].p, sp.Diseqs[j].q, progs = &progs[0], &progs[1], progs[2:]
+		}
 	}
 }
 
@@ -198,21 +212,25 @@ func Compile(q *Query, store *spatialdb.Store) (*Plan, error) {
 	}
 	plan := &Plan{Query: q, Form: form, Steps: make([]StepBoxPlan, len(form.Steps)), orderKey: orderKey(q)}
 	var memo bcf.Memo
+	var diseqs []DiseqBoxPlan
 	for i, st := range form.Steps {
-		if plan.Steps[i], err = stepBoxPlan(st, q.Retrieve[i], &memo); err != nil {
+		if plan.Steps[i], err = stepBoxPlan(st, q.Retrieve[i], &memo, &diseqs); err != nil {
 			return nil, err
 		}
-		plan.Steps[i].compilePrograms()
 	}
+	compilePrograms(plan.Steps)
 	return plan, nil
 }
 
 // stepBoxPlan approximates one solved step by its range-query template
 // (Algorithm 2), reading each approximation off a canonical form from the
-// compilation's memo. The function trees are left unlowered: the caller
-// runs compilePrograms on the steps of the plan it keeps.
-func stepBoxPlan(st triangular.Step, b Binding, memo *bcf.Memo) (StepBoxPlan, error) {
+// compilation's memo. The disequations' templates are appended to slab
+// and the step's list is cut from it. The function trees are left
+// unlowered: the caller runs compilePrograms on the steps of the plan it
+// keeps.
+func stepBoxPlan(st triangular.Step, b Binding, memo *bcf.Memo, slab *[]DiseqBoxPlan) (StepBoxPlan, error) {
 	sp := StepBoxPlan{Var: st.Var, Layer: b.Layer}
+	lo := len(*slab)
 	s, err := memo.BCF(st.Lower)
 	if err != nil {
 		return sp, fmt.Errorf("query: lower approximation for %s: %w", b.Var, err)
@@ -231,7 +249,10 @@ func stepBoxPlan(st triangular.Step, b Binding, memo *bcf.Memo) (StepBoxPlan, er
 		if err != nil {
 			return sp, fmt.Errorf("query: disequation approximation: %w", err)
 		}
-		sp.Diseqs = append(sp.Diseqs, DiseqBoxPlan{P: bbox.UpperFromBCF(p), Q: bbox.UpperFromBCF(q)})
+		*slab = append(*slab, DiseqBoxPlan{P: bbox.UpperFromBCF(p), Q: bbox.UpperFromBCF(q)})
+	}
+	if lo < len(*slab) {
+		sp.Diseqs = (*slab)[lo:len(*slab):len(*slab)]
 	}
 	return sp, nil
 }

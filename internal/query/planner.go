@@ -89,6 +89,8 @@ type greedyOrder struct {
 	ids  []int
 	res  map[int]triangular.Elim // F nil: the set's residual failed
 	scr  triangular.Scratch
+
+	diseqs []DiseqBoxPlan // the slab the templates' disequation lists are cut from
 }
 
 // residual returns the residual after eliminating the bindings in set.
@@ -132,7 +134,7 @@ func (g *greedyOrder) step(placed, j int) (elimStep, bool) {
 	if err != nil {
 		return elimStep{}, false
 	}
-	sp, err := stepBoxPlan(st, g.q.Retrieve[j], &g.scr.Memo)
+	sp, err := stepBoxPlan(st, g.q.Retrieve[j], &g.scr.Memo, &g.diseqs)
 	if err != nil {
 		return elimStep{}, false
 	}

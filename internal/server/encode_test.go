@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -451,5 +452,54 @@ func TestEmitPathAllocs(t *testing.T) {
 			t.Errorf("%q at %d workers: %v allocs for %d solutions, %v for %d: want a fixed budget <= %d",
 				in.text, in.workers, large[i], largeCounts[i], small[i], smallCounts[i], budget)
 		}
+	}
+}
+
+// TestColdQueryBytes pins what a plan-cache miss allocates: a POST /query
+// of a 4-variable text that misses the cache, through Server.Handler(),
+// from decoding the body to encoding the reply. The texts differ only in
+// their variables' names, so each request normalizes, parses and
+// compiles afresh; the requests and recorders are built outside the
+// measurement.
+func TestColdQueryBytes(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation floors are pinned on the normal build")
+	}
+	h := New(hotStore(300), Options{}).Handler()
+	const warm, measured = 64, 256
+	reqs := make([]*http.Request, warm+measured)
+	recs := make([]*httptest.ResponseRecorder, len(reqs))
+	for i := range reqs {
+		text := fmt.Sprintf("find Z%[1]d in zones, R%[1]d in roads, P%[1]d in parcels, Q%[1]d in parcels given W "+
+			"where Z%[1]d & W != 0; R%[1]d <= Z%[1]d; R%[1]d & P%[1]d != 0; Q%[1]d & P%[1]d != 0; P%[1]d != Q%[1]d", i)
+		body := fmt.Sprintf(`{"query": %q, "params": {"W": {"boxes": [{"lo": [100, 100], "hi": [400, 400]}]}}, "limit": 1}`, text)
+		reqs[i] = httptest.NewRequest("POST", "/query", bytes.NewReader([]byte(body)))
+		recs[i] = httptest.NewRecorder()
+		recs[i].Body.Grow(4096)
+	}
+	for i := range warm {
+		h.ServeHTTP(recs[i], reqs[i])
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := warm; i < len(reqs); i++ {
+		h.ServeHTTP(recs[i], reqs[i])
+	}
+	runtime.ReadMemStats(&after)
+	for i, w := range recs {
+		if w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"cached": false`)) {
+			t.Fatalf("request %d: status %d, want an uncached 200: %s", i, w.Code, w.Body.Bytes())
+		}
+	}
+	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / measured
+	allocsPer := float64(after.Mallocs-before.Mallocs) / measured
+	t.Logf("cold POST /query: %.0f B and %.1f allocations per request", bytesPer, allocsPer)
+	// 59.2 kB and 666 allocations per request before the adaptive compile
+	// took its scratch from a pool and lexing stopped growing token
+	// slices; 13.9 kB and 174 after. The budget leaves room for a pool
+	// emptied by a GC cycle mid-measurement.
+	const budget = 16 << 10
+	if bytesPer > budget {
+		t.Errorf("a cold POST /query allocates %.0f B, want <= %d", bytesPer, budget)
 	}
 }

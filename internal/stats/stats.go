@@ -239,17 +239,23 @@ func (s *Layer) Remove(b bbox.Box) {
 // fixed-point rounding is monotone, so SumLo ≤ SumHi and the mean box is
 // never inverted.
 func (s *Layer) MeanBox() bbox.Box {
+	var b bbox.Box
+	s.MeanBoxInto(&b)
+	return b
+}
+
+// MeanBoxInto is MeanBox written into dst, reusing its arrays.
+func (s *Layer) MeanBoxInto(dst *bbox.Box) {
 	if s.count == 0 || s.k == 0 {
-		return bbox.Empty(s.k)
+		dst.SetEmpty(s.k)
+		return
 	}
-	lo := make([]float64, s.k)
-	hi := make([]float64, s.k)
+	dst.SetUniv(s.k)
 	scale := fixedOne * float64(s.count)
 	for a := 0; a < s.k; a++ {
-		lo[a] = float64(s.axes[a].SumLo) / scale
-		hi[a] = float64(s.axes[a].SumHi) / scale
+		dst.Lo[a] = float64(s.axes[a].SumLo) / scale
+		dst.Hi[a] = float64(s.axes[a].SumHi) / scale
 	}
-	return bbox.Box{K: s.k, Lo: lo, Hi: hi}
 }
 
 // Selectivity returns EstimateSpec(spec) / Count(), in [0, 1] (0 for an

@@ -117,13 +117,39 @@ func Start(n constraint.Normal) Elim {
 }
 
 // Scratch is what one compilation's eliminations share: a memo of the
-// Blake canonical forms they compute and a reusable cofactor table. The
-// zero value is ready. A Scratch holds every formula its eliminations
-// canonicalised and is not safe for concurrent use: keep one per
-// compilation.
+// Blake canonical forms they compute, a reusable cofactor table, and the
+// slabs every step's disequations and every residual's disequation list
+// are cut from. The zero value is ready. A Scratch holds every formula
+// its eliminations canonicalised and is not safe for concurrent use: keep
+// one per compilation. The Steps and Elims it returns alias its storage
+// until Reset; a caller that reuses the scratch copies out what it keeps.
 type Scratch struct {
-	Memo bcf.Memo // also serves the compilation's bounding-box templates
-	exp  formula.Expander
+	Memo   bcf.Memo // also serves the compilation's bounding-box templates
+	exp    formula.Expander
+	diseqs []Diseq            // every step's disequations, back to back
+	gs     []*formula.Formula // every residual's disequations, back to back
+}
+
+// Reset empties the scratch for the next compilation, keeping its
+// storage: every Step and Elim it returned before is overwritten.
+//
+//boolq:noalloc
+func (s *Scratch) Reset() {
+	s.Memo.Reset()
+	s.exp.Reset()
+	clear(s.diseqs)
+	s.diseqs = s.diseqs[:0]
+	clear(s.gs)
+	s.gs = s.gs[:0]
+}
+
+// Cap returns how much the scratch retains (memo entries and terms,
+// cofactor slots, slab elements), for pools that drop an oversized
+// scratch instead of keeping it.
+//
+//boolq:noalloc
+func (s *Scratch) Cap() int {
+	return s.Memo.Cap() + s.exp.Cap() + cap(s.diseqs) + cap(s.gs)
 }
 
 // Eliminate is one step of Algorithm 1: it solves the residual e for v —
@@ -136,9 +162,10 @@ func (s *Scratch) Eliminate(e Elim, v int) (Step, Elim, error) {
 		return Step{}, Elim{}, err
 	}
 	next := Elim{Unsat: e.Unsat}
+	lo := len(s.gs)
 	for _, g := range e.G {
 		if !g.Uses(v) {
-			next.G = append(next.G, g)
+			s.gs = append(s.gs, g)
 		}
 	}
 	notF0 := formula.Not(f0)
@@ -157,10 +184,12 @@ func (s *Scratch) Eliminate(e Elim, v int) (Step, Elim, error) {
 		case formula.TautologyOne(proj):
 			// Trivially nonzero in a nontrivial algebra: drop.
 		default:
-			next.G = append(next.G, proj)
+			s.gs = append(s.gs, proj)
 		}
 	}
-	next.G = canonical(next.G)
+	next.G = canonical(cut(s.gs, lo))
+	next.G = next.G[:len(next.G):len(next.G)]
+	s.gs = s.gs[:lo+len(next.G)]
 	if next.F, err = s.Memo.Formula(formula.And(f1, f0)); err != nil {
 		return Step{}, Elim{}, err
 	}
@@ -190,17 +219,28 @@ func (s *Scratch) solve(e Elim, v int) (step Step, f1, f0 *formula.Formula, err 
 		return Step{}, nil, nil, err
 	}
 	step = Step{Var: v, Lower: f0, Upper: formula.Not(f1)}
+	lo := len(s.diseqs)
 	for _, g := range e.G {
 		if !g.Uses(v) {
 			continue
 		}
 		g1, g0 := s.exp.Expansion(g, v)
-		if slices.ContainsFunc(step.Diseqs, func(d Diseq) bool { return d.P.Same(g1) && d.Q.Same(g0) }) {
+		if slices.ContainsFunc(s.diseqs[lo:], func(d Diseq) bool { return d.P.Same(g1) && d.Q.Same(g0) }) {
 			continue // same cofactors: the same solved disequation and projection
 		}
-		step.Diseqs = append(step.Diseqs, Diseq{P: g1, Q: g0})
+		s.diseqs = append(s.diseqs, Diseq{P: g1, Q: g0})
 	}
+	step.Diseqs = cut(s.diseqs, lo)
 	return step, f1, f0, nil
+}
+
+// cut returns the slab's elements from lo on, capped so that appending
+// to them cannot write into the slab; nil when there are none.
+func cut[T any](slab []T, lo int) []T {
+	if lo == len(slab) {
+		return nil
+	}
+	return slab[lo:len(slab):len(slab)]
 }
 
 // Same reports whether two steps are structurally equal: the same
