@@ -25,6 +25,9 @@ func FuzzParse(f *testing.F) {
 	f.Add("find x in l where disjoint(x, ~(0 | 1)); overlaps(x,x)")
 	f.Add(manyVariables(formula.MaxVars + 1))
 	f.Fuzz(func(t *testing.T, src string) {
+		if toks, err := Lex(src); err == nil && len(toks) > maxTokens(src) {
+			t.Fatalf("Lex yields %d tokens, maxTokens says at most %d: %q", len(toks), maxTokens(src), src)
+		}
 		q, parseErr := Parse(src)
 		norm, err := Normalize(src)
 		if err != nil {

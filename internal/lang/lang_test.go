@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/query"
 	"repro/internal/region"
 	"repro/internal/spatialdb"
@@ -210,5 +211,30 @@ func TestParseConstraintsOnly(t *testing.T) {
 	}
 	if err := ParseConstraints("x <", q); err == nil {
 		t.Errorf("bad constraint text accepted")
+	}
+}
+
+// maxTokens must bound the token count, or Lex's one allocation would
+// grow; every golden query and a few dense or odd inputs check it.
+func TestMaxTokensBoundsLex(t *testing.T) {
+	srcs := []string{
+		"", "0a1b", "a0(b1)~c", "x<=y!=z!<=w", "f(x,y);g( x )",
+		"# comment only", "find x in l where x&~(0|1)!=0",
+		"find T in towns, R in roads given C where T !<= C; overlaps(R, T)",
+	}
+	for _, c := range golden.Cases() {
+		srcs = append(srcs, c.Query)
+	}
+	for _, src := range srcs {
+		toks, err := Lex(src)
+		if err != nil {
+			t.Fatalf("Lex(%q): %v", src, err)
+		}
+		if n := maxTokens(src); len(toks) > n {
+			t.Errorf("Lex(%q) yields %d tokens, maxTokens says at most %d", src, len(toks), n)
+		}
+		if cap(toks) != maxTokens(src) {
+			t.Errorf("Lex(%q) grew its token slice: cap %d, bound %d", src, cap(toks), maxTokens(src))
+		}
 	}
 }

@@ -69,25 +69,48 @@ func (t Token) String() string {
 }
 
 // Lex tokenizes the input, returning a token stream or a positioned error.
-// It scans twice, counting the tokens first, so the stream is allocated
-// once at its size.
+// The stream is allocated once, at maxTokens(src).
 func Lex(src string) ([]Token, error) {
-	n := 0
-	for s := (scanner{src: src}); ; n++ {
+	toks := make([]Token, 0, maxTokens(src))
+	s := scanner{src: src}
+	for {
 		t, err := s.next()
 		if err != nil {
 			return nil, err
 		}
+		toks = append(toks, t)
 		if t.Kind == TokEOF {
-			break
+			return toks, nil
 		}
 	}
-	toks := make([]Token, n+1)
-	s := scanner{src: src}
-	for i := range toks {
-		toks[i], _ = s.next()
+}
+
+// maxTokens bounds how many tokens src lexes to, the trailing TokEOF
+// included, in one pass over its bytes. A token starts at a byte that is
+// not whitespace and either follows whitespace or the input's start, or
+// is or follows a punctuation byte: one of the single-byte tokens, a byte
+// of <=, != or !<=, or the constant 0 or 1, which end a token without a
+// space ("0a" is two tokens). An identifier starts after none of these
+// and runs on through every byte that is none of them, so no token start
+// is missed; the second byte of an operator, a digit inside a name and
+// the words of a comment are counted too, which only makes the bound
+// looser.
+func maxTokens(src string) int {
+	n, brk := 1, true
+	for i := 0; i < len(src); i++ {
+		space, punct := false, false
+		switch src[i] {
+		case ' ', '\t', '\n', '\r':
+			space = true
+		case '&', '|', '~', '(', ')', ',', ';', '0', '1', '<', '=', '!':
+			punct = true
+		}
+		if !space && (brk || punct) {
+			n++
+		}
+		brk = space || punct
 	}
-	return toks, nil
+	return n
 }
 
 // scanner yields src's tokens one at a time: Lex collects them, and

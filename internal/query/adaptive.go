@@ -315,17 +315,18 @@ func own[T any](dst *[]T, src []T) []T {
 }
 
 // searchPool keeps CompileAdaptive's scratch between compiles: phase 1's
-// residual, step and per-binding template arrays, the canonical-form
-// memo and its term buffer, the cofactor table and the disequation
-// slabs (triangular.Scratch, boxDiseqs), and the cost model's buffers.
+// residual, step and template arrays, the canonical-form memo and its
+// term buffer, the cofactor table and the disequation slabs
+// (triangular.Scratch, boxDiseqs), and the cost model's buffers.
 var searchPool = sync.Pool{New: func() any { return new(orderSearch) }}
 
 // maxPooledSearch caps what a pooled search retains, in elements summed
 // over its arrays, slabs, memo and cofactor table: a 5-variable compile
-// of the query_cold shape holds about a tenth of it. One that an unusual
-// query grew past the cap is dropped on release instead of being kept
-// alive by the pool.
-const maxPooledSearch = 1 << 16
+// of the query_cold shape (coldShapeQuery plus a fifth binding) holds
+// about 2,200, a 4-variable one about 1,100. One that an unusual query
+// grew past the cap is dropped on release instead of being kept alive
+// by the pool.
+const maxPooledSearch = 1 << 14
 
 // acquireSearch takes a search from the pool and readies it for q, whose
 // n ≤ maxAdaptivePermute bindings passed validate. Every array it sizes
@@ -420,8 +421,8 @@ type orderSearch struct {
 }
 
 // step returns binding j's elimination when it is placed in front of
-// every binding outside placed (placed includes j).
-// It is nil when no order reaches that step or solving it failed.
+// every binding outside placed (placed includes j), or nil when no order
+// reaches that step or solving it failed.
 func (s *orderSearch) step(placed, j int) *elimStep {
 	if i := s.steps[(s.full&^placed)*s.n+j]; i > 0 {
 		return &s.templates[i-1]
@@ -579,7 +580,7 @@ func (m *costModel) init(q *Query, store *spatialdb.Store, params map[string]*re
 			m.stats[j].MeanBoxInto(&m.mean[j])
 		}
 	}
-	m.envBox = paramBoxesInto(m.envBox, q, store, params)
+	m.envBox = paramBoxes(m.envBox, q, store, params)
 	m.env = resized(m.env, len(m.envBox))
 	m.retrieved = resized(m.retrieved, len(m.envBox))
 	clear(m.retrieved)
@@ -738,13 +739,9 @@ func permuted(q *Query, perm []int) *Query {
 // box programs over: every parameter is bound to its region's bounding
 // box (clipped to the universe), or to the universe box when the caller
 // did not supply it. Retrieval variables start unbound; CompileAdaptive's
-// cost walk binds them in order with representative boxes.
-func paramBoxes(q *Query, store *spatialdb.Store, params map[string]*region.Region) []bbox.Box {
-	return paramBoxesInto(nil, q, store, params)
-}
-
-// paramBoxesInto is paramBoxes reusing envBox's array.
-func paramBoxesInto(envBox []bbox.Box, q *Query, store *spatialdb.Store, params map[string]*region.Region) []bbox.Box {
+// cost walk binds them in order with representative boxes. The
+// environment reuses envBox's array when it is large enough.
+func paramBoxes(envBox []bbox.Box, q *Query, store *spatialdb.Store, params map[string]*region.Region) []bbox.Box {
 	envBox = resized(envBox, q.Sys.Vars.Len())
 	clear(envBox)
 	uni := store.Universe()

@@ -333,7 +333,7 @@ func referenceAdaptive(q *Query, store *spatialdb.Store, opts AdaptiveOptions) (
 	if opts.Tuner != nil {
 		observed = opts.Tuner.Lookup(opts.TunerKey)
 	}
-	paramBox := paramBoxes(q, store, opts.Params)
+	paramBox := paramBoxes(nil, q, store, opts.Params)
 	bestCost := math.Inf(1)
 	var firstErr error
 	for _, perm := range permutations(len(q.Retrieve)) {

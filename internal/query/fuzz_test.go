@@ -240,7 +240,7 @@ func TestFuzzAdaptiveAgainstNaive(t *testing.T) {
 		}
 
 		// Estimator invariants over the plan's own specs plus random ones.
-		cost := estimatePlanCost(plan, store, paramBoxes(plan.Query, store, params))
+		cost := estimatePlanCost(plan, store, paramBoxes(nil, plan.Query, store, params))
 		if math.IsNaN(cost) || cost < 0 {
 			t.Fatalf("trial %d: plan cost = %v", trial, cost)
 		}
