@@ -244,7 +244,8 @@ func (b *SumBuf) Truncate(n int) { b.terms = b.terms[:n] }
 //
 //boolq:noalloc
 func (b *SumBuf) Insert(lo int, t Term) {
-	b.terms = b.terms[:b.insert(lo, len(b.terms), t)]
+	n := b.insert(lo, len(b.terms), t) // may grow b.terms: slice it after
+	b.terms = b.terms[:n]
 }
 
 // insert is Insert into the sum at [lo, hi), which need not end the

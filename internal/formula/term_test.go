@@ -1,6 +1,8 @@
 package formula
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -217,5 +219,112 @@ func TestVarsTable(t *testing.T) {
 	names := vs.Names()
 	if len(names) != 2 || names[0] != "A" || names[1] != "B" {
 		t.Errorf("Names = %v", names)
+	}
+}
+
+// absorbPairwise is the absorption the term buffer replaced, kept as the
+// reference: keep each consistent term no other term strictly subsumes
+// (the first of equal terms), then sort.
+func absorbPairwise(s SOP) SOP {
+	var out SOP
+	for i, t := range s {
+		if t.Contradictory() {
+			continue
+		}
+		absorbed := false
+		for j, u := range s {
+			if i != j && !u.Contradictory() && u.Subsumes(t) && (!t.Subsumes(u) || j < i) {
+				absorbed = true
+				break
+			}
+		}
+		if !absorbed {
+			out = append(out, t)
+		}
+	}
+	slices.SortFunc(out, func(a, b Term) int {
+		if c := cmp.Compare(a.Pos, b.Pos); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Neg, b.Neg)
+	})
+	return out
+}
+
+// dnfPerNode is DNF as it was before the term buffer: a fresh sum per
+// node, products and sums absorbed pairwise.
+func dnfPerNode(f *Formula, neg bool) SOP {
+	switch f.Kind() {
+	case KindConst:
+		if f.Const() != neg {
+			return SOP{TrueTerm}
+		}
+		return nil
+	case KindVar:
+		if neg {
+			return SOP{Term{}.WithNeg(f.VarIndex())}
+		}
+		return SOP{Term{}.WithPos(f.VarIndex())}
+	case KindNot:
+		return dnfPerNode(f.Left(), !neg)
+	}
+	l, r := dnfPerNode(f.Left(), neg), dnfPerNode(f.Right(), neg)
+	if (f.Kind() == KindAnd) == neg {
+		return absorbPairwise(append(append(SOP{}, l...), r...))
+	}
+	var out SOP
+	for _, t := range l {
+		for _, u := range r {
+			if c, ok := t.Conj(u); ok {
+				out = append(out, c)
+			}
+		}
+	}
+	return absorbPairwise(out)
+}
+
+// Absorption by sorted insert and the term buffer's DNF give exactly the
+// sums, in exactly the order, the pairwise versions did.
+func TestSumBufMatchesPerNodeSums(t *testing.T) {
+	state := uint64(7)
+	next := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	var randFormula func(depth int) *Formula
+	randFormula = func(depth int) *Formula {
+		if depth == 0 || next(4) == 0 {
+			switch next(8) {
+			case 0:
+				return One()
+			case 1:
+				return Zero()
+			}
+			return Var(next(6))
+		}
+		switch next(3) {
+		case 0:
+			return Not(randFormula(depth - 1))
+		case 1:
+			return And(randFormula(depth-1), randFormula(depth-1))
+		}
+		return Or(randFormula(depth-1), randFormula(depth-1))
+	}
+	for trial := range 2000 {
+		var s SOP
+		for range next(12) {
+			s = append(s, Term{Pos: uint64(next(16)), Neg: uint64(next(16))})
+		}
+		if got, want := s.Absorb(), absorbPairwise(s); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Absorb(%v) = %v, pairwise %v", trial, s, got, want)
+		}
+		f := randFormula(5)
+		got, err := DNF(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := absorbPairwise(dnfPerNode(f, false)); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: DNF(%v) = %v, per-node sums %v", trial, f, got, want)
+		}
 	}
 }
