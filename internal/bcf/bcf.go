@@ -27,14 +27,24 @@ import (
 func BCF(f *formula.Formula) (formula.SOP, error) {
 	var b formula.SumBuf
 	var spare []formula.Term
-	lo, err := b.DNF(f)
-	if err == nil {
-		err = closeIn(&b, lo, &spare)
-	}
+	lo, err := canonical(&b, f, &spare)
 	if err != nil {
 		return nil, err
 	}
 	return append(formula.SOP{}, b.Sum(lo, b.Len())...), nil
+}
+
+// canonical builds BCF(f) at the end of b — its DNF, then the consensus
+// closure — and returns where it starts. On an error b is as it was.
+func canonical(b *formula.SumBuf, f *formula.Formula, spare *[]formula.Term) (int, error) {
+	lo, err := b.DNF(f)
+	if err == nil {
+		err = closeIn(b, lo, spare)
+	}
+	if err != nil {
+		b.Truncate(lo)
+	}
+	return lo, err
 }
 
 // Memo caches Blake canonical forms for the life of one compilation. It
@@ -115,13 +125,7 @@ func (m *Memo) lookup(f *formula.Formula) int {
 	if i := m.find(f); i >= 0 {
 		return i
 	}
-	lo, err := m.terms.DNF(f)
-	if err == nil {
-		err = closeIn(&m.terms, lo, &m.spare)
-	}
-	if err != nil {
-		m.terms.Truncate(lo)
-	}
+	lo, err := canonical(&m.terms, f, &m.spare)
 	m.computed++
 	return m.add(memoEntry{f: f, lo: int32(lo), hi: int32(m.terms.Len()), err: err})
 }

@@ -18,22 +18,21 @@ func Normalize(src string) (string, error) {
 	var b strings.Builder
 	b.Grow(len(src))
 	s := scanner{src: src}
-	prev := Token{Kind: TokEOF}
-	for first := true; ; first = false {
+	var prev Token // TokEOF until the first token
+	for {
 		t, err := s.next()
 		if err != nil {
 			return "", err
 		}
 		if t.Kind == TokEOF {
-			break
+			return b.String(), nil
 		}
-		if !first && spaceBetween(prev, t) {
+		if prev.Kind != TokEOF && spaceBetween(prev, t) {
 			b.WriteByte(' ')
 		}
 		b.WriteString(t.Text)
 		prev = t
 	}
-	return b.String(), nil
 }
 
 // spaceBetween decides whether the canonical form separates two adjacent

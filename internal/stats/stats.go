@@ -250,7 +250,7 @@ func (s *Layer) MeanBoxInto(dst *bbox.Box) {
 		dst.SetEmpty(s.k)
 		return
 	}
-	dst.SetUniv(s.k)
+	dst.SetUniv(s.k) // sizes dst's arrays
 	scale := fixedOne * float64(s.count)
 	for a := 0; a < s.k; a++ {
 		dst.Lo[a] = float64(s.axes[a].SumLo) / scale
