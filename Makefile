@@ -65,7 +65,10 @@ chaos:
 # of each of the five index backends; every object an accepted record
 # stores lies inside the universe), the bulk-insert body decoder
 # (FuzzBulkObjects: POST objects:bulk?mode=best_effort with arbitrary
-# bytes; every stored object lies inside the universe) and the
+# bytes; every stored object lies inside the universe), the bulk and PUT
+# body decoder against encoding/json (FuzzBulkDecode: the same bodies
+# accepted, apart from data after the value, with the same names and
+# bit-identical boxes) and the
 # /repl/wal envelope (FuzzReplRecords: the replica's NDJSON decoder, then
 # its record apply). A failing input
 # lands in the package's testdata/fuzz/<target> and replays in every plain
@@ -81,6 +84,8 @@ fuzz:
 	go test ./internal/spatialdb -run '^$$' -fuzz '^FuzzMutation$$' \
 		-fuzztime 10s -fuzzminimizetime 1s
 	go test ./internal/server -run '^$$' -fuzz '^FuzzBulkObjects$$' \
+		-fuzztime 10s -fuzzminimizetime 1s
+	go test ./internal/server -run '^$$' -fuzz '^FuzzBulkDecode$$' \
 		-fuzztime 10s -fuzzminimizetime 1s
 	go test ./internal/repl -run '^$$' -fuzz '^FuzzReplRecords$$' \
 		-fuzztime 10s -fuzzminimizetime 1s

@@ -682,10 +682,24 @@ func bulkBenchItems(n int) []spatialdb.BulkItem {
 	return items
 }
 
+// bulkBenchBody renders items as the NDJSON objects:bulk body of a bulk
+// load over the wire.
+func bulkBenchBody(items []spatialdb.BulkItem) []byte {
+	var body []byte
+	for _, it := range items {
+		bx := it.Reg.BoundingBox()
+		body = fmt.Appendf(body, `{"name":%q,"boxes":[{"lo":[%v,%v],"hi":[%v,%v]}]}`+"\n",
+			it.Name, bx.Lo[0], bx.Lo[1], bx.Hi[0], bx.Hi[1])
+	}
+	return body
+}
+
 // BenchmarkBulkInsert contrasts loading an R-tree layer one object at a
 // time (n write-lock acquisitions, n Guttman insertions with quadratic
 // splits, n epoch bumps) against one Store.BulkInsert call (one lock
-// acquisition, one STR-packed build, one epoch bump).
+// acquisition, one STR-packed build, one epoch bump), and against the
+// same batch sent as one NDJSON POST /layers/{layer}/objects:bulk through
+// the server's handler (reading and decoding the body on top).
 func BenchmarkBulkInsert(b *testing.B) {
 	universe := bbox.Rect(0, 0, 1000, 1000)
 	for _, n := range []int{1000, 10000} {
@@ -709,6 +723,18 @@ func BenchmarkBulkInsert(b *testing.B) {
 				}
 				if rep.Inserted != n {
 					b.Fatalf("inserted %d, want %d", rep.Inserted, n)
+				}
+			}
+		})
+		body := bulkBenchBody(items)
+		b.Run(fmt.Sprintf("handler-%d", n), func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			for i := 0; i < b.N; i++ {
+				h := server.New(spatialdb.NewStore(universe, spatialdb.RTree), server.Options{}).Handler()
+				w := httptest.NewRecorder()
+				h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/layers/objs/objects:bulk", bytes.NewReader(body)))
+				if w.Code != http.StatusOK {
+					b.Fatalf("status %d: %s", w.Code, w.Body.String())
 				}
 			}
 		})

@@ -550,6 +550,7 @@ type costModel struct {
 	mean      []bbox.Box        // binding j's mean stored box
 	envBox    []bbox.Box        // representative environment of the current prefix
 	env       []boolalg.Element // envBox[v] as a region once a lower bound used it; else nil
+	envReg    []region.Region   // the regions env points into, one per variable
 	retrieved []bool            // retrieval variables: their boxes are layer representatives
 	alg       region.Algebra    // the store's algebra bound to scr
 	scr       region.Scratch
@@ -582,6 +583,7 @@ func (m *costModel) init(q *Query, store *spatialdb.Store, params map[string]*re
 	}
 	m.envBox = paramBoxes(m.envBox, q, store, params)
 	m.env = resized(m.env, len(m.envBox))
+	m.envReg = resized(m.envReg, len(m.envBox))
 	m.retrieved = resized(m.retrieved, len(m.envBox))
 	clear(m.retrieved)
 	for _, b := range q.Retrieve {
@@ -600,6 +602,9 @@ func (m *costModel) reset() {
 	clear(m.stats)
 	clear(m.envBox)
 	clear(m.env)
+	for i := range m.envReg {
+		m.envReg[i].SetBox(bbox.Box{}) //boolq:allowalloc zero value passed by value
+	}
 	m.scr.Reset()
 	m.alg = region.Algebra{} //boolq:allowalloc zero value assigned in place
 }
@@ -669,7 +674,8 @@ func (m *costModel) lowerBox(lower *formula.Formula) bool {
 	}
 	for v, r := range m.env {
 		if r == nil && !m.envBox[v].IsEmpty() && lower.Uses(v) {
-			m.env[v] = region.FromBox(m.envBox[v])
+			m.envReg[v].SetBox(m.envBox[v])
+			m.env[v] = &m.envReg[v]
 		}
 	}
 	m.scr.Reset()

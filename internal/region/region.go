@@ -49,12 +49,36 @@ func FromBox(b bbox.Box) *Region {
 }
 
 // FromBoxes returns the union of the given (possibly overlapping) boxes.
+// The union starts from the first box's own region, which is what the
+// empty region's Union with it returns.
 func FromBoxes(k int, boxes ...bbox.Box) *Region {
-	r := Empty(k)
+	if len(boxes) == 0 || boxes[0].K != k {
+		return Empty(k).unionBoxes(boxes)
+	}
+	return FromBox(boxes[0]).unionBoxes(boxes[1:])
+}
+
+// unionBoxes folds boxes into r one Union at a time.
+func (r *Region) unionBoxes(boxes []bbox.Box) *Region {
 	for _, b := range boxes {
 		r = r.Union(FromBox(b))
 	}
 	return r
+}
+
+// SetBox makes r the region of the single box b, as FromBox does, reusing
+// r's box list: for a caller-owned Region that stands for a changing box
+// (the planner's representative of a bound variable). Only its owner may
+// call it; every other Region is immutable. The box r held before is
+// dropped, so SetBox(bbox.Box{}) leaves r referring to nothing.
+//
+//boolq:noalloc
+func (r *Region) SetBox(b bbox.Box) {
+	clear(r.boxes[:cap(r.boxes)])
+	r.k, r.boxes = b.K, r.boxes[:0]
+	if positiveVolume(b) {
+		r.boxes = append(r.boxes, b) //boolq:allowalloc grow-once: the owner reuses r
+	}
 }
 
 // K returns the dimensionality.
@@ -67,6 +91,12 @@ func (r *Region) Boxes() []bbox.Box {
 
 // NumBoxes returns the size of the decomposition (a complexity measure).
 func (r *Region) NumBoxes() int { return len(r.boxes) }
+
+// Box returns box i of the decomposition, 0 ≤ i < NumBoxes, without
+// copying the list. The box shares its coordinates with r: read only.
+//
+//boolq:noalloc
+func (r *Region) Box(i int) bbox.Box { return r.boxes[i] }
 
 // IsEmpty reports whether the region has measure zero.
 //

@@ -115,6 +115,18 @@ type Tree struct {
 	root     *node
 	rootRun  []float64 // the root's MBR; nil while the tree is empty
 	size     int
+
+	// Insert scratch. A tree has one writer at a time (the store mutates
+	// an index under its write lock), so Insert keeps its working storage
+	// here instead of allocating it per call: the new entry's run, the
+	// descent path and the slot taken at each step, a split node's
+	// entries and groups, and the two MBRs a split computes.
+	run        []float64
+	path       []*node
+	slots      []int
+	spill      node
+	ga, gb     []int
+	boxA, boxB []float64
 }
 
 // Option configures a Tree.
@@ -178,11 +190,12 @@ func (t *Tree) Insert(box bbox.Box, id int64) error {
 	if err := t.checkBox(box); err != nil {
 		return err
 	}
-	t.insertRun(box.AppendRun(make([]float64, 0, 2*t.k)), id)
+	t.run = box.AppendRun(t.run[:0])
+	t.insertRun(t.run, id)
 	return nil
 }
 
-// insertRun adds the entry with run r.
+// insertRun adds the entry with run r, which it copies.
 func (t *Tree) insertRun(r []float64, id int64) {
 	path, slots := t.chooseLeafPath(r)
 	leaf := path[len(path)-1]
@@ -203,9 +216,10 @@ func (t *Tree) insertRun(r []float64, id int64) {
 
 // chooseLeafPath descends by least enlargement (ties by smaller volume)
 // and returns the root-to-leaf path with the slot taken at each internal
-// node.
+// node, in the tree's scratch (valid until the next insert).
 func (t *Tree) chooseLeafPath(r []float64) (path []*node, slots []int) {
-	path = []*node{t.root}
+	path, slots = append(t.path[:0], t.root), t.slots[:0]
+	defer func() { t.path, t.slots = path, slots }()
 	n, w := t.root, 2*t.k
 	for !n.leaf {
 		best := -1
@@ -235,20 +249,35 @@ func (t *Tree) propagateSplits(path []*node, slots []int) {
 		if n.len() <= t.max {
 			return
 		}
-		a, b := t.splitNode(n)
-		ra, rb := make([]float64, w), make([]float64, w)
-		a.mbr(ra, t.k)
-		b.mbr(rb, t.k)
+		b := t.splitNode(n) // n keeps the first group
 		if i == 0 {
-			t.root = &node{runs: append(ra, rb...), children: []*node{a, b}}
+			root := t.newNode(false)
+			root.runs = root.runs[:2*w]
+			n.mbr(root.runs[:w], t.k)
+			b.mbr(root.runs[w:], t.k)
+			root.children = append(root.children, n, b)
+			t.root = root
 			return
 		}
 		parent, s := path[i-1], slots[i-1]
-		parent.children[s] = a
-		copy(parent.run(s, w), ra)
+		n.mbr(parent.run(s, w), t.k)
+		end := len(parent.runs)
+		parent.runs = slices.Grow(parent.runs, w)[:end+w]
+		b.mbr(parent.runs[end:], t.k)
 		parent.children = append(parent.children, b)
-		parent.runs = append(parent.runs, rb...)
 	}
+}
+
+// newNode returns an empty node with room for the M+1 slots it holds
+// just before it splits, so filling it never reallocates.
+func (t *Tree) newNode(leaf bool) *node {
+	n := &node{leaf: leaf, runs: make([]float64, 0, (t.max+1)*2*t.k)}
+	if leaf {
+		n.ids = make([]int64, 0, t.max+1)
+	} else {
+		n.children = make([]*node, 0, t.max+1)
+	}
+	return n
 }
 
 // flatStack is the float count of the stack arrays searches flatten their
@@ -398,29 +427,37 @@ func (t *Tree) checkInvariants() error {
 }
 
 // splitNode divides an overflowing node into two per the configured
-// strategy.
-func (t *Tree) splitNode(n *node) (*node, *node) {
+// strategy: n keeps the first group and the returned node takes the
+// second.
+func (t *Tree) splitNode(n *node) *node {
 	w := 2 * t.k
 	ga, gb := t.splitGroups(n.len(), func(i int) []float64 { return n.run(i, w) })
-	a, b := &node{leaf: n.leaf}, &node{leaf: n.leaf}
-	for _, g := range []struct {
+	sp := &t.spill
+	sp.runs = append(sp.runs[:0], n.runs...)
+	sp.ids = append(sp.ids[:0], n.ids...)
+	sp.children = append(sp.children[:0], n.children...)
+	b := t.newNode(n.leaf)
+	n.runs, n.ids, n.children = n.runs[:0], n.ids[:0], n.children[:0]
+	for _, g := range [2]struct {
 		dst *node
 		idx []int
-	}{{a, ga}, {b, gb}} {
+	}{{n, ga}, {b, gb}} {
 		for _, i := range g.idx {
-			g.dst.runs = append(g.dst.runs, n.run(i, w)...)
+			g.dst.runs = append(g.dst.runs, sp.run(i, w)...)
 			if n.leaf {
-				g.dst.ids = append(g.dst.ids, n.ids[i])
+				g.dst.ids = append(g.dst.ids, sp.ids[i])
 			} else {
-				g.dst.children = append(g.dst.children, n.children[i])
+				g.dst.children = append(g.dst.children, sp.children[i])
 			}
 		}
 	}
-	return a, b
+	clear(sp.children) // hold no node past the split
+	return b
 }
 
 // splitGroups partitions indices 0..n-1 into two groups using the chosen
-// strategy, respecting the minimum fill.
+// strategy, respecting the minimum fill. The groups live in the tree's
+// scratch until the next split.
 func (t *Tree) splitGroups(n int, runOf func(int) []float64) ([]int, []int) {
 	k := t.k
 	var seedA, seedB int
@@ -429,8 +466,9 @@ func (t *Tree) splitGroups(n int, runOf func(int) []float64) ([]int, []int) {
 	} else {
 		seedA, seedB = linearSeeds(n, k, runOf)
 	}
-	ga, gb := []int{seedA}, []int{seedB}
-	boxA, boxB := slices.Clone(runOf(seedA)), slices.Clone(runOf(seedB))
+	ga, gb := append(t.ga[:0], seedA), append(t.gb[:0], seedB)
+	boxA, boxB := append(t.boxA[:0], runOf(seedA)...), append(t.boxB[:0], runOf(seedB)...)
+	defer func() { t.ga, t.gb, t.boxA, t.boxB = ga, gb, boxA, boxB }()
 	for i := 0; i < n; i++ {
 		if i == seedA || i == seedB {
 			continue

@@ -107,13 +107,6 @@ type queryRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// bulkObject is one object of a POST /layers/{layer}/objects:bulk body
-// (an element of the JSON array, or one NDJSON line).
-type bulkObject struct {
-	Name  string    `json:"name"`
-	Boxes []jsonBox `json:"boxes"`
-}
-
 // bulkError reports one failed object of a bulk insert.
 type bulkError struct {
 	Index int    `json:"index"` // position in the uploaded batch

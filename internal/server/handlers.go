@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -19,10 +21,18 @@ import (
 // maxBodyBytes bounds request bodies (regions, queries, snapshots).
 const maxBodyBytes = 64 << 20
 
+// decodeBody decodes a request body holding one JSON value, and nothing
+// after it but whitespace, into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	err := dec.Decode(v)
+	if err == nil {
+		if _, terr := dec.Token(); terr != io.EOF {
+			err = fmt.Errorf("data after the body's JSON value at offset %d", dec.InputOffset())
+		}
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
 		return err
 	}
@@ -97,13 +107,18 @@ func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
 	defer release()
 	store := s.Store()
 	layer, name := r.PathValue("layer"), r.PathValue("name")
-	var jr jsonRegion
-	if decodeBody(w, r, &jr) != nil {
+	body, err := readBody(w, r, maxBodyBytes)
+	var reg *region.Region
+	var regErr error
+	if err == nil {
+		reg, regErr, err = decodeRegionBody(body, store.K())
+	}
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
 		return
 	}
-	reg, err := jr.toRegion(store.K())
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "region: %v", err)
+	if regErr != nil {
+		writeError(w, http.StatusBadRequest, "region: %v", regErr)
 		return
 	}
 	o, replaced, err := store.Upsert(layer, name, reg)

@@ -1,10 +1,8 @@
 package server
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -40,68 +38,6 @@ func parseBulkMode(s string) (spatialdb.BulkMode, error) {
 	}
 }
 
-// decodeBulkObjects reads the request body as either a JSON array of
-// objects or an NDJSON stream (one object per line/value), decided by
-// the first non-space byte. Malformed wire data is a fatal error in
-// either mode — a JSON decoder cannot resynchronize past a syntax error,
-// so per-object error reporting is reserved for semantic validation.
-func decodeBulkObjects(w http.ResponseWriter, r *http.Request) ([]bulkObject, error) {
-	br := bufio.NewReader(http.MaxBytesReader(w, r.Body, bulkMaxBodyBytes))
-	first, err := peekNonSpace(br)
-	if err == io.EOF {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	dec := json.NewDecoder(br)
-	dec.DisallowUnknownFields()
-	var objs []bulkObject
-	if first == '[' {
-		if _, err := dec.Token(); err != nil { // consume '['
-			return nil, err
-		}
-		for dec.More() {
-			var bo bulkObject
-			if err := dec.Decode(&bo); err != nil {
-				return nil, fmt.Errorf("object %d: %w", len(objs), err)
-			}
-			objs = append(objs, bo)
-		}
-		if _, err := dec.Token(); err != nil { // consume ']'
-			return nil, err
-		}
-		return objs, nil
-	}
-	// NDJSON: a stream of whitespace-separated JSON values, which is
-	// exactly what a json.Decoder consumes natively.
-	for {
-		var bo bulkObject
-		if err := dec.Decode(&bo); err == io.EOF {
-			return objs, nil
-		} else if err != nil {
-			return nil, fmt.Errorf("object %d: %w", len(objs), err)
-		}
-		objs = append(objs, bo)
-	}
-}
-
-// peekNonSpace returns the first byte of the stream that is not JSON
-// whitespace, without consuming it.
-func peekNonSpace(br *bufio.Reader) (byte, error) {
-	for {
-		b, err := br.ReadByte()
-		if err != nil {
-			return 0, err
-		}
-		switch b {
-		case ' ', '\t', '\r', '\n':
-			continue
-		}
-		return b, br.UnreadByte()
-	}
-}
-
 func (s *Server) handleBulkInsert(w http.ResponseWriter, r *http.Request) {
 	release, aerr := s.mutGate.acquire(r.Context())
 	if aerr != nil {
@@ -116,33 +52,36 @@ func (s *Server) handleBulkInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	objs, err := decodeBulkObjects(w, r)
+	body, err := readBody(w, r, bulkMaxBodyBytes)
+	var objs []wireObject
+	if err == nil {
+		objs, err = decodeBulk(body, store.K())
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding bulk body: %v", err)
 		return
 	}
 	s.metrics.BulkBatches.Add(1)
 
-	// Only decoding can fail here; the store validates the regions (it
-	// refuses empty ones and ones outside its universe). errs collects
-	// both kinds of per-object failure by batch position.
+	// The decoder refuses a region it cannot build; the store validates
+	// the rest (it refuses empty regions and ones outside its universe).
+	// errs collects both kinds of per-object failure by batch position.
 	errs := make([]error, len(objs))
 	items := make([]spatialdb.BulkItem, 0, len(objs))
 	vidx := make([]int, 0, len(objs)) // items position → objs position
-	for i, bo := range objs {
-		reg, err := jsonRegion{Boxes: bo.Boxes}.toRegion(store.K())
-		if err != nil {
-			errs[i] = fmt.Errorf("region: %v", err)
+	for i, o := range objs {
+		if o.err != nil {
+			errs[i] = fmt.Errorf("region: %v", o.err)
 			continue
 		}
-		items = append(items, spatialdb.BulkItem{Name: bo.Name, Reg: reg})
+		items = append(items, spatialdb.BulkItem{Name: o.name, Reg: o.reg})
 		vidx = append(vidx, i)
 	}
 	collectErrs := func() []bulkError {
 		var out []bulkError
 		for i, err := range errs {
 			if err != nil {
-				out = append(out, bulkError{Index: i, Name: objs[i].Name, Error: err.Error()})
+				out = append(out, bulkError{Index: i, Name: objs[i].name, Error: err.Error()})
 			}
 		}
 		return out

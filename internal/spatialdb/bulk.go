@@ -3,7 +3,6 @@ package spatialdb
 import (
 	"fmt"
 
-	"repro/internal/bbox"
 	"repro/internal/region"
 )
 
@@ -81,12 +80,8 @@ func (s *Store) BulkInsert(layer string, items []BulkItem, mode BulkMode) (BulkR
 	objs := make([]Object, 0, len(items))
 	vidx := make([]int, 0, len(items))
 	for i, it := range items {
-		var boxes []bbox.Box
-		if it.Reg != nil {
-			boxes = it.Reg.Boxes()
-		}
 		id := s.nextID + int64(len(objs)) + 1
-		o, err := s.newObject(id-1, MutObject{ID: id, Name: it.Name, Boxes: boxes})
+		o, err := s.newObject(id-1, MutObject{ID: id, Name: it.Name}, it.Reg)
 		if err != nil {
 			rep.Results[i].Err = fmt.Errorf("spatialdb: object %q: %w", it.Name, err)
 			continue
@@ -116,9 +111,14 @@ func (s *Store) BulkInsert(layer string, items []BulkItem, mode BulkMode) (BulkR
 	if rep.Inserted == 0 {
 		return rep, s.logMutation(&Mutation{Op: OpCreateLayer, Layer: layer})
 	}
-	m := &Mutation{Op: OpBulkInsert, Layer: layer, Objects: make([]MutObject, len(objs))}
 	for vi, o := range objs {
 		rep.Results[vidx[vi]].Object = o
+	}
+	if s.sink == nil {
+		return rep, nil // no record to build: its box copies would go unread
+	}
+	m := &Mutation{Op: OpBulkInsert, Layer: layer, Objects: make([]MutObject, len(objs))}
+	for vi, o := range objs {
 		m.Objects[vi] = mutObject(o)
 	}
 	return rep, s.logMutation(m)

@@ -199,7 +199,7 @@ func (s *Store) ApplyReplicated(m *Mutation) error {
 	objs := make([]Object, 0, len(m.Objects))
 	after := s.nextID
 	for _, mo := range m.Objects {
-		o, err := s.newObject(after, mo)
+		o, err := s.newObject(after, mo, nil)
 		if err != nil {
 			return fmt.Errorf("spatialdb: apply %s %q/%q: %w", m.Op, m.Layer, mo.Name, err)
 		}
@@ -224,21 +224,30 @@ func (s *Store) ApplyReplicated(m *Mutation) error {
 // paper's regions are elements of the universe's Boolean algebra, and
 // the §4 box bounds assume it, so an object reaching outside could be
 // missed by a planned run that the naive executor finds.
-func (s *Store) newObject(after int64, mo MutObject) (Object, error) {
+//
+// reg is the object's region when the caller built one (the local write
+// paths): the object keeps it, since a Region is immutable, and its boxes
+// are what is checked. Records and snapshots pass nil, and the region is
+// built from mo.Boxes once they have passed the dimension and NaN checks.
+// Either way the region is built once and checked once.
+func (s *Store) newObject(after int64, mo MutObject, reg *region.Region) (Object, error) {
 	if mo.ID <= after {
 		return Object{}, fmt.Errorf("object id %d not above %d", mo.ID, after)
 	}
-	for _, b := range mo.Boxes {
-		if b.K != s.universe.K {
-			return Object{}, fmt.Errorf("box dimensionality %d in a %d-dimensional store", b.K, s.universe.K)
+	if reg == nil {
+		for _, b := range mo.Boxes {
+			if err := s.checkBox(b); err != nil {
+				return Object{}, err
+			}
 		}
-		for i := range b.Lo {
-			if math.IsNaN(b.Lo[i]) || math.IsNaN(b.Hi[i]) {
-				return Object{}, errors.New("NaN coordinate")
+		reg = region.FromBoxes(s.universe.K, mo.Boxes...)
+	} else {
+		for i := range reg.NumBoxes() {
+			if err := s.checkBox(reg.Box(i)); err != nil {
+				return Object{}, err
 			}
 		}
 	}
-	reg := region.FromBoxes(s.universe.K, mo.Boxes...)
 	if reg.IsEmpty() {
 		return Object{}, errors.New("empty region")
 	}
@@ -247,6 +256,20 @@ func (s *Store) newObject(after int64, mo MutObject) (Object, error) {
 		return Object{}, fmt.Errorf("bounding box %v outside the universe %v", box, s.universe)
 	}
 	return Object{ID: mo.ID, Name: mo.Name, Reg: reg, Box: box}, nil
+}
+
+// checkBox is newObject's test of one box: the store's dimensionality and
+// no NaN coordinate.
+func (s *Store) checkBox(b bbox.Box) error {
+	if b.K != s.universe.K {
+		return fmt.Errorf("box dimensionality %d in a %d-dimensional store", b.K, s.universe.K)
+	}
+	for i := range b.Lo {
+		if math.IsNaN(b.Lo[i]) || math.IsNaN(b.Hi[i]) {
+			return errors.New("NaN coordinate")
+		}
+	}
+	return nil
 }
 
 // applyMutationLocked is the one function that changes a layer's

@@ -143,7 +143,7 @@ func (s *Store) loadObject(objs []Object, mo MutObject, seen map[int64]bool) ([]
 		return objs, fmt.Errorf("object %q: duplicate id %d", mo.Name, mo.ID)
 	}
 	seen[mo.ID] = true
-	o, err := s.newObject(0, mo)
+	o, err := s.newObject(0, mo, nil)
 	if err != nil {
 		return objs, fmt.Errorf("object %q: %w", mo.Name, err)
 	}

@@ -416,7 +416,7 @@ func (s *Store) Insert(layer, name string, r *region.Region) (Object, error) {
 	if err := s.admitMutationLocked(); err != nil {
 		return Object{}, err
 	}
-	o, err := s.newObject(s.nextID, MutObject{ID: s.nextID + 1, Name: name, Boxes: r.Boxes()})
+	o, err := s.newObject(s.nextID, MutObject{ID: s.nextID + 1, Name: name}, r)
 	if err == nil {
 		err = s.applyMutationLocked(OpInsert, layer, []Object{o}, 0)
 	}
@@ -445,7 +445,7 @@ func (s *Store) Upsert(layer, name string, r *region.Region) (Object, bool, erro
 	if l, ok := s.layers[layer]; ok {
 		_, replaced = l.GetByName(name)
 	}
-	o, err := s.newObject(s.nextID, MutObject{ID: s.nextID + 1, Name: name, Boxes: r.Boxes()})
+	o, err := s.newObject(s.nextID, MutObject{ID: s.nextID + 1, Name: name}, r)
 	if err == nil {
 		err = s.applyMutationLocked(OpUpsert, layer, []Object{o}, 0)
 	}
