@@ -239,11 +239,12 @@ func insertAllocs(boxes []bbox.Box, n int, insert func(*Tree, bbox.Box, int64)) 
 	return float64(after.Mallocs-before.Mallocs) / float64(len(boxes)-n)
 }
 
-// TestInsertAllocs pins Insert's allocations: a split allocates its new
-// node (three allocations, a fourth when the root splits) and an insert
-// that splits nothing allocates nothing. refInsert allocates a run, a
-// path and a slot slice per insert and two nodes grown by append per
-// split.
+// TestInsertAllocs pins Insert's allocations: a split allocates its two
+// nodes, each with room for the next power of two of its slots (three
+// allocations a node), and a node that fills past that room grows as
+// append grows it; an insert that splits or grows nothing allocates
+// nothing. refInsert also allocates a run, a path and a slot slice per
+// insert, and fills each split node by appends that reallocate.
 func TestInsertAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation floors are pinned on the normal build")
@@ -255,8 +256,8 @@ func TestInsertAllocs(t *testing.T) {
 		}
 	})
 	ref := insertAllocs(boxes, 10000, refInsert)
-	if got > 1 {
-		t.Errorf("Insert allocates %.2f per entry, want <= 1", got)
+	if got > 3 {
+		t.Errorf("Insert allocates %.2f per entry, want <= 3", got)
 	}
 	t.Logf("Insert: %.2f allocations per entry (reference %.2f)", got, ref)
 }

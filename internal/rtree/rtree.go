@@ -20,6 +20,7 @@ package rtree
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/bbox"
@@ -119,14 +120,14 @@ type Tree struct {
 	// Insert scratch. A tree has one writer at a time (the store mutates
 	// an index under its write lock), so Insert keeps its working storage
 	// here instead of allocating it per call: the new entry's run, the
-	// descent path and the slot taken at each step, a split node's
-	// entries and groups, and the two MBRs a split computes.
+	// descent path and the slot taken at each step, a split's groups and
+	// their MBRs, and the run of the slot a split adds to the parent.
 	run        []float64
 	path       []*node
 	slots      []int
-	spill      node
 	ga, gb     []int
 	boxA, boxB []float64
+	up         []float64
 }
 
 // Option configures a Tree.
@@ -198,9 +199,6 @@ func (t *Tree) Insert(box bbox.Box, id int64) error {
 // insertRun adds the entry with run r, which it copies.
 func (t *Tree) insertRun(r []float64, id int64) {
 	path, slots := t.chooseLeafPath(r)
-	leaf := path[len(path)-1]
-	leaf.runs = append(leaf.runs, r...)
-	leaf.ids = append(leaf.ids, id)
 	w := 2 * t.k
 	for i, s := range slots {
 		join(path[i].run(s, w), r, t.k)
@@ -211,7 +209,7 @@ func (t *Tree) insertRun(r []float64, id int64) {
 		join(t.rootRun, r, t.k)
 	}
 	t.size++
-	t.propagateSplits(path, slots)
+	t.addSlot(path, slots, r, id)
 }
 
 // chooseLeafPath descends by least enlargement (ties by smaller volume)
@@ -239,43 +237,56 @@ func (t *Tree) chooseLeafPath(r []float64) (path []*node, slots []int) {
 	return path, slots
 }
 
-// propagateSplits splits overflowing nodes from the leaf upward along the
-// recorded path, growing the root if needed. A split node's two halves
-// cover exactly what it covered, so no run above the split changes.
-func (t *Tree) propagateSplits(path []*node, slots []int) {
+// addSlot adds the entry (r, id) to the leaf that ends path. A node with
+// M slots splits instead of growing past them: two new nodes share its
+// slots and the new one, the first takes its place in the parent, and
+// the second's slot is added to the parent the same way, up to a new
+// root. A split node's two halves cover exactly what it covered, so no
+// run above the split changes.
+func (t *Tree) addSlot(path []*node, slots []int, r []float64, id int64) {
 	w := 2 * t.k
-	for i := len(path) - 1; i >= 0; i-- {
+	var child *node // the slot's node, above the leaf
+	for i := len(path) - 1; ; i-- {
 		n := path[i]
-		if n.len() <= t.max {
+		if n.len() < t.max {
+			n.runs = append(n.runs, r...)
+			if n.leaf {
+				n.ids = append(n.ids, id)
+			} else {
+				n.children = append(n.children, child)
+			}
 			return
 		}
-		b := t.splitNode(n) // n keeps the first group
+		a, b := t.splitNode(n, r, id, child)
 		if i == 0 {
-			root := t.newNode(false)
+			root := newNode(false, 2, w)
 			root.runs = root.runs[:2*w]
-			n.mbr(root.runs[:w], t.k)
+			a.mbr(root.runs[:w], t.k)
 			b.mbr(root.runs[w:], t.k)
-			root.children = append(root.children, n, b)
+			root.children = append(root.children, a, b)
 			t.root = root
 			return
 		}
 		parent, s := path[i-1], slots[i-1]
-		n.mbr(parent.run(s, w), t.k)
-		end := len(parent.runs)
-		parent.runs = slices.Grow(parent.runs, w)[:end+w]
-		b.mbr(parent.runs[end:], t.k)
-		parent.children = append(parent.children, b)
+		parent.children[s] = a
+		a.mbr(parent.run(s, w), t.k)
+		t.up = slices.Grow(t.up[:0], w)[:w]
+		b.mbr(t.up, t.k)
+		r, child = t.up, b
 	}
 }
 
-// newNode returns an empty node with room for the M+1 slots it holds
-// just before it splits, so filling it never reallocates.
-func (t *Tree) newNode(leaf bool) *node {
-	n := &node{leaf: leaf, runs: make([]float64, 0, (t.max+1)*2*t.k)}
+// newNode returns an empty node for slots slots of w floats, with room
+// for the next power of two of them: the room appending them one at a
+// time would have grown, so a node costs the memory it did when splits
+// built nodes that way, without the reallocations.
+func newNode(leaf bool, slots, w int) *node {
+	room := 1 << bits.Len(uint(slots-1))
+	n := &node{leaf: leaf, runs: make([]float64, 0, room*w)}
 	if leaf {
-		n.ids = make([]int64, 0, t.max+1)
+		n.ids = make([]int64, 0, room)
 	} else {
-		n.children = make([]*node, 0, t.max+1)
+		n.children = make([]*node, 0, room)
 	}
 	return n
 }
@@ -426,33 +437,38 @@ func (t *Tree) checkInvariants() error {
 	return err
 }
 
-// splitNode divides an overflowing node into two per the configured
-// strategy: n keeps the first group and the returned node takes the
-// second.
-func (t *Tree) splitNode(n *node) *node {
-	w := 2 * t.k
-	ga, gb := t.splitGroups(n.len(), func(i int) []float64 { return n.run(i, w) })
-	sp := &t.spill
-	sp.runs = append(sp.runs[:0], n.runs...)
-	sp.ids = append(sp.ids[:0], n.ids...)
-	sp.children = append(sp.children[:0], n.children...)
-	b := t.newNode(n.leaf)
-	n.runs, n.ids, n.children = n.runs[:0], n.ids[:0], n.children[:0]
+// splitNode divides n's slots plus the slot being added — run r with id
+// in a leaf, child above — into two new nodes per the configured
+// strategy. Slot len(n) is the new one.
+func (t *Tree) splitNode(n *node, r []float64, id int64, child *node) (*node, *node) {
+	w, m := 2*t.k, n.len()
+	runOf := func(i int) []float64 {
+		if i == m {
+			return r
+		}
+		return n.run(i, w)
+	}
+	ga, gb := t.splitGroups(m+1, runOf)
+	a, b := newNode(n.leaf, len(ga), w), newNode(n.leaf, len(gb), w)
 	for _, g := range [2]struct {
 		dst *node
 		idx []int
-	}{{n, ga}, {b, gb}} {
+	}{{a, ga}, {b, gb}} {
 		for _, i := range g.idx {
-			g.dst.runs = append(g.dst.runs, sp.run(i, w)...)
-			if n.leaf {
-				g.dst.ids = append(g.dst.ids, sp.ids[i])
-			} else {
-				g.dst.children = append(g.dst.children, sp.children[i])
+			g.dst.runs = append(g.dst.runs, runOf(i)...)
+			switch {
+			case n.leaf && i == m:
+				g.dst.ids = append(g.dst.ids, id)
+			case n.leaf:
+				g.dst.ids = append(g.dst.ids, n.ids[i])
+			case i == m:
+				g.dst.children = append(g.dst.children, child)
+			default:
+				g.dst.children = append(g.dst.children, n.children[i])
 			}
 		}
 	}
-	clear(sp.children) // hold no node past the split
-	return b
+	return a, b
 }
 
 // splitGroups partitions indices 0..n-1 into two groups using the chosen

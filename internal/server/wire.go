@@ -30,11 +30,15 @@ import (
 // array's closing bracket, or after the PUT body's object) is refused.
 
 // wireObject is one decoded object: its name and either its region or
-// the reason it has none.
+// the reason it has none. Until finish builds them, the name is the span
+// [nameLo, nameHi) of objectDecoder.names and the region the nbox boxes
+// of 2k floats from coords[coord:].
 type wireObject struct {
 	name string
 	reg  *region.Region
 	err  error
+
+	nameLo, nameHi, coord, nbox int
 }
 
 // wireRun is a []float64 field as encoding/json fills it: n elements over
@@ -52,15 +56,6 @@ func (r *wireRun) reset() { r.vals, r.n = r.vals[:0], 0 }
 // wireBox is one {"lo": [...], "hi": [...]} entry.
 type wireBox struct{ lo, hi wireRun }
 
-// pendingObject is a decoded object before its region is built: its
-// name's span in objectDecoder.names, and either its boxes' coordinates
-// (nbox boxes of 2k floats from coords[coord:]) or why it has none.
-type pendingObject struct {
-	nameLo, nameHi int
-	coord, nbox    int
-	err            error
-}
-
 // objectDecoder holds one request's body and the scratch it decodes
 // into. It is not safe for concurrent use.
 type objectDecoder struct {
@@ -76,7 +71,7 @@ type objectDecoder struct {
 	// The object being read, as encoding/json would hold it: its name's
 	// span in names, and boxes[:nbox] as its boxes; boxes[nbox:] are the
 	// entries a longer earlier "boxes" key left in the backing array.
-	cur   pendingObject
+	cur   wireObject
 	boxes []wireBox
 	nbox  int
 }
@@ -110,7 +105,7 @@ func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, erro
 // (wrong dimension, inverted box) is that object's error.
 func decodeBulk(body []byte, k int) ([]wireObject, error) {
 	d := &objectDecoder{data: body, k: k}
-	var objs []pendingObject
+	var objs []wireObject
 	next := func() error {
 		d.begin()
 		if err := d.object(true); err != nil {
@@ -162,20 +157,20 @@ func decodeRegionBody(body []byte, k int) (reg *region.Region, regErr, err error
 	if err := d.atEnd(); err != nil {
 		return nil, nil, err
 	}
-	o := d.finish([]pendingObject{d.end()})[0]
-	return o.reg, o.err, nil
+	objs := d.finish([]wireObject{d.end()})
+	return objs[0].reg, objs[0].err, nil
 }
 
 // begin starts a new object: no name, no boxes.
 func (d *objectDecoder) begin() {
-	d.cur = pendingObject{nameLo: len(d.names), nameHi: len(d.names)}
+	d.cur = wireObject{nameLo: len(d.names), nameHi: len(d.names)}
 	d.boxes, d.nbox = d.boxes[:0], 0
 }
 
 // end checks the object's boxes as the wire region's conversion does —
 // each needs k-dimensional lo and hi, lo ≤ hi — and appends the
 // coordinates of a valid one to coords.
-func (d *objectDecoder) end() pendingObject {
+func (d *objectDecoder) end() wireObject {
 	p := d.cur
 	p.coord, p.nbox = len(d.coords), d.nbox
 	k := d.k
@@ -204,25 +199,27 @@ func (d *objectDecoder) end() pendingObject {
 }
 
 // finish builds every valid object's region over one slab holding all
-// their coordinates, and the names as substrings of one string.
-func (d *objectDecoder) finish(objs []pendingObject) []wireObject {
+// their coordinates, and the names as substrings of one string. It drops
+// the body and the scratch first, so they need not outlive the decode.
+func (d *objectDecoder) finish(objs []wireObject) []wireObject {
 	names := string(d.names)
 	slab := make([]float64, len(d.coords))
 	copy(slab, d.coords)
+	d.data, d.names, d.coords, d.boxes = nil, nil, nil, nil
 	k, w := d.k, 2*d.k
-	out := make([]wireObject, len(objs))
-	for i, p := range objs {
-		out[i] = wireObject{name: names[p.nameLo:p.nameHi], err: p.err}
-		if p.err != nil {
+	for i := range objs {
+		o := &objs[i]
+		o.name = names[o.nameLo:o.nameHi]
+		if o.err != nil {
 			continue
 		}
 		d.tmp = d.tmp[:0]
-		for c := p.coord; c < p.coord+p.nbox*w; c += w {
+		for c := o.coord; c < o.coord+o.nbox*w; c += w {
 			d.tmp = append(d.tmp, bbox.Box{K: k, Lo: slab[c : c+k : c+k], Hi: slab[c+k : c+w : c+w]})
 		}
-		out[i].reg = region.FromBoxes(k, d.tmp...)
+		o.reg = region.FromBoxes(k, d.tmp...)
 	}
-	return out
+	return objs
 }
 
 // ---- the grammar ----

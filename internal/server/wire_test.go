@@ -167,7 +167,7 @@ var wireQuirks = []string{
 	// case-insensitive keys, folded as encoding/json folds them (ſ is s)
 	`{"NAME":"a","Boxes":[{"LO":[1,2],"hI":[3,4]}]}`,
 	`{"name":"s","boxeſ":[{"lo":[1,2],"hi":[3,4]}]}`,
-	`{"name":"e","boxes":[{"lo":[1,2],"hi":[3,4]}]}`,
+	`{"n\u0061me":"e","bo\u0078eſ":[{"L\u004f":[1,2],"hi":[3,4]}]}`,
 	`{"nam":"x"}`,
 	`{"names":"x"}`,
 	`{"name":"k","boxes":[{"lo":[1,2],"hi":[3,4],"hi\u0000":[1]}]}`,
@@ -326,7 +326,7 @@ func TestBulkDecodeAllocs(t *testing.T) {
 	}
 	load()
 	perObj := testing.AllocsPerRun(5, load) / n
-	const budget = 8.0
+	const budget = 3.0
 	if perObj > budget {
 		t.Errorf("bulk load allocates %.2f per object, want <= %v", perObj, budget)
 	}
