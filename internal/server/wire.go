@@ -87,12 +87,17 @@ const (
 	fieldHi
 )
 
+// bodyPresize caps how much of a declared Content-Length readBody
+// allocates before the bytes arrive, so a client that declares more than
+// it sends cannot make the server reserve the whole limit.
+const bodyPresize = 4 << 20
+
 // readBody reads a request body of at most limit bytes into one buffer,
-// sized from Content-Length when the client sent one.
+// sized from Content-Length (up to bodyPresize) when the client sent one.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	var buf bytes.Buffer
 	if n := r.ContentLength; n > 0 {
-		buf.Grow(int(min(n, limit)) + bytes.MinRead)
+		buf.Grow(int(min(n, limit, bodyPresize)) + bytes.MinRead)
 	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
 	return buf.Bytes(), err
@@ -171,31 +176,31 @@ func (d *objectDecoder) begin() {
 // each needs k-dimensional lo and hi, lo ≤ hi — and appends the
 // coordinates of a valid one to coords.
 func (d *objectDecoder) end() wireObject {
-	p := d.cur
-	p.coord, p.nbox = len(d.coords), d.nbox
+	o := d.cur
+	o.coord, o.nbox = len(d.coords), d.nbox
 	k := d.k
 	for i, b := range d.boxes[:d.nbox] {
 		if b.lo.n != k || b.hi.n != k {
-			p.err = fmt.Errorf("box %d: want %d-dimensional lo/hi, got %d/%d", i, k, b.lo.n, b.hi.n)
+			o.err = fmt.Errorf("box %d: want %d-dimensional lo/hi, got %d/%d", i, k, b.lo.n, b.hi.n)
 			break
 		}
 		lo, hi := b.lo.vals[:k], b.hi.vals[:k]
 		for j := range k {
 			if lo[j] > hi[j] {
 				_, err := bbox.Make(lo, hi) // the refusal's text
-				p.err = fmt.Errorf("box %d: %w", i, err)
+				o.err = fmt.Errorf("box %d: %w", i, err)
 				break
 			}
 		}
-		if p.err != nil {
+		if o.err != nil {
 			break
 		}
 		d.coords = append(append(d.coords, lo...), hi...)
 	}
-	if p.err != nil {
-		d.coords = d.coords[:p.coord]
+	if o.err != nil {
+		d.coords = d.coords[:o.coord]
 	}
-	return p
+	return o
 }
 
 // finish builds every valid object's region over one slab holding all

@@ -106,9 +106,9 @@ func (s *Store) SaveBinaryMark(w io.Writer, mark func()) error {
 		for _, o := range l.slab {
 			writeUvarint(uint64(o.ID))
 			writeString(o.Name)
-			boxes := o.Reg.Boxes()
-			writeUvarint(uint64(len(boxes)))
-			for _, b := range boxes {
+			writeUvarint(uint64(o.Reg.NumBoxes()))
+			for i := range o.Reg.NumBoxes() {
+				b := o.Reg.Box(i)
 				writeFloats(b.Lo)
 				writeFloats(b.Hi)
 			}
