@@ -277,9 +277,9 @@ func (t *Tree) addSlot(path []*node, slots []int, r []float64, id int64) {
 }
 
 // newNode returns an empty node for slots slots of w floats, with room
-// for the next power of two of them: the room appending them one at a
-// time would have grown, so a node costs the memory it did when splits
-// built nodes that way, without the reallocations.
+// for the next power of two of them: what appending them one at a time
+// reaches, so a split node holds no more memory than a node filled by
+// appends, and is filled without reallocating.
 func newNode(leaf bool, slots, w int) *node {
 	room := 1 << bits.Len(uint(slots-1))
 	n := &node{leaf: leaf, runs: make([]float64, 0, room*w)}

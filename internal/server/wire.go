@@ -258,7 +258,7 @@ func (d *objectDecoder) fail(format string, args ...any) error {
 
 // unexpected reports that the next byte does not start what was wanted.
 func (d *objectDecoder) unexpected(want string) error {
-	if d.peek() == 0 && d.pos == len(d.data) {
+	if d.peek(); d.pos == len(d.data) {
 		return d.fail("unexpected end of body, want %s", want)
 	}
 	return d.fail("unexpected %q, want %s", d.data[d.pos], want)
