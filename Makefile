@@ -66,9 +66,10 @@ chaos:
 # stores lies inside the universe), the bulk-insert body decoder
 # (FuzzBulkObjects: POST objects:bulk?mode=best_effort with arbitrary
 # bytes; every stored object lies inside the universe), the bulk and PUT
-# body decoder against encoding/json (FuzzBulkDecode: the same bodies
-# accepted, apart from data after the value, with the same names and
-# bit-identical boxes) and the
+# body decoder against encoding/json (FuzzBulkDecode: a body accepted if
+# and only if encoding/json accepts it, apart from data after the value,
+# and it has no case-folded key, no null and no repeated key; the same
+# names and bit-identical boxes) and the
 # /repl/wal envelope (FuzzReplRecords: the replica's NDJSON decoder, then
 # its record apply). A failing input
 # lands in the package's testdata/fuzz/<target> and replays in every plain

@@ -117,7 +117,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	kind, err := parseIndex(*indexName)
+	kind, err := spatialdb.ParseIndexKind(*indexName)
 	if err != nil {
 		return err
 	}
@@ -436,16 +436,4 @@ func parsePlanMode(mode string) (bool, error) {
 		return true, nil
 	}
 	return false, fmt.Errorf("unknown plan mode %q (want adaptive or static)", mode)
-}
-
-func parseIndex(name string) (spatialdb.IndexKind, error) {
-	for _, k := range []spatialdb.IndexKind{
-		spatialdb.Scan, spatialdb.RTree, spatialdb.PointRTree,
-		spatialdb.Grid, spatialdb.ZOrderIdx,
-	} {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown index backend %q", name)
 }

@@ -42,7 +42,7 @@ func run() error {
 	var (
 		seed      = flag.Uint64("seed", 42, "map generator seed")
 		scale     = flag.Int("scale", 1, "map size multiplier")
-		indexName = flag.String("index", "rtree", "index backend: scan|rtree|point-rtree|gridfile")
+		indexName = flag.String("index", "rtree", "index backend: scan|rtree|point-rtree|gridfile|zorder")
 		queryFile = flag.String("query", "", "query file (default: built-in smuggler query)")
 		explain   = flag.Bool("explain", false, "print the compiled plan")
 		naive     = flag.Bool("naive", false, "also run the naive baseline for comparison")
@@ -51,7 +51,7 @@ func run() error {
 	)
 	flag.Parse()
 
-	kind, err := parseIndex(*indexName)
+	kind, err := spatialdb.ParseIndexKind(*indexName)
 	if err != nil {
 		return err
 	}
@@ -123,26 +123,4 @@ func run() error {
 		}
 	}
 	return nil
-}
-
-func parseIndex(name string) (spatialdb.IndexKind, error) {
-	switch name {
-	case "scan":
-		return spatialdb.Scan, nil
-	case "rtree":
-		return spatialdb.RTree, nil
-	case "point-rtree":
-		return spatialdb.PointRTree, nil
-	case "gridfile":
-		return spatialdb.Grid, nil
-	default:
-		return 0, fmt.Errorf("unknown index %q", name)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -108,12 +108,6 @@ func (st *LockState) AnyWriteHeld() bool {
 	return false
 }
 
-// Held reports whether key itself is held (any mode).
-func (st *LockState) Held(key string) bool {
-	_, ok := st.held[key]
-	return ok
-}
-
 // InlineHeld returns the keys held without a deferred unlock, i.e. locks
 // that must be released before any exit on this path.
 func (st *LockState) InlineHeld() map[string]token.Pos {

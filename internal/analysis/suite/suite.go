@@ -24,13 +24,3 @@ func Analyzers() []*analysis.Analyzer {
 		errflow.Analyzer,
 	}
 }
-
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *analysis.Analyzer {
-	for _, a := range Analyzers() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}

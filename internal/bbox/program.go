@@ -41,7 +41,6 @@ type Program struct {
 	ops      []progOp
 	consts   []Box
 	maxStack int
-	maxVar   int // largest variable index referenced, -1 if none
 }
 
 // Compile lowers the function tree into a postfix program.
@@ -70,7 +69,6 @@ func CompileAll(fs []*Func) []Program {
 		p := &progs[i]
 		p.ops, ops = ops[:0:o], ops[o:]
 		p.consts, consts = consts[:0:c], consts[c:]
-		p.maxVar = -1
 		p.emit(f, 0)
 	}
 	return progs
@@ -108,20 +106,12 @@ func (p *Program) emit(n *Func, depth int) {
 		p.ops = append(p.ops, progOp{code: progUniv})
 	case FVar:
 		p.ops = append(p.ops, progOp{code: progVar, arg: int32(n.v)})
-		p.maxVar = max(p.maxVar, n.v)
 	case FConst:
 		p.ops = append(p.ops, progOp{code: progConst, arg: int32(len(p.consts))})
 		p.consts = append(p.consts, n.c)
 	}
 	p.maxStack = max(p.maxStack, depth+1)
 }
-
-// MaxStack returns the evaluation stack depth the program needs.
-func (p *Program) MaxStack() int { return p.maxStack }
-
-// MaxVar returns the largest variable index the program reads, or -1 if it
-// reads none.
-func (p *Program) MaxVar() int { return p.maxVar }
 
 // Len returns the number of instructions.
 func (p *Program) Len() int { return len(p.ops) }

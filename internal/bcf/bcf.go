@@ -238,11 +238,6 @@ func subsumedBy(c formula.Term, ts []formula.Term) bool {
 	return false
 }
 
-// PrimeImplicants returns the prime implicants of f (the terms of its BCF).
-func PrimeImplicants(f *formula.Formula) ([]formula.Term, error) {
-	return BCF(f)
-}
-
 // IsImplicant reports whether the term t implies f (t ≤ f as Boolean
 // functions).
 func IsImplicant(t formula.Term, f *formula.Formula) bool {

@@ -50,6 +50,22 @@ func shedReject(w http.ResponseWriter, err error) {
 	writeRetryError(w, http.StatusTooManyRequests, retryAfterShed, "%v", err)
 }
 
+// admitted wraps a route's handler so that it runs holding a slot of
+// pool. Admission comes first: a request the pool sheds gets shedReject
+// and costs nothing more — its body is never read, and the store's
+// guards are never touched.
+func admitted(pool *admission, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		release, err := pool.acquire(r.Context())
+		if err != nil {
+			shedReject(w, err)
+			return
+		}
+		defer release()
+		h(w, r)
+	}
+}
+
 // admission is one bounded in-flight pool plus its wait queue. A nil
 // *admission admits everything (the feature is off unless -max-inflight
 // is set), so the zero-configuration path costs one nil check.

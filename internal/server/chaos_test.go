@@ -8,7 +8,9 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"syscall"
 	"testing"
@@ -253,6 +255,39 @@ func TestServerShedsMutationsWith429(t *testing.T) {
 	}
 	release()
 	putTestObject(t, s, "towns", "x2")
+}
+
+// unreadBody is a request body that records whether anything read it.
+type unreadBody struct{ read bool }
+
+func (b *unreadBody) Read([]byte) (int, error) { b.read = true; return 0, io.EOF }
+
+// TestShedRoutesNeverReadBody: with its pool full, each admitted route
+// sheds with 429 before anything reads the request's body.
+func TestShedRoutesNeverReadBody(t *testing.T) {
+	s := newShedServer(t)
+	for _, c := range []struct {
+		pool         *admission
+		method, path string
+	}{
+		{s.mutGate, http.MethodPut, "/layers/fresh"},
+		{s.mutGate, http.MethodPut, "/layers/towns/objects/x"},
+		{s.mutGate, http.MethodDelete, "/layers/towns/objects/x"},
+		{s.mutGate, http.MethodPost, "/layers/towns/objects:bulk"},
+		{s.readGate, http.MethodPost, "/query"},
+	} {
+		release, err := c.pool.acquire(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := &unreadBody{}
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, httptest.NewRequest(c.method, c.path, body))
+		release()
+		if w.Code != http.StatusTooManyRequests || body.read {
+			t.Errorf("%s %s with its pool full: status %d, body read %v; want 429, unread", c.method, c.path, w.Code, body.read)
+		}
+	}
 }
 
 func TestServerBatchShedsPerQuery(t *testing.T) {

@@ -75,12 +75,6 @@ func (s *Server) handleListLayers(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleCreateLayer(w http.ResponseWriter, r *http.Request) {
-	release, aerr := s.mutGate.acquire(r.Context())
-	if aerr != nil {
-		shedReject(w, aerr)
-		return
-	}
-	defer release()
 	store := s.Store()
 	name := r.PathValue("layer")
 	l, created, err := store.CreateLayer(name)
@@ -99,12 +93,6 @@ func (s *Server) handleCreateLayer(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePutObject(w http.ResponseWriter, r *http.Request) {
-	release, aerr := s.mutGate.acquire(r.Context())
-	if aerr != nil {
-		shedReject(w, aerr)
-		return
-	}
-	defer release()
 	store := s.Store()
 	layer, name := r.PathValue("layer"), r.PathValue("name")
 	body, err := readBody(w, r, maxBodyBytes)
@@ -156,12 +144,6 @@ func (s *Server) handleGetObject(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteObject(w http.ResponseWriter, r *http.Request) {
-	release, aerr := s.mutGate.acquire(r.Context())
-	if aerr != nil {
-		shedReject(w, aerr)
-		return
-	}
-	defer release()
 	store := s.Store()
 	layer, name := r.PathValue("layer"), r.PathValue("name")
 	ok, err := store.Remove(layer, name)
@@ -218,14 +200,6 @@ func (s *Server) runTimeout(timeoutMS int64) time.Duration {
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	// Admission first: a shed request must cost nothing — not a body
-	// decode, and certainly never the store's read guard.
-	release, aerr := s.readGate.acquire(r.Context())
-	if aerr != nil {
-		shedReject(w, aerr)
-		return
-	}
-	defer release()
 	if s.rejectStaleRead(w) {
 		return
 	}

@@ -39,12 +39,6 @@ func parseBulkMode(s string) (spatialdb.BulkMode, error) {
 }
 
 func (s *Server) handleBulkInsert(w http.ResponseWriter, r *http.Request) {
-	release, aerr := s.mutGate.acquire(r.Context())
-	if aerr != nil {
-		shedReject(w, aerr)
-		return
-	}
-	defer release()
 	store := s.Store()
 	layer := r.PathValue("layer")
 	mode, err := parseBulkMode(r.URL.Query().Get("mode"))

@@ -227,12 +227,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) routes() {
 	s.mux.HandleFunc("GET /layers", s.handleListLayers)
-	s.mux.HandleFunc("PUT /layers/{layer}", s.handleCreateLayer)
-	s.mux.HandleFunc("PUT /layers/{layer}/objects/{name}", s.handlePutObject)
+	s.mux.HandleFunc("PUT /layers/{layer}", admitted(s.mutGate, s.handleCreateLayer))
+	s.mux.HandleFunc("PUT /layers/{layer}/objects/{name}", admitted(s.mutGate, s.handlePutObject))
 	s.mux.HandleFunc("GET /layers/{layer}/objects/{name}", s.handleGetObject)
-	s.mux.HandleFunc("DELETE /layers/{layer}/objects/{name}", s.handleDeleteObject)
-	s.mux.HandleFunc("POST /layers/{layer}/objects:bulk", s.handleBulkInsert)
-	s.mux.HandleFunc("POST /query", s.handleQuery)
+	s.mux.HandleFunc("DELETE /layers/{layer}/objects/{name}", admitted(s.mutGate, s.handleDeleteObject))
+	s.mux.HandleFunc("POST /layers/{layer}/objects:bulk", admitted(s.mutGate, s.handleBulkInsert))
+	s.mux.HandleFunc("POST /query", admitted(s.readGate, s.handleQuery))
 	s.mux.HandleFunc("POST /query/batch", s.handleQueryBatch)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /debug/vars", s.handleStats)

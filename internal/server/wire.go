@@ -19,15 +19,15 @@ import (
 // straight from the request bytes into names and bbox.Boxes: one pass,
 // no reflection, one coordinate slab and one name string per request.
 //
-// It accepts exactly what encoding/json accepts when it decodes those
-// bodies into the wire structs with DisallowUnknownFields (the reference
-// FuzzBulkDecode holds it to), and fills each field as encoding/json
-// would: keys match case-insensitively (Unicode simple folding, so
-// "boxeſ" is "boxes"), null leaves a string, a number or a box as it was
-// and empties a list, a repeated key decodes again into what the first
-// one left, and numbers follow the JSON grammar and must fit a float64.
-// The one difference is that data after the body's value (after the
-// array's closing bracket, or after the PUT body's object) is refused.
+// Its grammar is JSON held strict: keys are exactly "name", "boxes",
+// "lo" and "hi" (escapes allowed), and a null anywhere, a key repeated
+// within one object or box, and data after the body's value are refused.
+// Every body it accepts, encoding/json decodes into the wire structs
+// (with DisallowUnknownFields) to the same names and boxes, and it
+// accepts every such body that has none of the refused forms
+// (FuzzBulkDecode holds it to both): strings keep their escapes, a lone
+// surrogate or invalid UTF-8 reads as U+FFFD, and numbers follow the
+// JSON grammar and must fit a float64.
 
 // wireObject is one decoded object: its name and either its region or
 // the reason it has none. Until finish builds them, the name is the span
@@ -41,21 +41,6 @@ type wireObject struct {
 	nameLo, nameHi, coord, nbox int
 }
 
-// wireRun is a []float64 field as encoding/json fills it: n elements over
-// a backing array that reads as zero past len(vals). Decoding an array
-// into it overwrites the backing from index 0 and sets n to the array's
-// length, so a null element keeps what an earlier decode of the same
-// field (a repeated key) left at its index.
-type wireRun struct {
-	vals []float64
-	n    int
-}
-
-func (r *wireRun) reset() { r.vals, r.n = r.vals[:0], 0 }
-
-// wireBox is one {"lo": [...], "hi": [...]} entry.
-type wireBox struct{ lo, hi wireRun }
-
 // objectDecoder holds one request's body and the scratch it decodes
 // into. It is not safe for concurrent use.
 type objectDecoder struct {
@@ -65,15 +50,11 @@ type objectDecoder struct {
 
 	names  []byte    // every object's name, back to back
 	coords []float64 // every valid box's lo then hi, back to back
-	key    []byte    // an escaped key, unescaped
+	key    []byte    // the key being read, unescaped
+	lo, hi []float64 // the corners of the box being read
 	tmp    []bbox.Box
 
-	// The object being read, as encoding/json would hold it: its name's
-	// span in names, and boxes[:nbox] as its boxes; boxes[nbox:] are the
-	// entries a longer earlier "boxes" key left in the backing array.
-	cur   wireObject
-	boxes []wireBox
-	nbox  int
+	cur wireObject // the object being read
 }
 
 // wireField names the keys the wire structs know.
@@ -112,30 +93,15 @@ func decodeBulk(body []byte, k int) ([]wireObject, error) {
 	d := &objectDecoder{data: body, k: k}
 	var objs []wireObject
 	next := func() error {
-		d.begin()
 		if err := d.object(true); err != nil {
 			return fmt.Errorf("object %d: %w", len(objs), err)
 		}
-		objs = append(objs, d.end())
+		objs = append(objs, d.cur)
 		return nil
 	}
 	if d.peek() == '[' {
-		d.pos++
-		if d.peek() == ']' {
-			d.pos++
-		} else {
-			for {
-				if err := next(); err != nil {
-					return nil, err
-				}
-				if d.peek() == ']' {
-					d.pos++
-					break
-				}
-				if err := d.expect(','); err != nil {
-					return nil, err
-				}
-			}
+		if err := d.elements(next); err != nil {
+			return nil, err
 		}
 		if err := d.atEnd(); err != nil {
 			return nil, err
@@ -155,52 +121,14 @@ func decodeBulk(body []byte, k int) ([]wireObject, error) {
 // cannot be built.
 func decodeRegionBody(body []byte, k int) (reg *region.Region, regErr, err error) {
 	d := &objectDecoder{data: body, k: k}
-	d.begin()
 	if err := d.object(false); err != nil {
 		return nil, nil, err
 	}
 	if err := d.atEnd(); err != nil {
 		return nil, nil, err
 	}
-	objs := d.finish([]wireObject{d.end()})
+	objs := d.finish([]wireObject{d.cur})
 	return objs[0].reg, objs[0].err, nil
-}
-
-// begin starts a new object: no name, no boxes.
-func (d *objectDecoder) begin() {
-	d.cur = wireObject{nameLo: len(d.names), nameHi: len(d.names)}
-	d.boxes, d.nbox = d.boxes[:0], 0
-}
-
-// end checks the object's boxes as the wire region's conversion does —
-// each needs k-dimensional lo and hi, lo ≤ hi — and appends the
-// coordinates of a valid one to coords.
-func (d *objectDecoder) end() wireObject {
-	o := d.cur
-	o.coord, o.nbox = len(d.coords), d.nbox
-	k := d.k
-	for i, b := range d.boxes[:d.nbox] {
-		if b.lo.n != k || b.hi.n != k {
-			o.err = fmt.Errorf("box %d: want %d-dimensional lo/hi, got %d/%d", i, k, b.lo.n, b.hi.n)
-			break
-		}
-		lo, hi := b.lo.vals[:k], b.hi.vals[:k]
-		for j := range k {
-			if lo[j] > hi[j] {
-				_, err := bbox.Make(lo, hi) // the refusal's text
-				o.err = fmt.Errorf("box %d: %w", i, err)
-				break
-			}
-		}
-		if o.err != nil {
-			break
-		}
-		d.coords = append(append(d.coords, lo...), hi...)
-	}
-	if o.err != nil {
-		d.coords = d.coords[:o.coord]
-	}
-	return o
 }
 
 // finish builds every valid object's region over one slab holding all
@@ -210,7 +138,7 @@ func (d *objectDecoder) finish(objs []wireObject) []wireObject {
 	names := string(d.names)
 	slab := make([]float64, len(d.coords))
 	copy(slab, d.coords)
-	d.data, d.names, d.coords, d.boxes = nil, nil, nil, nil
+	d.data, d.names, d.coords, d.lo, d.hi = nil, nil, nil, nil, nil
 	k, w := d.k, 2*d.k
 	for i := range objs {
 		o := &objs[i]
@@ -258,8 +186,11 @@ func (d *objectDecoder) fail(format string, args ...any) error {
 
 // unexpected reports that the next byte does not start what was wanted.
 func (d *objectDecoder) unexpected(want string) error {
-	if d.peek(); d.pos == len(d.data) {
+	switch d.peek(); {
+	case d.pos == len(d.data):
 		return d.fail("unexpected end of body, want %s", want)
+	case bytes.HasPrefix(d.data[d.pos:], []byte("null")):
+		return d.fail("null is not accepted, want %s", want)
 	}
 	return d.fail("unexpected %q, want %s", d.data[d.pos], want)
 }
@@ -281,23 +212,42 @@ func (d *objectDecoder) atEnd() error {
 	return nil
 }
 
-// null consumes the literal null, which the caller has seen start.
-func (d *objectDecoder) null() error {
-	if len(d.data)-d.pos < len("null") || string(d.data[d.pos:d.pos+len("null")]) != "null" {
-		return d.fail("invalid literal, want null")
+// elements reads an array, calling elem at the start of each element.
+func (d *objectDecoder) elements(elem func() error) error {
+	if d.peek() != '[' {
+		return d.unexpected("an array")
 	}
-	d.pos += len("null")
-	return nil
+	d.pos++
+	if d.peek() == ']' {
+		d.pos++
+		return nil
+	}
+	for {
+		if err := elem(); err != nil {
+			return err
+		}
+		if d.peek() == ']' {
+			d.pos++
+			return nil
+		}
+		if err := d.expect(','); err != nil {
+			return err
+		}
+	}
 }
 
-// members reads an object's members, calling value for each key with the
-// position after its colon. The caller has seen the '{'.
+// members reads an object, calling value for each key with the position
+// after its colon. A key may appear once.
 func (d *objectDecoder) members(value func(wireField) error) error {
+	if d.peek() != '{' {
+		return d.unexpected("an object")
+	}
 	d.pos++
 	if d.peek() == '}' {
 		d.pos++
 		return nil
 	}
+	var seen uint8
 	for {
 		if d.peek() != '"' {
 			return d.unexpected("a field name")
@@ -306,6 +256,10 @@ func (d *objectDecoder) members(value func(wireField) error) error {
 		if err != nil {
 			return err
 		}
+		if seen&(1<<f) != 0 {
+			return d.fail("repeated field %q", d.key)
+		}
+		seen |= 1 << f
 		if err := d.expect(':'); err != nil {
 			return err
 		}
@@ -322,25 +276,23 @@ func (d *objectDecoder) members(value func(wireField) error) error {
 	}
 }
 
-// object reads one object value — {…} or null — into the current object.
-// withName admits the name field (the bulk form) besides boxes.
-func (d *objectDecoder) object(withName bool) error {
-	switch d.peek() {
-	case 'n':
-		return d.null()
-	case '{':
-	default:
-		return d.unexpected("an object")
+// field reads a key into d.key and names the field it is.
+func (d *objectDecoder) field() (wireField, error) {
+	var err error
+	if d.key, err = d.str(d.key[:0]); err != nil {
+		return fieldUnknown, err
 	}
-	return d.members(func(f wireField) error {
-		switch {
-		case f == fieldName && withName:
-			return d.name()
-		case f == fieldBoxes:
-			return d.boxList()
-		}
-		return d.unknownField()
-	})
+	switch string(d.key) {
+	case "name":
+		return fieldName, nil
+	case "boxes":
+		return fieldBoxes, nil
+	case "lo":
+		return fieldLo, nil
+	case "hi":
+		return fieldHi, nil
+	}
+	return fieldUnknown, nil
 }
 
 // unknownField refuses the key just read, as DisallowUnknownFields does.
@@ -348,139 +300,74 @@ func (d *objectDecoder) unknownField() error {
 	return d.fail("unknown field %q", d.key)
 }
 
-// name reads the name field's value: a string, or null (no change).
-func (d *objectDecoder) name() error {
-	switch d.peek() {
-	case 'n':
-		return d.null()
-	case '"':
-		lo := len(d.names)
-		var err error
-		if d.names, err = d.str(d.names); err != nil {
-			return err
-		}
-		d.cur.nameLo, d.cur.nameHi = lo, len(d.names)
-		return nil
-	}
-	return d.unexpected("a string")
-}
-
-// boxList reads the boxes field's value: an array of boxes, decoded into
-// the entries already there, or null, which empties the list as [] does.
-func (d *objectDecoder) boxList() error {
-	switch d.peek() {
-	case 'n':
-		d.boxes, d.nbox = d.boxes[:0], 0
-		return d.null()
-	case '[':
-	default:
-		return d.unexpected("an array")
-	}
-	d.pos++
-	if d.peek() == ']' {
-		d.pos++
-		d.boxes, d.nbox = d.boxes[:0], 0
-		return nil
-	}
-	for i := 0; ; i++ {
-		if i == len(d.boxes) {
-			d.newBox()
-		}
-		if err := d.box(&d.boxes[i]); err != nil {
-			return err
-		}
-		if d.peek() == ']' {
-			d.pos++
-			d.nbox = i + 1
-			return nil
-		}
-		if err := d.expect(','); err != nil {
-			return err
-		}
-	}
-}
-
-// newBox appends a zero entry to boxes, reusing a dropped one's arrays.
-func (d *objectDecoder) newBox() {
-	n := len(d.boxes)
-	if n == cap(d.boxes) {
-		d.boxes = append(d.boxes, wireBox{})
-		return
-	}
-	d.boxes = d.boxes[:n+1]
-	d.boxes[n].lo.reset()
-	d.boxes[n].hi.reset()
-}
-
-// box reads one box: an object of lo and hi decoded into b, or null,
-// which leaves b as it was.
-func (d *objectDecoder) box(b *wireBox) error {
-	switch d.peek() {
-	case 'n':
-		return d.null()
-	case '{':
-	default:
-		return d.unexpected("an object")
-	}
+// object reads one object into cur. withName admits the name field (the
+// bulk form) besides boxes.
+func (d *objectDecoder) object(withName bool) error {
+	d.cur = wireObject{nameLo: len(d.names), nameHi: len(d.names), coord: len(d.coords)}
 	return d.members(func(f wireField) error {
-		switch f {
-		case fieldLo:
-			return d.run(&b.lo)
-		case fieldHi:
-			return d.run(&b.hi)
+		switch {
+		case f == fieldName && withName:
+			if d.peek() != '"' {
+				return d.unexpected("a string")
+			}
+			var err error
+			d.names, err = d.str(d.names)
+			d.cur.nameHi = len(d.names)
+			return err
+		case f == fieldBoxes:
+			return d.elements(d.box)
 		}
 		return d.unknownField()
 	})
 }
 
-// run reads a corner: an array of numbers (a null element keeps the
-// value at its index), or null, which empties it as [] does.
-func (d *objectDecoder) run(r *wireRun) error {
-	switch d.peek() {
-	case 'n':
-		r.reset()
-		return d.null()
-	case '[':
-	default:
-		return d.unexpected("an array")
+// box reads the object's next box, {"lo": [...], "hi": [...]}, and checks
+// it as the wire region's conversion does — k-dimensional lo and hi, lo ≤
+// hi — appending a valid one's corners to coords. The first invalid box
+// is the object's error and drops the corners its earlier boxes appended.
+func (d *objectDecoder) box() error {
+	d.lo, d.hi = d.lo[:0], d.hi[:0]
+	err := d.members(func(f wireField) error {
+		switch f {
+		case fieldLo:
+			return d.run(&d.lo)
+		case fieldHi:
+			return d.run(&d.hi)
+		}
+		return d.unknownField()
+	})
+	o, k := &d.cur, d.k
+	if err != nil || o.err != nil {
+		return err
 	}
-	d.pos++
-	if d.peek() == ']' {
-		d.pos++
-		r.reset()
+	if len(d.lo) != k || len(d.hi) != k {
+		o.err = fmt.Errorf("box %d: want %d-dimensional lo/hi, got %d/%d", o.nbox, k, len(d.lo), len(d.hi))
+	}
+	for j := 0; o.err == nil && j < k; j++ {
+		if d.lo[j] > d.hi[j] {
+			_, err := bbox.Make(d.lo, d.hi) // the refusal's text
+			o.err = fmt.Errorf("box %d: %w", o.nbox, err)
+		}
+	}
+	if o.err != nil {
+		d.coords = d.coords[:o.coord]
 		return nil
 	}
-	for i := 0; ; i++ {
-		switch c := d.peek(); {
-		case c == 'n':
-			if err := d.null(); err != nil {
-				return err
-			}
-			if i == len(r.vals) {
-				r.vals = append(r.vals, 0)
-			}
-		case c == '-' || '0' <= c && c <= '9':
-			v, err := d.number()
-			if err != nil {
-				return err
-			}
-			if i == len(r.vals) {
-				r.vals = append(r.vals, v)
-			} else {
-				r.vals[i] = v
-			}
-		default:
+	d.coords = append(append(d.coords, d.lo...), d.hi...)
+	o.nbox++
+	return nil
+}
+
+// run reads a corner, an array of numbers, into *r.
+func (d *objectDecoder) run(r *[]float64) error {
+	return d.elements(func() error {
+		if c := d.peek(); c != '-' && (c < '0' || c > '9') {
 			return d.unexpected("a number")
 		}
-		if d.peek() == ']' {
-			d.pos++
-			r.n = i + 1
-			return nil
-		}
-		if err := d.expect(','); err != nil {
-			return err
-		}
-	}
+		v, err := d.number()
+		*r = append(*r, v)
+		return err
+	})
 }
 
 // number reads a JSON number — -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
@@ -529,84 +416,10 @@ func (d *objectDecoder) number() (float64, error) {
 	return v, nil
 }
 
-// field reads a key and names the field it matches: after unescaping,
-// its simple case folding must equal the field's, as encoding/json
-// matches keys. The key is left in d.key for an unknown field's error.
-func (d *objectDecoder) field() (wireField, error) {
-	// A plain key (no escape, no control or non-ASCII byte) is matched
-	// where it lies.
-	p := d.pos + 1
-	for p < len(d.data) && plainByte(d.data[p]) {
-		p++
-	}
-	var key []byte
-	if p < len(d.data) && d.data[p] == '"' {
-		key = d.data[d.pos+1 : p]
-		d.pos = p + 1
-		switch string(key) {
-		case "name":
-			return fieldName, nil
-		case "boxes":
-			return fieldBoxes, nil
-		case "lo":
-			return fieldLo, nil
-		case "hi":
-			return fieldHi, nil
-		}
-		d.key = append(d.key[:0], key...)
-	} else {
-		var err error
-		if d.key, err = d.str(d.key[:0]); err != nil {
-			return fieldUnknown, err
-		}
-	}
-	for _, f := range [...]struct {
-		folded string
-		f      wireField
-	}{{"NAME", fieldName}, {"BOXES", fieldBoxes}, {"LO", fieldLo}, {"HI", fieldHi}} {
-		if foldEqual(d.key, f.folded) {
-			return f.f, nil
-		}
-	}
-	return fieldUnknown, nil
-}
-
 // plainByte reports a string byte that stands for itself: not a quote, a
 // backslash, a control byte or part of a multi-byte sequence.
 func plainByte(c byte) bool {
 	return c >= ' ' && c < utf8.RuneSelf && c != '"' && c != '\\'
-}
-
-// foldEqual reports whether key folds to folded, an upper-case ASCII
-// name: ASCII letters fold to upper case, any other rune to the smallest
-// rune of its simple-folding orbit (so U+017F, ſ, folds to S).
-func foldEqual(key []byte, folded string) bool {
-	j := 0
-	for i := 0; i < len(key); j++ {
-		r := rune(key[i])
-		if r < utf8.RuneSelf {
-			i++
-			if 'a' <= r && r <= 'z' {
-				r -= 'a' - 'A'
-			}
-		} else {
-			var n int
-			r, n = utf8.DecodeRune(key[i:])
-			i += n
-			for {
-				next := unicode.SimpleFold(r)
-				if next <= r {
-					r = next
-					break
-				}
-				r = next
-			}
-		}
-		if j == len(folded) || r != rune(folded[j]) {
-			return false
-		}
-	}
-	return j == len(folded)
 }
 
 // str reads a string and appends its unescaped bytes to dst: escapes per

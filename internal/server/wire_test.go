@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -116,19 +118,70 @@ func sameRegion(a *region.Region, aErr error, b *region.Region, bErr error) stri
 	return ""
 }
 
+// refusedForm reads body as a sequence of JSON values with encoding/json's
+// own tokenizer and names the first form in it that the strict grammar
+// refuses although encoding/json accepts it: a null, a key repeated
+// within one object, or a key other than name, boxes, lo and hi (which,
+// in a body encoding/json accepts with DisallowUnknownFields, is one of
+// them case-folded). It returns "" if there is none before the first
+// token error.
+func refusedForm(body []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	type object struct {
+		keys    map[string]bool
+		wantKey bool
+	}
+	var open []*object // the open containers, nil for an array
+	for {
+		tok, err := dec.Token()
+		if err != nil {
+			return ""
+		}
+		var top *object
+		if len(open) > 0 {
+			top = open[len(open)-1]
+		}
+		if key, ok := tok.(string); ok && top != nil && top.wantKey {
+			switch {
+			case top.keys[key]:
+				return "repeated key " + strconv.Quote(key)
+			case key != "name" && key != "boxes" && key != "lo" && key != "hi":
+				return "key " + strconv.Quote(key)
+			}
+			top.keys[key], top.wantKey = true, false
+			continue
+		}
+		if top != nil {
+			top.wantKey = true // a value started; a key comes next
+		}
+		switch tok {
+		case nil:
+			return "null"
+		case json.Delim('{'):
+			open = append(open, &object{keys: map[string]bool{}, wantKey: true})
+		case json.Delim('['):
+			open = append(open, nil)
+		case json.Delim('}'), json.Delim(']'):
+			open = open[:len(open)-1]
+		}
+	}
+}
+
 // checkAgainstReference decodes body as a bulk body and as a PUT body
-// with the server's decoders and the references, and fails t where they
-// disagree. The one sanctioned difference: data after the value is
-// refused.
+// with the server's decoders and the references, and fails t unless each
+// decoder accepts the body if and only if its reference does, finds no
+// data after the value, and refusedForm finds none of the refused forms;
+// an accepted body must decode to the reference's names and regions.
 func checkAgainstReference(t *testing.T, body []byte) {
 	t.Helper()
 	const k = 2
+	form := refusedForm(body)
 	want, trailing, werr := refDecodeBulk(body, k)
 	got, gerr := decodeBulk(body, k)
 	switch {
-	case werr != nil || trailing:
+	case werr != nil || trailing || form != "":
 		if gerr == nil {
-			t.Fatalf("bulk %q: accepted %d objects; reference: error %v, trailing data %v", body, len(got), werr, trailing)
+			t.Fatalf("bulk %q: accepted %d objects; reference: error %v, trailing data %v, refused form %q", body, len(got), werr, trailing, form)
 		}
 	case gerr != nil:
 		t.Fatalf("bulk %q: refused (%v); reference accepts %d objects", body, gerr, len(want))
@@ -148,9 +201,9 @@ func checkAgainstReference(t *testing.T, body []byte) {
 	wreg, wregErr, trailing, werr := refDecodeRegion(body, k)
 	greg, gregErr, gerr := decodeRegionBody(body, k)
 	switch {
-	case werr != nil || trailing:
+	case werr != nil || trailing || form != "":
 		if gerr == nil {
-			t.Fatalf("region %q: accepted; reference: error %v, trailing data %v", body, werr, trailing)
+			t.Fatalf("region %q: accepted; reference: error %v, trailing data %v, refused form %q", body, werr, trailing, form)
 		}
 	case gerr != nil:
 		t.Fatalf("region %q: refused (%v); the reference accepts it", body, gerr)
@@ -161,11 +214,17 @@ func checkAgainstReference(t *testing.T, body []byte) {
 	}
 }
 
-// wireQuirks are bodies on which encoding/json behaves in ways a
-// hand-written decoder could easily miss.
-var wireQuirks = []string{
+// wireRefused are bodies that both decoders must refuse: encoding/json
+// accepted most of them, matching keys case-insensitively, reading null
+// as "leave the field as it was" and decoding a repeated key into what
+// the earlier one left.
+var wireRefused = []string{
 	// case-insensitive keys, folded as encoding/json folds them (ſ is s)
 	`{"NAME":"a","Boxes":[{"LO":[1,2],"hI":[3,4]}]}`,
+	`{"Name":"a"}`,
+	`{"BOXES":[]}`,
+	`{"boxes":[{"LO":[1,2],"hi":[3,4]}]}`,
+	`{"boxes":[{"lo":[1,2],"hI":[3,4]}]}`,
 	`{"name":"s","boxeſ":[{"lo":[1,2],"hi":[3,4]}]}`,
 	`{"n\u0061me":"e","bo\u0078eſ":[{"L\u004f":[1,2],"hi":[3,4]}]}`,
 	`{"nam":"x"}`,
@@ -187,6 +246,15 @@ var wireQuirks = []string{
 	`{"boxes":[{"lo":[1],"lo":[null,null],"hi":[5,6]}]}`,
 	`{"boxes":[{"lo":[1,2],"hi":[3,4]}],"boxes":[],"boxes":[null]}`,
 	`{"boxes":[{"lo":[1,2],"lo":[],"lo":[null,7],"hi":[5,8]}]}`,
+	`{"name":"a","boxes":[],"name":"b"}`,
+	`{"boxes":[{"lo":[1,2],"hi":[3,4],"lo":[0,0]}]}`,
+}
+
+// wireQuirks are bodies on which encoding/json behaves in ways a
+// hand-written decoder could easily miss.
+var wireQuirks = []string{
+	// keys spelled with escapes
+	`{"n\u0061me":"e","bo\u0078es":[{"l\u006f":[1,2],"\u0068i":[3,4]}]}`,
 	// escapes and invalid UTF-8 in names
 	`{"name":"a\"\\\/\b\f\n\r\té😀"}`,
 	`{"name":"\ud800x\udc00\ud800A\ud83d😀"}`,
@@ -234,8 +302,19 @@ var wireQuirks = []string{
 	``,
 }
 
+func TestBulkDecodeRefusesQuirks(t *testing.T) {
+	for _, body := range wireRefused {
+		if _, err := decodeBulk([]byte(body), 2); err == nil {
+			t.Errorf("bulk %q: accepted", body)
+		}
+		if _, _, err := decodeRegionBody([]byte(body), 2); err == nil {
+			t.Errorf("region %q: accepted", body)
+		}
+	}
+}
+
 func TestBulkDecodeMatchesReference(t *testing.T) {
-	for _, body := range wireQuirks {
+	for _, body := range slices.Concat(wireRefused, wireQuirks) {
 		checkAgainstReference(t, []byte(body))
 		// and every truncation of it
 		for n := range len(body) {
@@ -245,12 +324,13 @@ func TestBulkDecodeMatchesReference(t *testing.T) {
 }
 
 // FuzzBulkDecode holds the bulk and PUT body decoders to encoding/json
-// (refDecodeBulk, refDecodeRegion): on every body they accept exactly
-// what the reference accepts, with the same names, the same refusal per
-// object and bit-identical boxes — except that they refuse data after
-// the body's value, which the reference ignored.
+// (refDecodeBulk, refDecodeRegion): they accept a body if and only if the
+// reference accepts it, with no data after the value, and refusedForm
+// finds no null, repeated key or case-folded key in it; on every body
+// they accept, they give the reference's names, the same refusal per
+// object and bit-identical boxes.
 func FuzzBulkDecode(f *testing.F) {
-	for _, body := range wireQuirks {
+	for _, body := range slices.Concat(wireRefused, wireQuirks) {
 		f.Add([]byte(body))
 	}
 	f.Add([]byte(bulkBodyJSON(3)))
@@ -289,6 +369,46 @@ func TestTrailingDataRefused(t *testing.T) {
 	}
 	if got := s.Store().Layer("towns").Len(); got != len(m.Towns)+len(m.Decoys)+2 {
 		t.Errorf("towns holds %d objects, want the map's %d plus t1 and t2", got, len(m.Towns)+len(m.Decoys))
+	}
+}
+
+// TestStrictBodiesRefused sends a body with a case-folded key, a null
+// and a repeated key through Server.Handler() as a PUT body and as an
+// objects:bulk body in array and NDJSON form: each must answer 400 and
+// store nothing, leaving the layer's object count and the store's epoch
+// as they were.
+func TestStrictBodiesRefused(t *testing.T) {
+	s, _ := newTestServer(t)
+	h := s.Handler()
+	send := func(method, path, body string) int {
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return w.Code
+	}
+	const bulk = "/layers/towns/objects:bulk"
+	for _, c := range []struct{ form, obj string }{
+		{"case-folded key", `{"name":"q","boxes":[{"lo":[1,1],"HI":[2,2]}]}`},
+		{"null", `{"name":"q","boxes":[{"lo":[1,1],"hi":[2,2]},null]}`},
+		{"repeated key", `{"name":"q","boxes":[{"lo":[1,1],"hi":[2,2],"hi":[3,3]}]}`},
+	} {
+		put := strings.Replace(c.obj, `"name":"q",`, "", 1)
+		for _, r := range []struct{ method, path, body string }{
+			{http.MethodPut, "/layers/towns/objects/q", put},
+			{http.MethodPost, bulk, "[" + c.obj + "]"},
+			{http.MethodPost, bulk, c.obj + "\n"},
+		} {
+			store := s.Store()
+			n, epoch := store.Layer("towns").Len(), store.Epoch()
+			if code := send(r.method, r.path, r.body); code != http.StatusBadRequest {
+				t.Errorf("%s: %s %s %q: status %d, want 400", c.form, r.method, r.path, r.body, code)
+			}
+			if got := store.Layer("towns").Len(); got != n || store.Epoch() != epoch {
+				t.Errorf("%s: %s %s: %d objects at epoch %d, want %d at %d", c.form, r.method, r.path, got, store.Epoch(), n, epoch)
+			}
+		}
+	}
+	if code := send(http.MethodPost, bulk, `{"name":"q","boxes":[{"lo":[1,1],"hi":[2,2]}]}`); code != http.StatusOK {
+		t.Errorf("the strict form of the body: status %d, want 200", code)
 	}
 }
 

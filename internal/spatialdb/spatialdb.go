@@ -76,6 +76,16 @@ func (k IndexKind) String() string {
 	}
 }
 
+// ParseIndexKind returns the backend whose String is name.
+func ParseIndexKind(name string) (IndexKind, error) {
+	for k := Scan; k <= ZOrderIdx; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown index backend %q", name)
+}
+
 // Object is a stored spatial object: a region plus its cached bounding
 // box.
 type Object struct {

@@ -24,6 +24,20 @@ func TestIndexKindString(t *testing.T) {
 	}
 }
 
+func TestParseIndexKind(t *testing.T) {
+	for _, k := range allKinds {
+		got, err := ParseIndexKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseIndexKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"", "RTree", "grid", "IndexKind(99)"} {
+		if k, err := ParseIndexKind(name); err == nil {
+			t.Errorf("ParseIndexKind(%q) = %v, want an error", name, k)
+		}
+	}
+}
+
 func TestStoreBasics(t *testing.T) {
 	s := NewStore(rect(0, 0, 100, 100), Scan)
 	if s.K() != 2 {

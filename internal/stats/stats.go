@@ -258,15 +258,6 @@ func (s *Layer) MeanBoxInto(dst *bbox.Box) {
 	}
 }
 
-// Selectivity returns EstimateSpec(spec) / Count(), in [0, 1] (0 for an
-// empty layer).
-func (s *Layer) Selectivity(spec bbox.RangeSpec) float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.EstimateSpec(spec) / float64(s.count)
-}
-
 // EstimateSpec estimates how many recorded boxes match the spec. The
 // result is always finite and within [0, Count()].
 func (s *Layer) EstimateSpec(spec bbox.RangeSpec) float64 {
